@@ -39,6 +39,12 @@ _GF_BUILDERS = {
 }
 
 
+def _require_at_least(value, low, flag):
+    """Reject a numeric flag below its minimum as a usage error (exit 2)."""
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def _dump(obj):
     return json.dumps(obj, separators=(",", ":"))
 
@@ -58,6 +64,7 @@ def _record(w: CatalanWord):
 
 
 def _cmd_enumerate(args):
+    _require_at_least(args.length, 0, "--length")
     cls = WordClass.parse(args.word_class)
     stream = words.enumerate_words(args.length, cls, args.limit)
     if args.format == "csv":
@@ -87,6 +94,7 @@ def _cmd_stats(args):
 
 
 def _cmd_render(args):
+    _require_at_least(args.cell_size, 1, "--cell-size")
     w = CatalanWord.parse(args.word)
     if len(w) == 0:
         print("ε")
@@ -142,6 +150,7 @@ def _parse_at(spec):
 
 def _cmd_gf(args):
     builder, start = _GF_BUILDERS[args.which]
+    _require_at_least(args.order, 1, "--order")
     if args.order > args.limit:
         raise ResourceLimit(f"series order {args.order} exceeds limit {args.limit}")
     series = builder(args.order + start)

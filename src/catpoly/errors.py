@@ -47,7 +47,11 @@ class InternalInconsistency(CatpolyError):
 
 
 class NoConvergence(CatpolyError):
-    """Fixed-point iteration failed to stabilize within the order bound."""
+    """Fixed-point iteration failed to stabilize within the order bound.
+
+    No longer raised: the master series are built by forward recurrence,
+    one evaluation per order.  Kept so that code catching it still works.
+    """
 
     def __init__(self, order):
         self.order = order

@@ -9,8 +9,8 @@ divisions by powers of x lose nothing.
 
 from fractions import Fraction
 
-from .errors import DepthTooShallow, NoConvergence
-from .mpoly import Caps, MPoly
+from .errors import DepthTooShallow, InternalInconsistency
+from .mpoly import Caps, MPoly, pack
 from .series import Series
 
 _HALF = Fraction(1, 2)
@@ -82,100 +82,85 @@ def gf_p(order, caps=None):
     )
 
 
-# -- multivariate masters (fixed-point solutions of the functional equations) --
+# -- multivariate masters (forward recurrence on the functional equations) ----
 
 
-def _geom_qv(caps):
-    """Truncated geometric series 1/(1-qv) = sum_k (qv)^k under the caps."""
-    top = min(caps.v, caps.q)
-    return MPoly({(k << 21) | k: 1 for k in range(top + 1)})
+def _solve_forward(order, caps, base, contributions):
+    """Build the series coefficient by coefficient from its recurrence.
 
-
-def _solve_fixed_point(order, caps, base, contributions):
-    """Iterate F -> base + sum of contributions(F) until the series is stable.
-
-    ``contributions(F, n)`` returns the x^n coefficient of the non-constant
-    right-hand side, which by construction only reads F at orders n-1 and
-    n-2; once those inputs stop changing the output cannot change, so the
-    iteration tracks the changed set instead of recomputing every order.
-    A final full application re-checks stability against the operator
-    itself, so a contribution function that breaks the locality contract
-    fails loudly instead of returning a non-fixed point.
+    ``contributions(prefix, n)`` returns the x^n coefficient of the
+    non-constant right-hand side, where ``prefix`` holds the coefficients
+    of x^0 .. x^(n-1) only.  The right-hand sides read orders n-1 and n-2,
+    so each coefficient is final as soon as it is built and one evaluation
+    per order yields the fixed point.  A contribution that reads order n or
+    later finds no such entry and fails loudly.
     """
-
-    def rhs(coeffs, n):
+    coeffs = []
+    for n in range(order):
         head = base[n] if n < len(base) else MPoly.zero()
-        return head + contributions(coeffs, n)
-
-    coeffs = [MPoly.zero() for _ in range(order)]
-    pending = set(range(order))
-    for _ in range(order + 1):
-        if not pending:
-            break
-        changed = set()
-        for n in sorted(pending):
-            new = rhs(coeffs, n)
-            if new != coeffs[n]:
-                coeffs[n] = new
-                changed.add(n)
-        pending = {m for n in changed for m in (n + 1, n + 2) if m < order}
-    else:
-        raise NoConvergence(order)
-    if any(rhs(coeffs, n) != coeffs[n] for n in range(order)):
-        raise NoConvergence(order)
+        try:
+            tail = contributions(coeffs, n)
+        except IndexError as exc:
+            raise InternalInconsistency(
+                f"contribution to x^{n} read a coefficient of order >= {n}"
+            ) from exc
+        coeffs.append(head + tail)
     return Series(order, coeffs, caps)
 
 
 def master_pqv(order, caps=None):
     """Length/semiperimeter/area/last-letter master series.
 
-    Solves, by fixed point, the self-substitution equation whose right side
-    feeds the series back at v:=q, v:=qv and v:=q^2 v with the prefactors
-    p^2 q x, p^3 q^2 x^2, p^3q^3x^2/(1-qv), p^2q^2xv and -p^3q^5x^2v^2/(1-qv).
+    Built by forward recurrence from the self-substitution equation whose
+    right side feeds the series back at v:=q, v:=qv and v:=q^2 v with the
+    prefactors p^2 q x, p^3 q^2 x^2, p^3q^3x^2/(1-qv), p^2q^2xv and
+    -p^3q^5x^2v^2/(1-qv).
     """
     caps = caps or Caps.for_order(order)
     capkey = caps.key
-    geom = _geom_qv(caps)
-    g_plus = geom.mul_monomial(1, 3, 3, 0, capkey)
-    g_minus = geom.mul_monomial(1, 3, 5, 2, capkey)
     base = [MPoly.zero(), MPoly.monomial(1, 2, 1, 0), MPoly.monomial(1, 3, 2, 0)]
 
-    def contributions(coeffs, n):
+    def contributions(prefix, n):
         out = MPoly.zero()
         if n >= 1:
-            out = out + coeffs[n - 1].subst_v_monomial(1, capkey).mul_monomial(
+            out = out + prefix[n - 1].subst_v_monomial(1, capkey).mul_monomial(
                 1, 2, 2, 1, capkey
             )
         if n >= 2:
-            prev = coeffs[n - 2]
-            out = out + prev.subst_v_to_q(capkey).mul(g_plus, capkey)
-            out = out - prev.subst_v_monomial(2, capkey).mul(g_minus, capkey)
+            prev = prefix[n - 2]
+            plus = prev.subst_v_to_q(capkey).mul_monomial(1, 3, 3, 0, capkey)
+            minus = prev.subst_v_monomial(2, capkey).mul_monomial(1, 3, 5, 2, capkey)
+            out = out + (plus - minus).mul_geom_qv(capkey)
         return out
 
-    return _solve_fixed_point(order, caps, base, contributions)
+    return _solve_forward(order, caps, base, contributions)
 
 
 def master_interior_qv(order, caps=None):
-    """Length/interior-points/last-letter master series (q marks interior points)."""
+    """Length/interior-points/last-letter master series (q marks interior points).
+
+    Built by forward recurrence, like ``master_pqv``, from the equation
+    with the terms x and x^2 and the prefactors xv (at v:=qv), x^2/(1-qv)
+    (at v:=q) and -q^2x^2v^2/(1-qv) (at v:=q^2 v).
+    """
     caps = caps or Caps.for_order(order)
     capkey = caps.key
-    geom = _geom_qv(caps)
-    g_minus = geom.mul_monomial(1, 0, 2, 2, capkey)
     base = [MPoly.zero(), MPoly.scalar(1), MPoly.scalar(1)]
 
-    def contributions(coeffs, n):
+    def contributions(prefix, n):
         out = MPoly.zero()
         if n >= 1:
-            out = out + coeffs[n - 1].subst_v_monomial(1, capkey).mul_monomial(
+            out = out + prefix[n - 1].subst_v_monomial(1, capkey).mul_monomial(
                 1, 0, 0, 1, capkey
             )
         if n >= 2:
-            prev = coeffs[n - 2]
-            out = out + prev.subst_v_to_q(capkey).mul(geom, capkey)
-            out = out - prev.subst_v_monomial(2, capkey).mul(g_minus, capkey)
+            prev = prefix[n - 2]
+            plus = prev.subst_v_to_q(capkey)
+            minus = prev.subst_v_monomial(2, capkey).mul_monomial(1, 0, 2, 2, capkey)
+            out = out + (plus - minus).mul_geom_qv(capkey)
         return out
 
-    return _solve_fixed_point(order, caps, base, contributions)
+    return _solve_forward(order, caps, base, contributions)
 
 
 # -- closed forms from the kernel method ---------------------------------------
@@ -273,7 +258,10 @@ def kernel_residual(order, caps=None):
 
 def _geom_q_power(step, caps):
     """1/(1 - q^step) as a q-power series under the caps."""
-    return MPoly({(k << 21): 1 for k in range(0, caps.q + 1, step)} if step else {0: 1})
+    if not step:
+        return MPoly.scalar(1)
+    q = pack(0, 1, 0)
+    return MPoly({k * q: 1 for k in range(0, caps.q + 1, step)})
 
 
 def sum_B(order, caps=None):

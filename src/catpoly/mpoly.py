@@ -173,6 +173,38 @@ class MPoly:
             out[nk] = _norm(v * c)
         return MPoly._raw(_cleaned(out))
 
+    def mul_geom_qv(self, capkey=CAPS_UNBOUNDED.key):
+        """Multiply by 1/(1-qv) = sum_k (qv)^k, dropping terms beyond the caps.
+
+        Output term p^a q^(b+t) v^(c+t) is the sum of the input terms at
+        positions 0..t of the same qv diagonal, so each diagonal is walked
+        once from its first input term up to the caps with a running sum:
+        the cost is linear in the number of output terms.
+        """
+        step = pack(0, 1, 1)
+        cap_p, cap_q, cap_v = unpack(capkey)
+        diagonals = {}
+        for k, c in self.terms.items():
+            t = min((k >> QSHIFT) & _QMASK, k & _VMASK)
+            diagonals.setdefault(k - t * step, {})[t] = c
+        out = {}
+        for start, row in diagonals.items():
+            ep, eq, ev = unpack(start)
+            if ep > cap_p:
+                continue
+            first = min(row)
+            key = start + first * step
+            running = 0
+            get = row.get
+            for t in range(first, min(cap_q - eq, cap_v - ev) + 1):
+                c = get(t)
+                if c is not None:
+                    running = _norm(running + c)
+                if running:
+                    out[key] = running
+                key += step
+        return MPoly._raw(out)
+
     def divide_monomial(self, c, dp=0, dq=0, dv=0):
         """Exact division by c * p^dp q^dq v^dv.
 

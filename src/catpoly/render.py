@@ -52,6 +52,8 @@ def render_ascii(w: CatalanWord, mark_interior: bool = False) -> str:
 
 def render_svg(w: CatalanWord, cell_size: int = 20, mark_interior: bool = False) -> str:
     """SVG 1.1 drawing; one unit cell = cell_size pixels."""
+    if cell_size < 1:
+        raise ValueError(f"cell size must be >= 1, got {cell_size}")
     poly = Polyomino.from_word(w)
     n = len(poly)
     height = max(poly.heights) if n else 1

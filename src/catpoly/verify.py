@@ -2,8 +2,9 @@
 
 Each check recomputes one family of results along two independent routes
 (closed form vs series, DP vs enumeration, bijection vs generating
-function, ...) and reports pass/fail/skipped.  The suite is deterministic:
-same flags, same report.
+function, ...) and reports pass/fail/skipped.  A check whose range of n
+or orders is empty under the flags reports skipped, never a vacuous pass.
+The suite is deterministic: same flags, same report.
 """
 
 from dataclasses import dataclass, field
@@ -82,6 +83,10 @@ def _q_poly(hist):
 
 
 def run_verify(max_n: int = 10, max_order: int = 20) -> VerifyReport:
+    if max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    if max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
     ctx = _Context(max_n, max_order)
     report = VerifyReport(max_n=max_n, max_order=max_order)
     for name, fn in _build_checks(ctx):
@@ -130,6 +135,8 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         return "pass", "the 9 length-4 words are reproduced exactly"
 
     def statistic_oracles():
+        if max_n < 1:
+            return "skipped", "needs max_n >= 1"
         flagship = words.CatalanWord.parse("00123223401011")
         rec = words.stat_record(flagship)
         if (rec.area, rec.sper, rec.inter) != (34, 22, 13):
@@ -143,6 +150,8 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         return "pass", f"formulas agree with geometric oracles for all n <= {max_n}"
 
     def dyck_roundtrip():
+        if max_n < 1:
+            return "skipped", "needs max_n >= 1"
         for n in range(1, max_n + 1):
             seen = set()
             for w in ctx.words_of(n):
@@ -203,6 +212,8 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         return "pass", f"four totals agree (series/DP to n <= {top}, enumeration to n <= {min(max_n, 12)})"
 
     def master_histograms():
+        if max_n < 1:
+            return "skipped", "needs max_n >= 1"
         order = max_n + 1
         master = ctx.get(("master_pqv", order), lambda: gfs.master_pqv(order))
         for n in range(1, max_n + 1):
@@ -215,6 +226,8 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         return "pass", f"master series equals the (sper, area, last) histograms for n <= {max_n}"
 
     def master_specializations():
+        if max_order < 2:
+            return "skipped", "needs max_order >= 2"
         order = min(max_order, 12)
         master = ctx.get(("master_pqv", order), lambda: gfs.master_pqv(order))
         at_q1 = master.eval_one("q")
@@ -243,6 +256,8 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
     def area_series():
         order = min(max_order, 13)
         top_n = min(max_n, order - 1)
+        if top_n < 1:
+            return "skipped", "needs max_n >= 1 and max_order >= 2"
         b = ctx.get(("sum_B", order), lambda: gfs.sum_B(order))
         for n in range(1, top_n + 1):
             hist = _scalar_histogram(ctx.words_of(n, WordClass.CLASS_B), words.stat_area)
@@ -267,6 +282,8 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
     def interior_series():
         order = min(max_order, 13)
         top_n = min(max_n, order - 1)
+        if top_n < 1:
+            return "skipped", "needs max_n >= 1 and max_order >= 2"
         h = ctx.get(("sum_H", order), lambda: gfs.sum_H(order))
         for n in range(1, top_n + 1):
             hist = _scalar_histogram(ctx.words_of(n, WordClass.CLASS_B), words.stat_inter)

@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import EmptyWord, NotCatalan, ResourceLimit
+from .errors import EmptyWord, InternalInconsistency, NotCatalan, ResourceLimit
 
 #: Largest length accepted by full enumeration unless overridden.
 DEFAULT_ENUM_LIMIT = 16
@@ -175,6 +175,8 @@ def enumerate_words(
     limit: int = DEFAULT_ENUM_LIMIT,
 ) -> Iterator[CatalanWord]:
     """Yield every word of length n in the class, in lexicographic order."""
+    if n < 0:
+        raise ValueError(f"word length must be >= 0, got {n}")
     if n > limit:
         raise ResourceLimit(f"enumeration of length {n} exceeds limit {limit}")
     if n == 0:
@@ -249,7 +251,8 @@ def stat_sper(w) -> int:
     h = [x + 1 for x in letters]
     variation = sum(abs(h[i + 1] - h[i]) for i in range(len(h) - 1))
     total = h[0] + h[-1] + variation
-    assert total % 2 == 0
+    if total % 2:
+        raise InternalInconsistency(f"odd height-profile total {total} for {w}")
     return len(h) + total // 2
 
 
@@ -271,7 +274,8 @@ def sper_oracle(w) -> int:
         for (di, dj) in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             if (i + di, j + dj) not in cells:
                 boundary += 1
-    assert boundary % 2 == 0
+    if boundary % 2:
+        raise InternalInconsistency(f"odd boundary length {boundary} for {w}")
     return boundary // 2
 
 

@@ -3,12 +3,23 @@ import json
 import pytest
 
 from catpoly.cli import main
+from catpoly.render import render_svg
+from catpoly.words import CatalanWord
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_usage_error(capsys, *argv):
+    """Exit 2 with a single ``error:`` line on stderr and nothing on stdout."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    return err
 
 
 # enumerate ------------------------------------------------------------------------
@@ -55,6 +66,12 @@ def test_enumerate_resource_limit_exit3(capsys):
     code, _, err = run(capsys, "enumerate", "--length", "30")
     assert code == 3
     assert "limit" in err
+
+
+def test_enumerate_negative_length_exit2(capsys):
+    for fmt in ("text", "csv"):
+        err = assert_usage_error(capsys, "enumerate", "--length", "-1", "--format", fmt)
+        assert "--length" in err
 
 
 def test_enumerate_bad_class_exit2(capsys):
@@ -116,6 +133,20 @@ def test_render_svg(capsys):
     assert out.count("<rect") == 9  # area of 0122
     assert out.count("<circle") == 3
     assert 'width="40"' in out  # 4 columns x 10 px
+
+
+@pytest.mark.parametrize("size", ["-4", "0"])
+def test_render_nonpositive_cell_size_exit2(capsys, size):
+    err = assert_usage_error(
+        capsys, "render", "--word", "0122", "--format", "svg", "--cell-size", size
+    )
+    assert "--cell-size" in err
+
+
+def test_render_svg_rejects_nonpositive_cell_size():
+    # the library guard, for callers that bypass the CLI
+    with pytest.raises(ValueError):
+        render_svg(CatalanWord.parse("01"), cell_size=0)
 
 
 # tables ---------------------------------------------------------------------------
@@ -194,6 +225,11 @@ def test_gf_order_limit_exit3(capsys):
     assert code == 3
 
 
+def test_gf_nonpositive_order_exit2(capsys):
+    err = assert_usage_error(capsys, "gf", "--which", "M", "--order", "-1")
+    assert "--order" in err
+
+
 def test_gf_bad_at_exit2(capsys):
     code, _, err = run(capsys, "gf", "--which", "M", "--order", "5", "--at", "p=2")
     assert code == 2
@@ -246,7 +282,27 @@ def test_verify_json(capsys):
 def test_verify_degenerate_run_skips(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "0", "--max-order", "1")
     assert code == 0
-    assert "1 skipped" in out
+    assert out.splitlines()[-1] == "11 passed, 0 failed, 7 skipped"
+
+
+def test_verify_empty_ranges_skip_not_pass(capsys):
+    code, out, _ = run(capsys, "verify", "--max-order", "1")
+    assert code == 0
+    assert "[SKIPPED] master_specializations" in out
+    assert out.splitlines()[-1] == "15 passed, 0 failed, 3 skipped"
+
+
+def test_verify_default_flags_pass_every_check(capsys):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    passed, failed, _ = (int(part.split()[0]) for part in out.splitlines()[-1].split(", "))
+    assert passed >= 18 and failed == 0
+
+
+@pytest.mark.parametrize("flag, value", [("--max-n", "-1"), ("--max-order", "0")])
+def test_verify_out_of_range_flag_exit2(capsys, flag, value):
+    err = assert_usage_error(capsys, "verify", flag, value)
+    assert flag.lstrip("-").replace("-", "_") in err
 
 
 def test_verify_deterministic(capsys):

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from catpoly import gfs
-from catpoly.errors import DepthTooShallow, NoConvergence
-from catpoly.mpoly import MPoly
+from catpoly.errors import DepthTooShallow, InternalInconsistency
+from catpoly.mpoly import Caps, MPoly, pack
 from catpoly.series import Series
 from catpoly.words import (
     WordClass,
@@ -286,24 +288,60 @@ def test_master_interior_last_letter_histogram():
 # derivative identities ----------------------------------------------------------
 
 
-# fixed-point guard ------------------------------------------------------------
+# forward recurrence and the 1/(1-qv) product ---------------------------------
 
 
-def test_fixed_point_no_convergence_guard():
-    # an operator that keeps changing its own inputs can never stabilize;
-    # the solver must refuse rather than loop forever
-    from catpoly.mpoly import Caps
-    from catpoly.series import Series  # noqa: F401  (same import path as the solver)
+def test_forward_solver_one_evaluation_per_order():
+    caps = Caps.for_order(6)
+    calls = []
 
+    def contributions(prefix, n):
+        assert len(prefix) == n
+        calls.append(n)
+        return prefix[n - 1].mul_monomial(1, 1, 0, 0, caps.key) if n else MPoly.zero()
+
+    s = gfs._solve_forward(6, caps, [MPoly.scalar(1)], contributions)
+    assert calls == list(range(6))
+    assert [s.coeff(n) for n in range(6)] == [MPoly.monomial(1, n, 0, 0) for n in range(6)]
+
+
+def test_forward_solver_rejects_reading_ahead():
+    # a right-hand side that reads its own order is not a forward
+    # recurrence; the solver must refuse instead of returning a non-fixed point
     caps = Caps.for_order(4)
-    counter = {"n": 0}
 
-    def contributions(coeffs, n):
-        counter["n"] += 1
-        return MPoly.scalar(counter["n"])
+    def contributions(prefix, n):
+        return prefix[n]
 
-    with pytest.raises(NoConvergence):
-        gfs._solve_fixed_point(4, caps, [MPoly.zero()], contributions)
+    with pytest.raises(InternalInconsistency):
+        gfs._solve_forward(4, caps, [MPoly.scalar(1)], contributions)
+
+
+def _geom_qv_oracle(caps):
+    """The truncated 1/(1-qv) as an explicit MPoly, for the dense product."""
+    return MPoly({pack(0, k, k): 1 for k in range(min(caps.q, caps.v) + 1)})
+
+
+@st.composite
+def capped_mpoly(draw):
+    """Caps and a sparse MPoly whose exponents reach one past each cap."""
+    caps = Caps(*(draw(st.integers(min_value=0, max_value=top)) for top in (4, 8, 8)))
+    m = MPoly.zero()
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        c = draw(st.integers(min_value=-3, max_value=3).filter(bool))
+        dp, dq, dv = (draw(st.integers(min_value=0, max_value=cap + 1)) for cap in caps)
+        m = m + MPoly.monomial(c, dp, dq, dv)
+    return caps, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(capped_mpoly())
+@example((Caps(2, 5, 3), MPoly.monomial(1, 1, 5, 0) + MPoly.monomial(-2, 0, 2, 3)))
+@example((Caps(2, 4, 4), MPoly.monomial(3, 2, 4, 4) + MPoly.monomial(1, 0, 1, 0)))
+def test_mul_geom_qv_matches_dense_product(case):
+    caps, m = case
+    key = caps.key
+    assert m.mul_geom_qv(key) == m.mul(_geom_qv_oracle(caps), key)
 
 
 def test_derivative_identity_semiperimeter():

@@ -138,6 +138,11 @@ def test_enumerate_resource_limit():
     assert len(list(enumerate_words(9, WordClass.AVOID_GEQ_GEQ, limit=9))) == 835
 
 
+def test_enumerate_negative_length_raises():
+    with pytest.raises(ValueError):
+        list(enumerate_words(-1, WordClass.AVOID_GEQ_GEQ))
+
+
 def test_enumerate_class_b_small():
     assert [str(w) for w in enumerate_words(3, WordClass.CLASS_B)] == ["001", "012"]
     assert len(list(enumerate_words(5, WordClass.CLASS_B))) == 9
