@@ -1,42 +1,73 @@
-"""Selects the term-merge kernel at import time.
+"""The packed exponent key and the term-merge kernel.
 
-The compiled extension is preferred when present; setting the environment
-variable ``CATPOLY_BACKEND=python`` forces the pure-Python kernel (used by
-the benchmark and the backend-agreement tests).
+Sparse polynomials in the markers (p, q, v) are dicts mapping a packed
+exponent key to a nonzero coefficient (int or Fraction).  This module owns
+the key layout: p, q and v each get a field of ``FIELD`` bits topped by one
+guard bit, 63 bits in all:
+
+    bits  0..19  v exponent      bit 20  guard
+    bits 21..40  q exponent      bit 41  guard
+    bits 42..61  p exponent      bit 62  guard
+
+Guard bits let a single subtraction test all three per-variable caps at
+once: for a product key ``k`` and a cap key carrying the guard bits set,
+``(capkey - k) & GUARDS == GUARDS`` iff every exponent of ``k`` is within
+its cap.  Exponents and caps are at most ``MAXCAP``, below half the field,
+so the sum of two in-range keys never carries across fields.
 """
 
-import os
+FIELD = 20
 
-from . import _termops_py
+VSHIFT = 0
+QSHIFT = FIELD + 1
+PSHIFT = 2 * (FIELD + 1)
 
-_forced = os.environ.get("CATPOLY_BACKEND", "").strip().lower()
+MASK = (1 << FIELD) - 1
+GUARDS = (1 << (VSHIFT + FIELD)) | (1 << (QSHIFT + FIELD)) | (1 << (PSHIFT + FIELD))
 
-if _forced in ("python", "pure", "py"):
-    _impl = _termops_py
-    BACKEND = "python"
-elif _forced in ("compiled", "c", "cython"):
-    from . import _termops as _impl  # noqa: F401  (ImportError is the right failure)
+MAXCAP = (1 << FIELD) // 2 - 1
 
-    BACKEND = "compiled"
-else:
-    try:
-        from . import _termops as _impl
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _termops_py
-        BACKEND = "python"
-
-mul_into = _impl.mul_into
+BACKEND = "python"
 
 
-def available_backends():
-    """Name -> mul_into for every importable kernel (benchmark helper)."""
-    impls = {"python": _termops_py.mul_into}
-    try:
-        from . import _termops
+def pack(dp=0, dq=0, dv=0):
+    """Pack an exponent triple into a single integer key."""
+    if not (0 <= dp <= MAXCAP and 0 <= dq <= MAXCAP and 0 <= dv <= MAXCAP):
+        raise ValueError(f"exponents out of range: {(dp, dq, dv)}")
+    return (dp << PSHIFT) | (dq << QSHIFT) | dv
 
-        impls["compiled"] = _termops.mul_into
-    except ImportError:
-        pass
-    return impls
+
+def unpack(key):
+    return (key >> PSHIFT) & MASK, (key >> QSHIFT) & MASK, key & MASK
+
+
+def cap_key(cap_p, cap_q, cap_v):
+    """Pack per-variable caps together with the guard bits."""
+    if not (0 <= cap_p <= MAXCAP and 0 <= cap_q <= MAXCAP and 0 <= cap_v <= MAXCAP):
+        raise ValueError(f"caps out of range: {(cap_p, cap_q, cap_v)}")
+    return GUARDS | (cap_p << PSHIFT) | (cap_q << QSHIFT) | cap_v
+
+
+def mul_into(acc, a, b, capkey):
+    """acc += a*b, dropping products whose exponents exceed the caps.
+
+    ``acc``, ``a``, ``b`` are packed-key term dicts; ``acc`` is mutated.
+    Zero coefficients may be left behind; callers clean them up.
+    """
+    if not a or not b:
+        return
+    if len(a) > len(b):
+        a, b = b, a
+    guards = GUARDS
+    get = acc.get
+    for k1, c1 in a.items():
+        head = capkey - k1
+        for k2, c2 in b.items():
+            if (head - k2) & guards != guards:
+                continue
+            k = k1 + k2
+            cur = get(k)
+            if cur is None:
+                acc[k] = c1 * c2
+            else:
+                acc[k] = cur + c1 * c2

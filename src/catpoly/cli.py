@@ -65,6 +65,8 @@ def _record(w: CatalanWord):
 
 def _cmd_enumerate(args):
     _require_at_least(args.length, 0, "--length")
+    if args.length > args.limit:
+        raise ResourceLimit(f"enumeration of length {args.length} exceeds limit {args.limit}")
     cls = WordClass.parse(args.word_class)
     stream = words.enumerate_words(args.length, cls, args.limit)
     if args.format == "csv":
@@ -108,6 +110,7 @@ def _cmd_render(args):
 
 def _cmd_table(args):
     name = args.which
+    _require_at_least(args.max_n, 1, "--max-n")
     if args.max_n > args.limit:
         raise ResourceLimit(f"table size {args.max_n} exceeds limit {args.limit}")
     if name == "c":

@@ -21,7 +21,7 @@ class EmptyWord(CatpolyError):
 
 
 class ResourceLimit(CatpolyError):
-    """Requested size exceeds the configured enumeration/table limit."""
+    """Requested size exceeds a configured limit or the packed key fields."""
 
 
 class NotInDomain(CatpolyError):

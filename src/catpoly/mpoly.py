@@ -2,44 +2,20 @@
 
 p marks the semiperimeter, q the area (or the interior points, depending
 on the series being built) and v the value of the last letter.  Terms are
-stored as a dict from a packed exponent key (see ``_termops_py`` for the
+stored as a dict from a packed exponent key (see ``backend`` for the
 layout) to a nonzero int or Fraction coefficient, so equality is plain
-dict equality and the hot multiply kernel can run on machine integers.
+dict equality and the multiply kernel tests all three caps with one
+integer subtraction per product.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import backend
-from ._termops_py import (
-    GUARDS,
-    MAXCAP_P,
-    MAXCAP_Q,
-    MAXCAP_V,
-    PSHIFT,
-    QSHIFT,
-    VSHIFT,
-    cap_key,
-)
-from .errors import InternalInconsistency, NonUnitDivisor
-
-_PMASK = (1 << 10) - 1
-_QMASK = (1 << 20) - 1
-_VMASK = (1 << 20) - 1
+from .backend import GUARDS, MASK, MAXCAP, PSHIFT, QSHIFT, VSHIFT, cap_key, pack, unpack
+from .errors import InternalInconsistency, NonUnitDivisor, ResourceLimit
 
 _SHIFTS = {"p": PSHIFT, "q": QSHIFT, "v": VSHIFT}
-_MASKS = {"p": _PMASK, "q": _QMASK, "v": _VMASK}
-
-
-def pack(dp=0, dq=0, dv=0):
-    """Pack an exponent triple into a single integer key."""
-    if dp < 0 or dq < 0 or dv < 0 or dp > MAXCAP_P or dq > MAXCAP_Q or dv > MAXCAP_V:
-        raise ValueError(f"exponents out of range: {(dp, dq, dv)}")
-    return (dp << PSHIFT) | (dq << QSHIFT) | dv
-
-
-def unpack(key):
-    return (key >> PSHIFT) & _PMASK, (key >> QSHIFT) & _QMASK, key & _VMASK
 
 
 class Caps(NamedTuple):
@@ -48,7 +24,9 @@ class Caps(NamedTuple):
     Truncating every exponent above its cap is a quotient-ring map, so it
     commutes with ring operations; the defaults below are the exact maxima
     the statistics can reach at length N (semiperimeter 2N, area N(N+1)/2,
-    last letter N-1), so no genuine term is ever dropped.
+    last letter N-1), so no genuine term is ever dropped.  An order whose
+    caps do not fit the key fields raises ResourceLimit; the area cap
+    binds first, above order 1023.
     """
 
     p: int
@@ -57,14 +35,36 @@ class Caps(NamedTuple):
 
     @classmethod
     def for_order(cls, order):
-        return cls(p=min(2 * order, MAXCAP_P), q=min(order * (order + 1) // 2, MAXCAP_Q), v=min(order, MAXCAP_V))
+        caps = cls(p=2 * order, q=order * (order + 1) // 2, v=order)
+        if max(caps) > MAXCAP:
+            raise ResourceLimit(
+                f"order {order} needs caps {tuple(caps)} above the key field maximum {MAXCAP}"
+            )
+        return caps
 
     @property
     def key(self):
         return cap_key(self.p, self.q, self.v)
 
 
-CAPS_UNBOUNDED = Caps(MAXCAP_P, MAXCAP_Q, MAXCAP_V)
+CAPS_UNBOUNDED = Caps(MAXCAP, MAXCAP, MAXCAP)
+_UNBOUNDED_KEY = CAPS_UNBOUNDED.key
+
+
+def _degree(terms, shift):
+    return max(((k >> shift) & MASK for k in terms), default=0)
+
+
+def _degrees(terms):
+    """(p, q, v) degrees of a term dict."""
+    return [_degree(terms, shift) for shift in _SHIFTS.values()]
+
+
+def _check_field(a, b):
+    """Raise ResourceLimit when the degree sums a + b pass the key field maximum."""
+    for var, da, db in zip("pqv", a, b):
+        if da + db > MAXCAP:
+            raise ResourceLimit(f"{var}-degree {da + db} exceeds the key field maximum {MAXCAP}")
 
 
 def _norm(c):
@@ -144,7 +144,14 @@ class MPoly:
     def __neg__(self):
         return MPoly._raw({k: -c for k, c in self.terms.items()})
 
-    def mul(self, other, capkey=CAPS_UNBOUNDED.key):
+    def mul(self, other, capkey=_UNBOUNDED_KEY):
+        """Product, dropping terms beyond the caps.
+
+        Without caps nothing may be dropped, so a product whose degree
+        would pass the key field maximum raises ResourceLimit instead.
+        """
+        if capkey == _UNBOUNDED_KEY:
+            _check_field(_degrees(self.terms), _degrees(other.terms))
         acc = {}
         backend.mul_into(acc, self.terms, other.terms, capkey)
         return MPoly._raw(_cleaned(acc))
@@ -160,10 +167,16 @@ class MPoly:
             return self
         return MPoly._raw({k: _norm(v * c) for k, v in self.terms.items()})
 
-    def mul_monomial(self, c, dp=0, dq=0, dv=0, capkey=CAPS_UNBOUNDED.key):
-        """Multiply by c * p^dp q^dq v^dv, dropping terms beyond the caps."""
+    def mul_monomial(self, c, dp=0, dq=0, dv=0, capkey=_UNBOUNDED_KEY):
+        """Multiply by c * p^dp q^dq v^dv, dropping terms beyond the caps.
+
+        Without caps, a degree past the key field maximum raises
+        ResourceLimit, as in ``mul``.
+        """
         if c == 0:
             return MPoly.zero()
+        if capkey == _UNBOUNDED_KEY:
+            _check_field(_degrees(self.terms), (dp, dq, dv))
         shift = pack(dp, dq, dv)
         out = {}
         for k, v in self.terms.items():
@@ -173,7 +186,7 @@ class MPoly:
             out[nk] = _norm(v * c)
         return MPoly._raw(_cleaned(out))
 
-    def mul_geom_qv(self, capkey=CAPS_UNBOUNDED.key):
+    def mul_geom_qv(self, capkey=_UNBOUNDED_KEY):
         """Multiply by 1/(1-qv) = sum_k (qv)^k, dropping terms beyond the caps.
 
         Output term p^a q^(b+t) v^(c+t) is the sum of the input terms at
@@ -185,7 +198,7 @@ class MPoly:
         cap_p, cap_q, cap_v = unpack(capkey)
         diagonals = {}
         for k, c in self.terms.items():
-            t = min((k >> QSHIFT) & _QMASK, k & _VMASK)
+            t = min((k >> QSHIFT) & MASK, k & MASK)
             diagonals.setdefault(k - t * step, {})[t] = c
         out = {}
         for start, row in diagonals.items():
@@ -227,7 +240,7 @@ class MPoly:
 
     def eval_one(self, var):
         """Set the given marker to 1 (merging terms)."""
-        mask = _MASKS[var] << _SHIFTS[var]
+        mask = MASK << _SHIFTS[var]
         out = {}
         get = out.get
         for k, c in self.terms.items():
@@ -240,14 +253,14 @@ class MPoly:
                 out[nk] = _norm(s)
         return MPoly._raw(out)
 
-    def subst_v_monomial(self, j, capkey=CAPS_UNBOUNDED.key):
+    def subst_v_monomial(self, j, capkey=_UNBOUNDED_KEY):
         """v -> q^j * v."""
         if j == 0:
             return self
         out = {}
         get = out.get
         for k, c in self.terms.items():
-            ev = k & _VMASK
+            ev = k & MASK
             nk = k + ((j * ev) << QSHIFT)
             if (capkey - nk) & GUARDS != GUARDS:
                 continue
@@ -255,12 +268,12 @@ class MPoly:
             out[nk] = c if cur is None else _norm(cur + c)
         return MPoly._raw(_cleaned(out))
 
-    def subst_v_to_q(self, capkey=CAPS_UNBOUNDED.key):
+    def subst_v_to_q(self, capkey=_UNBOUNDED_KEY):
         """v -> q (exponent transfer v^e -> q^e)."""
         out = {}
         get = out.get
         for k, c in self.terms.items():
-            ev = k & _VMASK
+            ev = k & MASK
             nk = (k - ev) + (ev << QSHIFT)
             if (capkey - nk) & GUARDS != GUARDS:
                 continue
@@ -271,11 +284,10 @@ class MPoly:
     def derivative(self, var):
         """Formal derivative with respect to one marker."""
         shift = _SHIFTS[var]
-        mask = _MASKS[var]
         out = {}
         get = out.get
         for k, c in self.terms.items():
-            e = (k >> shift) & mask
+            e = (k >> shift) & MASK
             if e == 0:
                 continue
             nk = k - (1 << shift)
@@ -285,9 +297,7 @@ class MPoly:
         return MPoly._raw(_cleaned(out))
 
     def degree(self, var):
-        shift = _SHIFTS[var]
-        mask = _MASKS[var]
-        return max(((k >> shift) & mask for k in self.terms), default=0)
+        return _degree(self.terms, _SHIFTS[var])
 
     def scalar_part(self):
         return self.terms.get(0, 0)

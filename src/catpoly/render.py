@@ -8,21 +8,6 @@ points shared by four cells, as filled dots.
 from .words import CatalanWord, Polyomino
 
 
-def _interior_points(poly):
-    cells = poly.cells()
-    pts = set()
-    for x in range(1, len(poly)):
-        for y in range(1, max(poly.heights)):
-            if (
-                (x - 1, y - 1) in cells
-                and (x, y - 1) in cells
-                and (x - 1, y) in cells
-                and (x, y) in cells
-            ):
-                pts.add((x, y))
-    return pts
-
-
 def render_ascii(w: CatalanWord, mark_interior: bool = False) -> str:
     """Character-grid drawing; interior points render as '*'."""
     poly = Polyomino.from_word(w)
@@ -45,7 +30,7 @@ def render_ascii(w: CatalanWord, mark_interior: bool = False) -> str:
         for (dx, dy) in ((0, 0), (0, 2), (2, 0), (2, 2)):
             put(2 * cy + dy, 2 * cx + dx, "+")
     if mark_interior:
-        for (px, py) in _interior_points(poly):
+        for (px, py) in poly.interior_points():
             put(2 * py, 2 * px, "*")
     return "\n".join("".join(line).rstrip() for line in grid if "".join(line).strip())
 
@@ -74,7 +59,7 @@ def render_svg(w: CatalanWord, cell_size: int = 20, mark_interior: bool = False)
         )
     if mark_interior:
         r = max(2, cell_size // 6)
-        for (px, py) in sorted(_interior_points(poly)):
+        for (px, py) in sorted(poly.interior_points()):
             x = px * cell_size
             y = (height - py) * cell_size
             parts.append(f'<circle cx="{x}" cy="{y}" r="{r}" fill="black"/>')

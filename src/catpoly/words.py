@@ -117,6 +117,19 @@ class Polyomino:
         """Set of (column, row) cells, both 0-based."""
         return {(i, j) for i, h in enumerate(self.heights) for j in range(h)}
 
+    def interior_points(self):
+        """Set of lattice points (x, y) shared by four cells."""
+        cells = self.cells()
+        return {
+            (x, y)
+            for x in range(1, len(self))
+            for y in range(1, max(self.heights))
+            if (x - 1, y - 1) in cells
+            and (x, y - 1) in cells
+            and (x - 1, y) in cells
+            and (x, y) in cells
+        }
+
 
 @dataclass(frozen=True)
 class StatRecord:
@@ -283,21 +296,7 @@ def inter_oracle(w) -> int:
     """Count lattice points surrounded by four cells of the polyomino."""
     letters = _tuple_of(w)
     _require_nonempty(letters)
-    poly = Polyomino(x + 1 for x in letters)
-    cells = poly.cells()
-    n = len(poly)
-    height = max(poly.heights)
-    count = 0
-    for x in range(1, n):
-        for y in range(1, height):
-            if (
-                (x - 1, y - 1) in cells
-                and (x, y - 1) in cells
-                and (x - 1, y) in cells
-                and (x, y) in cells
-            ):
-                count += 1
-    return count
+    return len(Polyomino(x + 1 for x in letters).interior_points())
 
 
 def stat_record(w) -> StatRecord:

@@ -68,6 +68,13 @@ def test_enumerate_resource_limit_exit3(capsys):
     assert "limit" in err
 
 
+def test_enumerate_csv_over_limit_prints_nothing(capsys):
+    code, out, err = run(capsys, "enumerate", "--length", "20", "--format", "csv")
+    assert code == 3
+    assert out == ""
+    assert "limit" in err
+
+
 def test_enumerate_negative_length_exit2(capsys):
     for fmt in ("text", "csv"):
         err = assert_usage_error(capsys, "enumerate", "--length", "-1", "--format", fmt)
@@ -182,6 +189,11 @@ def test_table_json_round_trips(capsys):
 def test_table_limit_exit3(capsys):
     code, _, _ = run(capsys, "table", "--which", "s", "--max-n", "99")
     assert code == 3
+
+
+def test_table_max_n_zero_names_flag(capsys):
+    err = assert_usage_error(capsys, "table", "--which", "c", "--max-n", "0")
+    assert "--max-n" in err
 
 
 # gf -------------------------------------------------------------------------------
