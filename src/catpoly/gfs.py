@@ -313,17 +313,34 @@ def cf_B_contfrac(order, depth, caps=None):
     return result - one
 
 
-def prod_area(order, caps=None):
-    """Length/area series of all avoiding words: the telescoped product form."""
-    caps = caps or Caps.for_order(order)
-    one = Series.from_x_polynomial(order, [1], caps)
-    b = sum_B(order, caps)
-    acc = Series.zero(order, caps)
-    partial = one
+def _telescope(order, caps, b, qexp):
+    """sum over i >= 1 of x^i q^qexp(i) prod_{k < i} (1 + b(x q^k)).
+
+    The i-th partial product is multiplied by x^i, so only its first
+    order - i coefficients reach the result: it is built at that order,
+    from the previous partial product truncated to it.
+    """
+    capkey = caps.key
+    coeffs = [MPoly.zero()] * order
+    partial = Series.from_x_polynomial(order, [1], caps)
     for i in range(1, order):
-        partial = partial * (one + b.subst_x_scale(i - 1))
-        acc = acc + partial.mul_monomial(1, 0, i * (i + 1) // 2, 0, x_shift=i)
-    return acc
+        m = order - i
+        one = Series.from_x_polynomial(m, [1], caps)
+        partial = partial.truncate(m) * (one + b.truncate(m).subst_x_scale(i - 1))
+        shift = qexp(i)
+        for n, c in enumerate(partial.coeffs, start=i):
+            coeffs[n] = coeffs[n] + c.mul_monomial(1, 0, shift, 0, capkey)
+    return Series(order, coeffs, caps)
+
+
+def prod_area(order, caps=None):
+    """Length/area series of all avoiding words: the telescoped product form.
+
+    The sum over i of x^i q^(i(i+1)/2) prod_{k < i} (1 + B(x q^k)), with
+    each partial product kept only to the order its x^i shift leaves.
+    """
+    caps = caps or Caps.for_order(order)
+    return _telescope(order, caps, sum_B(order, caps), lambda i: i * (i + 1) // 2)
 
 
 # -- interior-point flavour ------------------------------------------------------
@@ -348,13 +365,10 @@ def sum_H(order, caps=None):
 
 
 def prod_interior(order, caps=None):
-    """Length/interior-points series of all avoiding words."""
+    """Length/interior-points series of all avoiding words.
+
+    The sum over i of x^i q^((i-2)(i-1)/2) prod_{k < i} (1 + H(x q^k)),
+    truncated like ``prod_area``.
+    """
     caps = caps or Caps.for_order(order)
-    one = Series.from_x_polynomial(order, [1], caps)
-    h = sum_H(order, caps)
-    acc = Series.zero(order, caps)
-    partial = one
-    for i in range(1, order):
-        partial = partial * (one + h.subst_x_scale(i - 1))
-        acc = acc + partial.mul_monomial(1, 0, (i - 2) * (i - 1) // 2, 0, x_shift=i)
-    return acc
+    return _telescope(order, caps, sum_H(order, caps), lambda i: (i - 2) * (i - 1) // 2)

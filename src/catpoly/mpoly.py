@@ -67,6 +67,10 @@ def _check_field(a, b):
             raise ResourceLimit(f"{var}-degree {da + db} exceeds the key field maximum {MAXCAP}")
 
 
+def _past_q_field(degree):
+    return ResourceLimit(f"q-degree {degree} exceeds the key field maximum {MAXCAP}")
+
+
 def _norm(c):
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
@@ -254,28 +258,45 @@ class MPoly:
         return MPoly._raw(out)
 
     def subst_v_monomial(self, j, capkey=_UNBOUNDED_KEY):
-        """v -> q^j * v."""
+        """v -> q^j * v, dropping terms beyond the caps.
+
+        Without caps, a q-degree past the key field maximum raises
+        ResourceLimit, as in ``mul``.
+        """
         if j == 0:
             return self
+        unbounded = capkey == _UNBOUNDED_KEY
+        # a q shift above MAXCAP passes every cap and can carry out of the
+        # q field, past the guard test
+        vmax = MAXCAP // j
         out = {}
         get = out.get
         for k, c in self.terms.items():
             ev = k & MASK
             nk = k + ((j * ev) << QSHIFT)
-            if (capkey - nk) & GUARDS != GUARDS:
+            if ev > vmax or (capkey - nk) & GUARDS != GUARDS:
+                if unbounded:
+                    raise _past_q_field(((k >> QSHIFT) & MASK) + j * ev)
                 continue
             cur = get(nk)
             out[nk] = c if cur is None else _norm(cur + c)
         return MPoly._raw(_cleaned(out))
 
     def subst_v_to_q(self, capkey=_UNBOUNDED_KEY):
-        """v -> q (exponent transfer v^e -> q^e)."""
+        """v -> q (exponent transfer v^e -> q^e), dropping terms beyond the caps.
+
+        Without caps, a q-degree past the key field maximum raises
+        ResourceLimit, as in ``mul``.
+        """
+        unbounded = capkey == _UNBOUNDED_KEY
         out = {}
         get = out.get
         for k, c in self.terms.items():
             ev = k & MASK
             nk = (k - ev) + (ev << QSHIFT)
             if (capkey - nk) & GUARDS != GUARDS:
+                if unbounded:
+                    raise _past_q_field(((k >> QSHIFT) & MASK) + ev)
                 continue
             cur = get(nk)
             out[nk] = c if cur is None else _norm(cur + c)

@@ -276,6 +276,11 @@ def test_master_interior():
         assert plain.coeff(n).as_scalar() == motzkin_by_recurrence(n)
 
 
+def test_product_forms_equal_masters_at_order_24():
+    assert gfs.prod_area(24) == gfs.master_pqv(24).eval_one("p").eval_one("v")
+    assert gfs.prod_interior(24) == gfs.master_interior_qv(24).eval_one("v")
+
+
 def test_master_interior_last_letter_histogram():
     m = gfs.master_interior_qv(8)
     for n in range(1, 8):

@@ -1,9 +1,10 @@
 """The packed key layout, the term kernel and the loud field limit."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catpoly import backend
@@ -94,3 +95,162 @@ def test_caps_for_order_field_limit():
     assert Caps.for_order(1023) == Caps(2046, 1023 * 1024 // 2, 1023)
     with pytest.raises(ResourceLimit):
         Caps.for_order(1024)
+
+
+def test_subst_v_monomial_does_not_carry_into_p():
+    assert MPoly.monomial(1, 0, 0, 1).subst_v_monomial(2**21, Caps(10, 100, 10).key) == MPoly.zero()
+
+
+def test_unbounded_substitutions_past_field_raise():
+    with pytest.raises(ResourceLimit):
+        MPoly.monomial(1, 0, MAXCAP, 1).subst_v_to_q()
+    with pytest.raises(ResourceLimit):
+        MPoly.monomial(1, 0, MAXCAP, 1).subst_v_monomial(1)
+    with pytest.raises(ResourceLimit):
+        MPoly.monomial(1, 0, 0, 1).subst_v_monomial(2**21)
+    # on the field maximum itself nothing is dropped
+    assert MPoly.monomial(1, 0, MAXCAP - 1, 1).subst_v_to_q() == MPoly.monomial(1, 0, MAXCAP, 0)
+    assert MPoly.monomial(1, 0, 1, 2).subst_v_monomial(MAXCAP // 2 - 1) == MPoly.monomial(
+        1, 0, MAXCAP - 2, 2
+    )
+
+
+def test_capped_substitutions_still_truncate():
+    key = Caps(10, 5, 10).key
+    assert MPoly.monomial(1, 0, 5, 1).subst_v_to_q(key) == MPoly.zero()
+    assert MPoly.monomial(1, 0, 0, 3).subst_v_monomial(2, key) == MPoly.zero()
+    assert MPoly.monomial(1, 0, 0, 2).subst_v_monomial(2, key) == MPoly.monomial(1, 0, 4, 2)
+
+
+# -- the kernel against a naive exponent-tuple product -------------------------
+
+
+def naive_product(acc, a, b, caps):
+    """acc + a*b over {(p, q, v): coefficient} dicts, without the zeros."""
+    out = dict(acc)
+    for (ea, ca), (eb, cb) in product(a.items(), b.items()):
+        e = tuple(x + y for x, y in zip(ea, eb))
+        if all(x <= c for x, c in zip(e, caps)):
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def kernel_product(acc, a, b, caps):
+    """The same through ``mul_into`` on packed keys."""
+    packed = {pack(*e): c for e, c in acc.items()}
+    backend.mul_into(
+        packed,
+        {pack(*e): c for e, c in a.items()},
+        {pack(*e): c for e, c in b.items()},
+        cap_key(*caps),
+    )
+    return {unpack(k): c for k, c in packed.items() if c != 0}
+
+
+def q_poly(coeffs):
+    """{(0, e, 0): c} for the nonzero coefficients of a q-polynomial."""
+    return {(0, e, 0): c for e, c in enumerate(coeffs) if c}
+
+
+def assert_kernel_matches(acc, a, b, caps, *, kronecker):
+    """The kernel agrees with the oracle, and takes the branch named."""
+    calls = []
+    real = backend._kronecker_into
+
+    def spy(*args):
+        calls.append(args)
+        real(*args)
+
+    backend._kronecker_into = spy
+    try:
+        got = kernel_product(acc, a, b, caps)
+    finally:
+        backend._kronecker_into = real
+    assert got == naive_product(acc, a, b, caps)
+    assert bool(calls) == kronecker
+
+
+big = st.integers(min_value=-(2**100), max_value=2**100).filter(bool)
+dense_q = st.lists(big, min_size=2, max_size=12).map(q_poly)
+small_triple = st.tuples(*[st.integers(min_value=0, max_value=3)] * 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_q, dense_q, st.integers(min_value=0, max_value=25), st.lists(big, max_size=25))
+@example(q_poly([2**70, -(2**70)]), q_poly([2**70, 2**70, 3]), 0, [])
+def test_dense_q_product_matches_oracle(a, b, cap_q, acc):
+    assert_kernel_matches(q_poly(acc), a, b, (0, cap_q, 0), kronecker=True)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("bits", range(0, 140, 3))
+def test_dense_q_product_at_the_slot_bound(bits, sign):
+    # every coefficient at one magnitude and sign: the middle slot of the
+    # product reaches min(len) * max|a| * max|b| exactly
+    c = (1 << bits) - 1 or 1
+    a = q_poly([c] * 9)
+    b = q_poly([sign * c] * 7)
+    assert_kernel_matches({}, a, b, (0, MAXCAP, 0), kronecker=True)
+    assert kernel_product({}, a, b, (0, MAXCAP, 0))[(0, 6, 0)] == sign * 7 * c * c
+
+
+def test_dense_q_product_cancels_to_zero():
+    a = q_poly([1, -1])
+    b = q_poly([1] * 10)
+    # (1 - q)(1 + ... + q^9) = 1 - q^10: every middle slot cancels
+    assert_kernel_matches({}, a, b, (0, 50, 0), kronecker=True)
+    assert kernel_product({}, a, b, (0, 50, 0)) == {(0, 0, 0): 1, (0, 10, 0): -1}
+    # and a product added onto its own negation leaves nothing
+    minus = {e: -c for e, c in naive_product({}, a, b, (0, 50, 0)).items()}
+    assert kernel_product(minus, a, b, (0, 50, 0)) == {}
+    big_a = q_poly([2**90, 2**90])
+    big_b = q_poly([2**80, -(2**80), 2**80])
+    minus = {e: -c for e, c in naive_product({}, big_a, big_b, (0, 50, 0)).items()}
+    assert kernel_product(minus, big_a, big_b, (0, 50, 0)) == {}
+
+
+@pytest.mark.parametrize("cap_q", [0, 1, 5, 9, 10, 11])
+def test_dense_q_product_under_q_cap(cap_q):
+    a = q_poly([3, -5, 7, 1, 2])
+    b = q_poly([-(2**65), 11, 13, 2, -1, 4, 6])
+    # product degree 10
+    assert_kernel_matches({(0, 1, 0): 5}, a, b, (0, cap_q, 0), kronecker=True)
+
+
+@pytest.mark.parametrize("deg", [1, 4, 9])
+def test_density_rule_both_sides(deg):
+    # a = 1 + q^deg has 2 terms; b dense with n terms: 2n pairs against
+    # deg + n output slots, so n = deg + 1 is dense and n = deg is not
+    a = q_poly([1] + [0] * (deg - 1) + [-3])
+    dense = q_poly(range(1, deg + 2))
+    sparse = q_poly(range(1, deg + 1))
+    caps = (0, MAXCAP, 0)
+    assert_kernel_matches({}, a, dense, caps, kronecker=True)
+    assert_kernel_matches({}, a, sparse, caps, kronecker=False)
+
+
+def test_one_term_operands_take_the_dict_loop():
+    caps = (0, MAXCAP, 0)
+    assert_kernel_matches({}, q_poly([5]), q_poly([1, 2]), caps, kronecker=False)
+    assert_kernel_matches({}, q_poly([0, 0, 5]), q_poly([7]), caps, kronecker=False)
+
+
+def test_fraction_and_pv_inputs_take_the_dict_loop():
+    caps = (3, 20, 3)
+    dense = q_poly([1, 2, 3, 4, 5, 6])
+    with_fraction = q_poly([1, Fraction(1, 3), 3, 4, 5, 6])
+    with_p = {**dense, (1, 2, 0): 7}
+    with_v = {**dense, (0, 2, 1): -7}
+    for other in (with_fraction, with_p, with_v):
+        assert_kernel_matches({(0, 3, 0): 1}, dense, other, caps, kronecker=False)
+        assert_kernel_matches({}, other, dense, caps, kronecker=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(small_triple, big, max_size=8),
+    st.dictionaries(small_triple, big, max_size=8),
+    st.tuples(*[st.integers(min_value=0, max_value=6)] * 3),
+)
+def test_trivariate_product_matches_oracle(a, b, caps):
+    assert kernel_product({}, a, b, caps) == naive_product({}, a, b, caps)
