@@ -21,7 +21,9 @@ two integers are multiplied once, and the product's coefficients are read
 back from its w-bit slots (D. Harvey, "Faster polynomial multiplication via
 multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009).  Every
 other operand pair, sparse or rational or carrying p or v, takes the dict
-double loop.
+double loop.  The slot helpers (``slot_bytes``, ``to_slots``,
+``add_slots``) are shared with ``series``, which packs each coefficient
+of a q-only integer series once per product or quotient.
 """
 
 from functools import reduce
@@ -61,6 +63,12 @@ def cap_key(cap_p, cap_q, cap_v):
     return GUARDS | (cap_p << PSHIFT) | (cap_q << QSHIFT) | cap_v
 
 
+def q_only_int(terms):
+    """True when every key of a term dict is a power of q alone and every
+    coefficient an int: the operands Kronecker substitution can take."""
+    return not reduce(or_, terms, 0) & _NOT_Q and set(map(type, terms.values())) <= {int}
+
+
 def mul_into(acc, a, b, capkey):
     """acc += a*b, dropping products whose exponents exceed the caps.
 
@@ -71,13 +79,10 @@ def mul_into(acc, a, b, capkey):
         return
     if len(a) > len(b):
         a, b = b, a
-    if not (reduce(or_, a) | reduce(or_, b)) & _NOT_Q:
+    if q_only_int(a) and q_only_int(b):
         deg_a = max(a) >> QSHIFT
         deg_b = max(b) >> QSHIFT
-        if len(a) * len(b) > deg_a + deg_b + 1 and {
-            *map(type, a.values()),
-            *map(type, b.values()),
-        } == {int}:
+        if len(a) * len(b) > deg_a + deg_b + 1:
             _kronecker_into(acc, a, b, deg_a, deg_b, (capkey >> QSHIFT) & MASK)
             return
     guards = GUARDS
@@ -95,8 +100,17 @@ def mul_into(acc, a, b, capkey):
                 acc[k] = cur + c1 * c2
 
 
-def _to_slots(terms, deg, nbytes):
-    """Evaluate a q-only integer term dict at q = 2^(8 * nbytes)."""
+def slot_bytes(bound):
+    """Bytes per q-slot that hold any coefficient of magnitude <= bound.
+
+    A slot of w bits, two more than the bound needs, holds the coefficient
+    with its sign, so ``add_slots`` can read it back.
+    """
+    return (bound.bit_length() + 2 + 7) // 8
+
+
+def to_slots(terms, deg, nbytes):
+    """Evaluate a q-only integer term dict of q-degree deg at q = 2^(8 * nbytes)."""
     pos = bytearray(nbytes * (deg + 1))
     neg = bytearray(nbytes * (deg + 1))
     for k, c in terms.items():
@@ -108,24 +122,20 @@ def _to_slots(terms, deg, nbytes):
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _kronecker_into(acc, a, b, deg_a, deg_b, cap_q):
-    """acc += a*b for q-only integer term dicts, keeping q-degrees <= cap_q.
+def add_slots(acc, value, nslots, nbytes):
+    """acc += the q-polynomial held in slots 0..nslots-1 of a packed value.
 
-    Every product coefficient is bounded by min(len) * max|a| * max|b|, so
-    a slot of w bits, two more than that bound needs, holds it with its
-    sign; adding 2^(w-1) to each slot makes every slot non-negative, so the
-    slots read back independently with no borrow between them.
+    ``value`` is a sum of products of ``to_slots`` results, so it equals
+    sum_j c_j 2^(w j) with w = 8 * nbytes.  Every c_j below slot nslots
+    must have magnitude below 2^(w-1): adding 2^(w-1) to each such slot
+    makes it non-negative, so the slots read back independently with no
+    borrow between them, and whatever lies above is a multiple of
+    2^(w * nslots) that the mask drops, however large its slots are.
     """
-    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
-    nbytes = (bound.bit_length() + 2 + 7) // 8
-    w = 8 * nbytes
-    top = min(cap_q, deg_a + deg_b)
-    nslots = top + 1
-    half = 1 << (w - 1)
+    half = 1 << (8 * nbytes - 1)
     bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * nslots, "little")
-    low = (1 << (w * nslots)) - 1
-    prod = _to_slots(a, deg_a, nbytes) * _to_slots(b, deg_b, nbytes)
-    raw = ((prod + bias) & low).to_bytes(nbytes * nslots, "little")
+    low = (1 << (8 * nbytes * nslots)) - 1
+    raw = ((value + bias) & low).to_bytes(nbytes * nslots, "little")
     from_bytes = int.from_bytes
     get = acc.get
     for j in range(nslots):
@@ -134,3 +144,14 @@ def _kronecker_into(acc, a, b, deg_a, deg_b, cap_q):
             k = j << QSHIFT
             cur = get(k)
             acc[k] = c if cur is None else cur + c
+
+
+def _kronecker_into(acc, a, b, deg_a, deg_b, cap_q):
+    """acc += a*b for q-only integer term dicts, keeping q-degrees <= cap_q.
+
+    Every product coefficient is bounded by min(len) * max|a| * max|b|.
+    """
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    nbytes = slot_bytes(bound)
+    prod = to_slots(a, deg_a, nbytes) * to_slots(b, deg_b, nbytes)
+    add_slots(acc, prod, min(cap_q, deg_a + deg_b) + 1, nbytes)

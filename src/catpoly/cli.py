@@ -203,7 +203,7 @@ def _cmd_verify(args):
             "max_order": report.max_order,
             "exit_code": report.exit_code,
             "checks": [
-                {"name": c.name, "status": c.status, "detail": c.detail}
+                {"name": c.name, "status": c.status, "detail": c.detail, "seconds": c.seconds}
                 for c in report.checks
             ],
         }))

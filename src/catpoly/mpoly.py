@@ -197,7 +197,13 @@ class MPoly:
         positions 0..t of the same qv diagonal, so each diagonal is walked
         once from its first input term up to the caps with a running sum:
         the cost is linear in the number of output terms.
+
+        Without caps the product of a nonzero polynomial has infinitely
+        many terms, so it raises ResourceLimit instead of truncating at
+        the key field maximum.
         """
+        if capkey == _UNBOUNDED_KEY and self.terms:
+            raise ResourceLimit("1/(1-qv) has no finite product without caps")
         step = pack(0, 1, 1)
         cap_p, cap_q, cap_v = unpack(capkey)
         diagonals = {}

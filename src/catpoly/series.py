@@ -4,6 +4,14 @@ A series of order N carries the coefficients of x^0 .. x^(N-1).  All
 operations truncate at that order and at the per-variable caps, both of
 which commute with ring arithmetic.  Operands of binary operations must
 share order and caps.
+
+When every coefficient of both operands is an integer polynomial in q
+alone, ``*`` and ``div`` (the latter for a divisor with constant term +-1)
+work on Kronecker-packed coefficients: each coefficient is evaluated once
+at q = 2^w as a big integer, with one slot width w for the whole
+operation, each output order sums its big-integer products, and its
+slots are read back once (see ``backend``).  Every other operand pair
+multiplies coefficient by coefficient through ``backend.mul_into``.
 """
 
 from fractions import Fraction
@@ -17,6 +25,87 @@ from .errors import (
 from .mpoly import Caps, MPoly
 
 _HALF = Fraction(1, 2)
+_UNITS = ({0: 1}, {0: -1})
+
+
+def _q_only_int(coeffs):
+    return all(backend.q_only_int(c.terms) for c in coeffs)
+
+
+def _shape(c):
+    """(q-degree, term count, largest |coefficient|) of a q-only coefficient."""
+    return c.degree("q"), len(c.terms), max(map(abs, c.terms.values()))
+
+
+def _pack(coeffs, shapes, nbytes):
+    return [
+        backend.to_slots(c.terms, shape[0], nbytes) if shape else 0
+        for c, shape in zip(coeffs, shapes)
+    ]
+
+
+def _pairs_bound(pairs, sa, sb):
+    """Bound on every slot of sum over (i, j) in pairs of A[i] * B[j]."""
+    return sum(sa[i][2] * sb[j][2] * min(sa[i][1], sb[j][1]) for i, j in pairs)
+
+
+def _read(value, nslots, nbytes):
+    terms = {}
+    backend.add_slots(terms, value, nslots, nbytes)
+    return MPoly._raw(terms)
+
+
+def _dense_q_mul(a, b, cap_q):
+    """Coefficients of a * b, packing each coefficient once."""
+    sa = [_shape(c) if c else None for c in a]
+    sb = [_shape(c) if c else None for c in b]
+    pairs = [[(i, k - i) for i in range(k + 1) if sa[i] and sb[k - i]] for k in range(len(a))]
+    bound = max(
+        max(_pairs_bound(p, sa, sb) for p in pairs),
+        max((s[2] for s in sa + sb if s), default=0),
+    )
+    nbytes = backend.slot_bytes(bound)
+    pa, pb = _pack(a, sa, nbytes), _pack(b, sb, nbytes)
+    out = []
+    for p in pairs:
+        if not p:
+            out.append(MPoly.zero())
+            continue
+        top = min(cap_q, max(sa[i][0] + sb[j][0] for i, j in p))
+        out.append(_read(sum(pa[i] * pb[j] for i, j in p), top + 1, nbytes))
+    return out
+
+
+def _dense_q_div(num, b, u, cap_q):
+    """Coefficients of num / b for a divisor with constant term u = +-1.
+
+    out[k] = u * (num[k] - sum_{i<k} out[i] * b[k-i]) stays integral.  The
+    slot width must hold every packed coefficient of b and of the quotient
+    and every sum; a quotient can outgrow it, so each order first bounds
+    its sum and, if that no longer fits, widens the slots and repacks.
+    """
+    sb = [_shape(c) if c else None for c in b]
+    nbytes = backend.slot_bytes(max(s[2] for s in sb if s))
+    pb = _pack(b, sb, nbytes)
+    out, sq, pq = [], [], []
+    for k, c in enumerate(num):
+        sc = _shape(c) if c else None
+        pairs = [(i, k - i) for i in range(k) if sq[i] and sb[k - i]]
+        degs = [sq[i][0] + sb[j][0] for i, j in pairs] + ([sc[0]] if sc else [])
+        q = MPoly.zero()
+        if degs:
+            need = backend.slot_bytes((sc[2] if sc else 0) + _pairs_bound(pairs, sq, sb))
+            if need > nbytes:
+                nbytes = need
+                pb, pq = _pack(b, sb, nbytes), _pack(out, sq, nbytes)
+            value = sum(pq[i] * pb[j] for i, j in pairs)
+            if sc:
+                value -= backend.to_slots(c.terms, sc[0], nbytes)
+            q = _read(value if u < 0 else -value, min(cap_q, max(degs)) + 1, nbytes)
+        out.append(q)
+        sq.append(_shape(q) if q else None)
+        pq.append(backend.to_slots(q.terms, sq[-1][0], nbytes) if q else 0)
+    return out
 
 
 class Series:
@@ -103,9 +192,11 @@ class Series:
 
     def __mul__(self, other):
         self._check_compatible(other)
-        capkey = self.caps.key
         n = self.order
         a, b = self.coeffs, other.coeffs
+        if _q_only_int(a) and _q_only_int(b):
+            return Series(n, _dense_q_mul(a, b, self.caps.q), self.caps)
+        capkey = self.caps.key
         out = []
         for k in range(n):
             acc = {}
@@ -127,6 +218,11 @@ class Series:
     def div(self, other):
         """Series division; the divisor's constant term must be invertible."""
         self._check_compatible(other)
+        unit = other.coeffs[0].terms
+        if unit in _UNITS and _q_only_int(self.coeffs) and _q_only_int(other.coeffs):
+            return Series(
+                self.order, _dense_q_div(self.coeffs, other.coeffs, unit[0], self.caps.q), self.caps
+            )
         capkey = self.caps.key
         bound = self.caps.p + self.caps.q + self.caps.v + 2
         inv0 = mpoly.invert(other.coeffs[0], capkey, bound)

@@ -4,10 +4,12 @@ Each check recomputes one family of results along two independent routes
 (closed form vs series, DP vs enumeration, bijection vs generating
 function, ...) and reports pass/fail/skipped.  A check whose range of n
 or orders is empty under the flags reports skipped, never a vacuous pass.
-The suite is deterministic: same flags, same report.
+The suite is deterministic: same flags, same statuses and details; only
+each check's wall time (``CheckResult.seconds``) varies.
 """
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable, List, Tuple
 
 from . import bijections, closedforms, gfs, tables, words
@@ -21,6 +23,7 @@ class CheckResult:
     name: str
     status: str  # pass | fail | skipped
     detail: str = ""
+    seconds: float = 0.0  # wall time of the check
 
 
 @dataclass
@@ -90,11 +93,12 @@ def run_verify(max_n: int = 10, max_order: int = 20) -> VerifyReport:
     ctx = _Context(max_n, max_order)
     report = VerifyReport(max_n=max_n, max_order=max_order)
     for name, fn in _build_checks(ctx):
+        start = perf_counter()
         try:
             status, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             status, detail = "fail", f"exception: {type(exc).__name__}: {exc}"
-        report.checks.append(CheckResult(name, status, detail))
+        report.checks.append(CheckResult(name, status, detail, perf_counter() - start))
     return report
 
 

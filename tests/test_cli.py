@@ -291,6 +291,17 @@ def test_verify_json(capsys):
     assert json.dumps(obj, separators=(",", ":")) == out.strip()
 
 
+def test_verify_json_times_every_check(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--max-n", "3", "--max-order", "5", "--format", "json"
+    )
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 18
+    for c in checks:
+        assert type(c["seconds"]) is float and c["seconds"] >= 0
+
+
 def test_verify_degenerate_run_skips(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "0", "--max-order", "1")
     assert code == 0

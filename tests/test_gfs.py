@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catpoly import gfs
 from catpoly.errors import DepthTooShallow, InternalInconsistency
+from catpoly.backend import unpack
 from catpoly.mpoly import Caps, MPoly, pack
 from catpoly.series import Series
 from catpoly.words import (
@@ -274,6 +277,31 @@ def test_master_interior():
     plain = m.eval_one("v").eval_one("q")
     for n in range(1, 9):
         assert plain.coeff(n).as_scalar() == motzkin_by_recurrence(n)
+
+
+def _digest(series):
+    """SHA-256 of every coefficient, terms sorted by their exponents."""
+    h = hashlib.sha256(f"order {series.order}\n".encode())
+    for n, c in enumerate(series.coeffs):
+        terms = sorted((unpack(k), v) for k, v in c.terms.items())
+        body = " ".join(f"{p},{q},{v}={x}" for (p, q, v), x in terms)
+        h.update(f"{n}:{body}\n".encode())
+    return h.hexdigest()
+
+
+# recorded before the series layer packed whole q-only series; at order 28
+# the coefficients reach 30 bits, so product slots pass 64 bits
+ORDER_28_DIGESTS = {
+    "sum_B": "e3c8d663cf579563ca19a0ce5b3a033caf56bb104d8be02481e10ebcb7d7df6c",
+    "sum_H": "3a1799c44b4aa5bbe31186bff50b901de49f01baeb9aab775d985598e1cbf494",
+    "prod_area": "4b1610e0b695edc4afa61ce97230aac6dda119118a650baa045b8f3881a854c3",
+    "prod_interior": "9728864da16216751618659fe85b90fd730b32027cb3eca9b0faf54d3d7fce76",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_28_DIGESTS))
+def test_dense_constructors_bit_identical_at_order_28(name):
+    assert _digest(getattr(gfs, name)(28)) == ORDER_28_DIGESTS[name]
 
 
 def test_product_forms_equal_masters_at_order_24():

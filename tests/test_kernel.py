@@ -115,6 +115,17 @@ def test_unbounded_substitutions_past_field_raise():
     )
 
 
+def test_unbounded_geometric_product_raises():
+    # 1/(1-qv) has no finite truncation without caps; zero times it is zero
+    with pytest.raises(ResourceLimit):
+        MPoly.scalar(1).mul_geom_qv()
+    with pytest.raises(ResourceLimit):
+        MPoly.monomial(-2, 3, 0, 1).mul_geom_qv()
+    assert MPoly.zero().mul_geom_qv() == MPoly.zero()
+    key = Caps(0, 2, 3).key
+    assert MPoly.scalar(1).mul_geom_qv(key) == MPoly({pack(0, t, t): 1 for t in range(3)})
+
+
 def test_capped_substitutions_still_truncate():
     key = Caps(10, 5, 10).key
     assert MPoly.monomial(1, 0, 5, 1).subst_v_to_q(key) == MPoly.zero()

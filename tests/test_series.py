@@ -1,9 +1,13 @@
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from catpoly import backend, closedforms
+from catpoly.backend import pack, unpack
 from catpoly.errors import (
     BadSqrtConstantTerm,
     InternalInconsistency,
@@ -209,3 +213,145 @@ def test_monomial_divide_exact_rational():
     m = MPoly.monomial(3, 2, 0, 0)
     half = m.divide_monomial(2, 2, 0, 0)
     assert half == MPoly.scalar(Fraction(3, 2))
+
+
+# q-only integer series: packed products and quotients ------------------------------
+
+
+def naive_mul(a, b, caps):
+    """Series product on {(p, q, v): c} dicts, one term pair at a time."""
+    out = [{} for _ in a]
+    for i, ai in enumerate(a):
+        for j in range(len(a) - i):
+            for (ea, ca), (eb, cb) in product(ai.items(), b[j].items()):
+                e = tuple(x + y for x, y in zip(ea, eb))
+                if all(x <= c for x, c in zip(e, caps)):
+                    out[i + j][e] = out[i + j].get(e, 0) + ca * cb
+    return [{e: c for e, c in d.items() if c} for d in out]
+
+
+def naive_div(num, b, caps):
+    """Quotient by a divisor whose constant term is the scalar u = +-1."""
+    u = b[0][(0, 0, 0)]
+    out = []
+    for k, c in enumerate(num):
+        acc = {e: v for e, v in c.items() if all(x <= m for x, m in zip(e, caps))}
+        for i in range(k):
+            for e, v in naive_mul([out[i]], [b[k - i]], caps)[0].items():
+                acc[e] = acc.get(e, 0) - v
+        out.append({e: u * v for e, v in acc.items() if v})
+    return out
+
+
+def to_series(spec, caps):
+    return Series(len(spec), [MPoly({pack(*e): c for e, c in d.items()}) for d in spec], caps)
+
+
+def from_series(s):
+    return [{unpack(k): c for k, c in c.terms.items()} for c in s.coeffs]
+
+
+@contextmanager
+def kernel_calls():
+    """Counts calls of the per-pair term kernel inside the block."""
+    calls = []
+    real = backend.mul_into
+
+    def spy(*args):
+        calls.append(args)
+        real(*args)
+
+    backend.mul_into = spy
+    try:
+        yield calls
+    finally:
+        backend.mul_into = real
+
+
+big_or_zero = st.one_of(st.just(0), st.integers(min_value=-(2**100), max_value=2**100))
+q_coeff = st.lists(big_or_zero, max_size=7).map(
+    lambda cs: {(0, e, 0): c for e, c in enumerate(cs) if c}
+)
+
+
+@st.composite
+def q_series_pair(draw):
+    order = draw(st.integers(min_value=1, max_value=8))
+    caps = Caps(0, draw(st.integers(min_value=0, max_value=14)), 0)
+    a = draw(st.lists(q_coeff, min_size=order, max_size=order))
+    b = draw(st.lists(q_coeff, min_size=order, max_size=order))
+    return caps, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(q_series_pair(), st.sampled_from([1, -1]))
+@example((Caps(0, 3, 0), [{(0, 0, 0): 5}], [{}]), 1)
+@example((Caps(0, 0, 0), [{}, {(0, 1, 0): 2**100}], [{(0, 2, 0): -3}, {}]), -1)
+def test_packed_mul_and_div_match_oracle(case, u):
+    caps, a, b = case
+    b = [{(0, 0, 0): u}] + b[1:]
+    sa, sb = to_series(a, caps), to_series(b, caps)
+    with kernel_calls() as calls:
+        prod = sa * sb
+        quotient = sa.div(sb)
+    assert from_series(prod) == naive_mul(a, b, caps)
+    assert from_series(quotient) == naive_div(a, b, caps)
+    assert not calls
+
+
+def test_quotient_outgrowing_64_bits():
+    # 1 / (1 - 3(1 + q + ... + q^5) x - q^2 x^2): the slots widen and the
+    # packed coefficients are repacked while the quotient grows past 2^64
+    caps = Caps(0, 40, 0)
+    order = 18
+    b = [{(0, 0, 0): 1}, {(0, e, 0): -3 for e in range(6)}, {(0, 2, 0): -1}]
+    b += [{}] * (order - len(b))
+    num = [{(0, 0, 0): 1}] + [{}] * (order - 1)
+    with kernel_calls() as calls:
+        got = from_series(to_series(num, caps).div(to_series(b, caps)))
+    assert got == naive_div(num, b, caps)
+    assert max(abs(c) for d in got for c in d.values()) > 2**64
+    assert not calls
+
+
+def test_trinomial_quotient_past_64_bits():
+    # 1/sqrt(1 - 2x - 3x^2): integer scalar coefficients that pass 2^64
+    root = Series.from_x_polynomial(60, [1, -2, -3], Caps.for_order(60)).sqrt()
+    with kernel_calls() as calls:
+        t = root.inverse()
+    assert [c.as_scalar() for c in t.coeffs] == [closedforms.trinomial(n) for n in range(60)]
+    assert t.coeff(59).as_scalar() > 2**64
+    assert not calls
+
+
+@pytest.mark.parametrize(
+    "constant",
+    [
+        MPoly.scalar(Fraction(1, 2)),  # a Fraction coefficient
+        MPoly.scalar(2),  # integral but not a unit
+        MPoly.scalar(1) + MPoly.monomial(1, 0, 1, 0),  # 1 + q
+        MPoly.scalar(1) + MPoly.monomial(1, 1, 0, 0),  # 1 + p
+    ],
+)
+def test_other_divisors_take_the_per_pair_loop(constant):
+    caps = Caps(3, 6, 2)
+    b = Series.from_x_polynomial(4, [constant, MPoly.monomial(2, 0, 1, 0), 1], caps)
+    num = Series.from_x_polynomial(4, [1, MPoly.monomial(-1, 0, 2, 0), 0, 5], caps)
+    with kernel_calls() as calls:
+        quotient = num.div(b)
+    assert calls
+    assert quotient * b == num
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [MPoly.scalar(Fraction(1, 2)), MPoly.monomial(1, 1, 0, 0), MPoly.monomial(1, 0, 0, 1)],
+)
+def test_other_products_take_the_per_pair_loop(coeff):
+    a = Series.from_x_polynomial(3, [1, coeff], CAPS)
+    b = Series.from_x_polynomial(3, [1, MPoly.monomial(3, 0, 1, 0)], CAPS)
+    with kernel_calls() as calls:
+        got = a * b
+    assert calls
+    assert got.coeffs == [MPoly.scalar(1), coeff + MPoly.monomial(3, 0, 1, 0), coeff.mul(b.coeffs[1])]
+
