@@ -15,15 +15,11 @@ once: for a product key ``k`` and a cap key carrying the guard bits set,
 its cap.  Exponents and caps are at most ``MAXCAP``, below half the field,
 so the sum of two in-range keys never carries across fields.
 
-``mul_into`` multiplies dense integer polynomials in q alone by Kronecker
-substitution: each operand is evaluated at q = 2^w as one big integer, the
-two integers are multiplied once, and the product's coefficients are read
-back from its w-bit slots (D. Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009).  Every
-other operand pair, sparse or rational or carrying p or v, takes the dict
-double loop.  The slot helpers (``slot_bytes``, ``to_slots``,
-``add_slots``) are shared with ``series``, which packs each coefficient
-of a q-only integer series once per product or quotient.
+``mul_into`` is the term kernel: a double loop over two term dicts that
+drops every product outside the caps.  The slot helpers (``slot_bytes``,
+``to_slots``, ``add_slots``) serve ``series``, which evaluates each
+coefficient of a q-only integer series at q = 2^w once per product or
+quotient and reads each output coefficient back from its w-bit slots.
 """
 
 from functools import reduce
@@ -65,7 +61,7 @@ def cap_key(cap_p, cap_q, cap_v):
 
 def q_only_int(terms):
     """True when every key of a term dict is a power of q alone and every
-    coefficient an int: the operands Kronecker substitution can take."""
+    coefficient an int: the coefficients ``series`` packs into slots."""
     return not reduce(or_, terms, 0) & _NOT_Q and set(map(type, terms.values())) <= {int}
 
 
@@ -79,12 +75,6 @@ def mul_into(acc, a, b, capkey):
         return
     if len(a) > len(b):
         a, b = b, a
-    if q_only_int(a) and q_only_int(b):
-        deg_a = max(a) >> QSHIFT
-        deg_b = max(b) >> QSHIFT
-        if len(a) * len(b) > deg_a + deg_b + 1:
-            _kronecker_into(acc, a, b, deg_a, deg_b, (capkey >> QSHIFT) & MASK)
-            return
     guards = GUARDS
     get = acc.get
     for k1, c1 in a.items():
@@ -145,13 +135,3 @@ def add_slots(acc, value, nslots, nbytes):
             cur = get(k)
             acc[k] = c if cur is None else cur + c
 
-
-def _kronecker_into(acc, a, b, deg_a, deg_b, cap_q):
-    """acc += a*b for q-only integer term dicts, keeping q-degrees <= cap_q.
-
-    Every product coefficient is bounded by min(len) * max|a| * max|b|.
-    """
-    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
-    nbytes = slot_bytes(bound)
-    prod = to_slots(a, deg_a, nbytes) * to_slots(b, deg_b, nbytes)
-    add_slots(acc, prod, min(cap_q, deg_a + deg_b) + 1, nbytes)

@@ -46,17 +46,5 @@ class InternalInconsistency(CatpolyError):
     than silently corrupting output."""
 
 
-class NoConvergence(CatpolyError):
-    """Fixed-point iteration failed to stabilize within the order bound.
-
-    No longer raised: the master series are built by forward recurrence,
-    one evaluation per order.  Kept so that code catching it still works.
-    """
-
-    def __init__(self, order):
-        self.order = order
-        super().__init__(f"fixed point not stable after {order} iterations")
-
-
 class DepthTooShallow(CatpolyError):
     """Continued fraction evaluated with depth below the truncation order."""

@@ -10,7 +10,7 @@ divisions by powers of x lose nothing.
 from fractions import Fraction
 
 from .errors import DepthTooShallow, InternalInconsistency
-from .mpoly import Caps, MPoly, pack
+from .mpoly import Caps, MPoly
 from .series import Series
 
 _HALF = Fraction(1, 2)
@@ -130,7 +130,7 @@ def master_pqv(order, caps=None):
             prev = prefix[n - 2]
             plus = prev.subst_v_to_q(capkey).mul_monomial(1, 3, 3, 0, capkey)
             minus = prev.subst_v_monomial(2, capkey).mul_monomial(1, 3, 5, 2, capkey)
-            out = out + (plus - minus).mul_geom_qv(capkey)
+            out = out + (plus - minus).mul_geom(1, 1, capkey)
         return out
 
     return _solve_forward(order, caps, base, contributions)
@@ -157,7 +157,7 @@ def master_interior_qv(order, caps=None):
             prev = prefix[n - 2]
             plus = prev.subst_v_to_q(capkey)
             minus = prev.subst_v_monomial(2, capkey).mul_monomial(1, 0, 2, 2, capkey)
-            out = out + (plus - minus).mul_geom_qv(capkey)
+            out = out + (plus - minus).mul_geom(1, 1, capkey)
         return out
 
     return _solve_forward(order, caps, base, contributions)
@@ -256,19 +256,14 @@ def kernel_residual(order, caps=None):
 # -- area flavour ---------------------------------------------------------------
 
 
-def _geom_q_power(step, caps):
-    """1/(1 - q^step) as a q-power series under the caps."""
-    if not step:
-        return MPoly.scalar(1)
-    q = pack(0, 1, 0)
-    return MPoly({k * q: 1 for k in range(0, caps.q + 1, step)})
-
-
 def sum_B(order, caps=None):
     """Length/area series of the words whose last two letters strictly rise.
 
     Ratio of two alternating sums whose j-th terms carry x^j and the
-    partial products of (1 - q^i + q^(2i)) / (1 - q^i).
+    partial products of (1 - q^i + q^(2i)) / (1 - q^i).  Each partial
+    product takes two shifted adds and one running sum (``mul_geom``),
+    and 1/(1 - q^j) in the denominator terms one more running sum, so no
+    polynomial product is needed.
     """
     caps = caps or Caps.for_order(order)
     capkey = caps.key
@@ -278,15 +273,12 @@ def sum_B(order, caps=None):
     for j in range(1, order):
         if j > 1:
             i = j - 1
-            factor = (
-                MPoly.scalar(1)
-                - MPoly.monomial(1, 0, i, 0)
-                + MPoly.monomial(1, 0, 2 * i, 0)
-            ).mul(_geom_q_power(i, caps), capkey)
-            prod = prod.mul(factor, capkey)
+            shifted = prod.mul_monomial(1, 0, i, 0, capkey)
+            twice = prod.mul_monomial(1, 0, 2 * i, 0, capkey)
+            prod = (prod - shifted + twice).mul_geom(i, 0, capkey)
         sign = 1 if j % 2 == 1 else -1
         num.coeffs[j] = prod.mul_monomial(sign, 0, j, 0, capkey)
-        den.coeffs[j] = num.coeffs[j].mul(_geom_q_power(j, caps), capkey)
+        den.coeffs[j] = num.coeffs[j].mul_geom(j, 0, capkey)
     one = Series.from_x_polynomial(order, [1], caps)
     return num.div(one - den)
 
@@ -347,7 +339,13 @@ def prod_area(order, caps=None):
 
 
 def sum_H(order, caps=None):
-    """Length/interior-points series of the strictly-rising-tail words."""
+    """Length/interior-points series of the strictly-rising-tail words.
+
+    Ratio of two sums whose j-th terms carry x^j and the partial products
+    of q^(i-1) - 1/(1 - q^i), times 1/(1 - q^j) in the denominator terms.
+    Each factor is a shift minus a running sum (``mul_geom``), so no
+    polynomial product is needed.
+    """
     caps = caps or Caps.for_order(order)
     capkey = caps.key
     num = Series.zero(order, caps)
@@ -356,10 +354,9 @@ def sum_H(order, caps=None):
     for j in range(1, order):
         if j > 1:
             i = j - 1
-            factor = MPoly.monomial(1, 0, i - 1, 0) - _geom_q_power(i, caps)
-            prod = prod.mul(factor, capkey)
+            prod = prod.mul_monomial(1, 0, i - 1, 0, capkey) - prod.mul_geom(i, 0, capkey)
         num.coeffs[j] = prod
-        den.coeffs[j] = prod.mul(_geom_q_power(j, caps), capkey)
+        den.coeffs[j] = prod.mul_geom(j, 0, capkey)
     one = Series.from_x_polynomial(order, [1], caps)
     return num.div(one - den)
 

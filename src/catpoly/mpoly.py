@@ -190,36 +190,45 @@ class MPoly:
             out[nk] = _norm(v * c)
         return MPoly._raw(_cleaned(out))
 
-    def mul_geom_qv(self, capkey=_UNBOUNDED_KEY):
-        """Multiply by 1/(1-qv) = sum_k (qv)^k, dropping terms beyond the caps.
+    def mul_geom(self, dq, dv, capkey=_UNBOUNDED_KEY):
+        """Multiply by 1/(1 - q^dq v^dv) = sum_t q^(t dq) v^(t dv), dropping
+        terms beyond the caps.
 
-        Output term p^a q^(b+t) v^(c+t) is the sum of the input terms at
-        positions 0..t of the same qv diagonal, so each diagonal is walked
-        once from its first input term up to the caps with a running sum:
-        the cost is linear in the number of output terms.
+        The keys p^a q^(b + t dq) v^(c + t dv), t = 0, 1, ..., form a
+        chain, and the output term at position t is the sum of the input
+        terms at positions 0..t of its chain.  Each chain is walked once,
+        from its first input term up to the first cap it reaches, with a
+        running sum, so the cost is linear in the number of output terms.
 
         Without caps the product of a nonzero polynomial has infinitely
         many terms, so it raises ResourceLimit instead of truncating at
         the key field maximum.
         """
+        if dq < 1 or dv < 0:
+            raise ValueError(f"1/(1 - q^{dq} v^{dv}) needs dq >= 1 and dv >= 0")
         if capkey == _UNBOUNDED_KEY and self.terms:
-            raise ResourceLimit("1/(1-qv) has no finite product without caps")
-        step = pack(0, 1, 1)
-        cap_p, cap_q, cap_v = unpack(capkey)
-        diagonals = {}
+            raise ResourceLimit(f"1/(1 - q^{dq} v^{dv}) has no finite product without caps")
+        step = pack(0, dq, dv)
+        _, cap_q, cap_v = unpack(capkey)
+        chains = {}
         for k, c in self.terms.items():
-            t = min((k >> QSHIFT) & MASK, k & MASK)
-            diagonals.setdefault(k - t * step, {})[t] = c
+            t = ((k >> QSHIFT) & MASK) // dq
+            if dv:
+                t = min(t, (k & MASK) // dv)
+            chains.setdefault(k - t * step, {})[t] = c
         out = {}
-        for start, row in diagonals.items():
-            ep, eq, ev = unpack(start)
-            if ep > cap_p:
+        for start, row in chains.items():
+            if (capkey - start) & GUARDS != GUARDS:
                 continue
+            _, eq, ev = unpack(start)
+            last = (cap_q - eq) // dq
+            if dv:
+                last = min(last, (cap_v - ev) // dv)
             first = min(row)
             key = start + first * step
             running = 0
             get = row.get
-            for t in range(first, min(cap_q - eq, cap_v - ev) + 1):
+            for t in range(first, last + 1):
                 c = get(t)
                 if c is not None:
                     running = _norm(running + c)

@@ -10,8 +10,10 @@ alone, ``*`` and ``div`` (the latter for a divisor with constant term +-1)
 work on Kronecker-packed coefficients: each coefficient is evaluated once
 at q = 2^w as a big integer, with one slot width w for the whole
 operation, each output order sums its big-integer products, and its
-slots are read back once (see ``backend``).  Every other operand pair
-multiplies coefficient by coefficient through ``backend.mul_into``.
+slots are read back once through the ``backend`` slot helpers (Kronecker
+substitution; D. Harvey, J. Symbolic Comput. 44, 2009).  Every other
+operand pair multiplies coefficient by coefficient through the term
+kernel ``backend.mul_into``.
 """
 
 from fractions import Fraction

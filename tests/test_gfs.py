@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catpoly import gfs
+from catpoly import backend, gfs
 from catpoly.errors import DepthTooShallow, InternalInconsistency
 from catpoly.backend import unpack
 from catpoly.mpoly import Caps, MPoly, pack
@@ -299,9 +299,30 @@ ORDER_28_DIGESTS = {
 }
 
 
+# recorded while the sums still multiplied by 1/(1 - q^j) as MPoly products;
+# order 40 lies past every benchmark order, and each sum takes about 0.6 s
+ORDER_40_DIGESTS = {
+    "sum_B": "d0efff46d89fd3a7f3c62a50abe0c38902e1f7386baf546932b3b6b748ca77dc",
+    "sum_H": "ed1b8cd8d44daefaf1b36275c7ca3742c8a12695ef0c3f3797f6e4a5ba6904cf",
+}
+
+
 @pytest.mark.parametrize("name", sorted(ORDER_28_DIGESTS))
 def test_dense_constructors_bit_identical_at_order_28(name):
     assert _digest(getattr(gfs, name)(28)) == ORDER_28_DIGESTS[name]
+    if name in ORDER_40_DIGESTS:
+        assert _digest(getattr(gfs, name)(40)) == ORDER_40_DIGESTS[name]
+
+
+def test_sums_make_no_kernel_call(monkeypatch):
+    # every factor of sum_B/sum_H is a shift or a running sum, and their
+    # quotient packs whole q-only series, so the term kernel never runs
+    def refuse(*args):
+        raise AssertionError("term kernel called")
+
+    monkeypatch.setattr(backend, "mul_into", refuse)
+    gfs.sum_B(12)
+    gfs.sum_H(12)
 
 
 def test_product_forms_equal_masters_at_order_24():
@@ -321,7 +342,7 @@ def test_master_interior_last_letter_histogram():
 # derivative identities ----------------------------------------------------------
 
 
-# forward recurrence and the 1/(1-qv) product ---------------------------------
+# forward recurrence and the geometric product ---------------------------------
 
 
 def test_forward_solver_one_evaluation_per_order():
@@ -350,9 +371,10 @@ def test_forward_solver_rejects_reading_ahead():
         gfs._solve_forward(4, caps, [MPoly.scalar(1)], contributions)
 
 
-def _geom_qv_oracle(caps):
-    """The truncated 1/(1-qv) as an explicit MPoly, for the dense product."""
-    return MPoly({pack(0, k, k): 1 for k in range(min(caps.q, caps.v) + 1)})
+def _geom_oracle(dq, dv, caps):
+    """The truncated 1/(1 - q^dq v^dv) as an explicit MPoly, for the dense product."""
+    top = caps.q // dq if not dv else min(caps.q // dq, caps.v // dv)
+    return MPoly({pack(0, t * dq, t * dv): 1 for t in range(top + 1)})
 
 
 @st.composite
@@ -367,14 +389,16 @@ def capped_mpoly(draw):
     return caps, m
 
 
-@settings(max_examples=200, deadline=None)
-@given(capped_mpoly())
-@example((Caps(2, 5, 3), MPoly.monomial(1, 1, 5, 0) + MPoly.monomial(-2, 0, 2, 3)))
-@example((Caps(2, 4, 4), MPoly.monomial(3, 2, 4, 4) + MPoly.monomial(1, 0, 1, 0)))
-def test_mul_geom_qv_matches_dense_product(case):
+@settings(max_examples=300, deadline=None)
+@given(capped_mpoly(), st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2))
+@example((Caps(2, 5, 3), MPoly.monomial(1, 1, 5, 0) + MPoly.monomial(-2, 0, 2, 3)), 1, 1)
+@example((Caps(2, 4, 4), MPoly.monomial(3, 2, 4, 4) + MPoly.monomial(1, 0, 1, 0)), 1, 1)
+@example((Caps(2, 5, 3), MPoly.monomial(1, 0, 1, 4) + MPoly.monomial(2, 1, 0, 0)), 2, 0)
+@example((Caps(0, 8, 3), MPoly.monomial(1, 0, 7, 1) + MPoly.monomial(-1, 0, 1, 0)), 3, 2)
+def test_mul_geom_matches_dense_product(case, dq, dv):
     caps, m = case
     key = caps.key
-    assert m.mul_geom_qv(key) == m.mul(_geom_qv_oracle(caps), key)
+    assert m.mul_geom(dq, dv, key) == m.mul(_geom_oracle(dq, dv, caps), key)
 
 
 def test_derivative_identity_semiperimeter():

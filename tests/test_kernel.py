@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from catpoly import backend
 from catpoly.backend import GUARDS, MAXCAP, cap_key, pack, unpack
 from catpoly.errors import ResourceLimit
-from catpoly.mpoly import Caps, MPoly
+from catpoly.mpoly import CAPS_UNBOUNDED, Caps, MPoly
 
 exponent = st.integers(min_value=0, max_value=MAXCAP)
 triple = st.tuples(exponent, exponent, exponent)
@@ -116,14 +116,26 @@ def test_unbounded_substitutions_past_field_raise():
 
 
 def test_unbounded_geometric_product_raises():
-    # 1/(1-qv) has no finite truncation without caps; zero times it is zero
-    with pytest.raises(ResourceLimit):
-        MPoly.scalar(1).mul_geom_qv()
-    with pytest.raises(ResourceLimit):
-        MPoly.monomial(-2, 3, 0, 1).mul_geom_qv()
-    assert MPoly.zero().mul_geom_qv() == MPoly.zero()
+    # 1/(1 - q^dq v^dv) has no finite truncation without caps; zero times it is zero
+    for dq, dv in ((1, 1), (1, 0), (3, 2)):
+        with pytest.raises(ResourceLimit):
+            MPoly.scalar(1).mul_geom(dq, dv)
+        with pytest.raises(ResourceLimit):
+            MPoly.monomial(-2, 3, 0, 1).mul_geom(dq, dv)
+        assert MPoly.zero().mul_geom(dq, dv) == MPoly.zero()
     key = Caps(0, 2, 3).key
-    assert MPoly.scalar(1).mul_geom_qv(key) == MPoly({pack(0, t, t): 1 for t in range(3)})
+    assert MPoly.scalar(1).mul_geom(1, 1, key) == MPoly({pack(0, t, t): 1 for t in range(3)})
+    key = Caps(0, 5, 0).key
+    assert MPoly.scalar(1).mul_geom(2, 0, key) == MPoly({pack(0, t, 0): 1 for t in (0, 2, 4)})
+
+
+@pytest.mark.parametrize("dq, dv", [(0, 0), (0, 1), (-1, 1), (1, -1)])
+def test_geometric_product_rejects_bad_steps(dq, dv):
+    # a step without q, or a negative v step, is a usage error whatever the
+    # operand and the caps
+    for m, capkey in product((MPoly.scalar(1), MPoly.zero()), (Caps(2, 2, 2).key, CAPS_UNBOUNDED.key)):
+        with pytest.raises(ValueError):
+            m.mul_geom(dq, dv, capkey)
 
 
 def test_capped_substitutions_still_truncate():
@@ -163,22 +175,9 @@ def q_poly(coeffs):
     return {(0, e, 0): c for e, c in enumerate(coeffs) if c}
 
 
-def assert_kernel_matches(acc, a, b, caps, *, kronecker):
-    """The kernel agrees with the oracle, and takes the branch named."""
-    calls = []
-    real = backend._kronecker_into
-
-    def spy(*args):
-        calls.append(args)
-        real(*args)
-
-    backend._kronecker_into = spy
-    try:
-        got = kernel_product(acc, a, b, caps)
-    finally:
-        backend._kronecker_into = real
-    assert got == naive_product(acc, a, b, caps)
-    assert bool(calls) == kronecker
+def assert_kernel_matches(acc, a, b, caps):
+    """The kernel agrees with the oracle."""
+    assert kernel_product(acc, a, b, caps) == naive_product(acc, a, b, caps)
 
 
 big = st.integers(min_value=-(2**100), max_value=2**100).filter(bool)
@@ -190,7 +189,7 @@ small_triple = st.tuples(*[st.integers(min_value=0, max_value=3)] * 3)
 @given(dense_q, dense_q, st.integers(min_value=0, max_value=25), st.lists(big, max_size=25))
 @example(q_poly([2**70, -(2**70)]), q_poly([2**70, 2**70, 3]), 0, [])
 def test_dense_q_product_matches_oracle(a, b, cap_q, acc):
-    assert_kernel_matches(q_poly(acc), a, b, (0, cap_q, 0), kronecker=True)
+    assert_kernel_matches(q_poly(acc), a, b, (0, cap_q, 0))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -201,7 +200,7 @@ def test_dense_q_product_at_the_slot_bound(bits, sign):
     c = (1 << bits) - 1 or 1
     a = q_poly([c] * 9)
     b = q_poly([sign * c] * 7)
-    assert_kernel_matches({}, a, b, (0, MAXCAP, 0), kronecker=True)
+    assert_kernel_matches({}, a, b, (0, MAXCAP, 0))
     assert kernel_product({}, a, b, (0, MAXCAP, 0))[(0, 6, 0)] == sign * 7 * c * c
 
 
@@ -209,7 +208,7 @@ def test_dense_q_product_cancels_to_zero():
     a = q_poly([1, -1])
     b = q_poly([1] * 10)
     # (1 - q)(1 + ... + q^9) = 1 - q^10: every middle slot cancels
-    assert_kernel_matches({}, a, b, (0, 50, 0), kronecker=True)
+    assert_kernel_matches({}, a, b, (0, 50, 0))
     assert kernel_product({}, a, b, (0, 50, 0)) == {(0, 0, 0): 1, (0, 10, 0): -1}
     # and a product added onto its own negation leaves nothing
     minus = {e: -c for e, c in naive_product({}, a, b, (0, 50, 0)).items()}
@@ -225,25 +224,13 @@ def test_dense_q_product_under_q_cap(cap_q):
     a = q_poly([3, -5, 7, 1, 2])
     b = q_poly([-(2**65), 11, 13, 2, -1, 4, 6])
     # product degree 10
-    assert_kernel_matches({(0, 1, 0): 5}, a, b, (0, cap_q, 0), kronecker=True)
-
-
-@pytest.mark.parametrize("deg", [1, 4, 9])
-def test_density_rule_both_sides(deg):
-    # a = 1 + q^deg has 2 terms; b dense with n terms: 2n pairs against
-    # deg + n output slots, so n = deg + 1 is dense and n = deg is not
-    a = q_poly([1] + [0] * (deg - 1) + [-3])
-    dense = q_poly(range(1, deg + 2))
-    sparse = q_poly(range(1, deg + 1))
-    caps = (0, MAXCAP, 0)
-    assert_kernel_matches({}, a, dense, caps, kronecker=True)
-    assert_kernel_matches({}, a, sparse, caps, kronecker=False)
+    assert_kernel_matches({(0, 1, 0): 5}, a, b, (0, cap_q, 0))
 
 
 def test_one_term_operands_take_the_dict_loop():
     caps = (0, MAXCAP, 0)
-    assert_kernel_matches({}, q_poly([5]), q_poly([1, 2]), caps, kronecker=False)
-    assert_kernel_matches({}, q_poly([0, 0, 5]), q_poly([7]), caps, kronecker=False)
+    assert_kernel_matches({}, q_poly([5]), q_poly([1, 2]), caps)
+    assert_kernel_matches({}, q_poly([0, 0, 5]), q_poly([7]), caps)
 
 
 def test_fraction_and_pv_inputs_take_the_dict_loop():
@@ -253,8 +240,8 @@ def test_fraction_and_pv_inputs_take_the_dict_loop():
     with_p = {**dense, (1, 2, 0): 7}
     with_v = {**dense, (0, 2, 1): -7}
     for other in (with_fraction, with_p, with_v):
-        assert_kernel_matches({(0, 3, 0): 1}, dense, other, caps, kronecker=False)
-        assert_kernel_matches({}, other, dense, caps, kronecker=False)
+        assert_kernel_matches({(0, 3, 0): 1}, dense, other, caps)
+        assert_kernel_matches({}, other, dense, caps)
 
 
 @settings(max_examples=100, deadline=None)
