@@ -19,7 +19,9 @@ so the sum of two in-range keys never carries across fields.
 drops every product outside the caps.  The slot helpers (``slot_bytes``,
 ``to_slots``, ``add_slots``) serve ``series``, which evaluates each
 coefficient of a q-only integer series at q = 2^w once per product or
-quotient and reads each output coefficient back from its w-bit slots.
+quotient and reads each output coefficient back from its w-bit slots,
+and the masters in ``gfs``, which keep each (p, v) row of a coefficient
+as one such integer and read its occupied slots back once.
 """
 
 from functools import reduce
@@ -112,11 +114,13 @@ def to_slots(terms, deg, nbytes):
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def add_slots(acc, value, nslots, nbytes):
-    """acc += the q-polynomial held in slots 0..nslots-1 of a packed value.
+def add_slots(acc, value, nslots, nbytes, base=0, first=0):
+    """Store in acc the terms of the q-polynomial held in slots
+    first..nslots-1 of a packed value: slot j becomes the term of key
+    base + q^j, which acc must not hold yet.
 
-    ``value`` is a sum of products of ``to_slots`` results, so it equals
-    sum_j c_j 2^(w j) with w = 8 * nbytes.  Every c_j below slot nslots
+    ``value`` equals sum_j c_j 2^(w j) with w = 8 * nbytes, for any sum of
+    products or shifts of packed values.  Every c_j below slot nslots
     must have magnitude below 2^(w-1): adding 2^(w-1) to each such slot
     makes it non-negative, so the slots read back independently with no
     borrow between them, and whatever lies above is a multiple of
@@ -125,13 +129,13 @@ def add_slots(acc, value, nslots, nbytes):
     half = 1 << (8 * nbytes - 1)
     bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * nslots, "little")
     low = (1 << (8 * nbytes * nslots)) - 1
-    raw = ((value + bias) & low).to_bytes(nbytes * nslots, "little")
+    raw = (((value + bias) & low) >> (8 * nbytes * first)).to_bytes(
+        nbytes * (nslots - first), "little"
+    )
     from_bytes = int.from_bytes
-    get = acc.get
-    for j in range(nslots):
-        c = from_bytes(raw[j * nbytes : (j + 1) * nbytes], "little") - half
+    step = 1 << QSHIFT
+    keys = range(base + first * step, base + nslots * step, step)
+    for k, i in zip(keys, range(0, len(raw), nbytes)):
+        c = from_bytes(raw[i : i + nbytes], "little") - half
         if c:
-            k = j << QSHIFT
-            cur = get(k)
-            acc[k] = c if cur is None else cur + c
-
+            acc[k] = c

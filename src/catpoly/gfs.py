@@ -5,12 +5,20 @@ q marks the area in the area-flavoured series and the number of interior
 points in the interior-flavoured ones (the two families never mix).
 Internally each constructor may work at a padded order so that guarded
 divisions by powers of x lose nothing.
+
+The two masters are built by forward recurrence on packed q-rows: each
+(p, v) row of an x^n coefficient is one big integer, the row's
+q-polynomial evaluated at q = 2^w, so their substitutions, sums and
+1/(1 - qv) factors are shifts and integer additions, and each
+coefficient is read back into an MPoly once.
 """
 
 from fractions import Fraction
 
-from .errors import DepthTooShallow, InternalInconsistency
-from .mpoly import Caps, MPoly
+from . import backend
+from .backend import pack
+from .errors import DepthTooShallow, InternalInconsistency, ResourceLimit
+from .mpoly import CAPS_UNBOUNDED, Caps, MPoly
 from .series import Series
 
 _HALF = Fraction(1, 2)
@@ -82,85 +90,152 @@ def gf_p(order, caps=None):
     )
 
 
-# -- multivariate masters (forward recurrence on the functional equations) ----
+# -- multivariate masters (forward recurrence on packed q-rows) ------------------
+#
+# Each master solves F = B + x S F(qv) + x^2 (P F(q) - M F(q^2 v)) / (1 - qv)
+# for monomials S, P, M in p, q, v and a base B of one monomial at x and one
+# at x^2.  The x^n coefficient is held as rows {a: [r_0, ..., r_V]}: r_v is
+# the q-polynomial that multiplies p^a v^v, evaluated at q = 2^w as one big
+# integer, with V = order internally.  Every step is then integer arithmetic
+# on rows:
+#   F(q^j v) times p^a q^b v^c  moves r_v to (p + a, v + c), shifted left by
+#                               (j v + b) slots;
+#   F(q) times p^a q^b          sums r_v shifted by (v + b) slots into (p + a, 0);
+#   / (1 - qv)                  is the running sum out_v = (out_(v-1) << w) + in_v
+#                               within one p.
+# Evaluation at q = 2^w is a ring map, so the rows are exact whatever the
+# slot width; the width matters when a row is read back.  Each stored
+# coefficient counts the words of length n, so its slots are non-negative
+# and sum to at most the Motzkin number M(n).  Every intermediate slot is
+# bounded too: a slot of S F(qv) is one slot of the x^(n-1) coefficient
+# (the shift maps distinct (q, v) to distinct (q + v, v)), so at most
+# M(n-1); P F(q) and M F(q^2 v) each sum slots of the x^(n-2) coefficient,
+# so their slots have absolute sum at most M(n-2) each, and a running-sum
+# slot adds slots of P - M along one chain, so it is at most 2 M(n-2).  With
+# the base's single 1 at n <= 2, any partial sum of the x^n coefficient has
+# slots of at most M(n-1) + 2 M(n-2) + 1 <= 3^n (M(k) <= 3^k, and M(-1) = 0),
+# so slots of slot_bytes(3^order) bytes hold every row in signed form.
+#
+# Only the v-substitutions need V = order: v -> q moves high v into q, so
+# cutting v before it loses terms.  p and q only grow, and the genuine last
+# letter of a length-n word is below n, so every row is exact and the caps
+# are applied once, when the rows are read back.
 
 
-def _solve_forward(order, caps, base, contributions):
-    """Build the series coefficient by coefficient from its recurrence.
+def _solve_forward(order, contributions):
+    """Build the coefficients of x^0 .. x^(order-1) from their recurrence.
 
-    ``contributions(prefix, n)`` returns the x^n coefficient of the
-    non-constant right-hand side, where ``prefix`` holds the coefficients
-    of x^0 .. x^(n-1) only.  The right-hand sides read orders n-1 and n-2,
-    so each coefficient is final as soon as it is built and one evaluation
-    per order yields the fixed point.  A contribution that reads order n or
-    later finds no such entry and fails loudly.
+    ``contributions(prefix, n)`` returns the x^n coefficient, where
+    ``prefix`` holds the coefficients of x^0 .. x^(n-1) only.  The masters'
+    right-hand sides read orders n-1 and n-2, so each coefficient is final
+    as soon as it is built and one evaluation per order yields the fixed
+    point.  A contribution that reads order n or later finds no such entry
+    and fails loudly.
     """
     coeffs = []
     for n in range(order):
-        head = base[n] if n < len(base) else MPoly.zero()
         try:
-            tail = contributions(coeffs, n)
+            coeffs.append(contributions(coeffs, n))
         except IndexError as exc:
             raise InternalInconsistency(
                 f"contribution to x^{n} read a coefficient of order >= {n}"
             ) from exc
-        coeffs.append(head + tail)
+    return coeffs
+
+
+def _master(order, caps, base, step, plus, minus):
+    """The master series for the base monomials ``base`` = ((dp, dq) at x,
+    (dp, dq) at x^2), S = ``step`` and M = ``minus`` as (dp, dq, dv) and
+    P = ``plus`` as (dp, dq)."""
+    caps = caps or Caps.for_order(order)
+    if caps == CAPS_UNBOUNDED:
+        raise ResourceLimit("1/(1 - qv) has no finite product without caps")
+    nbytes = backend.slot_bytes(3**order)
+    w = 8 * nbytes
+    width = order + 1
+    sp, sq, sv = step
+    pp, pq = plus
+    mp, mq, mv = minus
+
+    def row(rows, p):
+        r = rows.get(p)
+        if r is None:
+            r = rows[p] = [0] * width
+        return r
+
+    def contributions(prefix, n):
+        out = {}
+        if 1 <= n <= 2:
+            bp, bq = base[n - 1]
+            row(out, bp)[0] = 1 << (bq * w)
+        if n >= 1:
+            for p, rs in prefix[n - 1].items():
+                dst = row(out, p + sp)
+                for v in range(width - sv):
+                    if rs[v]:
+                        dst[v + sv] += rs[v] << ((v + sq) * w)
+        if n >= 2:
+            geom = {}
+            for p, rs in prefix[n - 2].items():
+                merged = 0
+                for r in reversed(rs):
+                    merged = (merged << w) + r
+                row(geom, p + pp)[0] += merged << (pq * w)
+                dst = row(geom, p + mp)
+                for v in range(width - mv):
+                    if rs[v]:
+                        dst[v + mv] -= rs[v] << ((2 * v + mq) * w)
+            for p, ins in geom.items():
+                dst = row(out, p)
+                run = 0
+                for v in range(width):
+                    run = (run << w) + ins[v]
+                    dst[v] += run
+        return out
+
+    coeffs = [
+        _read_rows(rows, caps, nbytes) for rows in _solve_forward(order, contributions)
+    ]
     return Series(order, coeffs, caps)
+
+
+def _read_rows(rows, caps, nbytes):
+    """The MPoly of one coefficient's rows, cut at the caps."""
+    w = 8 * nbytes
+    terms = {}
+    for p, rs in rows.items():
+        if p > caps.p:
+            continue
+        for v in range(min(caps.v + 1, len(rs))):
+            r = rs[v]
+            if r:
+                first = ((r & -r).bit_length() - 1) // w
+                if first <= caps.q:
+                    nslots = min(caps.q, r.bit_length() // w) + 1
+                    backend.add_slots(terms, r, nslots, nbytes, pack(p, 0, v), first)
+    return MPoly._raw(terms)
 
 
 def master_pqv(order, caps=None):
     """Length/semiperimeter/area/last-letter master series.
 
-    Built by forward recurrence from the self-substitution equation whose
-    right side feeds the series back at v:=q, v:=qv and v:=q^2 v with the
-    prefactors p^2 q x, p^3 q^2 x^2, p^3q^3x^2/(1-qv), p^2q^2xv and
-    -p^3q^5x^2v^2/(1-qv).
+    Built by forward recurrence on packed q-rows from the self-substitution
+    equation whose right side feeds the series back at v:=q, v:=qv and
+    v:=q^2 v with the prefactors p^2 q x, p^3 q^2 x^2, p^3q^3x^2/(1-qv),
+    p^2q^2xv and -p^3q^5x^2v^2/(1-qv).  The last letter runs up to the
+    order internally, so any caps cut the result exactly.
     """
-    caps = caps or Caps.for_order(order)
-    capkey = caps.key
-    base = [MPoly.zero(), MPoly.monomial(1, 2, 1, 0), MPoly.monomial(1, 3, 2, 0)]
-
-    def contributions(prefix, n):
-        out = MPoly.zero()
-        if n >= 1:
-            out = out + prefix[n - 1].subst_v_monomial(1, capkey).mul_monomial(
-                1, 2, 2, 1, capkey
-            )
-        if n >= 2:
-            prev = prefix[n - 2]
-            plus = prev.subst_v_to_q(capkey).mul_monomial(1, 3, 3, 0, capkey)
-            minus = prev.subst_v_monomial(2, capkey).mul_monomial(1, 3, 5, 2, capkey)
-            out = out + (plus - minus).mul_geom(1, 1, capkey)
-        return out
-
-    return _solve_forward(order, caps, base, contributions)
+    return _master(order, caps, ((2, 1), (3, 2)), (2, 2, 1), (3, 3), (3, 5, 2))
 
 
 def master_interior_qv(order, caps=None):
     """Length/interior-points/last-letter master series (q marks interior points).
 
-    Built by forward recurrence, like ``master_pqv``, from the equation
-    with the terms x and x^2 and the prefactors xv (at v:=qv), x^2/(1-qv)
-    (at v:=q) and -q^2x^2v^2/(1-qv) (at v:=q^2 v).
+    Built by forward recurrence on packed q-rows, like ``master_pqv``, from
+    the equation with the terms x and x^2 and the prefactors xv (at v:=qv),
+    x^2/(1-qv) (at v:=q) and -q^2x^2v^2/(1-qv) (at v:=q^2 v).
     """
-    caps = caps or Caps.for_order(order)
-    capkey = caps.key
-    base = [MPoly.zero(), MPoly.scalar(1), MPoly.scalar(1)]
-
-    def contributions(prefix, n):
-        out = MPoly.zero()
-        if n >= 1:
-            out = out + prefix[n - 1].subst_v_monomial(1, capkey).mul_monomial(
-                1, 0, 0, 1, capkey
-            )
-        if n >= 2:
-            prev = prefix[n - 2]
-            plus = prev.subst_v_to_q(capkey)
-            minus = prev.subst_v_monomial(2, capkey).mul_monomial(1, 0, 2, 2, capkey)
-            out = out + (plus - minus).mul_geom(1, 1, capkey)
-        return out
-
-    return _solve_forward(order, caps, base, contributions)
+    return _master(order, caps, ((0, 0), (0, 0)), (0, 0, 1), (0, 0), (0, 2, 2))
 
 
 # -- closed forms from the kernel method ---------------------------------------
@@ -275,10 +350,10 @@ def sum_B(order, caps=None):
             i = j - 1
             shifted = prod.mul_monomial(1, 0, i, 0, capkey)
             twice = prod.mul_monomial(1, 0, 2 * i, 0, capkey)
-            prod = (prod - shifted + twice).mul_geom(i, 0, capkey)
+            prod = (prod - shifted + twice).mul_geom(i, capkey)
         sign = 1 if j % 2 == 1 else -1
         num.coeffs[j] = prod.mul_monomial(sign, 0, j, 0, capkey)
-        den.coeffs[j] = num.coeffs[j].mul_geom(j, 0, capkey)
+        den.coeffs[j] = num.coeffs[j].mul_geom(j, capkey)
     one = Series.from_x_polynomial(order, [1], caps)
     return num.div(one - den)
 
@@ -354,9 +429,9 @@ def sum_H(order, caps=None):
     for j in range(1, order):
         if j > 1:
             i = j - 1
-            prod = prod.mul_monomial(1, 0, i - 1, 0, capkey) - prod.mul_geom(i, 0, capkey)
+            prod = prod.mul_monomial(1, 0, i - 1, 0, capkey) - prod.mul_geom(i, capkey)
         num.coeffs[j] = prod
-        den.coeffs[j] = prod.mul_geom(j, 0, capkey)
+        den.coeffs[j] = prod.mul_geom(j, capkey)
     one = Series.from_x_polynomial(order, [1], caps)
     return num.div(one - den)
 

@@ -67,10 +67,6 @@ def _check_field(a, b):
             raise ResourceLimit(f"{var}-degree {da + db} exceeds the key field maximum {MAXCAP}")
 
 
-def _past_q_field(degree):
-    return ResourceLimit(f"q-degree {degree} exceeds the key field maximum {MAXCAP}")
-
-
 def _norm(c):
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
@@ -188,42 +184,37 @@ class MPoly:
             if (capkey - nk) & GUARDS != GUARDS:
                 continue
             out[nk] = _norm(v * c)
-        return MPoly._raw(_cleaned(out))
+        return MPoly._raw(out)
 
-    def mul_geom(self, dq, dv, capkey=_UNBOUNDED_KEY):
-        """Multiply by 1/(1 - q^dq v^dv) = sum_t q^(t dq) v^(t dv), dropping
-        terms beyond the caps.
+    def mul_geom(self, dq, capkey=_UNBOUNDED_KEY):
+        """Multiply by 1/(1 - q^dq) = sum_t q^(t dq), dropping terms beyond
+        the caps.
 
-        The keys p^a q^(b + t dq) v^(c + t dv), t = 0, 1, ..., form a
-        chain, and the output term at position t is the sum of the input
-        terms at positions 0..t of its chain.  Each chain is walked once,
-        from its first input term up to the first cap it reaches, with a
-        running sum, so the cost is linear in the number of output terms.
+        The keys p^a q^(b + t dq) v^c, t = 0, 1, ..., form a chain, and the
+        output term at position t is the sum of the input terms at
+        positions 0..t of its chain.  Each chain is walked once, from its
+        first input term up to the q cap, with a running sum, so the cost is
+        linear in the number of output terms.
 
         Without caps the product of a nonzero polynomial has infinitely
         many terms, so it raises ResourceLimit instead of truncating at
         the key field maximum.
         """
-        if dq < 1 or dv < 0:
-            raise ValueError(f"1/(1 - q^{dq} v^{dv}) needs dq >= 1 and dv >= 0")
+        if dq < 1:
+            raise ValueError(f"1/(1 - q^{dq}) needs dq >= 1")
         if capkey == _UNBOUNDED_KEY and self.terms:
-            raise ResourceLimit(f"1/(1 - q^{dq} v^{dv}) has no finite product without caps")
-        step = pack(0, dq, dv)
-        _, cap_q, cap_v = unpack(capkey)
+            raise ResourceLimit(f"1/(1 - q^{dq}) has no finite product without caps")
+        step = pack(0, dq, 0)
+        cap_q = (capkey >> QSHIFT) & MASK
         chains = {}
         for k, c in self.terms.items():
             t = ((k >> QSHIFT) & MASK) // dq
-            if dv:
-                t = min(t, (k & MASK) // dv)
             chains.setdefault(k - t * step, {})[t] = c
         out = {}
         for start, row in chains.items():
             if (capkey - start) & GUARDS != GUARDS:
                 continue
-            _, eq, ev = unpack(start)
-            last = (cap_q - eq) // dq
-            if dv:
-                last = min(last, (cap_v - ev) // dv)
+            last = (cap_q - ((start >> QSHIFT) & MASK)) // dq
             first = min(row)
             key = start + first * step
             running = 0
@@ -271,51 +262,6 @@ class MPoly:
             else:
                 out[nk] = _norm(s)
         return MPoly._raw(out)
-
-    def subst_v_monomial(self, j, capkey=_UNBOUNDED_KEY):
-        """v -> q^j * v, dropping terms beyond the caps.
-
-        Without caps, a q-degree past the key field maximum raises
-        ResourceLimit, as in ``mul``.
-        """
-        if j == 0:
-            return self
-        unbounded = capkey == _UNBOUNDED_KEY
-        # a q shift above MAXCAP passes every cap and can carry out of the
-        # q field, past the guard test
-        vmax = MAXCAP // j
-        out = {}
-        get = out.get
-        for k, c in self.terms.items():
-            ev = k & MASK
-            nk = k + ((j * ev) << QSHIFT)
-            if ev > vmax or (capkey - nk) & GUARDS != GUARDS:
-                if unbounded:
-                    raise _past_q_field(((k >> QSHIFT) & MASK) + j * ev)
-                continue
-            cur = get(nk)
-            out[nk] = c if cur is None else _norm(cur + c)
-        return MPoly._raw(_cleaned(out))
-
-    def subst_v_to_q(self, capkey=_UNBOUNDED_KEY):
-        """v -> q (exponent transfer v^e -> q^e), dropping terms beyond the caps.
-
-        Without caps, a q-degree past the key field maximum raises
-        ResourceLimit, as in ``mul``.
-        """
-        unbounded = capkey == _UNBOUNDED_KEY
-        out = {}
-        get = out.get
-        for k, c in self.terms.items():
-            ev = k & MASK
-            nk = (k - ev) + (ev << QSHIFT)
-            if (capkey - nk) & GUARDS != GUARDS:
-                if unbounded:
-                    raise _past_q_field(((k >> QSHIFT) & MASK) + ev)
-                continue
-            cur = get(nk)
-            out[nk] = c if cur is None else _norm(cur + c)
-        return MPoly._raw(_cleaned(out))
 
     def derivative(self, var):
         """Formal derivative with respect to one marker."""

@@ -274,16 +274,6 @@ class Series:
         out = [c.mul_monomial(1, 0, j * n, 0, capkey) for n, c in enumerate(self.coeffs)]
         return Series(self.order, out, self.caps)
 
-    def subst_v_monomial(self, k):
-        """v -> q^k * v."""
-        capkey = self.caps.key
-        return Series(self.order, [c.subst_v_monomial(k, capkey) for c in self.coeffs], self.caps)
-
-    def subst_v_to_q(self):
-        """v -> q."""
-        capkey = self.caps.key
-        return Series(self.order, [c.subst_v_to_q(capkey) for c in self.coeffs], self.caps)
-
     # -- exactness-guarded divisions ----------------------------------------
 
     def divide_by_x_power(self, k):

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -307,6 +308,14 @@ ORDER_40_DIGESTS = {
 }
 
 
+# recorded while the masters were still built on MPoly term dicts
+MASTER_DIGESTS = {
+    ("master_pqv", 28): "85f17f73883a5db57c9beadecc96fe5668a137a5e1d0345a444dc790751b8aac",
+    ("master_interior_qv", 28): "52f451a4730a3d8ba534797b4bcaad8399fba054fc64695f8a25e94ac74dbddb",
+    ("master_pqv", 40): "214566a70d8abf505afdf5f92ca552d2df6e98c3302aef505a38498ae14b4be9",
+}
+
+
 @pytest.mark.parametrize("name", sorted(ORDER_28_DIGESTS))
 def test_dense_constructors_bit_identical_at_order_28(name):
     assert _digest(getattr(gfs, name)(28)) == ORDER_28_DIGESTS[name]
@@ -325,6 +334,49 @@ def test_sums_make_no_kernel_call(monkeypatch):
     gfs.sum_H(12)
 
 
+@pytest.mark.parametrize("name, order", sorted(MASTER_DIGESTS))
+def test_masters_bit_identical(name, order):
+    assert _digest(getattr(gfs, name)(order)) == MASTER_DIGESTS[name, order]
+
+
+def test_masters_make_no_mpoly_arithmetic(monkeypatch):
+    # the masters run on packed q-rows and build each MPoly once, at readback
+    def refuse(*args, **kwargs):
+        raise AssertionError("MPoly arithmetic in a master")
+
+    for name in ("__add__", "__sub__", "mul_monomial", "mul_geom"):
+        monkeypatch.setattr(MPoly, name, refuse)
+    gfs.master_pqv(12)
+    gfs.master_interior_qv(12)
+
+
+def _cut(m, caps):
+    """The terms of an MPoly within the caps."""
+    return MPoly({k: c for k, c in m.terms.items() if all(map(int.__le__, unpack(k), caps))})
+
+
+def interior_histogram(n):
+    out = MPoly.zero()
+    for w in enumerate_words(n):
+        out = out + MPoly.monomial(1, 0, stat_inter(w), stat_last(w))
+    return out
+
+
+@pytest.mark.parametrize("order", [7, 9])
+@pytest.mark.parametrize("name, histogram", [
+    ("master_pqv", triple_histogram),
+    ("master_interior_qv", interior_histogram),
+])
+def test_masters_honour_any_caps(name, histogram, order):
+    # the v -> q substitution lifts v into q, so a v cap below the order
+    # must not cut v before it; the base terms obey the caps too
+    hist = [MPoly.zero()] + [histogram(n) for n in range(1, order)]
+    for caps in product((0, 3, 18), (0, 10, 44, 45), (0, 3, 4, 9)):
+        caps = Caps(*caps)
+        m = getattr(gfs, name)(order, caps)
+        assert m.coeffs == [_cut(h, caps) for h in hist], caps
+
+
 def test_product_forms_equal_masters_at_order_24():
     assert gfs.prod_area(24) == gfs.master_pqv(24).eval_one("p").eval_one("v")
     assert gfs.prod_interior(24) == gfs.master_interior_qv(24).eval_one("v")
@@ -333,10 +385,7 @@ def test_product_forms_equal_masters_at_order_24():
 def test_master_interior_last_letter_histogram():
     m = gfs.master_interior_qv(8)
     for n in range(1, 8):
-        hist = MPoly.zero()
-        for w in enumerate_words(n):
-            hist = hist + mono(1, 0, stat_inter(w), stat_last(w))
-        assert m.coeff(n) == hist
+        assert m.coeff(n) == interior_histogram(n)
 
 
 # derivative identities ----------------------------------------------------------
@@ -352,29 +401,26 @@ def test_forward_solver_one_evaluation_per_order():
     def contributions(prefix, n):
         assert len(prefix) == n
         calls.append(n)
-        return prefix[n - 1].mul_monomial(1, 1, 0, 0, caps.key) if n else MPoly.zero()
+        return prefix[n - 1].mul_monomial(1, 1, 0, 0, caps.key) if n else MPoly.scalar(1)
 
-    s = gfs._solve_forward(6, caps, [MPoly.scalar(1)], contributions)
+    coeffs = gfs._solve_forward(6, contributions)
     assert calls == list(range(6))
-    assert [s.coeff(n) for n in range(6)] == [MPoly.monomial(1, n, 0, 0) for n in range(6)]
+    assert coeffs == [MPoly.monomial(1, n, 0, 0) for n in range(6)]
 
 
 def test_forward_solver_rejects_reading_ahead():
     # a right-hand side that reads its own order is not a forward
     # recurrence; the solver must refuse instead of returning a non-fixed point
-    caps = Caps.for_order(4)
-
     def contributions(prefix, n):
         return prefix[n]
 
     with pytest.raises(InternalInconsistency):
-        gfs._solve_forward(4, caps, [MPoly.scalar(1)], contributions)
+        gfs._solve_forward(4, contributions)
 
 
-def _geom_oracle(dq, dv, caps):
-    """The truncated 1/(1 - q^dq v^dv) as an explicit MPoly, for the dense product."""
-    top = caps.q // dq if not dv else min(caps.q // dq, caps.v // dv)
-    return MPoly({pack(0, t * dq, t * dv): 1 for t in range(top + 1)})
+def _geom_oracle(dq, caps):
+    """The truncated 1/(1 - q^dq) as an explicit MPoly, for the dense product."""
+    return MPoly({pack(0, t * dq, 0): 1 for t in range(caps.q // dq + 1)})
 
 
 @st.composite
@@ -390,15 +436,15 @@ def capped_mpoly(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(capped_mpoly(), st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2))
-@example((Caps(2, 5, 3), MPoly.monomial(1, 1, 5, 0) + MPoly.monomial(-2, 0, 2, 3)), 1, 1)
-@example((Caps(2, 4, 4), MPoly.monomial(3, 2, 4, 4) + MPoly.monomial(1, 0, 1, 0)), 1, 1)
-@example((Caps(2, 5, 3), MPoly.monomial(1, 0, 1, 4) + MPoly.monomial(2, 1, 0, 0)), 2, 0)
-@example((Caps(0, 8, 3), MPoly.monomial(1, 0, 7, 1) + MPoly.monomial(-1, 0, 1, 0)), 3, 2)
-def test_mul_geom_matches_dense_product(case, dq, dv):
+@given(capped_mpoly(), st.integers(min_value=1, max_value=3))
+@example((Caps(2, 5, 3), MPoly.monomial(1, 1, 5, 0) + MPoly.monomial(-2, 0, 2, 3)), 1)
+@example((Caps(2, 4, 4), MPoly.monomial(3, 2, 4, 4) + MPoly.monomial(1, 0, 1, 0)), 1)
+@example((Caps(2, 5, 3), MPoly.monomial(1, 0, 1, 4) + MPoly.monomial(2, 1, 0, 0)), 2)
+@example((Caps(0, 8, 3), MPoly.monomial(1, 0, 7, 1) + MPoly.monomial(-1, 0, 1, 0)), 3)
+def test_mul_geom_matches_dense_product(case, dq):
     caps, m = case
     key = caps.key
-    assert m.mul_geom(dq, dv, key) == m.mul(_geom_oracle(dq, dv, caps), key)
+    assert m.mul_geom(dq, key) == m.mul(_geom_oracle(dq, caps), key)
 
 
 def test_derivative_identity_semiperimeter():

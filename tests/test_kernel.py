@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catpoly import backend
+from catpoly import backend, gfs
 from catpoly.backend import GUARDS, MAXCAP, cap_key, pack, unpack
 from catpoly.errors import ResourceLimit
 from catpoly.mpoly import CAPS_UNBOUNDED, Caps, MPoly
@@ -97,52 +97,49 @@ def test_caps_for_order_field_limit():
         Caps.for_order(1024)
 
 
-def test_subst_v_monomial_does_not_carry_into_p():
-    assert MPoly.monomial(1, 0, 0, 1).subst_v_monomial(2**21, Caps(10, 100, 10).key) == MPoly.zero()
-
-
 def test_unbounded_substitutions_past_field_raise():
-    with pytest.raises(ResourceLimit):
-        MPoly.monomial(1, 0, MAXCAP, 1).subst_v_to_q()
-    with pytest.raises(ResourceLimit):
-        MPoly.monomial(1, 0, MAXCAP, 1).subst_v_monomial(1)
-    with pytest.raises(ResourceLimit):
-        MPoly.monomial(1, 0, 0, 1).subst_v_monomial(2**21)
-    # on the field maximum itself nothing is dropped
-    assert MPoly.monomial(1, 0, MAXCAP - 1, 1).subst_v_to_q() == MPoly.monomial(1, 0, MAXCAP, 0)
-    assert MPoly.monomial(1, 0, 1, 2).subst_v_monomial(MAXCAP // 2 - 1) == MPoly.monomial(
-        1, 0, MAXCAP - 2, 2
-    )
+    # the masters substitute v -> q v, v -> q^2 v and v -> q, then divide by
+    # 1 - qv: without caps that has no finite product, so both raise
+    for master in (gfs.master_pqv, gfs.master_interior_qv):
+        with pytest.raises(ResourceLimit):
+            master(6, CAPS_UNBOUNDED)
+        # caps on the field maximum itself drop nothing
+        assert master(6, Caps(MAXCAP, MAXCAP, MAXCAP - 1)) == master(6)
 
 
 def test_unbounded_geometric_product_raises():
-    # 1/(1 - q^dq v^dv) has no finite truncation without caps; zero times it is zero
-    for dq, dv in ((1, 1), (1, 0), (3, 2)):
+    # 1/(1 - q^dq) has no finite truncation without caps; zero times it is zero
+    for dq in (1, 3):
         with pytest.raises(ResourceLimit):
-            MPoly.scalar(1).mul_geom(dq, dv)
+            MPoly.scalar(1).mul_geom(dq)
         with pytest.raises(ResourceLimit):
-            MPoly.monomial(-2, 3, 0, 1).mul_geom(dq, dv)
-        assert MPoly.zero().mul_geom(dq, dv) == MPoly.zero()
+            MPoly.monomial(-2, 3, 0, 1).mul_geom(dq)
+        assert MPoly.zero().mul_geom(dq) == MPoly.zero()
     key = Caps(0, 2, 3).key
-    assert MPoly.scalar(1).mul_geom(1, 1, key) == MPoly({pack(0, t, t): 1 for t in range(3)})
+    assert MPoly.scalar(1).mul_geom(1, key) == MPoly({pack(0, t, 0): 1 for t in range(3)})
     key = Caps(0, 5, 0).key
-    assert MPoly.scalar(1).mul_geom(2, 0, key) == MPoly({pack(0, t, 0): 1 for t in (0, 2, 4)})
+    assert MPoly.scalar(1).mul_geom(2, key) == MPoly({pack(0, t, 0): 1 for t in (0, 2, 4)})
 
 
-@pytest.mark.parametrize("dq, dv", [(0, 0), (0, 1), (-1, 1), (1, -1)])
-def test_geometric_product_rejects_bad_steps(dq, dv):
-    # a step without q, or a negative v step, is a usage error whatever the
-    # operand and the caps
+@pytest.mark.parametrize("dq", [0, -1])
+def test_geometric_product_rejects_bad_steps(dq):
+    # a step without q is a usage error whatever the operand and the caps
     for m, capkey in product((MPoly.scalar(1), MPoly.zero()), (Caps(2, 2, 2).key, CAPS_UNBOUNDED.key)):
         with pytest.raises(ValueError):
-            m.mul_geom(dq, dv, capkey)
+            m.mul_geom(dq, capkey)
 
 
 def test_capped_substitutions_still_truncate():
-    key = Caps(10, 5, 10).key
-    assert MPoly.monomial(1, 0, 5, 1).subst_v_to_q(key) == MPoly.zero()
-    assert MPoly.monomial(1, 0, 0, 3).subst_v_monomial(2, key) == MPoly.zero()
-    assert MPoly.monomial(1, 0, 0, 2).subst_v_monomial(2, key) == MPoly.monomial(1, 0, 4, 2)
+    # v -> q lifts the last letter into q: a v cap below the order still
+    # keeps every term whose own exponents fit, and drops every other one
+    capped = gfs.master_pqv(9, Caps(10, 5, 1)).coeff(3)
+    assert capped == MPoly({pack(5, 4, 0): 1, pack(5, 4, 1): 1, pack(5, 5, 1): 1})
+    full = gfs.master_pqv(9)
+    for caps in (Caps(10, 5, 1), Caps(18, 45, 3)):
+        m = gfs.master_pqv(9, caps)
+        for n in range(9):
+            keep = {k: c for k, c in full.coeff(n).terms.items() if all(map(int.__le__, unpack(k), caps))}
+            assert m.coeff(n).terms == keep
 
 
 # -- the kernel against a naive exponent-tuple product -------------------------

@@ -76,10 +76,10 @@ def test_mpoly_eval_one_merges():
     assert m.eval_one("v") == MPoly.monomial(2, 0, 2, 0)
 
 
-def test_mpoly_subst_v_monomial():
-    m = MPoly.monomial(1, 0, 0, 2)  # v^2
-    assert m.subst_v_monomial(3) == MPoly.monomial(1, 0, 6, 2)
-    assert m.subst_v_to_q() == MPoly.monomial(1, 0, 2, 0)
+def test_mpoly_mul_monomial_normalises_once():
+    # a Fraction coefficient that becomes whole is stored as an int
+    c = MPoly.monomial(Fraction(1, 2)).mul_monomial(2).scalar_part()
+    assert c == 1 and type(c) is int
 
 
 # arithmetic properties -----------------------------------------------------------
