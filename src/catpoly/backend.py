@@ -20,8 +20,9 @@ drops every product outside the caps.  The slot helpers (``slot_bytes``,
 ``to_slots``, ``add_slots``) serve ``series``, which evaluates each
 coefficient of a q-only integer series at q = 2^w once per product or
 quotient and reads each output coefficient back from its w-bit slots,
-and the masters in ``gfs``, which keep each (p, v) row of a coefficient
-as one such integer and read its occupied slots back once.
+and ``gfs``, whose masters keep each (p, v) row of a coefficient as one
+such integer and whose area and interior-point constructors keep each
+coefficient as one; both read only the occupied slots back, once.
 """
 
 from functools import reduce

@@ -8,32 +8,47 @@ instead of silently corrupting output.
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InternalInconsistency
 
 
-@lru_cache(maxsize=None)
+def _p_recursive(cache, name, n, lead, prev, prev2):
+    """Term n of the sequence with lead(k) c(k) = prev(k) c(k-1) + prev2(k) c(k-2),
+    whose computed terms ``cache`` holds: the missing ones are built in one
+    pass, and each division must be exact."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    for k in range(len(cache), n + 1):
+        total = prev(k) * cache[k - 1] + prev2(k) * cache[k - 2]
+        q, r = divmod(total, lead(k))
+        if r:
+            raise InternalInconsistency(f"{name}({k}): {total} not divisible by {lead(k)}")
+        cache.append(q)
+    return cache[n]
+
+
+_TRINOMIALS = [1, 1]
+_MOTZKINS = [1, 1]
+
+
 def trinomial(n: int) -> int:
-    """Central trinomial coefficient: [x^n] (1 + x + x^2)^n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return sum(math.comb(n, k) * math.comb(n - k, k) for k in range(n // 2 + 1))
+    """Central trinomial coefficient: [x^n] (1 + x + x^2)^n.
 
-
-@lru_cache(maxsize=None)
-def motzkin(n: int) -> int:
-    """n-th Motzkin number via the binomial sum; the division is exact."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    total = sum(
-        math.comb(n + 1, i) * math.comb(n + 1 - i, i + 1)
-        for i in range(n // 2 + 1)
+    From n T(n) = (2n - 1) T(n-1) + 3(n - 1) T(n-2); the division is exact.
+    """
+    return _p_recursive(
+        _TRINOMIALS, "trinomial", n, lambda k: k, lambda k: 2 * k - 1, lambda k: 3 * (k - 1)
     )
-    q, r = divmod(total, n + 1)
-    if r:
-        raise InternalInconsistency(f"motzkin({n}): sum {total} not divisible by {n + 1}")
-    return q
+
+
+def motzkin(n: int) -> int:
+    """n-th Motzkin number.
+
+    From (n + 2) M(n) = (2n + 1) M(n-1) + 3(n - 1) M(n-2); the division is exact.
+    """
+    return _p_recursive(
+        _MOTZKINS, "motzkin", n, lambda k: k + 2, lambda k: 2 * k + 1, lambda k: 3 * (k - 1)
+    )
 
 
 def _halved(name, n, value):

@@ -10,7 +10,12 @@ The two masters are built by forward recurrence on packed q-rows: each
 (p, v) row of an x^n coefficient is one big integer, the row's
 q-polynomial evaluated at q = 2^w, so their substitutions, sums and
 1/(1 - qv) factors are shifts and integer additions, and each
-coefficient is read back into an MPoly once.
+coefficient is read back into an MPoly once.  The sums B and H and the
+product forms built on them work the same way on single q-integers mod
+2^(w N): shifts, adds, doubling steps for 1/(1 - q^j) and big-integer
+products, with each x^n coefficient read back once at the end.  The
+scalar series, the kernel-method closed forms and the continued fraction
+run on ``Series`` arithmetic.
 """
 
 from fractions import Fraction
@@ -328,34 +333,138 @@ def kernel_residual(order, caps=None):
     return (one - v0) * (one - p2xv0) + p3x2v0sq
 
 
-# -- area flavour ---------------------------------------------------------------
+# -- area and interior-point flavours (packed q-integers) ------------------------
+#
+# sum_B, sum_H and the telescope behind prod_area/prod_interior work on
+# integer polynomials in q alone, each held as one integer: the polynomial
+# evaluated at q = 2^w and reduced mod 2^(w N), N = slots(order - 1) with
+#   slots(n) = min(cap_q, n (n + 1) / 2) + 1.
+# q -> 2^w maps Z[q]/(q^N) onto Z/2^(w N) as a ring map, so a multiply by q^k
+# is a left shift by k slots, +- is an integer add, a product an integer
+# product, and
+#   1/(1 - q^d) = (1 + q^d)(1 + q^(2d))(1 + q^(4d)) ...   mod q^N
+# takes log2(N/d) doubling steps r = (r + (r << s)) & mask.  Each image is
+# exact mod 2^(w N) whatever its slots hold, so no intermediate needs a bound
+# and nothing is repacked.  Only the results are read back, and they fit:
+# the x^n coefficient of each counts avoiding words of length n < order (the
+# sums count a subset of them) by area or by interior points, never more
+# than the area, which is at most n (n + 1) / 2, so its q-degree is below slots(n) <= N and its slots are
+# non-negative and at most M(n) <= 3^n (M = Motzkin).  With slots of
+# slot_bytes(3^order) bytes, the residue mod 2^(w slots(n)) is therefore the
+# exact integer f(2^w): it reads back slot by slot, and later orders may use
+# it as is at any larger precision.  That allows two truncations:
+#   the quotient's x^k coefficient is needed only mod q^slots(k), so each of
+#     its products cuts the denominator term to slots(k) slots and
+#     multiplies it by a short, exact earlier coefficient;
+#   the telescope's i-th partial product reaches the result only through
+#     q^qexp(i') with i' >= i, and qexp never decreases, so it is needed only
+#     mod q^(N - qexp(i)), and the steps stop once that leaves no slot.
+# Each x^n coefficient is read back into an MPoly once, by ``_read_rows``.
+
+
+def _dense_caps(order, caps):
+    """The caps and the slot bytes of a dense constructor."""
+    caps = caps or Caps.for_order(order)
+    if caps == CAPS_UNBOUNDED:
+        raise ResourceLimit("1/(1 - q^j) has no finite product without caps")
+    return caps, backend.slot_bytes(3**order)
+
+
+def _slots(caps, n):
+    """Slots that hold the x^n coefficient of a dense series."""
+    return min(caps.q, n * (n + 1) // 2) + 1
+
+
+def _geom(r, d, w, mask):
+    """r / (1 - q^d) mod q^N, for a packed r and mask = 2^(w N) - 1."""
+    s, top = d * w, mask.bit_length()
+    while s < top:
+        r = (r + (r << s)) & mask
+        s <<= 1
+    return r
+
+
+def _ratio(order, caps, w, step, term):
+    """Packed coefficients of sum_j x^j t_j / (1 - sum_j x^j t_j / (1 - q^j)).
+
+    t_j = ``term(P_j, j)`` for the partial products P_1 = 1 and
+    P_j = ``step(P_(j-1), j - 1, mask)``, all mod q^N.
+    """
+    mask = (1 << (w * _slots(caps, order - 1))) - 1
+    den = [0] * order
+    out = [0] * order
+    prod = 1
+    for k in range(1, order):
+        if k > 1:
+            prod = step(prod, k - 1, mask) & mask
+        num = term(prod, k) & mask
+        den[k] = _geom(num, k, w, mask)
+        # out = num / (1 - den): out[k] = num[k] + sum_j den[j] out[k - j]
+        cut = (1 << (w * _slots(caps, k))) - 1
+        out[k] = (num + sum((den[j] & cut) * out[k - j] for j in range(1, k))) & cut
+    return out
+
+
+def _sum_B_packed(order, caps, w):
+    # P_j = P_(j-1) (1 - q^i + q^(2i)) / (1 - q^i), t_j = (-1)^(j+1) q^j P_j
+    def step(prod, i, mask):
+        return _geom((prod - (prod << i * w) + (prod << 2 * i * w)) & mask, i, w, mask)
+
+    return _ratio(order, caps, w, step, lambda prod, j: (prod if j % 2 else -prod) << j * w)
+
+
+def _sum_H_packed(order, caps, w):
+    # P_j = P_(j-1) (q^(i-1) - 1/(1 - q^i)), t_j = P_j
+    def step(prod, i, mask):
+        return (prod << (i - 1) * w) - _geom(prod, i, w, mask)
+
+    return _ratio(order, caps, w, step, lambda prod, j: prod)
+
+
+def _telescope(order, caps, w, b, qexp):
+    """Packed coefficients of the sum over i >= 1 of
+    x^i q^qexp(i) prod_{k < i} (1 + B(x q^k)), for B packed in ``b``.
+
+    The i-th partial product is multiplied by x^i, so only its first
+    order - i coefficients reach the result, and only mod q^(N - qexp(i)).
+    """
+    top = _slots(caps, order - 1)
+    out = [0] * order
+    partial = [1] + [0] * (order - 1)
+    for i in range(1, order):
+        bits = w * (top - qexp(i))
+        if bits <= 0:
+            break
+        mask = (1 << bits) - 1
+        # times 1 + B(x q^(i-1)), whose x^t coefficient is b[t] shifted (i - 1) t slots
+        for n in range(order - i - 1, 0, -1):
+            c = partial[n]
+            for t in range(1, n + 1):
+                s = (i - 1) * t * w
+                if s >= bits:
+                    break
+                c += partial[n - t] * b[t] << s
+            partial[n] = c & mask
+        shift = qexp(i) * w
+        for n in range(order - i):
+            out[n + i] += partial[n] << shift
+    mask = (1 << (w * top)) - 1
+    return [c & mask for c in out]
+
+
+def _read_series(order, caps, nbytes, packed):
+    return Series(order, [_read_rows({0: [c]}, caps, nbytes) for c in packed], caps)
 
 
 def sum_B(order, caps=None):
     """Length/area series of the words whose last two letters strictly rise.
 
     Ratio of two alternating sums whose j-th terms carry x^j and the
-    partial products of (1 - q^i + q^(2i)) / (1 - q^i).  Each partial
-    product takes two shifted adds and one running sum (``mul_geom``),
-    and 1/(1 - q^j) in the denominator terms one more running sum, so no
-    polynomial product is needed.
+    partial products of (1 - q^i + q^(2i)) / (1 - q^i), built on packed
+    q-integers (see above) and read back once.
     """
-    caps = caps or Caps.for_order(order)
-    capkey = caps.key
-    num = Series.zero(order, caps)
-    den = Series.zero(order, caps)
-    prod = MPoly.scalar(1)
-    for j in range(1, order):
-        if j > 1:
-            i = j - 1
-            shifted = prod.mul_monomial(1, 0, i, 0, capkey)
-            twice = prod.mul_monomial(1, 0, 2 * i, 0, capkey)
-            prod = (prod - shifted + twice).mul_geom(i, capkey)
-        sign = 1 if j % 2 == 1 else -1
-        num.coeffs[j] = prod.mul_monomial(sign, 0, j, 0, capkey)
-        den.coeffs[j] = num.coeffs[j].mul_geom(j, capkey)
-    one = Series.from_x_polynomial(order, [1], caps)
-    return num.div(one - den)
+    caps, nbytes = _dense_caps(order, caps)
+    return _read_series(order, caps, nbytes, _sum_B_packed(order, caps, 8 * nbytes))
 
 
 def cf_B_contfrac(order, depth, caps=None):
@@ -380,67 +489,39 @@ def cf_B_contfrac(order, depth, caps=None):
     return result - one
 
 
-def _telescope(order, caps, b, qexp):
-    """sum over i >= 1 of x^i q^qexp(i) prod_{k < i} (1 + b(x q^k)).
-
-    The i-th partial product is multiplied by x^i, so only its first
-    order - i coefficients reach the result: it is built at that order,
-    from the previous partial product truncated to it.
-    """
-    capkey = caps.key
-    coeffs = [MPoly.zero()] * order
-    partial = Series.from_x_polynomial(order, [1], caps)
-    for i in range(1, order):
-        m = order - i
-        one = Series.from_x_polynomial(m, [1], caps)
-        partial = partial.truncate(m) * (one + b.truncate(m).subst_x_scale(i - 1))
-        shift = qexp(i)
-        for n, c in enumerate(partial.coeffs, start=i):
-            coeffs[n] = coeffs[n] + c.mul_monomial(1, 0, shift, 0, capkey)
-    return Series(order, coeffs, caps)
-
-
 def prod_area(order, caps=None):
     """Length/area series of all avoiding words: the telescoped product form.
 
     The sum over i of x^i q^(i(i+1)/2) prod_{k < i} (1 + B(x q^k)), with
-    each partial product kept only to the order its x^i shift leaves.
+    each partial product kept only to the order and the q-precision its
+    shift leaves, built on the packed ``sum_B`` and read back once.
     """
-    caps = caps or Caps.for_order(order)
-    return _telescope(order, caps, sum_B(order, caps), lambda i: i * (i + 1) // 2)
-
-
-# -- interior-point flavour ------------------------------------------------------
+    caps, nbytes = _dense_caps(order, caps)
+    w = 8 * nbytes
+    b = _sum_B_packed(order, caps, w)
+    return _read_series(order, caps, nbytes, _telescope(order, caps, w, b, lambda i: i * (i + 1) // 2))
 
 
 def sum_H(order, caps=None):
     """Length/interior-points series of the strictly-rising-tail words.
 
     Ratio of two sums whose j-th terms carry x^j and the partial products
-    of q^(i-1) - 1/(1 - q^i), times 1/(1 - q^j) in the denominator terms.
-    Each factor is a shift minus a running sum (``mul_geom``), so no
-    polynomial product is needed.
+    of q^(i-1) - 1/(1 - q^i), times 1/(1 - q^j) in the denominator terms,
+    built on packed q-integers like ``sum_B``.
     """
-    caps = caps or Caps.for_order(order)
-    capkey = caps.key
-    num = Series.zero(order, caps)
-    den = Series.zero(order, caps)
-    prod = MPoly.scalar(1)
-    for j in range(1, order):
-        if j > 1:
-            i = j - 1
-            prod = prod.mul_monomial(1, 0, i - 1, 0, capkey) - prod.mul_geom(i, capkey)
-        num.coeffs[j] = prod
-        den.coeffs[j] = prod.mul_geom(j, capkey)
-    one = Series.from_x_polynomial(order, [1], caps)
-    return num.div(one - den)
+    caps, nbytes = _dense_caps(order, caps)
+    return _read_series(order, caps, nbytes, _sum_H_packed(order, caps, 8 * nbytes))
 
 
 def prod_interior(order, caps=None):
     """Length/interior-points series of all avoiding words.
 
     The sum over i of x^i q^((i-2)(i-1)/2) prod_{k < i} (1 + H(x q^k)),
-    truncated like ``prod_area``.
+    built like ``prod_area`` on the packed ``sum_H``.
     """
-    caps = caps or Caps.for_order(order)
-    return _telescope(order, caps, sum_H(order, caps), lambda i: (i - 2) * (i - 1) // 2)
+    caps, nbytes = _dense_caps(order, caps)
+    w = 8 * nbytes
+    h = _sum_H_packed(order, caps, w)
+    return _read_series(
+        order, caps, nbytes, _telescope(order, caps, w, h, lambda i: (i - 2) * (i - 1) // 2)
+    )

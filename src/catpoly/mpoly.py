@@ -186,48 +186,6 @@ class MPoly:
             out[nk] = _norm(v * c)
         return MPoly._raw(out)
 
-    def mul_geom(self, dq, capkey=_UNBOUNDED_KEY):
-        """Multiply by 1/(1 - q^dq) = sum_t q^(t dq), dropping terms beyond
-        the caps.
-
-        The keys p^a q^(b + t dq) v^c, t = 0, 1, ..., form a chain, and the
-        output term at position t is the sum of the input terms at
-        positions 0..t of its chain.  Each chain is walked once, from its
-        first input term up to the q cap, with a running sum, so the cost is
-        linear in the number of output terms.
-
-        Without caps the product of a nonzero polynomial has infinitely
-        many terms, so it raises ResourceLimit instead of truncating at
-        the key field maximum.
-        """
-        if dq < 1:
-            raise ValueError(f"1/(1 - q^{dq}) needs dq >= 1")
-        if capkey == _UNBOUNDED_KEY and self.terms:
-            raise ResourceLimit(f"1/(1 - q^{dq}) has no finite product without caps")
-        step = pack(0, dq, 0)
-        cap_q = (capkey >> QSHIFT) & MASK
-        chains = {}
-        for k, c in self.terms.items():
-            t = ((k >> QSHIFT) & MASK) // dq
-            chains.setdefault(k - t * step, {})[t] = c
-        out = {}
-        for start, row in chains.items():
-            if (capkey - start) & GUARDS != GUARDS:
-                continue
-            last = (cap_q - ((start >> QSHIFT) & MASK)) // dq
-            first = min(row)
-            key = start + first * step
-            running = 0
-            get = row.get
-            for t in range(first, last + 1):
-                c = get(t)
-                if c is not None:
-                    running = _norm(running + c)
-                if running:
-                    out[key] = running
-                key += step
-        return MPoly._raw(out)
-
     def divide_monomial(self, c, dp=0, dq=0, dv=0):
         """Exact division by c * p^dp q^dq v^dv.
 

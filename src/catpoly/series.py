@@ -11,9 +11,11 @@ work on Kronecker-packed coefficients: each coefficient is evaluated once
 at q = 2^w as a big integer, with one slot width w for the whole
 operation, each output order sums its big-integer products, and its
 slots are read back once through the ``backend`` slot helpers (Kronecker
-substitution; D. Harvey, J. Symbolic Comput. 44, 2009).  Every other
-operand pair multiplies coefficient by coefficient through the term
-kernel ``backend.mul_into``.
+substitution; D. Harvey, J. Symbolic Comput. 44, 2009).  The scalar
+series and the continued fraction of ``gfs`` take this path; the area
+and interior-point sums and product forms do not use ``Series``
+arithmetic at all.  Every other operand pair multiplies coefficient by
+coefficient through the term kernel ``backend.mul_into``.
 """
 
 from fractions import Fraction
@@ -265,14 +267,6 @@ class Series:
 
     def eval_one(self, var):
         return Series(self.order, [c.eval_one(var) for c in self.coeffs], self.caps)
-
-    def subst_x_scale(self, j):
-        """x -> x * q^j."""
-        if j == 0:
-            return self
-        capkey = self.caps.key
-        out = [c.mul_monomial(1, 0, j * n, 0, capkey) for n, c in enumerate(self.coeffs)]
-        return Series(self.order, out, self.caps)
 
     # -- exactness-guarded divisions ----------------------------------------
 

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from catpoly import closedforms as cf
 from catpoly import gfs
+from catpoly.errors import InternalInconsistency
 from catpoly.words import (
     enumerate_words,
     stat_area,
@@ -63,6 +65,32 @@ def test_motzkin_values():
 def test_motzkin_against_recurrence_oracle():
     for n in range(60):
         assert cf.motzkin(n) == motzkin_by_recurrence(n)
+
+
+def trinomial_by_binomial_sum(n):
+    return sum(math.comb(n, k) * math.comb(n - k, k) for k in range(n // 2 + 1))
+
+
+def motzkin_by_binomial_sum(n):
+    total = sum(math.comb(n + 1, i) * math.comb(n + 1 - i, i + 1) for i in range(n // 2 + 1))
+    assert total % (n + 1) == 0
+    return total // (n + 1)
+
+
+def test_p_recurrences_match_binomial_sums():
+    for n in range(200):
+        assert cf.trinomial(n) == trinomial_by_binomial_sum(n)
+        assert cf.motzkin(n) == motzkin_by_binomial_sum(n)
+
+
+@pytest.mark.parametrize("name, slipped", [("trinomial", [1, 1, 4]), ("motzkin", [1, 1, 3])])
+def test_p_recurrence_division_guard(monkeypatch, name, slipped):
+    # a wrong earlier term makes the next division inexact, and that fails loudly
+    monkeypatch.setattr(cf, f"_{name.upper()}S", slipped)
+    with pytest.raises(InternalInconsistency):
+        getattr(cf, name)(3)
+    with pytest.raises(ValueError):
+        getattr(cf, name)(-1)
 
 
 # the four totals -----------------------------------------------------------------

@@ -305,6 +305,9 @@ ORDER_28_DIGESTS = {
 ORDER_40_DIGESTS = {
     "sum_B": "d0efff46d89fd3a7f3c62a50abe0c38902e1f7386baf546932b3b6b748ca77dc",
     "sum_H": "ed1b8cd8d44daefaf1b36275c7ca3742c8a12695ef0c3f3797f6e4a5ba6904cf",
+    # recorded while the product forms still telescoped through Series products
+    "prod_area": "c6ebbba9222e115d007fb7a2aca9724d7d175c93ff588bd2898fc82b2913e315",
+    "prod_interior": "f782bc879eac5b26b76e1493f63da5117c3f84691aecbc7953d09d89f600cbd7",
 }
 
 
@@ -324,8 +327,7 @@ def test_dense_constructors_bit_identical_at_order_28(name):
 
 
 def test_sums_make_no_kernel_call(monkeypatch):
-    # every factor of sum_B/sum_H is a shift or a running sum, and their
-    # quotient packs whole q-only series, so the term kernel never runs
+    # sum_B/sum_H run on packed q-integers, so the term kernel never runs
     def refuse(*args):
         raise AssertionError("term kernel called")
 
@@ -344,10 +346,28 @@ def test_masters_make_no_mpoly_arithmetic(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("MPoly arithmetic in a master")
 
-    for name in ("__add__", "__sub__", "mul_monomial", "mul_geom"):
+    for name in ("__add__", "__sub__", "mul_monomial"):
         monkeypatch.setattr(MPoly, name, refuse)
     gfs.master_pqv(12)
     gfs.master_interior_qv(12)
+
+
+DENSE = ("sum_B", "sum_H", "prod_area", "prod_interior")
+
+
+def test_dense_constructors_make_no_mpoly_or_series_arithmetic(monkeypatch):
+    # the sums and the telescope run on packed q-integers, pack nothing from
+    # an MPoly and build each MPoly once, at readback
+    def refuse(*args, **kwargs):
+        raise AssertionError("MPoly or Series arithmetic in a dense constructor")
+
+    for name in ("__add__", "__sub__", "mul_monomial"):
+        monkeypatch.setattr(MPoly, name, refuse)
+    for name in ("__mul__", "div"):
+        monkeypatch.setattr(Series, name, refuse)
+    monkeypatch.setattr(backend, "to_slots", refuse)
+    for name in DENSE:
+        getattr(gfs, name)(12)
 
 
 def _cut(m, caps):
@@ -375,6 +395,25 @@ def test_masters_honour_any_caps(name, histogram, order):
         caps = Caps(*caps)
         m = getattr(gfs, name)(order, caps)
         assert m.coeffs == [_cut(h, caps) for h in hist], caps
+
+
+def dense_histograms(name, order):
+    """Enumeration histograms of a dense constructor at x^0 .. x^(order-1)."""
+    cls = WordClass.CLASS_B if name.startswith("sum") else WordClass.AVOID_GEQ_GEQ
+    stat = stat_area if name in ("sum_B", "prod_area") else stat_inter
+    return [MPoly.zero()] + [histogram_poly(n, cls, stat) for n in range(1, order)]
+
+
+@pytest.mark.parametrize("order", [7, 9])
+@pytest.mark.parametrize("name", DENSE)
+def test_dense_constructors_honour_any_caps(name, order):
+    # the packed path works mod q^(cap + 1) and cuts each quotient order and
+    # each telescope step shorter still; p and v caps never cut a q-only term
+    full = getattr(gfs, name)(order)
+    assert full.coeffs == dense_histograms(name, order)
+    for caps in product((0, 3, 18), (0, 5, 17, 44, 45), (0, 3, 9)):
+        caps = Caps(*caps)
+        assert getattr(gfs, name)(order, caps).coeffs == [_cut(c, caps) for c in full.coeffs], caps
 
 
 def test_product_forms_equal_masters_at_order_24():
@@ -424,27 +463,31 @@ def _geom_oracle(dq, caps):
 
 
 @st.composite
-def capped_mpoly(draw):
-    """Caps and a sparse MPoly whose exponents reach one past each cap."""
-    caps = Caps(*(draw(st.integers(min_value=0, max_value=top)) for top in (4, 8, 8)))
+def capped_q_poly(draw):
+    """A q cap and a q-only integer MPoly whose exponents reach one past it."""
+    cap_q = draw(st.integers(min_value=0, max_value=12))
     m = MPoly.zero()
     for _ in range(draw(st.integers(min_value=0, max_value=8))):
         c = draw(st.integers(min_value=-3, max_value=3).filter(bool))
-        dp, dq, dv = (draw(st.integers(min_value=0, max_value=cap + 1)) for cap in caps)
-        m = m + MPoly.monomial(c, dp, dq, dv)
-    return caps, m
+        m = m + MPoly.monomial(c, 0, draw(st.integers(min_value=0, max_value=cap_q + 1)), 0)
+    return Caps(0, cap_q, 0), m
 
 
 @settings(max_examples=300, deadline=None)
-@given(capped_mpoly(), st.integers(min_value=1, max_value=3))
-@example((Caps(2, 5, 3), MPoly.monomial(1, 1, 5, 0) + MPoly.monomial(-2, 0, 2, 3)), 1)
-@example((Caps(2, 4, 4), MPoly.monomial(3, 2, 4, 4) + MPoly.monomial(1, 0, 1, 0)), 1)
-@example((Caps(2, 5, 3), MPoly.monomial(1, 0, 1, 4) + MPoly.monomial(2, 1, 0, 0)), 2)
-@example((Caps(0, 8, 3), MPoly.monomial(1, 0, 7, 1) + MPoly.monomial(-1, 0, 1, 0)), 3)
-def test_mul_geom_matches_dense_product(case, dq):
+@given(capped_q_poly(), st.integers(min_value=1, max_value=4))
+@example((Caps(0, 0, 0), MPoly.monomial(-2, 0, 0, 0)), 1)
+@example((Caps(0, 8, 0), MPoly.monomial(1, 0, 7, 0) + MPoly.monomial(-1, 0, 1, 0)), 3)
+@example((Caps(0, 5, 0), MPoly.monomial(3, 0, 5, 0) + MPoly.monomial(-3, 0, 0, 0)), 6)
+def test_packed_geom_matches_dense_product(case, dq):
+    # the doubling steps of gfs._geom against the capped MPoly product,
+    # signed slots included
     caps, m = case
-    key = caps.key
-    assert m.mul_geom(dq, key) == m.mul(_geom_oracle(dq, caps), key)
+    nbytes = 8
+    w = 8 * nbytes
+    mask = (1 << (w * (caps.q + 1))) - 1
+    packed = sum(c << (w * (k >> backend.QSHIFT)) for k, c in m.terms.items()) & mask
+    got = gfs._read_rows({0: [gfs._geom(packed, dq, w, mask)]}, caps, nbytes)
+    assert got == m.mul(_geom_oracle(dq, caps), caps.key)
 
 
 def test_derivative_identity_semiperimeter():

@@ -107,26 +107,17 @@ def test_unbounded_substitutions_past_field_raise():
         assert master(6, Caps(MAXCAP, MAXCAP, MAXCAP - 1)) == master(6)
 
 
-def test_unbounded_geometric_product_raises():
-    # 1/(1 - q^dq) has no finite truncation without caps; zero times it is zero
-    for dq in (1, 3):
-        with pytest.raises(ResourceLimit):
-            MPoly.scalar(1).mul_geom(dq)
-        with pytest.raises(ResourceLimit):
-            MPoly.monomial(-2, 3, 0, 1).mul_geom(dq)
-        assert MPoly.zero().mul_geom(dq) == MPoly.zero()
-    key = Caps(0, 2, 3).key
-    assert MPoly.scalar(1).mul_geom(1, key) == MPoly({pack(0, t, 0): 1 for t in range(3)})
-    key = Caps(0, 5, 0).key
-    assert MPoly.scalar(1).mul_geom(2, key) == MPoly({pack(0, t, 0): 1 for t in (0, 2, 4)})
-
-
-@pytest.mark.parametrize("dq", [0, -1])
-def test_geometric_product_rejects_bad_steps(dq):
-    # a step without q is a usage error whatever the operand and the caps
-    for m, capkey in product((MPoly.scalar(1), MPoly.zero()), (Caps(2, 2, 2).key, CAPS_UNBOUNDED.key)):
-        with pytest.raises(ValueError):
-            m.mul_geom(dq, capkey)
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("name", ["sum_B", "sum_H", "prod_area", "prod_interior"])
+def test_dense_constructors_raise_without_caps(name, order):
+    # their factors 1/(1 - q^j) have no finite product without caps, so they
+    # raise at every order, also where no such factor is built yet
+    build = getattr(gfs, name)
+    with pytest.raises(ResourceLimit):
+        build(order, CAPS_UNBOUNDED)
+    # caps on the field maximum itself drop nothing, and cost no more than
+    # the default caps: the packed path stops at the largest area
+    assert build(order + 5, Caps(MAXCAP, MAXCAP, MAXCAP - 1)) == build(order + 5)
 
 
 def test_capped_substitutions_still_truncate():

@@ -160,21 +160,6 @@ def test_coeff_out_of_range():
 # marker operations ------------------------------------------------------------
 
 
-def test_subst_x_scale_monomial_action():
-    s = Series.from_x_polynomial(4, [0, 1, 1], CAPS)  # x + x^2
-    scaled = s.subst_x_scale(1)
-    assert scaled.coeff(1) == MPoly.monomial(1, 0, 1, 0)
-    assert scaled.coeff(2) == MPoly.monomial(1, 0, 2, 0)
-
-
-def test_subst_x_scale_respects_qcap():
-    caps = Caps.for_order(3)
-    s = Series.from_x_polynomial(3, [0, 1, 1], caps)
-    scaled = s.subst_x_scale(caps.q)  # x-coefficient q^cap survives, x^2 dies
-    assert scaled.coeff(1) == MPoly.monomial(1, 0, caps.q, 0)
-    assert not scaled.coeff(2)
-
-
 def test_derivative_term_by_term():
     v2 = MPoly.monomial(1, 0, 0, 2)
     s = Series.from_x_polynomial(3, [0, v2], CAPS)
