@@ -17,16 +17,24 @@ so the sum of two in-range keys never carries across fields.
 
 ``mul_into`` is the term kernel: a double loop over two term dicts that
 drops every product outside the caps.  The slot helpers (``slot_bytes``,
-``to_slots``, ``add_slots``) serve ``series``, which evaluates each
+``to_slots``, ``read_slots``) serve ``series``, which evaluates each
 coefficient of a q-only integer series at q = 2^w once per product or
 quotient and reads each output coefficient back from its w-bit slots,
 and ``gfs``, whose masters keep each (p, v) row of a coefficient as one
 such integer and whose area and interior-point constructors keep each
 coefficient as one; both read only the occupied slots back, once.
+``read_slots`` decodes every window of one coefficient in a single call
+with no Python-level step per slot: each window becomes bytes once, the
+joined bytes are cast to 64-bit limbs in bulk, and one dict build keeps
+the nonzero slots (the inverse of Kronecker substitution; D. Harvey,
+J. Symbolic Comput. 44, 2009).
 """
 
+import sys
+from array import array
 from functools import reduce
-from operator import or_
+from itertools import chain, compress, repeat
+from operator import add, lshift, or_
 
 FIELD = 20
 
@@ -42,6 +50,11 @@ MAXCAP = (1 << FIELD) // 2 - 1
 _NOT_Q = ~(MASK << QSHIFT)
 
 BACKEND = "python"
+
+_BIG_ENDIAN = sys.byteorder == "big"
+
+# byte -> the byte that extends its sign: 0xFF when its top bit is set
+_SIGN_BYTE = bytes(0xFF if b & 0x80 else 0 for b in range(256))
 
 
 def pack(dp=0, dq=0, dv=0):
@@ -97,7 +110,7 @@ def slot_bytes(bound):
     """Bytes per q-slot that hold any coefficient of magnitude <= bound.
 
     A slot of w bits, two more than the bound needs, holds the coefficient
-    with its sign, so ``add_slots`` can read it back.
+    with its sign, so ``read_slots`` can read it back.
     """
     return (bound.bit_length() + 2 + 7) // 8
 
@@ -115,28 +128,67 @@ def to_slots(terms, deg, nbytes):
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def add_slots(acc, value, nslots, nbytes, base=0, first=0):
-    """Store in acc the terms of the q-polynomial held in slots
-    first..nslots-1 of a packed value: slot j becomes the term of key
-    base + q^j, which acc must not hold yet.
+def read_slots(windows, nbytes):
+    """The term dict of the q-polynomials held in windows of packed values.
 
-    ``value`` equals sum_j c_j 2^(w j) with w = 8 * nbytes, for any sum of
-    products or shifts of packed values.  Every c_j below slot nslots
-    must have magnitude below 2^(w-1): adding 2^(w-1) to each such slot
-    makes it non-negative, so the slots read back independently with no
-    borrow between them, and whatever lies above is a multiple of
+    Each window ``(value, first, nslots, base)`` stores slots
+    first..nslots-1 of ``value``: slot j becomes the term of key
+    base + q^j, and no two windows may give the same key.  ``value``
+    equals sum_j c_j 2^(w j) with w = 8 * nbytes, for any sum of products
+    or shifts of packed values.  Every c_j below slot nslots must have
+    magnitude below 2^(w-1): adding 2^(w-1) to each such slot makes it
+    non-negative, so the slots read back independently with no borrow
+    between them, and whatever lies above is a multiple of
     2^(w * nslots) that the mask drops, however large its slots are.
+
+    The decode makes no Python-level step per slot.  Each window, biased,
+    masked and XORed with the bias so that every slot holds its
+    coefficient in two's complement, becomes bytes once; the windows are
+    joined, widened to whole 64-bit limbs and cast to ints in bulk, and
+    one dict build keeps the nonzero slots.
     """
-    half = 1 << (8 * nbytes - 1)
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * nslots, "little")
-    low = (1 << (8 * nbytes * nslots)) - 1
-    raw = (((value + bias) & low) >> (8 * nbytes * first)).to_bytes(
-        nbytes * (nslots - first), "little"
-    )
-    from_bytes = int.from_bytes
+    w = 8 * nbytes
+    top = max((window[2] for window in windows), default=0)
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * top, "little")
     step = 1 << QSHIFT
-    keys = range(base + first * step, base + nslots * step, step)
-    for k, i in zip(keys, range(0, len(raw), nbytes)):
-        c = from_bytes(raw[i : i + nbytes], "little") - half
-        if c:
-            acc[k] = c
+    chunks = []
+    keys = []
+    for value, first, nslots, base in windows:
+        low = (1 << (w * nslots)) - 1
+        signed = (((value + bias) ^ bias) & low) >> (w * first)
+        chunks.append(signed.to_bytes(nbytes * (nslots - first), "little"))
+        keys.append(range(base + first * step, base + nslots * step, step))
+    vals = _signed_slots(b"".join(chunks), nbytes)
+    return dict(compress(zip(chain.from_iterable(keys), vals), vals))
+
+
+def _signed_slots(raw, nbytes):
+    """The ints held in two's complement by the little-endian slots of raw,
+    nbytes each.
+
+    The slots are widened to m = ceil(nbytes / 8) limbs of 64 bits: byte
+    b of every slot moves by one strided copy, and the sign byte that
+    fills each slot's upper bytes comes from one ``translate``.  The limbs
+    are cast in bulk; for m >= 2 each slot's signed top limb and unsigned
+    lower limbs are combined with ``map``.
+    """
+    size = 8 * -(-nbytes // 8)
+    if size != nbytes:
+        wide = bytearray(len(raw) // nbytes * size)
+        for b in range(nbytes):
+            wide[b::size] = raw[b::nbytes]
+        sign = raw[nbytes - 1 :: nbytes].translate(_SIGN_BYTE)
+        for b in range(nbytes, size):
+            wide[b::size] = sign
+        raw = wide
+    limbs = array("q", raw)
+    if _BIG_ENDIAN:
+        limbs.byteswap()
+    m = size // 8
+    if m == 1:
+        return limbs.tolist()
+    unsigned = memoryview(limbs).cast("B").cast("Q")
+    vals = limbs[m - 1 :: m]
+    for i in range(m - 2, -1, -1):
+        vals = map(add, map(lshift, vals, repeat(64)), unsigned[i::m])
+    return list(vals)

@@ -124,7 +124,9 @@ def gf_p(order, caps=None):
 # Only the v-substitutions need V = order: v -> q moves high v into q, so
 # cutting v before it loses terms.  p and q only grow, and the genuine last
 # letter of a length-n word is below n, so every row is exact and the caps
-# are applied once, when the rows are read back.
+# are applied once, when the rows are read back: ``_read_rows`` hands every
+# occupied (p, v) row within the caps to one ``backend.read_slots`` call
+# per coefficient, which decodes all their slots in bulk.
 
 
 def _solve_forward(order, contributions):
@@ -205,20 +207,26 @@ def _master(order, caps, base, step, plus, minus):
 
 
 def _read_rows(rows, caps, nbytes):
-    """The MPoly of one coefficient's rows, cut at the caps."""
+    """The MPoly of one coefficient's rows, cut at the caps.
+
+    Every occupied (p, v) row within the caps gives one window of its
+    slots, from its lowest nonzero slot to the q cap, and all windows of
+    the coefficient are read back in one ``backend.read_slots`` call.
+    """
     w = 8 * nbytes
-    terms = {}
+    windows = []
     for p, rs in rows.items():
         if p > caps.p:
             continue
+        key = pack(p, 0, 0)
         for v in range(min(caps.v + 1, len(rs))):
             r = rs[v]
             if r:
                 first = ((r & -r).bit_length() - 1) // w
                 if first <= caps.q:
                     nslots = min(caps.q, r.bit_length() // w) + 1
-                    backend.add_slots(terms, r, nslots, nbytes, pack(p, 0, v), first)
-    return MPoly._raw(terms)
+                    windows.append((r, first, nslots, key + v))
+    return MPoly._raw(backend.read_slots(windows, nbytes))
 
 
 def master_pqv(order, caps=None):

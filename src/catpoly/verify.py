@@ -311,6 +311,8 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         return "pass", f"interior generating functions cross-check to n <= {top_n}"
 
     def derivative_identities():
+        if max_order < 2:
+            return "skipped", "needs max_order >= 2"
         top = min(max_order, 30)
         ds = gfs.cf_S(top + 1).derivative("p").eval_one("p")
         gs = ctx.get(("gf_s", top + 1), lambda: gfs.gf_s(top + 1))

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from catpoly import gfs, verify
 from catpoly.cli import main
+from catpoly.mpoly import MPoly
 from catpoly.render import render_svg
+from catpoly.series import Series
 from catpoly.words import CatalanWord
 
 
@@ -305,14 +308,51 @@ def test_verify_json_times_every_check(capsys):
 def test_verify_degenerate_run_skips(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "0", "--max-order", "1")
     assert code == 0
-    assert out.splitlines()[-1] == "11 passed, 0 failed, 7 skipped"
+    assert out.splitlines()[-1] == "10 passed, 0 failed, 8 skipped"
 
 
 def test_verify_empty_ranges_skip_not_pass(capsys):
     code, out, _ = run(capsys, "verify", "--max-order", "1")
     assert code == 0
     assert "[SKIPPED] master_specializations" in out
-    assert out.splitlines()[-1] == "15 passed, 0 failed, 3 skipped"
+    assert "[SKIPPED] derivative_identities" in out
+    assert out.splitlines()[-1] == "14 passed, 0 failed, 4 skipped"
+
+
+def _derivative_check(max_order):
+    checks = verify.run_verify(max_n=0, max_order=max_order).checks
+    return next(c for c in checks if c.name == "derivative_identities")
+
+
+def test_verify_derivative_identities_skip_at_order_1():
+    # at max_order 1 the area and interior identities have no n to check
+    c = _derivative_check(1)
+    assert (c.status, c.detail) == ("skipped", "needs max_order >= 2")
+
+
+@pytest.mark.parametrize(
+    "name, label",
+    [
+        ("gf_s", "semiperimeter"),
+        ("gf_h", "last-letter"),
+        ("gf_u", "area"),
+        ("gf_p", "interior"),
+    ],
+)
+def test_verify_derivative_identities_check_each_at_order_2(monkeypatch, name, label):
+    # at max_order 2 every identity compares n = 1: a wrong x^1 coefficient
+    # on the closed-form side of any one of them fails the check
+    assert _derivative_check(2).status == "pass"
+    real = getattr(gfs, name)
+
+    def wrong(order, *args):
+        s = real(order, *args)
+        coeffs = [c + MPoly.scalar(1) if n == 1 else c for n, c in enumerate(s.coeffs)]
+        return Series(s.order, coeffs, s.caps)
+
+    monkeypatch.setattr(gfs, name, wrong)
+    c = _derivative_check(2)
+    assert (c.status, c.detail) == ("fail", f"{label} derivative identity fails at n=1")
 
 
 def test_verify_default_flags_pass_every_check(capsys):

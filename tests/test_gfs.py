@@ -316,6 +316,12 @@ MASTER_DIGESTS = {
     ("master_pqv", 28): "85f17f73883a5db57c9beadecc96fe5668a137a5e1d0345a444dc790751b8aac",
     ("master_interior_qv", 28): "52f451a4730a3d8ba534797b4bcaad8399fba054fc64695f8a25e94ac74dbddb",
     ("master_pqv", 40): "214566a70d8abf505afdf5f92ca552d2df6e98c3302aef505a38498ae14b4be9",
+    # recorded while each slot was still read back with its own int.from_bytes;
+    # order 39 is the last with 8-byte slots (one 64-bit limb), order 40 the
+    # first with 9-byte slots (two limbs)
+    ("master_pqv", 39): "0bb7e7aa53d36b5995479e053923dd355c196819da78c978867c107c72bed773",
+    ("master_interior_qv", 39): "06399d815a5a99c1af04e2357fc294904aaf4840536bbe4ab6ea410307a9fefc",
+    ("master_interior_qv", 40): "c785343ca93cfa0b61fb7ffe9f0a49c48f54260fbd7a82670e04fa79d78f68c2",
 }
 
 

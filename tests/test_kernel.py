@@ -1,5 +1,7 @@
-"""The packed key layout, the term kernel and the loud field limit."""
+"""The packed key layout, the term kernel, the loud field limit and the slot readback."""
 
+import sys
+from array import array
 from fractions import Fraction
 from itertools import product
 
@@ -240,3 +242,81 @@ def test_fraction_and_pv_inputs_take_the_dict_loop():
 )
 def test_trivariate_product_matches_oracle(a, b, caps):
     assert kernel_product({}, a, b, caps) == naive_product({}, a, b, caps)
+
+
+def read_slots_oracle(windows, nbytes):
+    """``backend.read_slots`` one slot at a time: peel the signed w-bit digit
+    off the bottom of each value with ``int.from_bytes``."""
+    w = 8 * nbytes
+    terms = {}
+    for value, first, nslots, base in windows:
+        for j in range(nslots):
+            c = int.from_bytes((value & ((1 << w) - 1)).to_bytes(nbytes, "little"), "little", signed=True)
+            value = (value - c) >> w
+            if j >= first and c:
+                terms[base + (j << backend.QSHIFT)] = c
+    return terms
+
+
+@st.composite
+def slot_windows(draw):
+    """A slot width and windows of signed slots at most 2^(w-1) - 1 in
+    magnitude, each with arbitrary slots below ``first`` and above ``nslots``."""
+    nbytes = draw(st.integers(min_value=1, max_value=17))
+    w = 8 * nbytes
+    edge = (1 << (w - 1)) - 1
+    slot = st.one_of(st.sampled_from([0, edge, -edge]), st.integers(min_value=-edge, max_value=edge))
+    windows = []
+    for i in range(draw(st.integers(min_value=0, max_value=4))):
+        slots = draw(st.lists(slot, min_size=1, max_size=12))
+        first = draw(st.integers(min_value=0, max_value=len(slots) - 1))
+        above = draw(st.integers(min_value=-(1 << 3 * w), max_value=1 << 3 * w))
+        value = sum(c << (w * j) for j, c in enumerate(slots)) + (above << (w * len(slots)))
+        windows.append((value, first, len(slots), pack(i, 0, draw(st.integers(0, 3)))))
+    return nbytes, windows
+
+
+def _edge_window(nbytes):
+    # slot 0, below first = 1, holds -edge, slots 1 and 2 hold +edge and
+    # -edge, and a large negative value above them must be masked off
+    w = 8 * nbytes
+    edge = (1 << (w - 1)) - 1
+    value = -edge + (edge << w) - (edge << 2 * w) - (7 << 6 * w)
+    return (value, 1, 3, pack(0, 0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_windows())
+@example((1, [_edge_window(1), (-1, 0, 5, pack(1, 0, 0))]))
+@example((8, [_edge_window(8), (3 << 64, 1, 2, pack(1, 0, 0))]))
+@example((9, [_edge_window(9), (-(1 << 71) + 1, 0, 1, pack(1, 0, 0))]))
+@example((16, [_edge_window(16)]))
+@example((17, [_edge_window(17), ((1 << 135) - 1, 0, 4, pack(2, 0, 0))]))
+def test_read_slots_matches_per_slot_decode(case):
+    # widths of 1-17 bytes take one, two and three 64-bit limbs per slot
+    nbytes, windows = case
+    assert backend.read_slots(windows, nbytes) == read_slots_oracle(windows, nbytes)
+
+
+def _as_big_endian_host(typecode, data):
+    """An array built from data as a big-endian host reads it."""
+    a = array(typecode, data)
+    if sys.byteorder == "little":
+        a.byteswap()
+    return a
+
+
+@pytest.mark.parametrize("nbytes", [3, 8, 9, 17])
+def test_read_slots_swaps_limbs_on_a_big_endian_host(monkeypatch, nbytes):
+    # Forces the byte-swap branch by monkeypatching, whatever the byte order
+    # of the host running the test: backend.array is replaced by one that
+    # reads its bytes as a big-endian host does, and backend is told that
+    # it runs on such a host.
+    windows = [_edge_window(nbytes), (12345, 0, 3, pack(1, 0, 0))]
+    want = read_slots_oracle(windows, nbytes)
+    monkeypatch.setattr(backend, "array", _as_big_endian_host)
+    monkeypatch.setattr(backend, "_BIG_ENDIAN", True)
+    assert backend.read_slots(windows, nbytes) == want
+    # without the swap the limbs read back in the wrong byte order
+    monkeypatch.setattr(backend, "_BIG_ENDIAN", False)
+    assert backend.read_slots(windows, nbytes) != want
