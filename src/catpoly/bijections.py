@@ -4,21 +4,26 @@
 words of length n+1, shifting the semiperimeter by exactly +2.  ``psi``
 maps the strictly-rising-tail words onto unequal-adjacent words of the
 same length, preserving area and interior points.  Both recurse on the
-first-return split w = 0 . (elevated block) . remainder.
+first-return split w = 0 . (elevated block) . remainder, taken on plain
+letter tuples; ``decompose`` returns the same split as a record.
+
+The exhaustive check has two entry points: ``verify_bijectivity``
+enumerates its words, and ``bijectivity_report`` takes words a caller
+has already enumerated (``verify`` passes its census).
 """
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Callable, Collection, List, Sequence, Tuple
 
 from .errors import NotInDomain
 from .words import (
     CatalanWord,
+    StatRecord,
     WordClass,
+    _word_text,
     avoids,
     enumerate_words,
-    stat_area,
-    stat_inter,
-    stat_sper,
+    stat_record,
 )
 
 
@@ -35,25 +40,30 @@ def decompose(w) -> FirstReturnDecomp:
     letters = w.letters if isinstance(w, CatalanWord) else tuple(w)
     if not letters:
         raise NotInDomain("cannot decompose the empty word")
+    return FirstReturnDecomp(*_split(letters))
+
+
+def _split(letters):
+    """(elevated block, remainder) of a nonempty letter tuple."""
     cut = 1
-    while cut < len(letters) and letters[cut] >= 1:
+    n = len(letters)
+    while cut < n and letters[cut] >= 1:
         cut += 1
-    return FirstReturnDecomp(letters[1:cut], letters[cut:])
+    return letters[1:cut], letters[cut:]
 
 
 def _lowered(block):
-    return tuple(x - 1 for x in block)
+    return tuple([x - 1 for x in block])
 
 
 def _raised(letters):
-    return tuple(x + 1 for x in letters)
+    return tuple([x + 1 for x in letters])
 
 
 def _chi(letters):
     if not letters:
         return (0,)
-    d = decompose(letters)
-    block, rem = d.elevated_block, d.remainder
+    block, rem = _split(letters)
     if not rem:
         # w = 0(1+u): image is 0(1 + chi(u)); covers w = "0" via u = empty
         return (0,) + _raised(_chi(_lowered(block)))
@@ -75,8 +85,7 @@ def chi(w) -> CatalanWord:
 def _psi(letters):
     if not letters:
         return ()
-    d = decompose(letters)
-    block, rem = d.elevated_block, d.remainder
+    block, rem = _split(letters)
     if block:
         return (0,) + _raised(_psi(_lowered(block))) + _psi(rem)
     return _psi(letters[1:]) + (0,)
@@ -121,41 +130,83 @@ def verify_bijectivity(n: int, limit: int = 16) -> BijectionReport:
     injective on the rising-tail words with length, area and interior
     points preserved and images avoiding equal adjacent letters.
     """
+
+    def letters(length, word_class, top):
+        return [w.letters for w in enumerate_words(length, word_class, top)]
+
+    return bijectivity_report(
+        n,
+        letters(n, WordClass.AVOID_GEQ_GEQ, limit),
+        letters(n, WordClass.CLASS_B, limit),
+        set(letters(n, WordClass.AVOID_NEQ_ADJACENT, limit)),
+        set(letters(n + 1, WordClass.AVOID_NEQ_ADJACENT, limit + 1)),
+        stat_record,
+    )
+
+
+def bijectivity_report(
+    n: int,
+    avoiding: Sequence[Tuple[int, ...]],
+    rising_tail: Sequence[Tuple[int, ...]],
+    unequal: Collection[Tuple[int, ...]],
+    unequal_next: Collection[Tuple[int, ...]],
+    record: Callable[[Tuple[int, ...]], StatRecord],
+) -> BijectionReport:
+    """The check of ``verify_bijectivity`` on words given as letter tuples.
+
+    ``avoiding`` and ``rising_tail`` are every word of length n in their
+    class, taken as members without validating them again.  ``unequal``
+    and ``unequal_next`` hold every unequal-adjacent word of length n and
+    n+1: an image is valid exactly when it lies in the set of its length,
+    which also rules out non-Catalan images.  ``record`` gives a word's
+    statistics.
+    """
     report = BijectionReport(length=n)
-    domain = list(enumerate_words(n, WordClass.AVOID_GEQ_GEQ, limit))
-    codomain = set(enumerate_words(n + 1, WordClass.AVOID_NEQ_ADJACENT, limit + 1))
-    report.chi_domain = len(domain)
-    report.chi_codomain = len(codomain)
+    report.chi_domain = len(avoiding)
+    report.chi_codomain = len(unequal_next)
+    text = _word_text
 
     images = set()
-    for w in domain:
-        img = chi(w)
+    for w in avoiding:
+        img = _chi(w)
         if img in images:
-            report.violations.append(f"chi collision at {w} -> {img}")
+            report.violations.append(f"chi collision at {text(w)} -> {text(img)}")
         images.add(img)
-        if img not in codomain:
-            report.violations.append(f"chi({w}) = {img} not unequal-adjacent of length {n + 1}")
-        if n >= 1 and stat_sper(img) != stat_sper(w) + 2:
+        if img not in unequal_next:
             report.violations.append(
-                f"chi({w}) semiperimeter {stat_sper(img)} != {stat_sper(w)} + 2"
+                f"chi({text(w)}) = {text(img)} not unequal-adjacent of length {n + 1}"
             )
-    if len(images) != len(codomain):
+        if n >= 1:
+            before, after = record(w).sper, record(img).sper
+            if after != before + 2:
+                report.violations.append(
+                    f"chi({text(w)}) semiperimeter {after} != {before} + 2"
+                )
+    if len(images) != len(unequal_next):
         report.violations.append(
-            f"chi image size {len(images)} != codomain size {len(codomain)}"
+            f"chi image size {len(images)} != codomain size {len(unequal_next)}"
         )
 
-    b_words = list(enumerate_words(n, WordClass.CLASS_B, limit))
-    report.psi_domain = len(b_words)
+    report.psi_domain = len(rising_tail)
     psi_images = set()
-    for w in b_words:
-        img = psi(w)
+    for w in rising_tail:
+        img = _psi(w)
         if img in psi_images:
-            report.violations.append(f"psi collision at {w} -> {img}")
+            report.violations.append(f"psi collision at {text(w)} -> {text(img)}")
         psi_images.add(img)
-        if not avoids(img, WordClass.AVOID_NEQ_ADJACENT):
-            report.violations.append(f"psi({w}) = {img} has equal adjacent letters")
-        if len(img) != len(w):
-            report.violations.append(f"psi({w}) changed length")
-        if n >= 1 and (stat_area(img) != stat_area(w) or stat_inter(img) != stat_inter(w)):
-            report.violations.append(f"psi({w}) = {img} does not preserve area/interior")
+        if img not in unequal:
+            if any(a == b for a, b in zip(img, img[1:])):
+                report.violations.append(
+                    f"psi({text(w)}) = {text(img)} has equal adjacent letters"
+                )
+            elif len(img) == n:
+                report.violations.append(f"psi({text(w)}) = {text(img)} is not a Catalan word")
+        if len(img) != n:
+            report.violations.append(f"psi({text(w)}) changed length")
+        if n >= 1:
+            before, after = record(w), record(img)
+            if after.area != before.area or after.inter != before.inter:
+                report.violations.append(
+                    f"psi({text(w)}) = {text(img)} does not preserve area/interior"
+                )
     return report

@@ -11,10 +11,10 @@ is reported, never silently patched.
 """
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 from .errors import ResourceLimit
-from .words import WordClass, enumerate_words, stat_area, stat_inter, stat_sper
+from .words import WordClass, _successors, enumerate_words, stat_area, stat_inter, stat_sper
 
 #: Largest table size the DP builders accept unless overridden.
 DEFAULT_TABLE_LIMIT = 60
@@ -88,22 +88,36 @@ def table_c(max_n: int) -> TriTable:
     return TriTable("c", 0, rows)
 
 
+def tabulate_by_last(name: str, first_index: int, rows: Iterable[Iterable[Tuple[int, int]]]) -> TriTable:
+    """Table whose row n sums the values of the (last letter, value) pairs
+    of its words; the n-th item of ``rows`` holds the pairs of length n.
+
+    The enumerated twins feed it from ``enumerate_words``; ``verify``
+    feeds it from the statistics it has already computed.
+    """
+    out = []
+    for n, pairs in enumerate(rows, start=1):
+        row = [0] * n
+        for last, value in pairs:
+            row[last] += value
+        out.append(row)
+    return TriTable(name, first_index, out)
+
+
 def table_c_enumerated(max_n: int, limit: int = 16) -> TriTable:
     """Oracle twin of table_c built by full enumeration."""
-    rows = []
-    for n in range(1, max_n + 1):
-        row = [0] * n
-        for w in enumerate_words(n, WordClass.AVOID_GEQ_GEQ, limit):
-            row[w[-1]] += 1
-        rows.append(row)
-    return TriTable("c", 0, rows)
+    return tabulate_by_last("c", 0, (
+        ((w[-1], 1) for w in enumerate_words(n, WordClass.AVOID_GEQ_GEQ, limit))
+        for n in range(1, max_n + 1)
+    ))
 
 
 def table_stat(max_n: int, stat: str, limit: int = DEFAULT_TABLE_LIMIT) -> TriTable:
     """Statistic totals by a DP carrying (count, total) per state.
 
-    States are (last letter, previous-letter >= last flag); appending c is
-    allowed unless the flag holds with b >= c.
+    States are (last letter, previous-letter >= last flag), stepped by the
+    automaton of ``words._successors``: appending c is allowed unless the
+    flag holds with b >= c.
     """
     if stat not in STATS:
         raise ValueError(f"unknown statistic {stat!r}")
@@ -124,9 +138,7 @@ def table_stat(max_n: int, stat: str, limit: int = DEFAULT_TABLE_LIMIT) -> TriTa
     for _n in range(2, max_n + 1):
         nxt = {}
         for (b, flag), (cnt, tot) in states.items():
-            for c in range(b + 2):
-                if flag and b >= c:
-                    continue
+            for c in _successors(b, flag, WordClass.AVOID_GEQ_GEQ):
                 key = (c, b >= c)
                 d = _delta(stat, b, c)
                 pc, pt = nxt.get(key, (0, 0))
@@ -139,13 +151,10 @@ def table_stat(max_n: int, stat: str, limit: int = DEFAULT_TABLE_LIMIT) -> TriTa
 def table_stat_enumerated(max_n: int, stat: str, limit: int = 16) -> TriTable:
     """Oracle twin of table_stat built by full enumeration."""
     fn = {"sper": stat_sper, "area": stat_area, "inter": stat_inter}[stat]
-    rows = []
-    for n in range(1, max_n + 1):
-        row = [0] * n
-        for w in enumerate_words(n, WordClass.AVOID_GEQ_GEQ, limit):
-            row[w[-1]] += fn(w)
-        rows.append(row)
-    return TriTable(stat, 1, rows)
+    return tabulate_by_last(stat, 1, (
+        ((w[-1], fn(w)) for w in enumerate_words(n, WordClass.AVOID_GEQ_GEQ, limit))
+        for n in range(1, max_n + 1)
+    ))
 
 
 class Totals(NamedTuple):

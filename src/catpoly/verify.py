@@ -6,6 +6,12 @@ function, ...) and reports pass/fail/skipped.  A check whose range of n
 or orders is empty under the flags reports skipped, never a vacuous pass.
 The suite is deterministic: same flags, same statuses and details; only
 each check's wall time (``CheckResult.seconds``) varies.
+
+Every check that needs words reads them from one word census per run
+(``_Context``): each (length, class) is enumerated once, each word's
+``StatRecord`` is computed once, and the unequal-adjacent words are held
+as sets of letter tuples for the bijection check.  Nothing outlives the
+run.
 """
 
 from dataclasses import dataclass, field
@@ -44,13 +50,20 @@ class VerifyReport:
 
 
 class _Context:
-    """Lazy shared builders so expensive series are computed once."""
+    """One run's shared state: lazily built series and the word census.
+
+    The census is built per (length, class) on first use: the words from
+    one ``enumerate_words`` call and their statistics.  A ``StatRecord``
+    is computed once per word, whichever class or check asks for it
+    first.
+    """
 
     def __init__(self, max_n, max_order):
         self.max_n = max_n
         self.max_order = max_order
         self.enum_limit = max(max_n + 2, 16)
         self._cache = {}
+        self._records = {}
 
     def get(self, key, builder):
         if key not in self._cache:
@@ -63,6 +76,26 @@ class _Context:
             lambda: list(words.enumerate_words(n, cls, self.enum_limit)),
         )
 
+    def unequal_adjacent(self, n):
+        """Every unequal-adjacent word of length n, as a set of letter tuples."""
+        return self.get(
+            ("unequal", n),
+            lambda: frozenset(w.letters for w in self.words_of(n, WordClass.AVOID_NEQ_ADJACENT)),
+        )
+
+    def record(self, letters):
+        rec = self._records.get(letters)
+        if rec is None:
+            rec = self._records[letters] = words.stat_record(letters)
+        return rec
+
+    def records_of(self, n, cls=WordClass.AVOID_GEQ_GEQ):
+        """Statistics of ``words_of(n, cls)``, in the same order."""
+        return self.get(
+            ("records", n, cls),
+            lambda: [self.record(w.letters) for w in self.words_of(n, cls)],
+        )
+
 
 def _poly_from_triples(triples):
     out = MPoly.zero()
@@ -71,10 +104,11 @@ def _poly_from_triples(triples):
     return out
 
 
-def _scalar_histogram(ws, fn):
+def _scalar_histogram(records, stat):
     hist = {}
-    for w in ws:
-        hist[fn(w)] = hist.get(fn(w), 0) + 1
+    for rec in records:
+        key = getattr(rec, stat)
+        hist[key] = hist.get(key, 0) + 1
     return hist
 
 
@@ -107,15 +141,18 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
     max_order = ctx.max_order
 
     def counts_match_closed_form():
+        counts = words.word_counts(30, WordClass.AVOID_GEQ_GEQ)
         for n in range(31):
-            if words.count_words(n, WordClass.AVOID_GEQ_GEQ) != closedforms.motzkin(n):
+            if counts[n] != closedforms.motzkin(n):
                 return "fail", f"count({n}) != motzkin({n})"
+        counts = words.word_counts(14, WordClass.AVOID_NEQ_ADJACENT)
         for n in range(1, 15):
-            if words.count_words(n, WordClass.AVOID_NEQ_ADJACENT) != closedforms.motzkin(n - 1):
+            if counts[n] != closedforms.motzkin(n - 1):
                 return "fail", f"unequal-adjacent count({n}) != motzkin({n - 1})"
         return "pass", "counts match Motzkin numbers for n <= 30 (and shifted for n <= 14)"
 
     def enumeration_cardinalities():
+        b_counts = words.word_counts(max_n, WordClass.CLASS_B)
         for n in range(max_n + 1):
             ws = ctx.words_of(n)
             if len(ws) != closedforms.motzkin(n):
@@ -125,7 +162,7 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
             if ws != sorted(ws, key=lambda w: w.letters):
                 return "fail", f"not lexicographic at n={n}"
             b = ctx.words_of(n, WordClass.CLASS_B)
-            if len(b) != words.count_words(n, WordClass.CLASS_B):
+            if len(b) != b_counts[n]:
                 return "fail", f"B-count mismatch at n={n}"
             if set(b) != {w for w in ws if len(w) < 2 or w[-2] < w[-1]}:
                 return "fail", f"B-membership mismatch at n={n}"
@@ -146,10 +183,10 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         if (rec.area, rec.sper, rec.inter) != (34, 22, 13):
             return "fail", f"flagship statistics {rec}"
         for n in range(1, max_n + 1):
-            for w in ctx.words_of(n):
-                if words.stat_sper(w) != words.sper_oracle(w):
+            for w, rec in zip(ctx.words_of(n), ctx.records_of(n)):
+                if rec.sper != words.sper_oracle(w.letters):
                     return "fail", f"sper mismatch at {w}"
-                if words.stat_inter(w) != words.inter_oracle(w):
+                if rec.inter != words.inter_oracle(w.letters):
                     return "fail", f"inter mismatch at {w}"
         return "pass", f"formulas agree with geometric oracles for all n <= {max_n}"
 
@@ -168,6 +205,8 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         return "pass", f"Dyck conversion is injective and invertible for n <= {max_n}"
 
     def base_series():
+        if max_order < 2:
+            return "skipped", "needs max_order >= 2"
         m = gfs.gf_motzkin(max_order)
         t = gfs.gf_trinomial(max_order)
         for n in range(max_order):
@@ -202,16 +241,11 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
             for n in range(1, top + 1):
                 if seq[n] != closed[key](n):
                     return "fail", f"{key}({n}) DP != closed form"
-        stat_fns = {
-            "h": words.stat_last,
-            "s": words.stat_sper,
-            "u": words.stat_area,
-            "p": words.stat_inter,
-        }
+        stat_fields = {"h": "last", "s": "sper", "u": "area", "p": "inter"}
         for n in range(1, min(max_n, 12) + 1):
-            ws = ctx.words_of(n)
-            for key, fn in stat_fns.items():
-                if sum(fn(w) for w in ws) != closed[key](n):
+            records = ctx.records_of(n)
+            for key, stat in stat_fields.items():
+                if sum(getattr(rec, stat) for rec in records) != closed[key](n):
                     return "fail", f"{key}({n}) enumeration != closed form"
         return "pass", f"four totals agree (series/DP to n <= {top}, enumeration to n <= {min(max_n, 12)})"
 
@@ -222,8 +256,8 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         master = ctx.get(("master_pqv", order), lambda: gfs.master_pqv(order))
         for n in range(1, max_n + 1):
             hist = {}
-            for w in ctx.words_of(n):
-                key = (words.stat_sper(w), words.stat_area(w), words.stat_last(w))
+            for rec in ctx.records_of(n):
+                key = (rec.sper, rec.area, rec.last)
                 hist[key] = hist.get(key, 0) + 1
             if master.coeff(n) != _poly_from_triples(hist):
                 return "fail", f"histogram mismatch at n={n}"
@@ -264,7 +298,7 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
             return "skipped", "needs max_n >= 1 and max_order >= 2"
         b = ctx.get(("sum_B", order), lambda: gfs.sum_B(order))
         for n in range(1, top_n + 1):
-            hist = _scalar_histogram(ctx.words_of(n, WordClass.CLASS_B), words.stat_area)
+            hist = _scalar_histogram(ctx.records_of(n, WordClass.CLASS_B), "area")
             if b.coeff(n) != _q_poly(hist):
                 return "fail", f"rising-tail area mismatch at n={n}"
         cf_order = min(max_order, 12)
@@ -272,7 +306,7 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
             return "fail", "continued fraction != sum form"
         pa = ctx.get(("prod_area", order), lambda: gfs.prod_area(order))
         for n in range(1, top_n + 1):
-            hist = _scalar_histogram(ctx.words_of(n), words.stat_area)
+            hist = _scalar_histogram(ctx.records_of(n), "area")
             if pa.coeff(n) != _q_poly(hist):
                 return "fail", f"area histogram mismatch at n={n}"
         at_one = pa.eval_one("q")
@@ -290,12 +324,12 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
             return "skipped", "needs max_n >= 1 and max_order >= 2"
         h = ctx.get(("sum_H", order), lambda: gfs.sum_H(order))
         for n in range(1, top_n + 1):
-            hist = _scalar_histogram(ctx.words_of(n, WordClass.CLASS_B), words.stat_inter)
+            hist = _scalar_histogram(ctx.records_of(n, WordClass.CLASS_B), "inter")
             if h.coeff(n) != _q_poly(hist):
                 return "fail", f"rising-tail interior mismatch at n={n}"
         pi = ctx.get(("prod_interior", order), lambda: gfs.prod_interior(order))
         for n in range(1, top_n + 1):
-            hist = _scalar_histogram(ctx.words_of(n), words.stat_inter)
+            hist = _scalar_histogram(ctx.records_of(n), "inter")
             if pi.coeff(n) != _q_poly(hist):
                 return "fail", f"interior histogram mismatch at n={n}"
         cf_order = min(max_order, 12)
@@ -339,6 +373,8 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         return "pass", f"all four derivative identities hold (n <= {top} / {order - 1})"
 
     def kernel_annihilation():
+        if max_order < 2:
+            return "skipped", "needs max_order >= 2"
         residual = gfs.kernel_residual(max_order)
         if not residual.is_zero():
             return "fail", "kernel residual is not the zero series"
@@ -358,7 +394,9 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         top = 30
         c = tables.table_c(top)
         enum_top = min(max_n, 12)
-        oracle = tables.table_c_enumerated(enum_top, ctx.enum_limit)
+        oracle = tables.tabulate_by_last("c", 0, (
+            [(rec.last, 1) for rec in ctx.records_of(n)] for n in range(1, enum_top + 1)
+        ))
         for n in range(1, enum_top + 1):
             if c.row(n) != oracle.row(n):
                 return "fail", f"c row {n} != enumeration"
@@ -387,7 +425,10 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         enum_top = min(max_n, 12)
         for stat in tables.STATS:
             t = tables.table_stat(top, stat)
-            oracle = tables.table_stat_enumerated(enum_top, stat, ctx.enum_limit)
+            oracle = tables.tabulate_by_last(stat, 1, (
+                [(rec.last, getattr(rec, stat)) for rec in ctx.records_of(n)]
+                for n in range(1, enum_top + 1)
+            ))
             for n in range(1, enum_top + 1):
                 if t.row(n) != oracle.row(n):
                     return "fail", f"{stat} table row {n} != enumeration"
@@ -414,7 +455,14 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
 
     def bijection_checks():
         for n in range(min(max_n, 12) + 1):
-            rep = bijections.verify_bijectivity(n, ctx.enum_limit)
+            rep = bijections.bijectivity_report(
+                n,
+                [w.letters for w in ctx.words_of(n)],
+                [w.letters for w in ctx.words_of(n, WordClass.CLASS_B)],
+                ctx.unequal_adjacent(n),
+                ctx.unequal_adjacent(n + 1),
+                ctx.record,
+            )
             if not rep.ok:
                 return "fail", f"n={n}: {rep.violations[0]}"
         w = words.CatalanWord.parse("011201123011")

@@ -4,12 +4,18 @@ A Catalan word is a sequence starting at 0 in which each letter exceeds
 its predecessor by at most one.  Its polyomino has bottom-justified
 columns of height letter+1.  The statistics (area, semiperimeter,
 interior points, last letter) come in two independent flavours: closed
-formulas over the height profile, and geometric oracles that walk the
-explicit cell grid.  Both are exported so they can be cross-checked.
+formulas over the height profile, and geometric oracles that count on the
+cell grid, held as one bitmask per row.  Both are exported so they can be
+cross-checked.
+
+Enumeration and counting run the same (last letter, flag) automaton of
+``_successors``: ``enumerate_words`` walks it depth first on an explicit
+stack, and ``word_counts`` sums it over every length in one pass.
 """
 
 import enum
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import EmptyWord, InternalInconsistency, NotCatalan, ResourceLimit
@@ -82,17 +88,22 @@ class CatalanWord:
         return hash(self.letters)
 
     def __str__(self):
-        if not self.letters:
-            return "ε"
-        if max(self.letters) <= 9:
-            return "".join(str(w) for w in self.letters)
-        return ",".join(str(w) for w in self.letters)
+        return _word_text(self.letters)
 
     def __repr__(self):
         return f"CatalanWord({self})"
 
     def heights(self):
         return tuple(w + 1 for w in self.letters)
+
+
+def _word_text(letters) -> str:
+    """Digit string for letters <= 9, comma-separated otherwise; ε if empty."""
+    if not letters:
+        return "ε"
+    if max(letters) <= 9:
+        return "".join(str(w) for w in letters)
+    return ",".join(str(w) for w in letters)
 
 
 class Polyomino:
@@ -167,19 +178,18 @@ def avoids(w: CatalanWord, word_class: WordClass) -> bool:
     raise ValueError(f"unknown class {word_class}")
 
 
-def _next_letters(letters, word_class):
-    """Letters that may legally extend the prefix within the class."""
-    if not letters:
-        return (0,)
-    b = letters[-1]
-    candidates = range(b + 2)
+def _successors(b, flag, word_class):
+    """Letters that may follow last letter b within the class.
+
+    ``flag`` says the letter before b was >= b; the (>=,>=)-avoiding
+    classes then need a rise, and the unequal-adjacent class never
+    repeats b.
+    """
     if word_class is WordClass.AVOID_NEQ_ADJACENT:
-        return [c for c in candidates if c != b]
-    if word_class in (WordClass.AVOID_GEQ_GEQ, WordClass.CLASS_B):
-        if len(letters) >= 2 and letters[-2] >= b:
-            return [c for c in candidates if c > b]
-        return candidates
-    return candidates
+        return [c for c in range(b + 2) if c != b]
+    if flag and word_class in (WordClass.AVOID_GEQ_GEQ, WordClass.CLASS_B):
+        return range(b + 1, b + 2)
+    return range(b + 2)
 
 
 def enumerate_words(
@@ -187,7 +197,12 @@ def enumerate_words(
     word_class: WordClass = WordClass.AVOID_GEQ_GEQ,
     limit: int = DEFAULT_ENUM_LIMIT,
 ) -> Iterator[CatalanWord]:
-    """Yield every word of length n in the class, in lexicographic order."""
+    """Yield every word of length n in the class, in lexicographic order.
+
+    Depth first on an explicit stack, one word at a time, so any length
+    within the limit streams: ``options[i]`` iterates the letters still
+    to try at position i.
+    """
     if n < 0:
         raise ValueError(f"word length must be >= 0, got {n}")
     if n > limit:
@@ -195,45 +210,51 @@ def enumerate_words(
     if n == 0:
         yield CatalanWord(())
         return
-
-    def expand(prefix):
-        if len(prefix) == n:
-            if word_class is not WordClass.CLASS_B or n < 2 or prefix[-2] < prefix[-1]:
+    rising_tail = word_class is WordClass.CLASS_B and n >= 2
+    last = n - 1
+    prefix = [0] * n
+    options = [iter((0,))] * n
+    i = 0
+    while i >= 0:
+        for c in options[i]:
+            prefix[i] = c
+            if i < last:
+                i += 1
+                options[i] = iter(_successors(c, i >= 2 and prefix[i - 2] >= c, word_class))
+                break
+            if not rising_tail or prefix[i - 1] < c:
                 yield CatalanWord(prefix)
-            return
-        for c in _next_letters(prefix, word_class):
-            yield from expand(prefix + (c,))
+        else:
+            i -= 1
 
-    yield from expand(())
+
+def word_counts(max_n: int, word_class: WordClass = WordClass.AVOID_GEQ_GEQ) -> list:
+    """Exact counts of the words of every length 0..max_n, in one pass.
+
+    Dynamic programming over the states (last letter b, flag "previous
+    letter >= b") of ``_successors``; never materializes words.  The
+    rising-tail class keeps only the unflagged states from length 2 on.
+    """
+    counts = [1]
+    states = {(0, False): 1}
+    for n in range(1, max_n + 1):
+        if n > 1:
+            nxt = {}
+            for (b, flag), cnt in states.items():
+                for c in _successors(b, flag, word_class):
+                    key = (c, b >= c)
+                    nxt[key] = nxt.get(key, 0) + cnt
+            states = nxt
+        if word_class is WordClass.CLASS_B and n >= 2:
+            counts.append(sum(cnt for (_b, flag), cnt in states.items() if not flag))
+        else:
+            counts.append(sum(states.values()))
+    return counts
 
 
 def count_words(n: int, word_class: WordClass = WordClass.AVOID_GEQ_GEQ) -> int:
-    """Exact count by dynamic programming; never materializes words.
-
-    State: (last letter b, flag "previous letter >= b"); appending c is
-    forbidden in the (>=,>=)-avoiding classes when the flag holds and
-    b >= c, and when c == b in the unequal-adjacent class.
-    """
-    if n == 0:
-        return 1
-    # states[(b, flag)] = count
-    states = {(0, False): 1}
-    for _pos in range(1, n):
-        nxt = {}
-        for (b, flag), cnt in states.items():
-            for c in range(b + 2):
-                if word_class in (WordClass.AVOID_GEQ_GEQ, WordClass.CLASS_B):
-                    if flag and b >= c:
-                        continue
-                elif word_class is WordClass.AVOID_NEQ_ADJACENT:
-                    if c == b:
-                        continue
-                key = (c, b >= c)
-                nxt[key] = nxt.get(key, 0) + cnt
-        states = nxt
-    if word_class is WordClass.CLASS_B and n >= 2:
-        return sum(cnt for (b, flag), cnt in states.items() if not flag)
-    return sum(states.values())
+    """Exact count of the words of length n, read from ``word_counts``."""
+    return word_counts(n, word_class)[n]
 
 
 # -- statistics -------------------------------------------------------------
@@ -261,42 +282,69 @@ def stat_sper(w) -> int:
     """Semiperimeter via the height profile: n + (h1 + hn + sum|dh|)/2."""
     letters = _tuple_of(w)
     _require_nonempty(letters)
-    h = [x + 1 for x in letters]
-    variation = sum(abs(h[i + 1] - h[i]) for i in range(len(h) - 1))
-    total = h[0] + h[-1] + variation
+    # heights are letters + 1, so h1 + hn is letters[0] + letters[-1] + 2
+    variation = sum(map(abs, map(sub, letters[1:], letters)))
+    total = letters[0] + letters[-1] + 2 + variation
     if total % 2:
         raise InternalInconsistency(f"odd height-profile total {total} for {w}")
-    return len(h) + total // 2
+    return len(letters) + total // 2
 
 
 def stat_inter(w) -> int:
     """Interior points via adjacent columns: sum of min(h_i, h_{i+1}) - 1."""
     letters = _tuple_of(w)
     _require_nonempty(letters)
-    h = [x + 1 for x in letters]
-    return sum(max(0, min(h[i], h[i + 1]) - 1) for i in range(len(h) - 1))
+    # min(h_i, h_{i+1}) - 1 is the smaller of the two letters
+    return sum(m for m in map(min, letters, letters[1:]) if m > 0)
+
+
+def _grid_rows(letters):
+    """Row bitmasks of the cell grid: bit i of row y is set when column i
+    is taller than y, i.e. when letter i >= y."""
+    if min(letters) < 0:
+        raise ValueError("column heights must be positive")
+    at = [0] * (max(letters) + 1)
+    for i, c in enumerate(letters):
+        at[c] |= 1 << i
+    rows = []
+    acc = 0
+    for bits in reversed(at):
+        acc |= bits
+        rows.append(acc)
+    rows.reverse()
+    return rows
 
 
 def sper_oracle(w) -> int:
-    """Half the number of cell edges not shared with another cell."""
+    """Half the number of cell edges not shared with another cell.
+
+    Per row r: the horizontal edges below it, where r differs from the row
+    under it, and the vertical edges, where a column differs from its left
+    neighbour; the top row's upper edges close the count.
+    """
     letters = _tuple_of(w)
     _require_nonempty(letters)
-    cells = Polyomino(x + 1 for x in letters).cells()
     boundary = 0
-    for (i, j) in cells:
-        for (di, dj) in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            if (i + di, j + dj) not in cells:
-                boundary += 1
+    below = 0
+    for r in _grid_rows(letters):
+        boundary += (r ^ below).bit_count() + (r ^ (r << 1)).bit_count()
+        below = r
+    boundary += below.bit_count()
     if boundary % 2:
         raise InternalInconsistency(f"odd boundary length {boundary} for {w}")
     return boundary // 2
 
 
 def inter_oracle(w) -> int:
-    """Count lattice points surrounded by four cells of the polyomino."""
+    """Count lattice points surrounded by four cells of the polyomino.
+
+    A point between columns i and i+1 and rows y-1 and y is interior when
+    both rows hold both columns: bit i of a & a>>1 & b & b>>1.
+    """
     letters = _tuple_of(w)
     _require_nonempty(letters)
-    return len(Polyomino(x + 1 for x in letters).interior_points())
+    rows = _grid_rows(letters)
+    return sum((a & (a >> 1) & b & (b >> 1)).bit_count() for a, b in zip(rows, rows[1:]))
 
 
 def stat_record(w) -> StatRecord:

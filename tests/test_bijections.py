@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from catpoly import gfs
 from catpoly.bijections import (
     FirstReturnDecomp,
+    bijectivity_report,
     chi,
     decompose,
     psi,
@@ -19,6 +20,7 @@ from catpoly.words import (
     enumerate_words,
     stat_area,
     stat_inter,
+    stat_record,
     stat_sper,
 )
 
@@ -154,6 +156,29 @@ def test_verify_bijectivity_small():
 def test_verify_bijectivity_range():
     for n in range(9):
         assert verify_bijectivity(n).ok
+
+
+def letters(n, cls):
+    return [w.letters for w in enumerate_words(n, cls)]
+
+
+def test_bijectivity_report_rejects_a_short_codomain():
+    # an image missing from the unequal-adjacent set fails, and so does
+    # the count of images against the codomain
+    codomain = set(letters(5, WordClass.AVOID_NEQ_ADJACENT))
+    codomain.discard(chi(W("0123")).letters)
+    rep = bijectivity_report(
+        4,
+        letters(4, WordClass.AVOID_GEQ_GEQ),
+        letters(4, WordClass.CLASS_B),
+        set(letters(4, WordClass.AVOID_NEQ_ADJACENT)),
+        codomain,
+        stat_record,
+    )
+    assert rep.violations == [
+        f"chi(0123) = {chi(W('0123'))} not unequal-adjacent of length 5",
+        "chi image size 9 != codomain size 8",
+    ]
 
 
 def test_verify_bijectivity_summary_text():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -308,7 +312,7 @@ def test_verify_json_times_every_check(capsys):
 def test_verify_degenerate_run_skips(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "0", "--max-order", "1")
     assert code == 0
-    assert out.splitlines()[-1] == "10 passed, 0 failed, 8 skipped"
+    assert out.splitlines()[-1] == "8 passed, 0 failed, 10 skipped"
 
 
 def test_verify_empty_ranges_skip_not_pass(capsys):
@@ -316,18 +320,46 @@ def test_verify_empty_ranges_skip_not_pass(capsys):
     assert code == 0
     assert "[SKIPPED] master_specializations" in out
     assert "[SKIPPED] derivative_identities" in out
-    assert out.splitlines()[-1] == "14 passed, 0 failed, 4 skipped"
+    assert "[SKIPPED] base_series" in out
+    assert "[SKIPPED] kernel_annihilation" in out
+    assert out.splitlines()[-1] == "12 passed, 0 failed, 6 skipped"
+
+
+def _check(name, max_order):
+    checks = verify.run_verify(max_n=0, max_order=max_order).checks
+    return next(c for c in checks if c.name == name)
 
 
 def _derivative_check(max_order):
-    checks = verify.run_verify(max_n=0, max_order=max_order).checks
-    return next(c for c in checks if c.name == "derivative_identities")
+    return _check("derivative_identities", max_order)
 
 
 def test_verify_derivative_identities_skip_at_order_1():
     # at max_order 1 the area and interior identities have no n to check
     c = _derivative_check(1)
     assert (c.status, c.detail) == ("skipped", "needs max_order >= 2")
+
+
+@pytest.mark.parametrize("name", ["base_series", "kernel_annihilation"])
+def test_verify_series_checks_skip_at_order_1(name):
+    # at max_order 1 base_series would compare only x^0 (1 with 1) and the
+    # kernel would be checked mod x^1 only
+    c = _check(name, 1)
+    assert (c.status, c.detail) == ("skipped", "needs max_order >= 2")
+
+
+def test_verify_base_series_checks_x1_at_order_2(monkeypatch):
+    assert _check("base_series", 2).status == "pass"
+    real = gfs.gf_motzkin
+
+    def wrong(order, *args):
+        s = real(order, *args)
+        coeffs = [c + MPoly.scalar(1) if n == 1 else c for n, c in enumerate(s.coeffs)]
+        return Series(s.order, coeffs, s.caps)
+
+    monkeypatch.setattr(gfs, "gf_motzkin", wrong)
+    c = _check("base_series", 2)
+    assert (c.status, c.detail) == ("fail", "Motzkin series at 1")
 
 
 @pytest.mark.parametrize(
@@ -366,6 +398,20 @@ def test_verify_default_flags_pass_every_check(capsys):
 def test_verify_out_of_range_flag_exit2(capsys, flag, value):
     err = assert_usage_error(capsys, "verify", flag, value)
     assert flag.lstrip("-").replace("-", "_") in err
+
+
+def test_verify_passes_with_asserts_stripped():
+    # under -O every assert is gone: a check that leaned on one would
+    # change its outcome here
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "catpoly.cli", "verify", "--max-n", "6", "--max-order", "8"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "18 passed, 0 failed, 0 skipped"
 
 
 def test_verify_deterministic(capsys):

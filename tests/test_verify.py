@@ -1,0 +1,114 @@
+"""The verify suite reads its words from one census per run, and each
+check rewired onto that census still catches the faults it is there for."""
+
+from collections import Counter
+
+import pytest
+
+from catpoly import bijections, tables, verify, words
+from catpoly.words import WordClass
+
+# small flags keep each run short; every fault below shows by n = 4
+MAX_N, MAX_ORDER = 6, 8
+
+
+def run_checks():
+    report = verify.run_verify(max_n=MAX_N, max_order=MAX_ORDER)
+    return {c.name: c for c in report.checks}
+
+
+def off_by_one_on(real, target):
+    def wrong(w):
+        return real(w) + (words._tuple_of(w) == target)
+
+    return wrong
+
+
+def test_unmodified_run_passes():
+    checks = run_checks()
+    assert [c.name for c in checks.values() if c.status != "pass"] == []
+
+
+def test_run_enumerates_each_length_and_class_once(monkeypatch):
+    calls = Counter()
+    real = words.enumerate_words
+
+    def spy(n, word_class=WordClass.AVOID_GEQ_GEQ, limit=words.DEFAULT_ENUM_LIMIT):
+        calls[n, word_class] += 1
+        return real(n, word_class, limit)
+
+    for module in (words, tables, bijections):
+        monkeypatch.setattr(module, "enumerate_words", spy)
+    assert verify.run_verify().exit_code == 0
+    assert calls and max(calls.values()) == 1
+    # every class the checks read is enumerated: avoiding and rising-tail
+    # words to max_n, unequal-adjacent words to one past the bijection top
+    assert {cls for _n, cls in calls} == {
+        WordClass.AVOID_GEQ_GEQ, WordClass.CLASS_B, WordClass.AVOID_NEQ_ADJACENT,
+    }
+    assert max(n for n, cls in calls if cls is WordClass.AVOID_GEQ_GEQ) == 10
+    assert max(n for n, cls in calls if cls is WordClass.AVOID_NEQ_ADJACENT) == 11
+
+
+def test_wrong_semiperimeter_formula_on_one_word(monkeypatch):
+    monkeypatch.setattr(words, "stat_sper", off_by_one_on(words.stat_sper, (0, 1, 0, 1)))
+    checks = run_checks()
+    assert (checks["statistic_oracles"].status, checks["statistic_oracles"].detail) == (
+        "fail", "sper mismatch at 0101",
+    )
+    assert (checks["master_histograms"].status, checks["master_histograms"].detail) == (
+        "fail", "histogram mismatch at n=4",
+    )
+
+
+@pytest.mark.parametrize("oracle, label", [("sper_oracle", "sper"), ("inter_oracle", "inter")])
+def test_wrong_oracle_on_one_word(monkeypatch, oracle, label):
+    monkeypatch.setattr(words, oracle, off_by_one_on(getattr(words, oracle), (0, 1, 2, 2)))
+    c = run_checks()["statistic_oracles"]
+    assert (c.status, c.detail) == ("fail", f"{label} mismatch at 0122")
+
+
+def test_chi_collision(monkeypatch):
+    # 0123, the last avoiding word of length 4, is sent to the image of
+    # 0010, the first; shorter words never recurse into either
+    real = bijections._chi
+
+    def colliding(letters):
+        return real((0, 0, 1, 0) if letters == (0, 1, 2, 3) else letters)
+
+    monkeypatch.setattr(bijections, "_chi", colliding)
+    image = "".join(map(str, real((0, 0, 1, 0))))
+    c = run_checks()["bijection_checks"]
+    assert (c.status, c.detail) == ("fail", f"n=4: chi collision at 0123 -> {image}")
+
+
+@pytest.mark.parametrize(
+    "image, message",
+    [
+        ((0, 0, 1, 0), "has equal adjacent letters"),
+        ((0, 2, 1, 2), "is not a Catalan word"),
+    ],
+)
+def test_psi_image_outside_the_unequal_adjacent_words(monkeypatch, image, message):
+    real = bijections._psi
+
+    def stray(letters):
+        return image if letters == (0, 0, 1, 2) else real(letters)
+
+    monkeypatch.setattr(bijections, "_psi", stray)
+    text = "".join(map(str, image))
+    c = run_checks()["bijection_checks"]
+    assert (c.status, c.detail) == ("fail", f"n=4: psi(0012) = {text} {message}")
+
+
+def test_chi_image_outside_the_unequal_adjacent_words(monkeypatch):
+    real = bijections._chi
+
+    def stray(letters):
+        return (0, 1, 0, 2, 1) if letters == (0, 0, 1, 0) else real(letters)
+
+    monkeypatch.setattr(bijections, "_chi", stray)
+    c = run_checks()["bijection_checks"]
+    assert (c.status, c.detail) == (
+        "fail", "n=4: chi(0010) = 01021 not unequal-adjacent of length 5",
+    )

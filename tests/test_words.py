@@ -1,10 +1,14 @@
+import inspect
+from itertools import islice
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catpoly.errors import EmptyWord, NotCatalan, ResourceLimit
 from catpoly.words import (
     CatalanWord,
+    Polyomino,
     WordClass,
     avoids,
     count_words,
@@ -19,6 +23,7 @@ from catpoly.words import (
     stat_sper,
     to_dyck,
     validate,
+    word_counts,
 )
 
 # independent oracles ---------------------------------------------------------
@@ -121,10 +126,23 @@ def test_enumerate_length0():
 
 
 def test_enumerate_matches_brute_filter():
-    for n in range(7):
-        expected = sorted(w for w in all_catalan_brute(n) if avoids_brute(w))
+    for n in range(9):
+        brute = all_catalan_brute(n)
+        expected = sorted(w for w in brute if avoids_brute(w))
         got = [w.letters for w in enumerate_words(n, WordClass.AVOID_GEQ_GEQ)]
         assert got == expected
+        # same words, same lexicographic order, for every class
+        for cls in WordClass:
+            expected = sorted(w for w in brute if avoids(w, cls))
+            assert [w.letters for w in enumerate_words(n, cls)] == expected
+
+
+def test_enumerate_streams_the_top_length():
+    words = enumerate_words(16, WordClass.AVOID_GEQ_GEQ)
+    assert inspect.isgenerator(words)
+    assert [str(w) for w in islice(words, 3)] == [
+        "0010101010101010", "0010101010101011", "0010101010101012",
+    ]
 
 
 def test_enumerate_length5_is_motzkin():
@@ -173,6 +191,15 @@ def test_count_matches_enumeration():
     for n in range(10):
         for cls in WordClass:
             assert count_words(n, cls) == len(list(enumerate_words(n, cls)))
+
+
+def test_word_counts_keep_every_length_of_one_pass():
+    for cls in WordClass:
+        counts = word_counts(20, cls)
+        assert counts == [count_words(n, cls) for n in range(21)]
+        assert word_counts(7, cls) == counts[:8]
+    assert word_counts(20, WordClass.AVOID_GEQ_GEQ) == [motzkin_by_recurrence(n) for n in range(21)]
+    assert word_counts(0, WordClass.CLASS_B) == [1]
 
 
 def test_unequal_adjacent_shifted_motzkin():
@@ -239,6 +266,44 @@ def test_oracles_agree_exhaustively():
             cw = CatalanWord(w)
             assert stat_sper(cw) == sper_oracle(cw)
             assert stat_inter(cw) == inter_oracle(cw)
+
+
+def cell_sper(w):
+    """Semiperimeter counted on the explicit cell set."""
+    cells = Polyomino.from_word(w).cells()
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    return sum((i + di, j + dj) not in cells for (i, j) in cells for di, dj in steps) // 2
+
+
+def cell_inter(w):
+    return len(Polyomino.from_word(w).interior_points())
+
+
+def test_bit_oracles_equal_cell_counts_exhaustively():
+    for n in range(1, 10):
+        for w in enumerate_words(n, WordClass.ALL_CATALAN):
+            assert sper_oracle(w) == cell_sper(w)
+            assert inter_oracle(w) == cell_inter(w)
+
+
+@st.composite
+def tall_catalan_word(draw, max_len=30):
+    """Catalan words that rise at least half the time, so letters pass 9."""
+    n = draw(st.integers(min_value=1, max_value=max_len))
+    letters = [0]
+    for _ in range(n - 1):
+        top = letters[-1] + 1
+        letters.append(draw(st.one_of(st.just(top), st.integers(min_value=0, max_value=top))))
+    return CatalanWord(letters)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tall_catalan_word())
+@example(CatalanWord(range(30)))
+@example(CatalanWord([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]))
+def test_bit_oracles_equal_cell_counts_on_tall_words(w):
+    assert sper_oracle(w) == cell_sper(w)
+    assert inter_oracle(w) == cell_inter(w)
 
 
 def test_stat_record_invariants():
