@@ -23,11 +23,13 @@ quotient and reads each output coefficient back from its w-bit slots,
 and ``gfs``, whose masters keep each (p, v) row of a coefficient as one
 such integer and whose area and interior-point constructors keep each
 coefficient as one; both read only the occupied slots back, once.
-``read_slots`` decodes every window of one coefficient in a single call
-with no Python-level step per slot: each window becomes bytes once, the
-joined bytes are cast to 64-bit limbs in bulk, and one dict build keeps
-the nonzero slots (the inverse of Kronecker substitution; D. Harvey,
-J. Symbolic Comput. 44, 2009).
+``read_slots`` decodes the windows of several coefficients in a single
+call with no Python-level step per slot: each window becomes bytes once,
+the joined bytes are cast to 64-bit limbs in bulk, and one dict build per
+coefficient keeps its nonzero slots (the inverse of Kronecker
+substitution; D. Harvey, J. Symbolic Comput. 44, 2009).  ``series`` and
+the masters decode one coefficient per call, a dense ``gfs`` series all
+of its coefficients in one.
 """
 
 import sys
@@ -128,38 +130,43 @@ def to_slots(terms, deg, nbytes):
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def read_slots(windows, nbytes):
-    """The term dict of the q-polynomials held in windows of packed values.
+def read_slots(coeffs, nbytes):
+    """One term dict for each coefficient, given as windows of packed values.
 
-    Each window ``(value, first, nslots, base)`` stores slots
-    first..nslots-1 of ``value``: slot j becomes the term of key
-    base + q^j, and no two windows may give the same key.  ``value``
-    equals sum_j c_j 2^(w j) with w = 8 * nbytes, for any sum of products
-    or shifts of packed values.  Every c_j below slot nslots must have
+    ``coeffs`` lists each coefficient's windows.  A window
+    ``(value, first, nslots, base)`` stores slots first..nslots-1 of
+    ``value``: slot j becomes the term of key base + q^j, and no two
+    windows of one coefficient may give the same key.  ``value`` equals
+    sum_j c_j 2^(w j) with w = 8 * nbytes, for any sum of products or
+    shifts of packed values.  Every c_j below slot nslots must have
     magnitude below 2^(w-1): adding 2^(w-1) to each such slot makes it
     non-negative, so the slots read back independently with no borrow
     between them, and whatever lies above is a multiple of
     2^(w * nslots) that the mask drops, however large its slots are.
 
-    The decode makes no Python-level step per slot.  Each window, biased,
-    masked and XORed with the bias so that every slot holds its
-    coefficient in two's complement, becomes bytes once; the windows are
-    joined, widened to whole 64-bit limbs and cast to ints in bulk, and
-    one dict build keeps the nonzero slots.
+    The decode makes no Python-level step per slot, and one call decodes
+    every coefficient.  Each window, biased, masked and XORed with the
+    bias so that every slot holds its coefficient in two's complement,
+    becomes bytes once; all windows are joined, widened to whole 64-bit
+    limbs and cast to ints in bulk, and one dict build per coefficient
+    keeps its nonzero slots.
     """
     w = 8 * nbytes
-    top = max((window[2] for window in windows), default=0)
+    top = max((window[2] for windows in coeffs for window in windows), default=0)
     bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * top, "little")
     step = 1 << QSHIFT
     chunks = []
     keys = []
-    for value, first, nslots, base in windows:
-        low = (1 << (w * nslots)) - 1
-        signed = (((value + bias) ^ bias) & low) >> (w * first)
-        chunks.append(signed.to_bytes(nbytes * (nslots - first), "little"))
-        keys.append(range(base + first * step, base + nslots * step, step))
+    for windows in coeffs:
+        for value, first, nslots, _ in windows:
+            signed = (((value + bias) ^ bias) & ((1 << (w * nslots)) - 1)) >> (w * first)
+            chunks.append(signed.to_bytes(nbytes * (nslots - first), "little"))
+        keys.append([range(base + i * step, base + j * step, step) for _, i, j, base in windows])
     vals = _signed_slots(b"".join(chunks), nbytes)
-    return dict(compress(zip(chain.from_iterable(keys), vals), vals))
+    # zip stops on its exhausted keys and compress on its exhausted data,
+    # so both iterators stop at the first slot of the next coefficient
+    data, selectors = iter(vals), iter(vals)
+    return [dict(compress(zip(chain.from_iterable(r), data), selectors)) for r in keys]
 
 
 def _signed_slots(raw, nbytes):

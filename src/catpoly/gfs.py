@@ -13,7 +13,10 @@ q-polynomial evaluated at q = 2^w, so their substitutions, sums and
 coefficient is read back into an MPoly once.  The sums B and H and the
 product forms built on them work the same way on single q-integers mod
 2^(w N): shifts, adds, doubling steps for 1/(1 - q^j) and big-integer
-products, with each x^n coefficient read back once at the end.  The
+products.  The product forms, defined as the paper's telescoped sums,
+are evaluated through the q-shift equations those sums satisfy
+(x -> x q), about order^2/2 products each.  Every x^n coefficient of a
+dense series is read back at the end, all of them in one decode.  The
 scalar series, the kernel-method closed forms and the continued fraction
 run on ``Series`` arithmetic.
 """
@@ -206,14 +209,12 @@ def _master(order, caps, base, step, plus, minus):
     return Series(order, coeffs, caps)
 
 
-def _read_rows(rows, caps, nbytes):
-    """The MPoly of one coefficient's rows, cut at the caps.
+def _windows(rows, caps, w):
+    """The slot windows of one coefficient's rows, cut at the caps.
 
     Every occupied (p, v) row within the caps gives one window of its
-    slots, from its lowest nonzero slot to the q cap, and all windows of
-    the coefficient are read back in one ``backend.read_slots`` call.
+    slots, from its lowest nonzero slot to the q cap.
     """
-    w = 8 * nbytes
     windows = []
     for p, rs in rows.items():
         if p > caps.p:
@@ -226,7 +227,13 @@ def _read_rows(rows, caps, nbytes):
                 if first <= caps.q:
                     nslots = min(caps.q, r.bit_length() // w) + 1
                     windows.append((r, first, nslots, key + v))
-    return MPoly._raw(backend.read_slots(windows, nbytes))
+    return windows
+
+
+def _read_rows(rows, caps, nbytes):
+    """The MPoly of one coefficient's rows, cut at the caps, read back in
+    one ``backend.read_slots`` call."""
+    return MPoly._raw(backend.read_slots([_windows(rows, caps, 8 * nbytes)], nbytes)[0])
 
 
 def master_pqv(order, caps=None):
@@ -343,9 +350,9 @@ def kernel_residual(order, caps=None):
 
 # -- area and interior-point flavours (packed q-integers) ------------------------
 #
-# sum_B, sum_H and the telescope behind prod_area/prod_interior work on
-# integer polynomials in q alone, each held as one integer: the polynomial
-# evaluated at q = 2^w and reduced mod 2^(w N), N = slots(order - 1) with
+# sum_B, sum_H and the product forms prod_area/prod_interior work on integer
+# polynomials in q alone, each held as one integer: the polynomial evaluated
+# at q = 2^w and reduced mod 2^(w N), N = slots(order - 1) with
 #   slots(n) = min(cap_q, n (n + 1) / 2) + 1.
 # q -> 2^w maps Z[q]/(q^N) onto Z/2^(w N) as a ring map, so a multiply by q^k
 # is a left shift by k slots, +- is an integer add, a product an integer
@@ -356,26 +363,36 @@ def kernel_residual(order, caps=None):
 # and nothing is repacked.  Only the results are read back, and they fit:
 # the x^n coefficient of each counts avoiding words of length n < order (the
 # sums count a subset of them) by area or by interior points, never more
-# than the area, which is at most n (n + 1) / 2, so its q-degree is below slots(n) <= N and its slots are
-# non-negative and at most M(n) <= 3^n (M = Motzkin).  With slots of
-# slot_bytes(3^order) bytes, the residue mod 2^(w slots(n)) is therefore the
-# exact integer f(2^w): it reads back slot by slot, and later orders may use
-# it as is at any larger precision.  That allows two truncations:
+# than the area, which is at most n (n + 1) / 2.  So its q-degree is below
+# slots(n) <= N unless the q cap cuts it, and its slots are non-negative and
+# at most M(n) <= 3^n (M = Motzkin).  With slots of slot_bytes(3^order)
+# bytes, the residue mod 2^(w slots(n)) reads back slot by slot, and each
+# stored x^n coefficient is either exact (the integer f(2^w), usable as is
+# at any larger precision) or carries the full cap_q + 1 slots.  Since no
+# coefficient is ever needed past q^cap_q, either way it serves every later
+# order.  That allows two truncations:
 #   the quotient's x^k coefficient is needed only mod q^slots(k), so each of
 #     its products cuts the denominator term to slots(k) slots and
-#     multiplies it by a short, exact earlier coefficient;
-#   the telescope's i-th partial product reaches the result only through
-#     q^qexp(i') with i' >= i, and qexp never decreases, so it is needed only
-#     mod q^(N - qexp(i)), and the steps stop once that leaves no slot.
-# Each x^n coefficient is read back into an MPoly once, by ``_read_rows``.
+#     multiplies it by a short earlier coefficient;
+#   the product forms are built from their q-shift equations (see
+#     ``_area_packed`` and ``_interior_packed``), whose x^n coefficient is a
+#     sum of products of earlier coefficients, each shifted by a power of q;
+#     it is cut to slots(n) slots, and a product whose shift leaves no slot
+#     is not formed.
+# The x^n coefficients of a dense series are read back into MPolys by one
+# ``backend.read_slots`` call for the whole series.
 
 
-def _dense_caps(order, caps):
-    """The caps and the slot bytes of a dense constructor."""
+def _dense_series(order, caps, packed):
+    """The series of a dense constructor whose x^n coefficients
+    ``packed(order, caps, w)`` returns, all read back in one decode."""
     caps = caps or Caps.for_order(order)
     if caps == CAPS_UNBOUNDED:
         raise ResourceLimit("1/(1 - q^j) has no finite product without caps")
-    return caps, backend.slot_bytes(3**order)
+    nbytes = backend.slot_bytes(3**order)
+    w = 8 * nbytes
+    windows = [_windows({0: [c]}, caps, w) for c in packed(order, caps, w)]
+    return Series(order, [MPoly._raw(t) for t in backend.read_slots(windows, nbytes)], caps)
 
 
 def _slots(caps, n):
@@ -395,73 +412,84 @@ def _geom(r, d, w, mask):
 def _ratio(order, caps, w, step, term):
     """Packed coefficients of sum_j x^j t_j / (1 - sum_j x^j t_j / (1 - q^j)).
 
-    t_j = ``term(P_j, j)`` for the partial products P_1 = 1 and
-    P_j = ``step(P_(j-1), j - 1, mask)``, all mod q^N.
+    t_j = ``term(P_j, j)``, linear in the partial product P_j, for P_1 = 1
+    and P_(j+1) = ``step(P_j, P_j / (1 - q^j), j)``, all mod q^N: one
+    division by 1 - q^j gives both the denominator term
+    t_j / (1 - q^j) = term(P_j / (1 - q^j), j) and the next partial product.
     """
     mask = (1 << (w * _slots(caps, order - 1))) - 1
     den = [0] * order
     out = [0] * order
     prod = 1
     for k in range(1, order):
-        if k > 1:
-            prod = step(prod, k - 1, mask) & mask
+        quot = _geom(prod, k, w, mask)
         num = term(prod, k) & mask
-        den[k] = _geom(num, k, w, mask)
+        den[k] = term(quot, k) & mask
         # out = num / (1 - den): out[k] = num[k] + sum_j den[j] out[k - j]
         cut = (1 << (w * _slots(caps, k))) - 1
         out[k] = (num + sum((den[j] & cut) * out[k - j] for j in range(1, k))) & cut
+        prod = step(prod, quot, k) & mask
     return out
 
 
 def _sum_B_packed(order, caps, w):
-    # P_j = P_(j-1) (1 - q^i + q^(2i)) / (1 - q^i), t_j = (-1)^(j+1) q^j P_j
-    def step(prod, i, mask):
-        return _geom((prod - (prod << i * w) + (prod << 2 * i * w)) & mask, i, w, mask)
+    # P_(i+1) = P_i (1 - q^i + q^(2i)) / (1 - q^i), t_j = (-1)^(j+1) q^j P_j
+    def step(prod, quot, i):
+        return quot - (quot << i * w) + (quot << 2 * i * w)
 
     return _ratio(order, caps, w, step, lambda prod, j: (prod if j % 2 else -prod) << j * w)
 
 
 def _sum_H_packed(order, caps, w):
-    # P_j = P_(j-1) (q^(i-1) - 1/(1 - q^i)), t_j = P_j
-    def step(prod, i, mask):
-        return (prod << (i - 1) * w) - _geom(prod, i, w, mask)
+    # P_(i+1) = P_i (q^(i-1) - 1/(1 - q^i)), t_j = P_j
+    def step(prod, quot, i):
+        return (prod << (i - 1) * w) - quot
 
     return _ratio(order, caps, w, step, lambda prod, j: prod)
 
 
-def _telescope(order, caps, w, b, qexp):
-    """Packed coefficients of the sum over i >= 1 of
-    x^i q^qexp(i) prod_{k < i} (1 + B(x q^k)), for B packed in ``b``.
+def _area_packed(order, caps, w):
+    """Packed coefficients of prod_area, built on the packed sum_B.
 
-    The i-th partial product is multiplied by x^i, so only its first
-    order - i coefficients reach the result, and only mod q^(N - qexp(i)).
+    G(x) = sum_(i >= 0) x^i q^(i(i+1)/2) prod_(k < i) (1 + B(x q^k)) obeys
+    the q-shift equation G(x) = 1 + x q (1 + B(x)) G(x q): term i of the
+    right side is term i + 1 of the left.  So, with b_0 = 1, b_t = B_t and
+    G_0 = 1,
+      G_n = sum_(m < n) b_(n-1-m) G_m q^(m+1),
+    about order^2/2 products in all, and prod_area = G - 1.  G_n is needed
+    only mod q^slots(n), so a term with m + 1 >= slots(n) is not formed,
+    and the others need b_(n-1-m) and G_m only mod q^(slots(n) - m - 1).
+    Each stored b_t and G_m is cut to its own slots: it is exact, or it
+    carries the full cap_q + 1 slots, so either way it holds that much.
     """
-    top = _slots(caps, order - 1)
-    out = [0] * order
-    partial = [1] + [0] * (order - 1)
-    for i in range(1, order):
-        bits = w * (top - qexp(i))
-        if bits <= 0:
-            break
-        mask = (1 << bits) - 1
-        # times 1 + B(x q^(i-1)), whose x^t coefficient is b[t] shifted (i - 1) t slots
-        for n in range(order - i - 1, 0, -1):
-            c = partial[n]
-            for t in range(1, n + 1):
-                s = (i - 1) * t * w
-                if s >= bits:
-                    break
-                c += partial[n - t] * b[t] << s
-            partial[n] = c & mask
-        shift = qexp(i) * w
-        for n in range(order - i):
-            out[n + i] += partial[n] << shift
-    mask = (1 << (w * top)) - 1
-    return [c & mask for c in out]
+    b = [1] + _sum_B_packed(order, caps, w)[1:]
+    g = [1] * order
+    for n in range(1, order):
+        top = _slots(caps, n)
+        c = sum(b[n - 1 - m] * g[m] << (m + 1) * w for m in range(min(n, top - 1)))
+        g[n] = c & ((1 << (w * top)) - 1)
+    return [0] + g[1:]
 
 
-def _read_series(order, caps, nbytes, packed):
-    return Series(order, [_read_rows({0: [c]}, caps, nbytes) for c in packed], caps)
+def _interior_packed(order, caps, w):
+    """Packed coefficients of prod_interior, built on the packed sum_H.
+
+    With m = i - 1 the paper's sum is x (1 + H(x)) K(x), where
+      K(x) = sum_(m >= 0) x^m q^(m(m-1)/2) prod_(1 <= k <= m) (1 + H(x q^k))
+    obeys K(x) = 1 + x (1 + H(x q)) K(x q).  Its right side is P(x q) / q
+    for P = prod_interior, so K_0 = 1 and K_m = P_m q^(m-1) for m >= 1.
+    With h_0 = 1 and h_t = H_t, P_n = sum_(t < n) h_t K_(n-1-t), that is
+      P_n = h_(n-1) + sum_(1 <= m < n) h_(n-1-m) P_m q^(m-1).
+    As in ``_area_packed``, a term with m - 1 >= slots(n) is not formed,
+    and every stored h_t and P_m is exact or carries cap_q + 1 slots.
+    """
+    h = [1] + _sum_H_packed(order, caps, w)[1:]
+    p = [0] * order
+    for n in range(1, order):
+        top = _slots(caps, n)
+        c = sum(h[n - 1 - m] * p[m] << (m - 1) * w for m in range(1, min(n, top + 1)))
+        p[n] = (h[n - 1] + c) & ((1 << (w * top)) - 1)
+    return p
 
 
 def sum_B(order, caps=None):
@@ -471,8 +499,7 @@ def sum_B(order, caps=None):
     partial products of (1 - q^i + q^(2i)) / (1 - q^i), built on packed
     q-integers (see above) and read back once.
     """
-    caps, nbytes = _dense_caps(order, caps)
-    return _read_series(order, caps, nbytes, _sum_B_packed(order, caps, 8 * nbytes))
+    return _dense_series(order, caps, _sum_B_packed)
 
 
 def cf_B_contfrac(order, depth, caps=None):
@@ -500,14 +527,11 @@ def cf_B_contfrac(order, depth, caps=None):
 def prod_area(order, caps=None):
     """Length/area series of all avoiding words: the telescoped product form.
 
-    The sum over i of x^i q^(i(i+1)/2) prod_{k < i} (1 + B(x q^k)), with
-    each partial product kept only to the order and the q-precision its
-    shift leaves, built on the packed ``sum_B`` and read back once.
+    The sum over i >= 1 of x^i q^(i(i+1)/2) prod_{k < i} (1 + B(x q^k)),
+    evaluated through its q-shift equation (``_area_packed``) on the packed
+    ``sum_B`` and read back once.
     """
-    caps, nbytes = _dense_caps(order, caps)
-    w = 8 * nbytes
-    b = _sum_B_packed(order, caps, w)
-    return _read_series(order, caps, nbytes, _telescope(order, caps, w, b, lambda i: i * (i + 1) // 2))
+    return _dense_series(order, caps, _area_packed)
 
 
 def sum_H(order, caps=None):
@@ -517,19 +541,14 @@ def sum_H(order, caps=None):
     of q^(i-1) - 1/(1 - q^i), times 1/(1 - q^j) in the denominator terms,
     built on packed q-integers like ``sum_B``.
     """
-    caps, nbytes = _dense_caps(order, caps)
-    return _read_series(order, caps, nbytes, _sum_H_packed(order, caps, 8 * nbytes))
+    return _dense_series(order, caps, _sum_H_packed)
 
 
 def prod_interior(order, caps=None):
     """Length/interior-points series of all avoiding words.
 
-    The sum over i of x^i q^((i-2)(i-1)/2) prod_{k < i} (1 + H(x q^k)),
-    built like ``prod_area`` on the packed ``sum_H``.
+    The sum over i >= 1 of x^i q^((i-2)(i-1)/2) prod_{k < i} (1 + H(x q^k)),
+    evaluated through its q-shift equation (``_interior_packed``) on the
+    packed ``sum_H``, like ``prod_area``.
     """
-    caps, nbytes = _dense_caps(order, caps)
-    w = 8 * nbytes
-    h = _sum_H_packed(order, caps, w)
-    return _read_series(
-        order, caps, nbytes, _telescope(order, caps, w, h, lambda i: (i - 2) * (i - 1) // 2)
-    )
+    return _dense_series(order, caps, _interior_packed)

@@ -362,8 +362,8 @@ DENSE = ("sum_B", "sum_H", "prod_area", "prod_interior")
 
 
 def test_dense_constructors_make_no_mpoly_or_series_arithmetic(monkeypatch):
-    # the sums and the telescope run on packed q-integers, pack nothing from
-    # an MPoly and build each MPoly once, at readback
+    # the sums and the product forms run on packed q-integers, pack nothing
+    # from an MPoly and build each MPoly once, at readback
     def refuse(*args, **kwargs):
         raise AssertionError("MPoly or Series arithmetic in a dense constructor")
 
@@ -410,16 +410,96 @@ def dense_histograms(name, order):
     return [MPoly.zero()] + [histogram_poly(n, cls, stat) for n in range(1, order)]
 
 
+DENSE_CAPS = [Caps(*caps) for caps in product((0, 3, 18), (0, 5, 17, 44, 45), (0, 3, 9))]
+
+
 @pytest.mark.parametrize("order", [7, 9])
 @pytest.mark.parametrize("name", DENSE)
 def test_dense_constructors_honour_any_caps(name, order):
     # the packed path works mod q^(cap + 1) and cuts each quotient order and
-    # each telescope step shorter still; p and v caps never cut a q-only term
+    # each product-form coefficient shorter still; p and v caps never cut a
+    # q-only term
     full = getattr(gfs, name)(order)
     assert full.coeffs == dense_histograms(name, order)
-    for caps in product((0, 3, 18), (0, 5, 17, 44, 45), (0, 3, 9)):
-        caps = Caps(*caps)
+    for caps in DENSE_CAPS:
         assert getattr(gfs, name)(order, caps).coeffs == [_cut(c, caps) for c in full.coeffs], caps
+
+
+def _telescope(order, caps, w, b, qexp):
+    """Packed coefficients of the sum over i >= 1 of
+    x^i q^qexp(i) prod_{k < i} (1 + B(x q^k)), for B packed in ``b``.
+
+    The paper's telescoped sum, evaluated term by term with about
+    order^3/6 products: the i-th partial product is multiplied by x^i, so
+    only its first order - i coefficients reach the result, and only mod
+    q^(N - qexp(i)).
+    """
+    top = gfs._slots(caps, order - 1)
+    out = [0] * order
+    partial = [1] + [0] * (order - 1)
+    for i in range(1, order):
+        bits = w * (top - qexp(i))
+        if bits <= 0:
+            break
+        mask = (1 << bits) - 1
+        # times 1 + B(x q^(i-1)), whose x^t coefficient is b[t] shifted (i - 1) t slots
+        for n in range(order - i - 1, 0, -1):
+            c = partial[n]
+            for t in range(1, n + 1):
+                s = (i - 1) * t * w
+                if s >= bits:
+                    break
+                c += partial[n - t] * b[t] << s
+            partial[n] = c & mask
+        shift = qexp(i) * w
+        for n in range(order - i):
+            out[n + i] += partial[n] << shift
+    mask = (1 << (w * top)) - 1
+    return [c & mask for c in out]
+
+
+TELESCOPED = {
+    "prod_area": (gfs._sum_B_packed, lambda i: i * (i + 1) // 2),
+    "prod_interior": (gfs._sum_H_packed, lambda i: (i - 2) * (i - 1) // 2),
+}
+
+
+def telescoped_sum(name, order, caps=None):
+    """A product form evaluated from its telescoped sum, on the packed sum."""
+    packed, qexp = TELESCOPED[name]
+    return gfs._dense_series(
+        order, caps, lambda order, caps, w: _telescope(order, caps, w, packed(order, caps, w), qexp)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(TELESCOPED))
+def test_product_forms_equal_the_telescoped_sum(name):
+    for order in range(1, 17):
+        assert getattr(gfs, name)(order).coeffs == telescoped_sum(name, order).coeffs, order
+
+
+@pytest.mark.parametrize("order", [7, 9])
+@pytest.mark.parametrize("name", sorted(TELESCOPED))
+def test_product_forms_equal_the_telescoped_sum_under_any_caps(name, order):
+    for caps in DENSE_CAPS:
+        want = telescoped_sum(name, order, caps)
+        assert getattr(gfs, name)(order, caps).coeffs == want.coeffs, caps
+
+
+def test_dense_constructors_decode_each_series_once(monkeypatch):
+    # every coefficient of a dense series is read back by one decode
+    calls = []
+    real = backend.read_slots
+
+    def spy(coeffs, nbytes):
+        calls.append(len(coeffs))
+        return real(coeffs, nbytes)
+
+    monkeypatch.setattr(backend, "read_slots", spy)
+    for name in DENSE:
+        calls.clear()
+        getattr(gfs, name)(12)
+        assert calls == [12], name
 
 
 def test_product_forms_equal_masters_at_order_24():

@@ -245,8 +245,9 @@ def test_trivariate_product_matches_oracle(a, b, caps):
 
 
 def read_slots_oracle(windows, nbytes):
-    """``backend.read_slots`` one slot at a time: peel the signed w-bit digit
-    off the bottom of each value with ``int.from_bytes``."""
+    """One coefficient of ``backend.read_slots``, one slot at a time: peel
+    the signed w-bit digit off the bottom of each value with
+    ``int.from_bytes``."""
     w = 8 * nbytes
     terms = {}
     for value, first, nslots, base in windows:
@@ -258,22 +259,30 @@ def read_slots_oracle(windows, nbytes):
     return terms
 
 
+def decode_oracle(coeffs, nbytes):
+    return [read_slots_oracle(windows, nbytes) for windows in coeffs]
+
+
 @st.composite
-def slot_windows(draw):
-    """A slot width and windows of signed slots at most 2^(w-1) - 1 in
-    magnitude, each with arbitrary slots below ``first`` and above ``nslots``."""
+def slot_coeffs(draw):
+    """A slot width and up to four coefficients, each up to four windows of
+    signed slots at most 2^(w-1) - 1 in magnitude, with arbitrary slots
+    below ``first`` and above ``nslots``."""
     nbytes = draw(st.integers(min_value=1, max_value=17))
     w = 8 * nbytes
     edge = (1 << (w - 1)) - 1
     slot = st.one_of(st.sampled_from([0, edge, -edge]), st.integers(min_value=-edge, max_value=edge))
-    windows = []
-    for i in range(draw(st.integers(min_value=0, max_value=4))):
-        slots = draw(st.lists(slot, min_size=1, max_size=12))
-        first = draw(st.integers(min_value=0, max_value=len(slots) - 1))
-        above = draw(st.integers(min_value=-(1 << 3 * w), max_value=1 << 3 * w))
-        value = sum(c << (w * j) for j, c in enumerate(slots)) + (above << (w * len(slots)))
-        windows.append((value, first, len(slots), pack(i, 0, draw(st.integers(0, 3)))))
-    return nbytes, windows
+    coeffs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        windows = []
+        for i in range(draw(st.integers(min_value=0, max_value=4))):
+            slots = draw(st.lists(slot, min_size=1, max_size=12))
+            first = draw(st.integers(min_value=0, max_value=len(slots) - 1))
+            above = draw(st.integers(min_value=-(1 << 3 * w), max_value=1 << 3 * w))
+            value = sum(c << (w * j) for j, c in enumerate(slots)) + (above << (w * len(slots)))
+            windows.append((value, first, len(slots), pack(i, 0, draw(st.integers(0, 3)))))
+        coeffs.append(windows)
+    return nbytes, coeffs
 
 
 def _edge_window(nbytes):
@@ -285,17 +294,37 @@ def _edge_window(nbytes):
     return (value, 1, 3, pack(0, 0, 1))
 
 
+def _mixed_coeffs(nbytes):
+    """Several coefficients in one call: the edge window beside a second
+    row, no window at all, a value that is zero in its window, a value whose
+    lowest nonzero slot lies above the window (above the q cap), and a
+    single negative slot."""
+    w = 8 * nbytes
+    return [
+        [_edge_window(nbytes), (12345, 0, 3, pack(1, 0, 0))],
+        [],
+        [(0, 0, 2, pack(0, 0, 0))],
+        [(5 << (4 * w), 0, 4, pack(0, 0, 0))],
+        [(-1, 0, 1, pack(0, 0, 0))],
+    ]
+
+
 @settings(max_examples=300, deadline=None)
-@given(slot_windows())
-@example((1, [_edge_window(1), (-1, 0, 5, pack(1, 0, 0))]))
-@example((8, [_edge_window(8), (3 << 64, 1, 2, pack(1, 0, 0))]))
-@example((9, [_edge_window(9), (-(1 << 71) + 1, 0, 1, pack(1, 0, 0))]))
-@example((16, [_edge_window(16)]))
-@example((17, [_edge_window(17), ((1 << 135) - 1, 0, 4, pack(2, 0, 0))]))
+@given(slot_coeffs())
+@example((1, [[_edge_window(1), (-1, 0, 5, pack(1, 0, 0))]]))
+@example((8, [[_edge_window(8), (3 << 64, 1, 2, pack(1, 0, 0))]]))
+@example((9, [[_edge_window(9), (-(1 << 71) + 1, 0, 1, pack(1, 0, 0))]]))
+@example((16, [[_edge_window(16)]]))
+@example((17, [[_edge_window(17), ((1 << 135) - 1, 0, 4, pack(2, 0, 0))]]))
+@example((1, _mixed_coeffs(1)))
+@example((9, _mixed_coeffs(9)))
+@example((17, _mixed_coeffs(17)))
+@example((3, []))
 def test_read_slots_matches_per_slot_decode(case):
-    # widths of 1-17 bytes take one, two and three 64-bit limbs per slot
-    nbytes, windows = case
-    assert backend.read_slots(windows, nbytes) == read_slots_oracle(windows, nbytes)
+    # widths of 1-17 bytes take one, two and three 64-bit limbs per slot;
+    # one call decodes every coefficient, each into its own term dict
+    nbytes, coeffs = case
+    assert backend.read_slots(coeffs, nbytes) == decode_oracle(coeffs, nbytes)
 
 
 def _as_big_endian_host(typecode, data):
@@ -312,11 +341,11 @@ def test_read_slots_swaps_limbs_on_a_big_endian_host(monkeypatch, nbytes):
     # of the host running the test: backend.array is replaced by one that
     # reads its bytes as a big-endian host does, and backend is told that
     # it runs on such a host.
-    windows = [_edge_window(nbytes), (12345, 0, 3, pack(1, 0, 0))]
-    want = read_slots_oracle(windows, nbytes)
+    coeffs = _mixed_coeffs(nbytes)
+    want = decode_oracle(coeffs, nbytes)
     monkeypatch.setattr(backend, "array", _as_big_endian_host)
     monkeypatch.setattr(backend, "_BIG_ENDIAN", True)
-    assert backend.read_slots(windows, nbytes) == want
+    assert backend.read_slots(coeffs, nbytes) == want
     # without the swap the limbs read back in the wrong byte order
     monkeypatch.setattr(backend, "_BIG_ENDIAN", False)
-    assert backend.read_slots(windows, nbytes) != want
+    assert backend.read_slots(coeffs, nbytes) != want

@@ -112,3 +112,19 @@ def test_chi_image_outside_the_unequal_adjacent_words(monkeypatch):
     assert (c.status, c.detail) == (
         "fail", "n=4: chi(0010) = 01021 not unequal-adjacent of length 5",
     )
+
+
+def _totals_at_order_1():
+    checks = verify.run_verify(max_n=MAX_N, max_order=1).checks
+    c = next(c for c in checks if c.name == "totals_series_match")
+    return c.status, c.detail
+
+
+def test_totals_skip_series_and_dp_below_order_2(monkeypatch):
+    # at max_order 1 the series and DP halves would compare n = 1 only; the
+    # enumeration half still runs and still catches a wrong total
+    assert _totals_at_order_1() == (
+        "pass", f"four totals agree (series/DP skipped, needs max_order >= 2, enumeration to n <= {MAX_N})",
+    )
+    monkeypatch.setattr(words, "stat_area", off_by_one_on(words.stat_area, (0, 1, 0, 1)))
+    assert _totals_at_order_1() == ("fail", "u(4) enumeration != closed form")
