@@ -60,18 +60,38 @@ def _raised(letters):
     return tuple([x + 1 for x in letters])
 
 
-def _chi(letters):
+def _memoized(rule):
+    """``rule`` with its recursive calls answered from one fresh dict.
+
+    ``rule(letters, image)`` recurses through ``image``; the returned
+    function computes each distinct argument once, for as long as it lives.
+    """
+    memo = {}
+
+    def image(letters):
+        img = memo.get(letters)
+        if img is None:
+            img = memo[letters] = rule(letters, image)
+        return img
+
+    return image
+
+
+def _chi(letters, image=None):
+    """chi on a letter tuple, recursing through ``image`` (plain recursion
+    by default)."""
+    image = image or _chi
     if not letters:
         return (0,)
     block, rem = _split(letters)
     if not rem:
         # w = 0(1+u): image is 0(1 + chi(u)); covers w = "0" via u = empty
-        return (0,) + _raised(_chi(_lowered(block)))
+        return (0,) + _raised(image(_lowered(block)))
     if not block:
         # w = 00z: append a trailing 0 to the image of 0z
-        return _chi((0,) + rem[1:]) + (0,)
+        return image((0,) + rem[1:]) + (0,)
     # w = 0(1+u)v with both parts nonempty: drop the block's last letter
-    return (0,) + _raised(_chi(_lowered(block[:-1]))) + _chi(rem)
+    return (0,) + _raised(image(_lowered(block[:-1]))) + image(rem)
 
 
 def chi(w) -> CatalanWord:
@@ -82,13 +102,16 @@ def chi(w) -> CatalanWord:
     return CatalanWord(_chi(word.letters))
 
 
-def _psi(letters):
+def _psi(letters, image=None):
+    """psi on a letter tuple, recursing through ``image`` (plain recursion
+    by default)."""
+    image = image or _psi
     if not letters:
         return ()
     block, rem = _split(letters)
     if block:
-        return (0,) + _raised(_psi(_lowered(block))) + _psi(rem)
-    return _psi(letters[1:]) + (0,)
+        return (0,) + _raised(image(_lowered(block))) + image(rem)
+    return image(letters[1:]) + (0,)
 
 
 def psi(w) -> CatalanWord:
@@ -159,16 +182,19 @@ def bijectivity_report(
     and ``unequal_next`` hold every unequal-adjacent word of length n and
     n+1: an image is valid exactly when it lies in the set of its length,
     which also rules out non-Catalan images.  ``record`` gives a word's
-    statistics.
+    statistics.  Sub-words repeat heavily across a domain, so both
+    recursions are memoized for this call only; every domain word's image
+    is still checked.
     """
     report = BijectionReport(length=n)
     report.chi_domain = len(avoiding)
     report.chi_codomain = len(unequal_next)
     text = _word_text
+    chi_of, psi_of = _memoized(_chi), _memoized(_psi)
 
     images = set()
     for w in avoiding:
-        img = _chi(w)
+        img = chi_of(w)
         if img in images:
             report.violations.append(f"chi collision at {text(w)} -> {text(img)}")
         images.add(img)
@@ -190,7 +216,7 @@ def bijectivity_report(
     report.psi_domain = len(rising_tail)
     psi_images = set()
     for w in rising_tail:
-        img = _psi(w)
+        img = psi_of(w)
         if img in psi_images:
             report.violations.append(f"psi collision at {text(w)} -> {text(img)}")
         psi_images.add(img)

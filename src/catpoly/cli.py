@@ -65,6 +65,7 @@ def _record(w: CatalanWord):
 
 def _cmd_enumerate(args):
     _require_at_least(args.length, 0, "--length")
+    _require_at_least(args.limit, 0, "--limit")
     if args.length > args.limit:
         raise ResourceLimit(f"enumeration of length {args.length} exceeds limit {args.limit}")
     cls = WordClass.parse(args.word_class)
@@ -111,6 +112,7 @@ def _cmd_render(args):
 def _cmd_table(args):
     name = args.which
     _require_at_least(args.max_n, 1, "--max-n")
+    _require_at_least(args.limit, 0, "--limit")
     if args.max_n > args.limit:
         raise ResourceLimit(f"table size {args.max_n} exceeds limit {args.limit}")
     if name == "c":
@@ -154,6 +156,7 @@ def _parse_at(spec):
 def _cmd_gf(args):
     builder, start = _GF_BUILDERS[args.which]
     _require_at_least(args.order, 1, "--order")
+    _require_at_least(args.limit, 0, "--limit")
     if args.order > args.limit:
         raise ResourceLimit(f"series order {args.order} exceeds limit {args.limit}")
     series = builder(args.order + start)

@@ -23,7 +23,7 @@ run on ``Series`` arithmetic.
 
 from fractions import Fraction
 
-from . import backend
+from . import backend, closedforms
 from .backend import pack
 from .errors import DepthTooShallow, InternalInconsistency, ResourceLimit
 from .mpoly import CAPS_UNBOUNDED, Caps, MPoly
@@ -111,18 +111,9 @@ def gf_p(order, caps=None):
 #   F(q) times p^a q^b          sums r_v shifted by (v + b) slots into (p + a, 0);
 #   / (1 - qv)                  is the running sum out_v = (out_(v-1) << w) + in_v
 #                               within one p.
-# Evaluation at q = 2^w is a ring map, so the rows are exact whatever the
-# slot width; the width matters when a row is read back.  Each stored
-# coefficient counts the words of length n, so its slots are non-negative
-# and sum to at most the Motzkin number M(n).  Every intermediate slot is
-# bounded too: a slot of S F(qv) is one slot of the x^(n-1) coefficient
-# (the shift maps distinct (q, v) to distinct (q + v, v)), so at most
-# M(n-1); P F(q) and M F(q^2 v) each sum slots of the x^(n-2) coefficient,
-# so their slots have absolute sum at most M(n-2) each, and a running-sum
-# slot adds slots of P - M along one chain, so it is at most 2 M(n-2).  With
-# the base's single 1 at n <= 2, any partial sum of the x^n coefficient has
-# slots of at most M(n-1) + 2 M(n-2) + 1 <= 3^n (M(k) <= 3^k, and M(-1) = 0),
-# so slots of slot_bytes(3^order) bytes hold every row in signed form.
+# Evaluation at q = 2^w is a ring map and no row is ever masked, so every
+# row is the exact integer f(2^w) whatever the slot width: only the read-back
+# needs a bound on the slots, and ``_slot_bytes`` gives it.
 #
 # Only the v-substitutions need V = order: v -> q moves high v into q, so
 # cutting v before it loses terms.  p and q only grow, and the genuine last
@@ -153,14 +144,30 @@ def _solve_forward(order, contributions):
     return coeffs
 
 
+def _slot_bytes(order):
+    """Bytes per q-slot of a packed series with coefficients x^0 .. x^(order-1).
+
+    ``backend.read_slots`` needs every slot it reads below 2^(w-1) in
+    magnitude, and every stored slot counts avoiding words of one length
+    n < order, so it lies in [0, M(n)] with M(n) <= M(order - 1) (M = Motzkin).
+    """
+    if order < 1:
+        raise ValueError("series order must be >= 1")
+    return backend.slot_bytes(closedforms.motzkin(order - 1))
+
+
 def _master(order, caps, base, step, plus, minus):
     """The master series for the base monomials ``base`` = ((dp, dq) at x,
     (dp, dq) at x^2), S = ``step`` and M = ``minus`` as (dp, dq, dv) and
-    P = ``plus`` as (dp, dq)."""
+    P = ``plus`` as (dp, dq).
+
+    The rows are exact integers at any slot width, so the slots are sized
+    from M(order - 1) by ``_slot_bytes``, the bound of the slots read back.
+    """
     caps = caps or Caps.for_order(order)
     if caps == CAPS_UNBOUNDED:
         raise ResourceLimit("1/(1 - qv) has no finite product without caps")
-    nbytes = backend.slot_bytes(3**order)
+    nbytes = _slot_bytes(order)
     w = 8 * nbytes
     width = order + 1
     sp, sq, sv = step
@@ -364,13 +371,13 @@ def kernel_residual(order, caps=None):
 # the x^n coefficient of each counts avoiding words of length n < order (the
 # sums count a subset of them) by area or by interior points, never more
 # than the area, which is at most n (n + 1) / 2.  So its q-degree is below
-# slots(n) <= N unless the q cap cuts it, and its slots are non-negative and
-# at most M(n) <= 3^n (M = Motzkin).  With slots of slot_bytes(3^order)
-# bytes, the residue mod 2^(w slots(n)) reads back slot by slot, and each
-# stored x^n coefficient is either exact (the integer f(2^w), usable as is
-# at any larger precision) or carries the full cap_q + 1 slots.  Since no
-# coefficient is ever needed past q^cap_q, either way it serves every later
-# order.  That allows two truncations:
+# slots(n) <= N unless the q cap cuts it, and its slots lie in [0, M(n)],
+# which ``_slot_bytes`` sizes the slots for.  The residue mod 2^(w slots(n))
+# then reads back slot by slot, and each stored x^n coefficient is either
+# exact (the integer f(2^w), usable as is at any larger precision) or
+# carries the full cap_q + 1 slots.  Since no coefficient is ever needed
+# past q^cap_q, either way it serves every later order.  That allows two
+# truncations:
 #   the quotient's x^k coefficient is needed only mod q^slots(k), so each of
 #     its products cuts the denominator term to slots(k) slots and
 #     multiplies it by a short earlier coefficient;
@@ -385,11 +392,16 @@ def kernel_residual(order, caps=None):
 
 def _dense_series(order, caps, packed):
     """The series of a dense constructor whose x^n coefficients
-    ``packed(order, caps, w)`` returns, all read back in one decode."""
+    ``packed(order, caps, w)`` returns, all read back in one decode.
+
+    The slots are sized from M(order - 1) by ``_slot_bytes``: the packed
+    arithmetic is a ring map mod 2^(w N), exact at any width, so only the
+    read needs the bound.
+    """
     caps = caps or Caps.for_order(order)
     if caps == CAPS_UNBOUNDED:
         raise ResourceLimit("1/(1 - q^j) has no finite product without caps")
-    nbytes = backend.slot_bytes(3**order)
+    nbytes = _slot_bytes(order)
     w = 8 * nbytes
     windows = [_windows({0: [c]}, caps, w) for c in packed(order, caps, w)]
     return Series(order, [MPoly._raw(t) for t in backend.read_slots(windows, nbytes)], caps)

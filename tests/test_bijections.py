@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 from catpoly import gfs
 from catpoly.bijections import (
     FirstReturnDecomp,
+    _chi,
+    _memoized,
+    _psi,
     bijectivity_report,
     chi,
     decompose,
@@ -221,3 +224,14 @@ def test_psi_laws_on_random_words(w):
     assert avoids(img, WordClass.AVOID_NEQ_ADJACENT)
     assert stat_area(img) == stat_area(w)
     assert stat_inter(img) == stat_inter(w)
+
+
+def test_memoized_images_equal_the_plain_recursion():
+    # one memo per bijection across all lengths, as within a report, so
+    # later words reuse the sub-word images of earlier ones
+    chi_of, psi_of = _memoized(_chi), _memoized(_psi)
+    for n in range(11):
+        for w in enumerate_words(n, WordClass.AVOID_GEQ_GEQ):
+            assert chi_of(w.letters) == _chi(w.letters), w
+        for w in enumerate_words(n, WordClass.CLASS_B):
+            assert psi_of(w.letters) == _psi(w.letters), w

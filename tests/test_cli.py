@@ -255,6 +255,31 @@ def test_gf_bad_at_exit2(capsys):
     assert "--at" in err
 
 
+# --limit ----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--length", "0", "--limit", "-1"),
+    ("table", "--which", "c", "--max-n", "3", "--limit", "-5"),
+    ("gf", "--which", "area", "--order", "3", "--limit", "-1"),
+], ids=["enumerate", "table", "gf"])
+def test_negative_limit_exit2(capsys, argv):
+    err = assert_usage_error(capsys, *argv)
+    assert "--limit" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--length", "1", "--limit", "0"),
+    ("table", "--which", "c", "--max-n", "3", "--limit", "0"),
+    ("gf", "--which", "area", "--order", "3", "--limit", "0"),
+], ids=["enumerate", "table", "gf"])
+def test_zero_limit_exit3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "exceeds limit 0" in err
+
+
 # bijection ------------------------------------------------------------------------
 
 

@@ -325,6 +325,17 @@ MASTER_DIGESTS = {
 }
 
 
+# recorded while every slot was still sized from 3^order; with slots sized
+# from M(order - 1), order 44 is the last with 8-byte slots (one 64-bit
+# limb) and order 45 the first with 9-byte slots (two limbs)
+LIMB_BOUNDARY_DIGESTS = {
+    ("sum_H", 44): "418311866fb643b19d6486fe0c530a2eda4d5e2c1e1e7c27a7b1b8db15980867",
+    ("sum_H", 45): "d83b31501056bed1a0eefb24cd2371a43e217c1cdeb71a0c601c22319e34ea75",
+    ("master_interior_qv", 44): "08eeccce6bb99e317873a4600c5e415f0ed478e37cba8def38de5d8d0fb0722f",
+    ("master_interior_qv", 45): "7ff9d037283cdfa0280dc5eb2f001e8e99f2d72a2ef8b9ac4b20805235ec8d86",
+}
+
+
 @pytest.mark.parametrize("name", sorted(ORDER_28_DIGESTS))
 def test_dense_constructors_bit_identical_at_order_28(name):
     assert _digest(getattr(gfs, name)(28)) == ORDER_28_DIGESTS[name]
@@ -345,6 +356,12 @@ def test_sums_make_no_kernel_call(monkeypatch):
 @pytest.mark.parametrize("name, order", sorted(MASTER_DIGESTS))
 def test_masters_bit_identical(name, order):
     assert _digest(getattr(gfs, name)(order)) == MASTER_DIGESTS[name, order]
+
+
+@pytest.mark.parametrize("name, order", sorted(LIMB_BOUNDARY_DIGESTS))
+def test_two_limb_readback_boundary_bit_identical(name, order):
+    assert gfs._slot_bytes(order) == (8 if order == 44 else 9)
+    assert _digest(getattr(gfs, name)(order)) == LIMB_BOUNDARY_DIGESTS[name, order]
 
 
 def test_masters_make_no_mpoly_arithmetic(monkeypatch):
@@ -500,6 +517,48 @@ def test_dense_constructors_decode_each_series_once(monkeypatch):
         calls.clear()
         getattr(gfs, name)(12)
         assert calls == [12], name
+
+
+PACKED = DENSE + ("master_pqv", "master_interior_qv")
+
+
+def assert_slots_within_motzkin(series):
+    """Every stored coefficient of the x^n coefficient lies in [0, M(n)]."""
+    for n, c in enumerate(series.coeffs):
+        top = motzkin_by_recurrence(n)
+        assert all(0 <= v <= top for v in c.terms.values()), n
+
+
+@pytest.mark.parametrize("name", PACKED)
+def test_packed_slots_lie_within_motzkin(name):
+    # the premise of the slot width: each slot read back counts avoiding
+    # words of one length n, so it lies in [0, M(n)]
+    assert_slots_within_motzkin(getattr(gfs, name)(40 if name in DENSE else 24))
+    for order in (7, 9):
+        for caps in DENSE_CAPS:
+            assert_slots_within_motzkin(getattr(gfs, name)(order, caps))
+
+
+def test_packed_slots_sized_from_motzkin(monkeypatch):
+    # M(13) = 41835 needs 3 bytes with the sign bits; 3^14 would need 4
+    widths = []
+    real = backend.read_slots
+
+    def spy(coeffs, nbytes):
+        widths.append(nbytes)
+        return real(coeffs, nbytes)
+
+    monkeypatch.setattr(backend, "read_slots", spy)
+    for name in PACKED:
+        widths.clear()
+        getattr(gfs, name)(14)
+        assert widths and set(widths) == {3}, name
+
+
+@pytest.mark.parametrize("name", PACKED)
+def test_packed_constructors_reject_order_zero(name):
+    with pytest.raises(ValueError, match="^series order must be >= 1$"):
+        getattr(gfs, name)(0)
 
 
 def test_product_forms_equal_masters_at_order_24():

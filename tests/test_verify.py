@@ -73,8 +73,8 @@ def test_chi_collision(monkeypatch):
     # 0010, the first; shorter words never recurse into either
     real = bijections._chi
 
-    def colliding(letters):
-        return real((0, 0, 1, 0) if letters == (0, 1, 2, 3) else letters)
+    def colliding(letters, image=None):
+        return real((0, 0, 1, 0) if letters == (0, 1, 2, 3) else letters, image)
 
     monkeypatch.setattr(bijections, "_chi", colliding)
     image = "".join(map(str, real((0, 0, 1, 0))))
@@ -92,8 +92,8 @@ def test_chi_collision(monkeypatch):
 def test_psi_image_outside_the_unequal_adjacent_words(monkeypatch, image, message):
     real = bijections._psi
 
-    def stray(letters):
-        return image if letters == (0, 0, 1, 2) else real(letters)
+    def stray(letters, recurse=None):
+        return image if letters == (0, 0, 1, 2) else real(letters, recurse)
 
     monkeypatch.setattr(bijections, "_psi", stray)
     text = "".join(map(str, image))
@@ -104,8 +104,8 @@ def test_psi_image_outside_the_unequal_adjacent_words(monkeypatch, image, messag
 def test_chi_image_outside_the_unequal_adjacent_words(monkeypatch):
     real = bijections._chi
 
-    def stray(letters):
-        return (0, 1, 0, 2, 1) if letters == (0, 0, 1, 0) else real(letters)
+    def stray(letters, image=None):
+        return (0, 1, 0, 2, 1) if letters == (0, 0, 1, 0) else real(letters, image)
 
     monkeypatch.setattr(bijections, "_chi", stray)
     c = run_checks()["bijection_checks"]
