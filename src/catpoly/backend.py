@@ -111,10 +111,11 @@ def mul_into(acc, a, b, capkey):
 def slot_bytes(bound):
     """Bytes per q-slot that hold any coefficient of magnitude <= bound.
 
-    A slot of w bits, two more than the bound needs, holds the coefficient
-    with its sign, so ``read_slots`` can read it back.
+    A slot of w bits, one more than the bound needs, holds the coefficient
+    with its sign: |c| <= bound < 2^(w-1), which is all ``read_slots``
+    asks.  Every caller passes a bound on the magnitude, not a signed one.
     """
-    return (bound.bit_length() + 2 + 7) // 8
+    return (bound.bit_length() + 1 + 7) // 8
 
 
 def to_slots(terms, deg, nbytes):

@@ -11,17 +11,21 @@ The two masters are built by forward recurrence on packed q-rows: each
 q-polynomial evaluated at q = 2^w, so their substitutions, sums and
 1/(1 - qv) factors are shifts and integer additions, and each
 coefficient is read back into an MPoly once.  The sums B and H and the
-product forms built on them work the same way on single q-integers mod
-2^(w N): shifts, adds, doubling steps for 1/(1 - q^j) and big-integer
-products.  The product forms, defined as the paper's telescoped sums,
-are evaluated through the q-shift equations those sums satisfy
-(x -> x q), about order^2/2 products each.  Every x^n coefficient of a
-dense series is read back at the end, all of them in one decode.  The
+product forms count the words by area or by interior points with one
+transfer DP over the word automaton of ``words._successors``, on single
+packed q-integers: shifts and adds, no product.  The paper's forms of the
+same four series stay as the second route (``paper_form``), checked
+against the DP by ``verify`` and the tests: B and H as ratios of sums,
+the product forms, defined as telescoped sums, through the q-shift
+equations those sums satisfy (x -> x q), all mod 2^(w N) with doubling
+steps for 1/(1 - q^j) and big-integer products.  Every x^n coefficient of
+a dense series is read back at the end, all of them in one decode.  The
 scalar series, the kernel-method closed forms and the continued fraction
 run on ``Series`` arithmetic.
 """
 
 from fractions import Fraction
+from functools import partial
 
 from . import backend, closedforms
 from .backend import pack
@@ -359,25 +363,35 @@ def kernel_residual(order, caps=None):
 #
 # sum_B, sum_H and the product forms prod_area/prod_interior work on integer
 # polynomials in q alone, each held as one integer: the polynomial evaluated
-# at q = 2^w and reduced mod 2^(w N), N = slots(order - 1) with
-#   slots(n) = min(cap_q, n (n + 1) / 2) + 1.
-# q -> 2^w maps Z[q]/(q^N) onto Z/2^(w N) as a ring map, so a multiply by q^k
-# is a left shift by k slots, +- is an integer add, a product an integer
-# product, and
+# at q = 2^w.  Their x^n coefficient counts avoiding words of length n < order
+# (the sums a subset of them) by area or by interior points, never more than
+# the area, which is at most n (n + 1) / 2.  So its q-degree is below
+#   slots(n) = min(cap_q, n (n + 1) / 2) + 1
+# unless the q cap cuts it, and its slots lie in [0, M(n)], which
+# ``_slot_bytes`` sizes the slots for.  The x^n coefficients of a dense
+# series are read back into MPolys by one ``backend.read_slots`` call for the
+# whole series.
+#
+# The constructors count the words directly, by a transfer DP over the
+# automaton of ``words._successors`` (P. Flajolet and R. Sedgewick, Analytic
+# Combinatorics, 2009, section V.5; see ``_transfer``): each step is shifts
+# and adds of packed states, each state a count of words of one length, so
+# no slot ever carries and no product is formed.
+#
+# The paper's forms stay as the second route (``paper_form``), on the same
+# packed q-integers reduced mod 2^(w N), N = slots(order - 1): B and H as the
+# ratio of two sums (``_ratio``), the product forms through the q-shift
+# equations of their telescoped sums.  q -> 2^w maps Z[q]/(q^N) onto
+# Z/2^(w N) as a ring map, so a multiply by q^k is a left shift by k slots,
+# +- is an integer add, a product an integer product, and
 #   1/(1 - q^d) = (1 + q^d)(1 + q^(2d))(1 + q^(4d)) ...   mod q^N
 # takes log2(N/d) doubling steps r = (r + (r << s)) & mask.  Each image is
 # exact mod 2^(w N) whatever its slots hold, so no intermediate needs a bound
-# and nothing is repacked.  Only the results are read back, and they fit:
-# the x^n coefficient of each counts avoiding words of length n < order (the
-# sums count a subset of them) by area or by interior points, never more
-# than the area, which is at most n (n + 1) / 2.  So its q-degree is below
-# slots(n) <= N unless the q cap cuts it, and its slots lie in [0, M(n)],
-# which ``_slot_bytes`` sizes the slots for.  The residue mod 2^(w slots(n))
-# then reads back slot by slot, and each stored x^n coefficient is either
-# exact (the integer f(2^w), usable as is at any larger precision) or
-# carries the full cap_q + 1 slots.  Since no coefficient is ever needed
-# past q^cap_q, either way it serves every later order.  That allows two
-# truncations:
+# and nothing is repacked.  The residue of a result mod 2^(w slots(n)) then
+# reads back slot by slot, and each stored x^n coefficient is either exact
+# (the integer f(2^w), usable as is at any larger precision) or carries the
+# full cap_q + 1 slots.  Since no coefficient is ever needed past q^cap_q,
+# either way it serves every later order.  That allows two truncations:
 #   the quotient's x^k coefficient is needed only mod q^slots(k), so each of
 #     its products cuts the denominator term to slots(k) slots and
 #     multiplies it by a short earlier coefficient;
@@ -386,20 +400,18 @@ def kernel_residual(order, caps=None):
 #     sum of products of earlier coefficients, each shifted by a power of q;
 #     it is cut to slots(n) slots, and a product whose shift leaves no slot
 #     is not formed.
-# The x^n coefficients of a dense series are read back into MPolys by one
-# ``backend.read_slots`` call for the whole series.
 
 
 def _dense_series(order, caps, packed):
     """The series of a dense constructor whose x^n coefficients
     ``packed(order, caps, w)`` returns, all read back in one decode.
 
-    The slots are sized from M(order - 1) by ``_slot_bytes``: the packed
-    arithmetic is a ring map mod 2^(w N), exact at any width, so only the
-    read needs the bound.
+    The slots are sized from M(order - 1) by ``_slot_bytes``, the bound of
+    every slot read back and of every slot of the transfer DP's states.
     """
     caps = caps or Caps.for_order(order)
     if caps == CAPS_UNBOUNDED:
+        # both routes take the same caps, and the paper's 1/(1 - q^j) needs them
         raise ResourceLimit("1/(1 - q^j) has no finite product without caps")
     nbytes = _slot_bytes(order)
     w = 8 * nbytes
@@ -410,6 +422,51 @@ def _dense_series(order, caps, packed):
 def _slots(caps, n):
     """Slots that hold the x^n coefficient of a dense series."""
     return min(caps.q, n * (n + 1) // 2) + 1
+
+
+#: (start, rise, fall) of each statistic: the word 0 carries q^start, and
+#: appending letter c adds c + rise after a smaller letter and c + fall
+#: otherwise (the increments of ``tables._delta``)
+_AREA = (1, 1, 1)
+_INTERIOR = (0, -1, 0)
+
+
+def _transfer(stat, rising, order, caps, w):
+    """Packed x^n coefficients, n < order, of the avoiding words by the
+    statistic ``stat``: all of them, or only class B if ``rising``.
+
+    The states at length n are U[c], the words that end in c after a
+    smaller letter (or have length 1), and F[c], those whose previous
+    letter is >= c: ``words._successors`` with flag False and True.  Any
+    letter c <= b + 1 may follow U[b], only the rise to b + 1 may follow
+    F[b], so one step is
+      U'[c] = (U[c-1] + F[c-1]) q^(c + rise)   for c >= 1,
+      F'[c] = q^(c + fall) sum_(b >= c) U[b],
+    shifts and adds only, O(n) of them per length with a running suffix
+    sum.  Class B is sum U, all words sum U + sum F.  Every state and sum
+    counts words of length n, so its slots lie in [0, M(n)] and never
+    carry.  Cutting the states to slots(n) slots, once the q cap lies
+    below the largest area n (n + 1) / 2, therefore cuts exactly at the
+    cap; it keeps them as short as the cap allows, and the read cuts
+    there anyway.
+    """
+    start, rise, fall = stat
+    out = [0] * order
+    u, f = [1 << start * w], [0]
+    for n in range(1, order):
+        if n > 1:
+            g, run = [0] * n, 0
+            for c in range(n - 2, -1, -1):
+                run += u[c]
+                g[c] = run << (c + fall) * w
+            u = [0] + [(a + b) << (c + rise) * w for c, a, b in zip(range(1, n), u, f)]
+            f = g
+        if caps.q < n * (n + 1) // 2:
+            mask = (1 << w * _slots(caps, n)) - 1
+            u = [r & mask for r in u]
+            f = [r & mask for r in f]
+        out[n] = sum(u) if rising else sum(u) + sum(f)
+    return out
 
 
 def _geom(r, d, w, mask):
@@ -504,14 +561,31 @@ def _interior_packed(order, caps, w):
     return p
 
 
+#: The paper's form of each dense constructor: the second route, which
+#: ``verify`` and the tests check the transfer DP against
+_PAPER_FORMS = {
+    "sum_B": _sum_B_packed,
+    "sum_H": _sum_H_packed,
+    "prod_area": _area_packed,
+    "prod_interior": _interior_packed,
+}
+
+
+def paper_form(name, order, caps=None):
+    """The dense series ``name`` (``sum_B``, ``sum_H``, ``prod_area`` or
+    ``prod_interior``) built from the paper's form instead of the DP."""
+    return _dense_series(order, caps, _PAPER_FORMS[name])
+
+
 def sum_B(order, caps=None):
     """Length/area series of the words whose last two letters strictly rise.
 
-    Ratio of two alternating sums whose j-th terms carry x^j and the
-    partial products of (1 - q^i + q^(2i)) / (1 - q^i), built on packed
-    q-integers (see above) and read back once.
+    Built by the transfer DP over the word automaton (``_transfer``) and
+    read back once.  The paper's form, the ratio of two alternating sums
+    whose j-th terms carry x^j and the partial products of
+    (1 - q^i + q^(2i)) / (1 - q^i), is ``paper_form("sum_B", ...)``.
     """
-    return _dense_series(order, caps, _sum_B_packed)
+    return _dense_series(order, caps, partial(_transfer, _AREA, True))
 
 
 def cf_B_contfrac(order, depth, caps=None):
@@ -537,30 +611,33 @@ def cf_B_contfrac(order, depth, caps=None):
 
 
 def prod_area(order, caps=None):
-    """Length/area series of all avoiding words: the telescoped product form.
+    """Length/area series of all avoiding words.
 
-    The sum over i >= 1 of x^i q^(i(i+1)/2) prod_{k < i} (1 + B(x q^k)),
-    evaluated through its q-shift equation (``_area_packed``) on the packed
-    ``sum_B`` and read back once.
+    Built by the transfer DP, like ``sum_B``.  The paper's form, the sum
+    over i >= 1 of x^i q^(i(i+1)/2) prod_{k < i} (1 + B(x q^k)), evaluated
+    through its q-shift equation (``_area_packed``), is
+    ``paper_form("prod_area", ...)``.
     """
-    return _dense_series(order, caps, _area_packed)
+    return _dense_series(order, caps, partial(_transfer, _AREA, False))
 
 
 def sum_H(order, caps=None):
     """Length/interior-points series of the strictly-rising-tail words.
 
-    Ratio of two sums whose j-th terms carry x^j and the partial products
-    of q^(i-1) - 1/(1 - q^i), times 1/(1 - q^j) in the denominator terms,
-    built on packed q-integers like ``sum_B``.
+    Built by the transfer DP, like ``sum_B``.  The paper's form, the ratio
+    of two sums whose j-th terms carry x^j and the partial products of
+    q^(i-1) - 1/(1 - q^i), times 1/(1 - q^j) in the denominator terms, is
+    ``paper_form("sum_H", ...)``.
     """
-    return _dense_series(order, caps, _sum_H_packed)
+    return _dense_series(order, caps, partial(_transfer, _INTERIOR, True))
 
 
 def prod_interior(order, caps=None):
     """Length/interior-points series of all avoiding words.
 
-    The sum over i >= 1 of x^i q^((i-2)(i-1)/2) prod_{k < i} (1 + H(x q^k)),
-    evaluated through its q-shift equation (``_interior_packed``) on the
-    packed ``sum_H``, like ``prod_area``.
+    Built by the transfer DP, like ``sum_B``.  The paper's form, the sum
+    over i >= 1 of x^i q^((i-2)(i-1)/2) prod_{k < i} (1 + H(x q^k)),
+    evaluated through its q-shift equation (``_interior_packed``), is
+    ``paper_form("prod_interior", ...)``.
     """
-    return _dense_series(order, caps, _interior_packed)
+    return _dense_series(order, caps, partial(_transfer, _INTERIOR, False))

@@ -307,10 +307,14 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
             hist = _scalar_histogram(ctx.records_of(n, WordClass.CLASS_B), "area")
             if b.coeff(n) != _q_poly(hist):
                 return "fail", f"rising-tail area mismatch at n={n}"
+        if b != gfs.paper_form("sum_B", order):
+            return "fail", "rising-tail area DP != ratio of sums"
         cf_order = min(max_order, 12)
-        if gfs.cf_B_contfrac(cf_order, cf_order) != gfs.sum_B(cf_order):
+        if gfs.cf_B_contfrac(cf_order, cf_order) != gfs.paper_form("sum_B", cf_order):
             return "fail", "continued fraction != sum form"
         pa = ctx.get(("prod_area", order), lambda: gfs.prod_area(order))
+        if pa != gfs.paper_form("prod_area", order):
+            return "fail", "area DP != product form"
         for n in range(1, top_n + 1):
             hist = _scalar_histogram(ctx.records_of(n), "area")
             if pa.coeff(n) != _q_poly(hist):
@@ -333,7 +337,11 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
             hist = _scalar_histogram(ctx.records_of(n, WordClass.CLASS_B), "inter")
             if h.coeff(n) != _q_poly(hist):
                 return "fail", f"rising-tail interior mismatch at n={n}"
+        if h != gfs.paper_form("sum_H", order):
+            return "fail", "rising-tail interior DP != ratio of sums"
         pi = ctx.get(("prod_interior", order), lambda: gfs.prod_interior(order))
+        if pi != gfs.paper_form("prod_interior", order):
+            return "fail", "interior DP != product form"
         for n in range(1, top_n + 1):
             hist = _scalar_histogram(ctx.records_of(n), "inter")
             if pi.coeff(n) != _q_poly(hist):

@@ -326,13 +326,27 @@ MASTER_DIGESTS = {
 
 
 # recorded while every slot was still sized from 3^order; with slots sized
-# from M(order - 1), order 44 is the last with 8-byte slots (one 64-bit
-# limb) and order 45 the first with 9-byte slots (two limbs)
+# from M(order - 1) and two spare bits, order 44 was the last with 8-byte
+# slots (one 64-bit limb) and order 45 the first with 9-byte slots (two limbs)
 LIMB_BOUNDARY_DIGESTS = {
     ("sum_H", 44): "418311866fb643b19d6486fe0c530a2eda4d5e2c1e1e7c27a7b1b8db15980867",
     ("sum_H", 45): "d83b31501056bed1a0eefb24cd2371a43e217c1cdeb71a0c601c22319e34ea75",
     ("master_interior_qv", 44): "08eeccce6bb99e317873a4600c5e415f0ed478e37cba8def38de5d8d0fb0722f",
     ("master_interior_qv", 45): "7ff9d037283cdfa0280dc5eb2f001e8e99f2d72a2ef8b9ac4b20805235ec8d86",
+    # recorded while the slots still kept two spare bits; with one, order 45
+    # is the last with 8-byte slots and order 46 the first with 9-byte slots
+    ("sum_H", 46): "c43224c165df325aef8aef6fed1aa7c5d266736f7964662db4bac141d2a7bb41",
+    ("master_interior_qv", 46): "d1cebdf77d6b6d9a3ae5c7ed3bb021bf91103ead0ce02fb0de4ec748f868c7a2",
+}
+
+
+# recorded while the four series were still built from the paper's forms,
+# which took 2-16 s each at this order
+ORDER_60_DIGESTS = {
+    "sum_B": "a66e15cf01d67d4a5d4e77db86d46bf6f3c1955a3f2ca81527b14ff7c1c40c1e",
+    "sum_H": "f430ab108b4149adc164d2bdf0e16a2b516b6e8beeada2bfb10f8e90ddcd640f",
+    "prod_area": "c2721b7cf8d3519387b0651f8ad7de813cc45f0686e20d7f71b12482f8706e37",
+    "prod_interior": "5599eee4e57f8c5228ff19827972591ad05e4a6030585bda52708d06ed2dbe2f",
 }
 
 
@@ -341,6 +355,11 @@ def test_dense_constructors_bit_identical_at_order_28(name):
     assert _digest(getattr(gfs, name)(28)) == ORDER_28_DIGESTS[name]
     if name in ORDER_40_DIGESTS:
         assert _digest(getattr(gfs, name)(40)) == ORDER_40_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_60_DIGESTS))
+def test_dense_constructors_bit_identical_at_order_60(name):
+    assert _digest(getattr(gfs, name)(60)) == ORDER_60_DIGESTS[name]
 
 
 def test_sums_make_no_kernel_call(monkeypatch):
@@ -360,7 +379,7 @@ def test_masters_bit_identical(name, order):
 
 @pytest.mark.parametrize("name, order", sorted(LIMB_BOUNDARY_DIGESTS))
 def test_two_limb_readback_boundary_bit_identical(name, order):
-    assert gfs._slot_bytes(order) == (8 if order == 44 else 9)
+    assert gfs._slot_bytes(order) == (9 if order == 46 else 8)
     assert _digest(getattr(gfs, name)(order)) == LIMB_BOUNDARY_DIGESTS[name, order]
 
 
@@ -440,6 +459,33 @@ def test_dense_constructors_honour_any_caps(name, order):
     assert full.coeffs == dense_histograms(name, order)
     for caps in DENSE_CAPS:
         assert getattr(gfs, name)(order, caps).coeffs == [_cut(c, caps) for c in full.coeffs], caps
+
+
+@pytest.mark.parametrize("name", DENSE)
+def test_dense_constructors_equal_the_paper_forms(name):
+    # the transfer DP against the paper's ratio and product forms
+    for order in range(1, 41):
+        assert getattr(gfs, name)(order) == gfs.paper_form(name, order), order
+
+
+@pytest.mark.parametrize("order", [7, 9])
+@pytest.mark.parametrize("name", DENSE)
+def test_dense_constructors_equal_the_paper_forms_under_any_caps(name, order):
+    for caps in DENSE_CAPS:
+        assert getattr(gfs, name)(order, caps) == gfs.paper_form(name, order, caps), caps
+
+
+def test_dense_constructors_form_no_quotient(monkeypatch):
+    # the DP counts words by shifts and adds; only the paper's form of the
+    # sums divides
+    def refuse(*args):
+        raise AssertionError("gfs._ratio called")
+
+    monkeypatch.setattr(gfs, "_ratio", refuse)
+    for name in DENSE:
+        getattr(gfs, name)(12)
+    with pytest.raises(AssertionError, match="_ratio"):
+        gfs.paper_form("sum_B", 12)
 
 
 def _telescope(order, caps, w, b, qexp):
@@ -540,7 +586,7 @@ def test_packed_slots_lie_within_motzkin(name):
 
 
 def test_packed_slots_sized_from_motzkin(monkeypatch):
-    # M(13) = 41835 needs 3 bytes with the sign bits; 3^14 would need 4
+    # M(11) = 8603 needs 2 bytes with the sign bit; 3^12 would need 3
     widths = []
     real = backend.read_slots
 
@@ -551,8 +597,8 @@ def test_packed_slots_sized_from_motzkin(monkeypatch):
     monkeypatch.setattr(backend, "read_slots", spy)
     for name in PACKED:
         widths.clear()
-        getattr(gfs, name)(14)
-        assert widths and set(widths) == {3}, name
+        getattr(gfs, name)(12)
+        assert widths and set(widths) == {2}, name
 
 
 @pytest.mark.parametrize("name", PACKED)

@@ -112,8 +112,9 @@ def test_unbounded_substitutions_past_field_raise():
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("name", ["sum_B", "sum_H", "prod_area", "prod_interior"])
 def test_dense_constructors_raise_without_caps(name, order):
-    # their factors 1/(1 - q^j) have no finite product without caps, so they
-    # raise at every order, also where no such factor is built yet
+    # the factors 1/(1 - q^j) of their paper forms have no finite product
+    # without caps, so both routes raise at every order, also where no such
+    # factor is built yet
     build = getattr(gfs, name)
     with pytest.raises(ResourceLimit):
         build(order, CAPS_UNBOUNDED)

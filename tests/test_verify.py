@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from catpoly import bijections, tables, verify, words
+from catpoly import bijections, gfs, tables, verify, words
 from catpoly.words import WordClass
 
 # small flags keep each run short; every fault below shows by n = 4
@@ -128,3 +128,24 @@ def test_totals_skip_series_and_dp_below_order_2(monkeypatch):
     )
     monkeypatch.setattr(words, "stat_area", off_by_one_on(words.stat_area, (0, 1, 0, 1)))
     assert _totals_at_order_1() == ("fail", "u(4) enumeration != closed form")
+
+
+@pytest.mark.parametrize("name, check, detail", [
+    ("sum_B", "area_series", "rising-tail area DP != ratio of sums"),
+    ("prod_area", "area_series", "area DP != product form"),
+    ("sum_H", "interior_series", "rising-tail interior DP != ratio of sums"),
+    ("prod_interior", "interior_series", "interior DP != product form"),
+])
+def test_paper_form_off_at_the_top_order(monkeypatch, name, check, detail):
+    # past max_n no histogram reads the last coefficient, so only the
+    # paper's form checks it against the DP
+    real = gfs._PAPER_FORMS[name]
+
+    def wrong(order, caps, w):
+        out = real(order, caps, w)
+        out[-1] += 1
+        return out
+
+    monkeypatch.setitem(gfs._PAPER_FORMS, name, wrong)
+    checks = run_checks()
+    assert (checks[check].status, checks[check].detail) == ("fail", detail)
