@@ -412,7 +412,7 @@ def _dense_series(order, caps, packed):
     caps = caps or Caps.for_order(order)
     if caps == CAPS_UNBOUNDED:
         # both routes take the same caps, and the paper's 1/(1 - q^j) needs them
-        raise ResourceLimit("1/(1 - q^j) has no finite product without caps")
+        raise ResourceLimit("the dense area/interior series need a finite q cap")
     nbytes = _slot_bytes(order)
     w = 8 * nbytes
     windows = [_windows({0: [c]}, caps, w) for c in packed(order, caps, w)]
@@ -445,10 +445,7 @@ def _transfer(stat, rising, order, caps, w):
     shifts and adds only, O(n) of them per length with a running suffix
     sum.  Class B is sum U, all words sum U + sum F.  Every state and sum
     counts words of length n, so its slots lie in [0, M(n)] and never
-    carry.  Cutting the states to slots(n) slots, once the q cap lies
-    below the largest area n (n + 1) / 2, therefore cuts exactly at the
-    cap; it keeps them as short as the cap allows, and the read cuts
-    there anyway.
+    carry; the read cuts each coefficient at the q cap.
     """
     start, rise, fall = stat
     out = [0] * order
@@ -461,10 +458,6 @@ def _transfer(stat, rising, order, caps, w):
                 g[c] = run << (c + fall) * w
             u = [0] + [(a + b) << (c + rise) * w for c, a, b in zip(range(1, n), u, f)]
             f = g
-        if caps.q < n * (n + 1) // 2:
-            mask = (1 << w * _slots(caps, n)) - 1
-            u = [r & mask for r in u]
-            f = [r & mask for r in f]
         out[n] = sum(u) if rising else sum(u) + sum(f)
     return out
 
