@@ -11,9 +11,9 @@ The two masters are built by forward recurrence on packed q-rows: each
 q-polynomial evaluated at q = 2^w, so their substitutions, sums and
 1/(1 - qv) factors are shifts and integer additions, and each
 coefficient is read back into an MPoly once.  The sums B and H and the
-product forms count the words by area or by interior points with one
-transfer DP over the word automaton of ``words._successors``, on single
-packed q-integers: shifts and adds, no product.  The paper's forms of the
+product forms count the words by area or by interior points with the
+transfer DP of ``words.transfer``, weighted by shifts of single packed
+q-integers: shifts and adds, no product.  The paper's forms of the
 same four series stay as the second route (``paper_form``), checked
 against the DP by ``verify`` and the tests: B and H as ratios of sums,
 the product forms, defined as telescoped sums, through the q-shift
@@ -32,6 +32,7 @@ from .backend import pack
 from .errors import DepthTooShallow, InternalInconsistency, ResourceLimit
 from .mpoly import CAPS_UNBOUNDED, Caps, MPoly
 from .series import Series
+from .words import INCREMENTS, WordClass, increments, transfer
 
 _HALF = Fraction(1, 2)
 
@@ -372,11 +373,10 @@ def kernel_residual(order, caps=None):
 # series are read back into MPolys by one ``backend.read_slots`` call for the
 # whole series.
 #
-# The constructors count the words directly, by a transfer DP over the
-# automaton of ``words._successors`` (P. Flajolet and R. Sedgewick, Analytic
-# Combinatorics, 2009, section V.5; see ``_transfer``): each step is shifts
-# and adds of packed states, each state a count of words of one length, so
-# no slot ever carries and no product is formed.
+# The constructors count the words directly, by the transfer DP over the
+# word automaton, ``words.transfer`` (see ``_transfer_packed``): each step is
+# shifts and adds of packed states, each state a count of words of one
+# length, so no slot ever carries and no product is formed.
 #
 # The paper's forms stay as the second route (``paper_form``), on the same
 # packed q-integers reduced mod 2^(w N), N = slots(order - 1): B and H as the
@@ -424,42 +424,17 @@ def _slots(caps, n):
     return min(caps.q, n * (n + 1) // 2) + 1
 
 
-#: (start, rise, fall) of each statistic: the word 0 carries q^start, and
-#: appending letter c adds c + rise after a smaller letter and c + fall
-#: otherwise (the increments of ``tables._delta``)
-_AREA = (1, 1, 1)
-_INTERIOR = (0, -1, 0)
-
-
-def _transfer(stat, rising, order, caps, w):
-    """Packed x^n coefficients, n < order, of the avoiding words by the
-    statistic ``stat``: all of them, or only class B if ``rising``.
-
-    The states at length n are U[c], the words that end in c after a
-    smaller letter (or have length 1), and F[c], those whose previous
-    letter is >= c: ``words._successors`` with flag False and True.  Any
-    letter c <= b + 1 may follow U[b], only the rise to b + 1 may follow
-    F[b], so one step is
-      U'[c] = (U[c-1] + F[c-1]) q^(c + rise)   for c >= 1,
-      F'[c] = q^(c + fall) sum_(b >= c) U[b],
-    shifts and adds only, O(n) of them per length with a running suffix
-    sum.  Class B is sum U, all words sum U + sum F.  Every state and sum
-    counts words of length n, so its slots lie in [0, M(n)] and never
-    carry; the read cuts each coefficient at the q cap.
+def _transfer_packed(stat, word_class, order, caps, w):
+    """Packed x^n coefficients, n < order, of the words of ``word_class``
+    by ``stat``: ``words.transfer`` at q = 2^w, where an increment k is a
+    shift by k slots.  Every state counts words of one length n, so its
+    slots lie in [0, M(n)] and never carry.
     """
-    start, rise, fall = stat
-    out = [0] * order
-    u, f = [1 << start * w], [0]
-    for n in range(1, order):
-        if n > 1:
-            g, run = [0] * n, 0
-            for c in range(n - 2, -1, -1):
-                run += u[c]
-                g[c] = run << (c + fall) * w
-            u = [0] + [(a + b) << (c + rise) * w for c, a, b in zip(range(1, n), u, f)]
-            f = g
-        out[n] = sum(u) if rising else sum(u) + sum(f)
-    return out
+    def times(layer, rise):
+        return [x << k * w for x, k in zip(layer, increments(stat, rise))]
+
+    states = transfer(order - 1, word_class, 1 << INCREMENTS[stat][0] * w, times)
+    return [0] + [sum(u) + sum(f) for u, f in states]
 
 
 def _geom(r, d, w, mask):
@@ -573,12 +548,12 @@ def paper_form(name, order, caps=None):
 def sum_B(order, caps=None):
     """Length/area series of the words whose last two letters strictly rise.
 
-    Built by the transfer DP over the word automaton (``_transfer``) and
-    read back once.  The paper's form, the ratio of two alternating sums
+    Built by the transfer DP over the word automaton (``_transfer_packed``)
+    and read back once.  The paper's form, the ratio of two alternating sums
     whose j-th terms carry x^j and the partial products of
     (1 - q^i + q^(2i)) / (1 - q^i), is ``paper_form("sum_B", ...)``.
     """
-    return _dense_series(order, caps, partial(_transfer, _AREA, True))
+    return _dense_series(order, caps, partial(_transfer_packed, "area", WordClass.CLASS_B))
 
 
 def cf_B_contfrac(order, depth, caps=None):
@@ -611,7 +586,7 @@ def prod_area(order, caps=None):
     through its q-shift equation (``_area_packed``), is
     ``paper_form("prod_area", ...)``.
     """
-    return _dense_series(order, caps, partial(_transfer, _AREA, False))
+    return _dense_series(order, caps, partial(_transfer_packed, "area", WordClass.AVOID_GEQ_GEQ))
 
 
 def sum_H(order, caps=None):
@@ -622,7 +597,7 @@ def sum_H(order, caps=None):
     q^(i-1) - 1/(1 - q^i), times 1/(1 - q^j) in the denominator terms, is
     ``paper_form("sum_H", ...)``.
     """
-    return _dense_series(order, caps, partial(_transfer, _INTERIOR, True))
+    return _dense_series(order, caps, partial(_transfer_packed, "inter", WordClass.CLASS_B))
 
 
 def prod_interior(order, caps=None):
@@ -633,4 +608,4 @@ def prod_interior(order, caps=None):
     evaluated through its q-shift equation (``_interior_packed``), is
     ``paper_form("prod_interior", ...)``.
     """
-    return _dense_series(order, caps, partial(_transfer, _INTERIOR, False))
+    return _dense_series(order, caps, partial(_transfer_packed, "inter", WordClass.AVOID_GEQ_GEQ))

@@ -4,35 +4,33 @@ Four tables: c(n, k) counts words of length n with last letter k
 (0-based); the s/u/p tables hold the total semiperimeter/area/interior
 points of words of length n whose last column has height i (1-based,
 i = last letter + 1).  The c table follows the published recurrences;
-the statistic tables are built by a statistics-carrying DP whose ground
-truth is full enumeration at small sizes.  The printed recurrences for
-s/u/p are evaluated verbatim by check_recurrences and any disagreement
-is reported, never silently patched.
+the statistic tables are the transfer DP of ``words.transfer`` on dual
+numbers (count, total), whose ground truth is full enumeration at small
+sizes.  The printed recurrences for s/u/p are evaluated verbatim by
+check_recurrences and any disagreement is reported, never silently
+patched.
 """
 
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Tuple
 
+from .closedforms import motzkin
 from .errors import ResourceLimit
-from .words import WordClass, _successors, enumerate_words, stat_area, stat_inter, stat_sper
+from .words import (
+    INCREMENTS,
+    WordClass,
+    enumerate_words,
+    increments,
+    stat_area,
+    stat_inter,
+    stat_sper,
+    transfer,
+)
 
 #: Largest table size the DP builders accept unless overridden.
 DEFAULT_TABLE_LIMIT = 60
 
 STATS = ("sper", "area", "inter")
-
-_BASE = {"sper": 2, "area": 1, "inter": 0}
-
-
-def _delta(stat, b, c):
-    # statistic increment when appending letter c after last letter b
-    if stat == "area":
-        return c + 1
-    if stat == "sper":
-        return 1 + max(0, c - b)
-    if stat == "inter":
-        return min(b, c)
-    raise ValueError(f"unknown statistic {stat!r}")
 
 
 @dataclass
@@ -113,11 +111,13 @@ def table_c_enumerated(max_n: int, limit: int = 16) -> TriTable:
 
 
 def table_stat(max_n: int, stat: str, limit: int = DEFAULT_TABLE_LIMIT) -> TriTable:
-    """Statistic totals by a DP carrying (count, total) per state.
+    """Statistic totals by ``words.transfer`` on dual numbers.
 
-    States are (last letter, previous-letter >= last flag), stepped by the
-    automaton of ``words._successors``: appending c is allowed unless the
-    flag holds with b >= c.
+    Each state holds count + total 2^W: q = 1 + e with e = 2^W and e^2 = 0,
+    so appending a letter that adds k maps x to x + k (x mod 2^W) 2^W.
+    Every count, and every sum of counts read out, is at most
+    M(max_n) < 2^W (M = Motzkin), so no count carries into the totals,
+    which sit above them unbounded.
     """
     if stat not in STATS:
         raise ValueError(f"unknown statistic {stat!r}")
@@ -125,27 +125,14 @@ def table_stat(max_n: int, stat: str, limit: int = DEFAULT_TABLE_LIMIT) -> TriTa
         raise ValueError("max_n must be >= 1")
     if max_n > limit:
         raise ResourceLimit(f"table size {max_n} exceeds limit {limit}")
-    states = {(0, False): (1, _BASE[stat])}
-    rows = []
+    width = motzkin(max_n).bit_length()
+    low = (1 << width) - 1
 
-    def snapshot(n):
-        row = [0] * n
-        for (b, _flag), (_cnt, tot) in states.items():
-            row[b] += tot
-        return row
+    def times(layer, rise):
+        return [x + ((x & low) * k << width) for x, k in zip(layer, increments(stat, rise))]
 
-    rows.append(snapshot(1))
-    for _n in range(2, max_n + 1):
-        nxt = {}
-        for (b, flag), (cnt, tot) in states.items():
-            for c in _successors(b, flag, WordClass.AVOID_GEQ_GEQ):
-                key = (c, b >= c)
-                d = _delta(stat, b, c)
-                pc, pt = nxt.get(key, (0, 0))
-                nxt[key] = (pc + cnt, pt + tot + cnt * d)
-        states = nxt
-        rows.append(snapshot(_n))
-    return TriTable(stat, 1, rows)
+    states = transfer(max_n, WordClass.AVOID_GEQ_GEQ, 1 + (INCREMENTS[stat][0] << width), times)
+    return TriTable(stat, 1, [[(a + b) >> width for a, b in zip(u, f)] for u, f in states])
 
 
 def table_stat_enumerated(max_n: int, stat: str, limit: int = 16) -> TriTable:
@@ -166,13 +153,13 @@ class Totals(NamedTuple):
     p: List[int]
 
 
-def totals(max_n: int, limit: int = DEFAULT_TABLE_LIMIT) -> Totals:
+def totals(max_n: int) -> Totals:
     """h(n) from the c table, s/u/p(n) as row sums of the statistic tables."""
     c = table_c(max_n)
     h = [0] + [sum(k * v for k, v in enumerate(row)) for row in c.rows]
     out = {}
     for stat in STATS:
-        out[stat] = [0] + table_stat(max_n, stat, limit).row_sums()
+        out[stat] = [0] + table_stat(max_n, stat).row_sums()
     return Totals(h=h, s=out["sper"], u=out["area"], p=out["inter"])
 
 
@@ -207,7 +194,7 @@ class RecurrenceReport:
 RECURRENCES = ("s_base", "s_diff", "u_base", "u_diff", "p_base", "p_diff")
 
 
-def check_recurrences(max_n: int, which: str, limit: int = DEFAULT_TABLE_LIMIT) -> RecurrenceReport:
+def check_recurrences(max_n: int, which: str) -> RecurrenceReport:
     """Evaluate one printed recurrence cell-by-cell against the DP tables.
 
     Out-of-triangle references count as 0.  The s_diff formula is printed
@@ -218,7 +205,7 @@ def check_recurrences(max_n: int, which: str, limit: int = DEFAULT_TABLE_LIMIT) 
         raise ValueError(f"unknown recurrence {which!r}")
     c = table_c(max_n)
     stat = {"s": "sper", "u": "area", "p": "inter"}[which[0]]
-    t = table_stat(max_n, stat, limit)
+    t = table_stat(max_n, stat)
 
     def C(n, k):
         return c.entry(n, k)

@@ -8,14 +8,18 @@ formulas over the height profile, and geometric oracles that count on the
 cell grid, held as one bitmask per row.  Both are exported so they can be
 cross-checked.
 
-Enumeration and counting run the same (last letter, flag) automaton of
-``_successors``: ``enumerate_words`` walks it depth first on an explicit
-stack, and ``word_counts`` sums it over every length in one pass.
+Enumeration and counting run the same (last letter, flag) automaton:
+``enumerate_words`` walks ``_successors`` depth first on an explicit
+stack, and ``transfer`` steps all words of one length at a time, with the
+weights its caller chooses.  ``word_counts`` is ``transfer`` with unit
+weights; the statistic tables and the area and interior-point series are
+the same DP with other weights.
 """
 
 import enum
 from dataclasses import dataclass
-from operator import sub
+from itertools import accumulate, count
+from operator import add, sub
 from typing import Iterator, Sequence
 
 from .errors import EmptyWord, InternalInconsistency, NotCatalan, ResourceLimit
@@ -228,28 +232,58 @@ def enumerate_words(
             i -= 1
 
 
-def word_counts(max_n: int, word_class: WordClass = WordClass.AVOID_GEQ_GEQ) -> list:
-    """Exact counts of the words of every length 0..max_n, in one pass.
+#: (start, slope, rise, fall) of each statistic: the word 0 has the value
+#: start, and appending letter c adds slope * c + rise on a rise and
+#: slope * c + fall on a fall or stay
+INCREMENTS = {"sper": (2, 0, 2, 1), "area": (1, 1, 1, 1), "inter": (0, 1, -1, 0)}
 
-    Dynamic programming over the states (last letter b, flag "previous
-    letter >= b") of ``_successors``; never materializes words.  The
-    rising-tail class keeps only the unflagged states from length 2 on.
+
+def increments(stat, rise):
+    """The increments of ``stat`` along one layer of ``transfer``, in order."""
+    _start, slope, up, down = INCREMENTS[stat]
+    return count(slope + up, slope) if rise else count(down, slope)
+
+
+def transfer(max_n: int, word_class: WordClass, start, times) -> Iterator[tuple]:
+    """Yield the weighted states (U, F) of the class at each length 1..max_n.
+
+    The transfer DP of the automaton of ``_successors`` (P. Flajolet and
+    R. Sedgewick, Analytic Combinatorics, 2009, section V.5).  U[c] holds
+    the words of length n that end in c after a smaller letter (or have
+    length 1), F[c] those whose previous letter is >= c; the word 0 carries
+    ``start``.  A rise to c may follow U[c-1] and F[c-1]; a fall or stay to
+    c may follow U[b] for b >= c, and also F[b] in the classes that do not
+    avoid (>=,>=); the unequal-adjacent class needs b > c.  The rising-tail
+    class keeps only U, and its F reads 0.  So one step is a running suffix
+    sum and two weighted layers:
+      U'[c] = times(U[c-1] + F[c-1], rise) for c >= 1,
+      F'[c] = times(sum of U[b] (+ F[b]) over b >= c (> c), fall).
+    ``times(layer, rise)`` returns a whole layer weighted, as a new list:
+    layer[i] appends letter i + 1 if ``rise``, else letter i.  Any ring
+    serves: ints for counts, packed q-integers for the series, dual
+    numbers for the statistic tables.  The yielded lists are read only.
     """
-    counts = [1]
-    states = {(0, False): 1}
+    both = word_class in (WordClass.ALL_CATALAN, WordClass.AVOID_NEQ_ADJACENT)
+    strict = word_class is WordClass.AVOID_NEQ_ADJACENT
+    rising_tail = word_class is WordClass.CLASS_B
+    u, f = [start], [0]
     for n in range(1, max_n + 1):
         if n > 1:
-            nxt = {}
-            for (b, flag), cnt in states.items():
-                for c in _successors(b, flag, word_class):
-                    key = (c, b >= c)
-                    nxt[key] = nxt.get(key, 0) + cnt
-            states = nxt
-        if word_class is WordClass.CLASS_B and n >= 2:
-            counts.append(sum(cnt for (_b, flag), cnt in states.items() if not flag))
-        else:
-            counts.append(sum(states.values()))
-    return counts
+            t = list(map(add, u, f))
+            falls = list(accumulate(reversed(t if both else u)))
+            falls.reverse()
+            if strict:
+                del falls[0]
+            u = [0] + times(t, True)
+            f = times(falls, False) + [0] * (n - len(falls))
+        yield u, ([0] * n if rising_tail else f)
+
+
+def word_counts(max_n: int, word_class: WordClass = WordClass.AVOID_GEQ_GEQ) -> list:
+    """Exact counts of the words of every length 0..max_n, in one pass of
+    ``transfer`` with unit weights; never materializes words."""
+    states = transfer(max_n, word_class, 1, lambda layer, rise: layer)
+    return [1] + [sum(u) + sum(f) for u, f in states]
 
 
 def count_words(n: int, word_class: WordClass = WordClass.AVOID_GEQ_GEQ) -> int:

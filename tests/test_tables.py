@@ -98,8 +98,8 @@ def test_guarded_entry_out_of_triangle():
 
 
 def test_totals_match_closed_forms():
-    tot = tables.totals(25)
-    for n in range(1, 26):
+    tot = tables.totals(tables.DEFAULT_TABLE_LIMIT)
+    for n in range(1, tables.DEFAULT_TABLE_LIMIT + 1):
         assert tot.h[n] == cf.h_closed(n)
         assert tot.s[n] == cf.s_closed(n)
         assert tot.u[n] == cf.u_closed(n)

@@ -22,6 +22,7 @@ from catpoly.words import (
     stat_record,
     stat_sper,
     to_dyck,
+    transfer,
     validate,
     word_counts,
 )
@@ -202,8 +203,21 @@ def test_word_counts_keep_every_length_of_one_pass():
     assert word_counts(0, WordClass.CLASS_B) == [1]
 
 
+def test_transfer_states_match_enumeration():
+    # U[c] / F[c] count the words ending in c whose previous letter is
+    # not / is >= c, state by state, in every class
+    for cls in WordClass:
+        states = list(transfer(10, cls, 1, lambda layer, rise: layer))
+        assert len(states) == 10
+        for n, (u, f) in enumerate(states, start=1):
+            want = ([0] * n, [0] * n)
+            for w in enumerate_words(n, cls):
+                want[n >= 2 and w[-2] >= w[-1]][w[-1]] += 1
+            assert (u, f) == want, (cls, n)
+
+
 def test_unequal_adjacent_shifted_motzkin():
-    for n in range(1, 15):
+    for n in range(1, 31):
         assert count_words(n, WordClass.AVOID_NEQ_ADJACENT) == motzkin_by_recurrence(n - 1)
 
 
@@ -211,7 +225,7 @@ def test_catalan_class_counts():
     # sanity: the unconstrained class counts Catalan numbers
     import math
 
-    for n in range(10):
+    for n in range(31):
         assert count_words(n, WordClass.ALL_CATALAN) == math.comb(2 * n, n) // (n + 1)
 
 
