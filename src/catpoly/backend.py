@@ -16,20 +16,19 @@ its cap.  Exponents and caps are at most ``MAXCAP``, below half the field,
 so the sum of two in-range keys never carries across fields.
 
 ``mul_into`` is the term kernel: a double loop over two term dicts that
-drops every product outside the caps.  The slot helpers (``slot_bytes``,
-``to_slots``, ``read_slots``) serve ``series``, which evaluates each
-coefficient of a q-only integer series at q = 2^w once per product or
-quotient and reads each output coefficient back from its w-bit slots,
-and ``gfs``, whose masters keep each (p, v) row of a coefficient as one
-such integer and whose area and interior-point constructors keep each
-coefficient as one; both read only the occupied slots back, once.
-``read_slots`` decodes the windows of several coefficients in a single
-call with no Python-level step per slot: each window becomes bytes once,
-the joined bytes are cast to 64-bit limbs in bulk, and one dict build per
-coefficient keeps its nonzero slots (the inverse of Kronecker
-substitution; D. Harvey, J. Symbolic Comput. 44, 2009).  ``series`` and
-the masters decode one coefficient per call, a dense ``gfs`` series all
-of its coefficients in one.
+drops every product outside the caps.  The slot helpers serve ``series``,
+which evaluates each coefficient of a q-only integer series at q = 2^w
+once per product or quotient, and ``gfs``, whose masters keep each (p, v)
+row of a coefficient as one such integer and whose area and
+interior-point constructors keep each coefficient as one.  ``read_slots``
+is a pure decoder of the windows of several coefficients, each already in
+w-bit two's complement: each window becomes bytes once, the joined bytes
+are cast to 64-bit limbs in bulk, and one dict build per coefficient keeps
+its nonzero slots, with no Python-level step per slot (the inverse of
+Kronecker substitution; D. Harvey, J. Symbolic Comput. 44, 2009).
+``series`` encodes its signed slots with ``twos_complement`` and decodes
+one coefficient per call; every ``gfs`` slot is a count, so each value is
+its own two's complement, and each ``gfs`` series is decoded in one call.
 """
 
 import sys
@@ -112,8 +111,9 @@ def slot_bytes(bound):
     """Bytes per q-slot that hold any coefficient of magnitude <= bound.
 
     A slot of w bits, one more than the bound needs, holds the coefficient
-    with its sign: |c| <= bound < 2^(w-1), which is all ``read_slots``
-    asks.  Every caller passes a bound on the magnitude, not a signed one.
+    with its sign: |c| <= bound < 2^(w-1), which is all ``twos_complement``
+    asks, and a slot in [0, bound] is its own two's complement.  Every
+    caller passes a bound on the magnitude, not a signed one.
     """
     return (bound.bit_length() + 1 + 7) // 8
 
@@ -131,37 +131,40 @@ def to_slots(terms, deg, nbytes):
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def twos_complement(value, nslots, nbytes):
+    """Slots 0..nslots-1 of ``value`` in two's complement, w = 8 * nbytes bits each.
+
+    ``value`` = sum_j c_j 2^(w j), any sum of products or shifts of packed
+    values, with |c_j| < 2^(w-1) below slot nslots.  Biased by 2^(w-1),
+    those slots are non-negative and carry no borrow; the mask drops what
+    lies above, however large, and the XOR takes the bias back off.
+    """
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * nslots, "little")
+    return ((value + bias) & ((1 << (8 * nbytes * nslots)) - 1)) ^ bias
+
+
 def read_slots(coeffs, nbytes):
     """One term dict for each coefficient, given as windows of packed values.
 
     ``coeffs`` lists each coefficient's windows.  A window
     ``(value, first, nslots, base)`` stores slots first..nslots-1 of
     ``value``: slot j becomes the term of key base + q^j, and no two
-    windows of one coefficient may give the same key.  ``value`` equals
-    sum_j c_j 2^(w j) with w = 8 * nbytes, for any sum of products or
-    shifts of packed values.  Every c_j below slot nslots must have
-    magnitude below 2^(w-1): adding 2^(w-1) to each such slot makes it
-    non-negative, so the slots read back independently with no borrow
-    between them, and whatever lies above is a multiple of
-    2^(w * nslots) that the mask drops, however large its slots are.
+    windows of one coefficient may give the same key.  Each ``value`` holds
+    its slots in w-bit two's complement, w = 8 * nbytes, as
+    ``twos_complement`` leaves them, so 0 <= value < 2^(w * nslots); a
+    value out of that range raises ``OverflowError``.
 
-    The decode makes no Python-level step per slot, and one call decodes
-    every coefficient.  Each window, biased, masked and XORed with the
-    bias so that every slot holds its coefficient in two's complement,
-    becomes bytes once; all windows are joined, widened to whole 64-bit
-    limbs and cast to ints in bulk, and one dict build per coefficient
-    keeps its nonzero slots.
+    Each window becomes bytes by one shift and one ``to_bytes``; all are
+    joined, widened to whole 64-bit limbs and cast to ints in bulk, and
+    one dict build per coefficient keeps its nonzero slots.
     """
     w = 8 * nbytes
-    top = max((window[2] for windows in coeffs for window in windows), default=0)
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * top, "little")
     step = 1 << QSHIFT
     chunks = []
     keys = []
     for windows in coeffs:
         for value, first, nslots, _ in windows:
-            signed = (((value + bias) ^ bias) & ((1 << (w * nslots)) - 1)) >> (w * first)
-            chunks.append(signed.to_bytes(nbytes * (nslots - first), "little"))
+            chunks.append((value >> (w * first)).to_bytes(nbytes * (nslots - first), "little"))
         keys.append([range(base + i * step, base + j * step, step) for _, i, j, base in windows])
     vals = _signed_slots(b"".join(chunks), nbytes)
     # zip stops on its exhausted keys and compress on its exhausted data,

@@ -18,7 +18,7 @@ from .words import CatalanWord, WordClass
 #: Default guard rails; every one can be raised via --limit at the
 #: documented cost of memory and time.
 ENUM_LIMIT = 16
-TABLE_LIMIT = 60
+TABLE_LIMIT = tables.DEFAULT_TABLE_LIMIT
 SERIES_LIMIT = 40
 
 _GF_BUILDERS = {
@@ -255,7 +255,7 @@ def build_parser():
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--format", default="text", choices=["text", "csv", "json"])
     p.add_argument("--limit", type=int, default=TABLE_LIMIT,
-                   help="table size guard (memory/time grows fast)")
+                   help="largest --max-n; guards output size (3 MB of text at 300)")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("gf", help="generating function coefficients")

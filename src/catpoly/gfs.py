@@ -9,9 +9,8 @@ divisions by powers of x lose nothing.
 The two masters are built by forward recurrence on packed q-rows: each
 (p, v) row of an x^n coefficient is one big integer, the row's
 q-polynomial evaluated at q = 2^w, so their substitutions, sums and
-1/(1 - qv) factors are shifts and integer additions, and each
-coefficient is read back into an MPoly once.  The sums B and H and the
-product forms count the words by area or by interior points with the
+1/(1 - qv) factors are shifts and integer additions.  The sums B and H and
+the product forms count the words by area or by interior points with the
 transfer DP of ``words.transfer``, weighted by shifts of single packed
 q-integers: shifts and adds, no product.  The paper's forms of the
 same four series stay as the second route (``paper_form``), checked
@@ -19,13 +18,16 @@ against the DP by ``verify`` and the tests: B and H as ratios of sums,
 the product forms, defined as telescoped sums, through the q-shift
 equations those sums satisfy (x -> x q), all mod 2^(w N) with doubling
 steps for 1/(1 - q^j) and big-integer products.  Every x^n coefficient of
-a dense series is read back at the end, all of them in one decode.  The
-scalar series, the kernel-method closed forms and the continued fraction
-run on ``Series`` arithmetic.
+a packed series, master or dense, is read back at the end, all of them in
+one decode; each slot is a count, so each packed value goes in as it is,
+its own two's complement.  The scalar series, the kernel-method closed
+forms and the continued fraction run on ``Series`` arithmetic.
 """
 
 from fractions import Fraction
 from functools import partial
+from itertools import count, islice
+from operator import lshift
 
 from . import backend, closedforms
 from .backend import pack
@@ -123,9 +125,9 @@ def gf_p(order, caps=None):
 # Only the v-substitutions need V = order: v -> q moves high v into q, so
 # cutting v before it loses terms.  p and q only grow, and the genuine last
 # letter of a length-n word is below n, so every row is exact and the caps
-# are applied once, when the rows are read back: ``_read_rows`` hands every
-# occupied (p, v) row within the caps to one ``backend.read_slots`` call
-# per coefficient, which decodes all their slots in bulk.
+# are applied once, when the rows are read back: ``_windows`` cuts every
+# occupied (p, v) row within the caps at the q cap, and one
+# ``backend.read_slots`` call decodes the rows of all the coefficients.
 
 
 def _solve_forward(order, contributions):
@@ -152,9 +154,10 @@ def _solve_forward(order, contributions):
 def _slot_bytes(order):
     """Bytes per q-slot of a packed series with coefficients x^0 .. x^(order-1).
 
-    ``backend.read_slots`` needs every slot it reads below 2^(w-1) in
-    magnitude, and every stored slot counts avoiding words of one length
-    n < order, so it lies in [0, M(n)] with M(n) <= M(order - 1) (M = Motzkin).
+    Every stored slot counts avoiding words of one length n < order, so it
+    lies in [0, M(n)] with M(n) <= M(order - 1) (M = Motzkin).  A slot sized
+    for that bound keeps its top bit clear, so every packed value is its
+    own two's complement, as ``backend.read_slots`` takes it.
     """
     if order < 1:
         raise ValueError("series order must be >= 1")
@@ -215,37 +218,32 @@ def _master(order, caps, base, step, plus, minus):
                     dst[v] += run
         return out
 
-    coeffs = [
-        _read_rows(rows, caps, nbytes) for rows in _solve_forward(order, contributions)
-    ]
-    return Series(order, coeffs, caps)
+    def pairs(rows):  # the rows within the p and v caps, with their keys
+        for p, rs in rows.items():
+            if p <= caps.p:
+                yield from zip(rs[: caps.v + 1], count(pack(p, 0, 0)))
+
+    windows = [_windows(pairs(rows), caps, w) for rows in _solve_forward(order, contributions)]
+    return Series(order, [MPoly._raw(t) for t in backend.read_slots(windows, nbytes)], caps)
 
 
-def _windows(rows, caps, w):
-    """The slot windows of one coefficient's rows, cut at the caps.
+def _windows(pairs, caps, w):
+    """The slot windows of one coefficient's (value, base key) pairs.
 
-    Every occupied (p, v) row within the caps gives one window of its
-    slots, from its lowest nonzero slot to the q cap.
+    Each nonzero value gives one window, from its lowest nonzero slot to
+    its top slot; only a value that reaches past the q cap is masked there.
     """
+    top = caps.q + 1
     windows = []
-    for p, rs in rows.items():
-        if p > caps.p:
-            continue
-        key = pack(p, 0, 0)
-        for v in range(min(caps.v + 1, len(rs))):
-            r = rs[v]
-            if r:
-                first = ((r & -r).bit_length() - 1) // w
-                if first <= caps.q:
-                    nslots = min(caps.q, r.bit_length() // w) + 1
-                    windows.append((r, first, nslots, key + v))
+    for r, key in pairs:
+        if r:
+            first = ((r & -r).bit_length() - 1) // w
+            if first < top:
+                nslots = r.bit_length() // w + 1
+                if nslots > top:
+                    nslots, r = top, r & ((1 << (w * top)) - 1)
+                windows.append((r, first, nslots, key))
     return windows
-
-
-def _read_rows(rows, caps, nbytes):
-    """The MPoly of one coefficient's rows, cut at the caps, read back in
-    one ``backend.read_slots`` call."""
-    return MPoly._raw(backend.read_slots([_windows(rows, caps, 8 * nbytes)], nbytes)[0])
 
 
 def master_pqv(order, caps=None):
@@ -370,8 +368,8 @@ def kernel_residual(order, caps=None):
 #   slots(n) = min(cap_q, n (n + 1) / 2) + 1
 # unless the q cap cuts it, and its slots lie in [0, M(n)], which
 # ``_slot_bytes`` sizes the slots for.  The x^n coefficients of a dense
-# series are read back into MPolys by one ``backend.read_slots`` call for the
-# whole series.
+# series go to one ``backend.read_slots`` call for the whole series as they
+# are, each its own two's complement.
 #
 # The constructors count the words directly, by the transfer DP over the
 # word automaton, ``words.transfer`` (see ``_transfer_packed``): each step is
@@ -415,7 +413,7 @@ def _dense_series(order, caps, packed):
         raise ResourceLimit("the dense area/interior series need a finite q cap")
     nbytes = _slot_bytes(order)
     w = 8 * nbytes
-    windows = [_windows({0: [c]}, caps, w) for c in packed(order, caps, w)]
+    windows = [_windows([(c, 0)], caps, w) for c in packed(order, caps, w)]
     return Series(order, [MPoly._raw(t) for t in backend.read_slots(windows, nbytes)], caps)
 
 
@@ -427,11 +425,14 @@ def _slots(caps, n):
 def _transfer_packed(stat, word_class, order, caps, w):
     """Packed x^n coefficients, n < order, of the words of ``word_class``
     by ``stat``: ``words.transfer`` at q = 2^w, where an increment k is a
-    shift by k slots.  Every state counts words of one length n, so its
-    slots lie in [0, M(n)] and never carry.
+    shift by k slots; the shifts of a rise layer and of a fall layer are
+    computed once.  Every state counts words of one length n, so its slots
+    lie in [0, M(n)] and never carry.
     """
-    def times(layer, rise):
-        return [x << k * w for x, k in zip(layer, increments(stat, rise))]
+    rise, fall = ([k * w for k in islice(increments(stat, up), order)] for up in (True, False))
+
+    def times(layer, up):
+        return list(map(lshift, layer, rise if up else fall))
 
     states = transfer(order - 1, word_class, 1 << INCREMENTS[stat][0] * w, times)
     return [0] + [sum(u) + sum(f) for u, f in states]

@@ -77,6 +77,20 @@ def _cleaned(d):
     return {k: _norm(c) for k, c in d.items() if c != 0}
 
 
+def _merged(out, pairs):
+    """The MPoly of the term dict ``out`` plus the (key, coefficient) pairs;
+    ``out`` is mutated."""
+    get = out.get
+    for k, c in pairs:
+        cur = get(k)
+        s = c if cur is None else cur + c
+        if s == 0:
+            out.pop(k, None)
+        else:
+            out[k] = _norm(s)
+    return MPoly._raw(out)
+
+
 class MPoly:
     """Immutable-by-convention sparse polynomial in p, q, v."""
 
@@ -118,28 +132,10 @@ class MPoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        get = out.get
-        for k, c in other.terms.items():
-            cur = get(k)
-            s = c if cur is None else cur + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = _norm(s)
-        return MPoly._raw(out)
+        return _merged(dict(self.terms), other.terms.items())
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        get = out.get
-        for k, c in other.terms.items():
-            cur = get(k)
-            s = -c if cur is None else cur - c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = _norm(s)
-        return MPoly._raw(out)
+        return _merged(dict(self.terms), ((k, -c) for k, c in other.terms.items()))
 
     def __neg__(self):
         return MPoly._raw({k: -c for k, c in self.terms.items()})
@@ -208,18 +204,8 @@ class MPoly:
 
     def eval_one(self, var):
         """Set the given marker to 1 (merging terms)."""
-        mask = MASK << _SHIFTS[var]
-        out = {}
-        get = out.get
-        for k, c in self.terms.items():
-            nk = k & ~mask
-            cur = get(nk)
-            s = c if cur is None else cur + c
-            if s == 0:
-                out.pop(nk, None)
-            else:
-                out[nk] = _norm(s)
-        return MPoly._raw(out)
+        keep = ~(MASK << _SHIFTS[var])
+        return _merged({}, ((k & keep, c) for k, c in self.terms.items()))
 
     def derivative(self, var):
         """Formal derivative with respect to one marker."""

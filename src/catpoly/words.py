@@ -60,6 +60,13 @@ class CatalanWord:
         self.letters = letters
 
     @classmethod
+    def _raw(cls, letters):
+        # internal: a tuple of letters already known to be a Catalan word
+        w = object.__new__(cls)
+        w.letters = letters
+        return w
+
+    @classmethod
     def parse(cls, text: str) -> "CatalanWord":
         """Accepts a digit string (letters <= 9) or comma-separated integers."""
         text = text.strip()
@@ -205,14 +212,15 @@ def enumerate_words(
 
     Depth first on an explicit stack, one word at a time, so any length
     within the limit streams: ``options[i]`` iterates the letters still
-    to try at position i.
+    to try at position i.  Every word the automaton yields is Catalan, so
+    none is validated again.
     """
     if n < 0:
         raise ValueError(f"word length must be >= 0, got {n}")
     if n > limit:
         raise ResourceLimit(f"enumeration of length {n} exceeds limit {limit}")
     if n == 0:
-        yield CatalanWord(())
+        yield CatalanWord._raw(())
         return
     rising_tail = word_class is WordClass.CLASS_B and n >= 2
     last = n - 1
@@ -227,7 +235,7 @@ def enumerate_words(
                 options[i] = iter(_successors(c, i >= 2 and prefix[i - 2] >= c, word_class))
                 break
             if not rising_tail or prefix[i - 1] < c:
-                yield CatalanWord(prefix)
+                yield CatalanWord._raw(tuple(prefix))
         else:
             i -= 1
 

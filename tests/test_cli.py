@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from catpoly import gfs, verify
+from catpoly import cli, gfs, verify
 from catpoly.cli import main
 from catpoly.mpoly import MPoly
 from catpoly.render import render_svg
@@ -194,8 +194,15 @@ def test_table_json_round_trips(capsys):
 
 
 def test_table_limit_exit3(capsys):
-    code, _, _ = run(capsys, "table", "--which", "s", "--max-n", "99")
+    code, _, _ = run(capsys, "table", "--which", "s", "--max-n", str(cli.TABLE_LIMIT + 1))
     assert code == 3
+
+
+def test_table_past_old_limit_succeeds(capsys):
+    # a table past n = 60 is within the default limit
+    code, out, _ = run(capsys, "table", "--which", "s", "--max-n", "61", "--format", "csv")
+    assert code == 0
+    assert len(out.splitlines()) == 61
 
 
 def test_table_max_n_zero_names_flag(capsys):

@@ -549,8 +549,11 @@ def test_product_forms_equal_the_telescoped_sum_under_any_caps(name, order):
         assert getattr(gfs, name)(order, caps).coeffs == want.coeffs, caps
 
 
+PACKED = DENSE + ("master_pqv", "master_interior_qv")
+
+
 def test_dense_constructors_decode_each_series_once(monkeypatch):
-    # every coefficient of a dense series is read back by one decode
+    # every coefficient of a dense series or a master is read back by one decode
     calls = []
     real = backend.read_slots
 
@@ -559,13 +562,28 @@ def test_dense_constructors_decode_each_series_once(monkeypatch):
         return real(coeffs, nbytes)
 
     monkeypatch.setattr(backend, "read_slots", spy)
-    for name in DENSE:
+    for name in PACKED:
         calls.clear()
         getattr(gfs, name)(12)
         assert calls == [12], name
 
 
-PACKED = DENSE + ("master_pqv", "master_interior_qv")
+def test_windows_cut_a_row_at_the_q_cap():
+    # a non-negative row that reaches past the q cap is masked there, a row
+    # within it goes in as it is, and a row whose lowest slot lies above
+    # the cap gives no window
+    nbytes = 2
+    w = 8 * nbytes
+    caps = Caps(3, 2, 3)
+    long = sum(c << (w * j) for j, c in enumerate([0, 5, 7, 9, 11]))
+    short = 3 << w
+    above = 1 << 3 * w
+    pairs = [(long, pack(1, 0, 0)), (0, pack(2, 0, 0)), (short, pack(0, 0, 2)), (above, pack(3, 0, 0))]
+    windows = gfs._windows(pairs, caps, w)
+    assert windows == [(long % above, 1, 3, pack(1, 0, 0)), (short, 1, 2, pack(0, 0, 2))]
+    assert backend.read_slots([windows], nbytes) == [
+        {pack(1, 1, 0): 5, pack(1, 2, 0): 7, pack(0, 1, 2): 3}
+    ]
 
 
 def assert_slots_within_motzkin(series):
@@ -677,7 +695,9 @@ def test_packed_geom_matches_dense_product(case, dq):
     w = 8 * nbytes
     mask = (1 << (w * (caps.q + 1))) - 1
     packed = sum(c << (w * (k >> backend.QSHIFT)) for k, c in m.terms.items()) & mask
-    got = gfs._read_rows({0: [gfs._geom(packed, dq, w, mask)]}, caps, nbytes)
+    nslots = caps.q + 1
+    window = (backend.twos_complement(gfs._geom(packed, dq, w, mask), nslots, nbytes), 0, nslots, 0)
+    got = MPoly(backend.read_slots([[window]], nbytes)[0])
     assert got == m.mul(_geom_oracle(dq, caps), caps.key)
 
 

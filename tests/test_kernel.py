@@ -264,6 +264,15 @@ def decode_oracle(coeffs, nbytes):
     return [read_slots_oracle(windows, nbytes) for windows in coeffs]
 
 
+def encoded(coeffs, nbytes):
+    """The windows of coeffs, each value put through ``backend.twos_complement``
+    as ``read_slots`` takes it."""
+    return [
+        [(backend.twos_complement(value, n, nbytes), first, n, base) for value, first, n, base in windows]
+        for windows in coeffs
+    ]
+
+
 @st.composite
 def slot_coeffs(draw):
     """A slot width and up to four coefficients, each up to four windows of
@@ -325,7 +334,17 @@ def test_read_slots_matches_per_slot_decode(case):
     # widths of 1-17 bytes take one, two and three 64-bit limbs per slot;
     # one call decodes every coefficient, each into its own term dict
     nbytes, coeffs = case
-    assert backend.read_slots(coeffs, nbytes) == decode_oracle(coeffs, nbytes)
+    assert backend.read_slots(encoded(coeffs, nbytes), nbytes) == decode_oracle(coeffs, nbytes)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("value", [-1, -(1 << 40), 1 << 24, (1 << 24) + 5, 1 << 90])
+def test_read_slots_rejects_a_value_outside_its_window(value, first):
+    # read_slots takes values in [0, 2^(w * nslots)) only, here 2^24: a
+    # negative value or one with bits above its window raises, and no
+    # coefficient of the call is returned
+    with pytest.raises(OverflowError):
+        backend.read_slots([[(5, 0, 2, 0)], [(value, first, 3, pack(1, 0, 0))]], 1)
 
 
 def _as_big_endian_host(typecode, data):
@@ -342,8 +361,8 @@ def test_read_slots_swaps_limbs_on_a_big_endian_host(monkeypatch, nbytes):
     # of the host running the test: backend.array is replaced by one that
     # reads its bytes as a big-endian host does, and backend is told that
     # it runs on such a host.
-    coeffs = _mixed_coeffs(nbytes)
-    want = decode_oracle(coeffs, nbytes)
+    want = decode_oracle(_mixed_coeffs(nbytes), nbytes)
+    coeffs = encoded(_mixed_coeffs(nbytes), nbytes)
     monkeypatch.setattr(backend, "array", _as_big_endian_host)
     monkeypatch.setattr(backend, "_BIG_ENDIAN", True)
     assert backend.read_slots(coeffs, nbytes) == want

@@ -82,7 +82,8 @@ def test_stat_table_index_convention():
 
 def test_table_resource_limit():
     with pytest.raises(ResourceLimit):
-        tables.table_stat(61, "sper")
+        tables.table_stat(tables.DEFAULT_TABLE_LIMIT + 1, "sper")
+    tables.table_stat(61, "sper")
     tables.table_stat(20, "sper", limit=20)
 
 

@@ -138,6 +138,16 @@ def test_enumerate_matches_brute_filter():
             assert [w.letters for w in enumerate_words(n, cls)] == expected
 
 
+def test_enumerated_words_are_whole_catalan_words():
+    # enumerate_words does not validate its words again: each must still be
+    # a CatalanWord equal to the validated one, with its own letter tuple
+    for cls in WordClass:
+        got = [w for n in range(8) for w in enumerate_words(n, cls)]
+        assert all(type(w) is CatalanWord and type(w.letters) is tuple for w in got)
+        assert got == [CatalanWord(w.letters) for w in got]
+        assert len(set(got)) == len(got)
+
+
 def test_enumerate_streams_the_top_length():
     words = enumerate_words(16, WordClass.AVOID_GEQ_GEQ)
     assert inspect.isgenerator(words)
