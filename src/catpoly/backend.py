@@ -28,7 +28,8 @@ its nonzero slots, with no Python-level step per slot (the inverse of
 Kronecker substitution; D. Harvey, J. Symbolic Comput. 44, 2009).
 ``series`` encodes its signed slots with ``twos_complement`` and decodes
 one coefficient per call; every ``gfs`` slot is a count, so each value is
-its own two's complement, and each ``gfs`` series is decoded in one call.
+its own two's complement, and each ``gfs`` series is decoded in bounded
+batches of whole coefficients.
 """
 
 import sys

@@ -11,6 +11,7 @@ import json
 import sys
 
 from . import bijections, gfs, render, tables, words
+from .backend import MAXCAP
 from .errors import CatpolyError, NotCatalan, NotInDomain, ResourceLimit
 from .verify import run_verify
 from .words import CatalanWord, WordClass
@@ -19,23 +20,24 @@ from .words import CatalanWord, WordClass
 #: documented cost of memory and time.
 ENUM_LIMIT = 16
 TABLE_LIMIT = tables.DEFAULT_TABLE_LIMIT
-SERIES_LIMIT = 40
 
 _GF_BUILDERS = {
-    # name -> (constructor, first structural index)
-    "M": (gfs.gf_motzkin, 0),
-    "T": (gfs.gf_trinomial, 0),
-    "S": (gfs.cf_S, 1),
-    "Clast": (gfs.cf_C_last, 1),
-    "Cpv": (gfs.cf_C_sper_v, 1),
-    "B": (gfs.sum_B, 1),
-    "H": (gfs.sum_H, 1),
-    "area": (gfs.prod_area, 1),
-    "inter": (gfs.prod_interior, 1),
-    "h": (gfs.gf_h, 1),
-    "s": (gfs.gf_s, 1),
-    "u": (gfs.gf_u, 1),
-    "p": (gfs.gf_p, 1),
+    # name -> (constructor, first structural index, default order limit):
+    # the largest round order whose ``catpoly gf`` process took under 1 s
+    # (2 cores, Python 3.11); 1000 is the last within the key fields
+    "M": (gfs.gf_motzkin, 0, 1000),
+    "T": (gfs.gf_trinomial, 0, 1000),
+    "S": (gfs.cf_S, 1, 100),
+    "Clast": (gfs.cf_C_last, 1, 200),
+    "Cpv": (gfs.cf_C_sper_v, 1, 40),
+    "B": (gfs.sum_B, 1, 100),
+    "H": (gfs.sum_H, 1, 100),
+    "area": (gfs.prod_area, 1, 100),
+    "inter": (gfs.prod_interior, 1, 100),
+    "h": (gfs.gf_h, 1, 1000),
+    "s": (gfs.gf_s, 1, 1000),
+    "u": (gfs.gf_u, 1, 1000),
+    "p": (gfs.gf_p, 1, 1000),
 }
 
 
@@ -154,12 +156,18 @@ def _parse_at(spec):
 
 
 def _cmd_gf(args):
-    builder, start = _GF_BUILDERS[args.which]
+    builder, start, default = _GF_BUILDERS[args.which]
+    limit = default if args.limit is None else args.limit
     _require_at_least(args.order, 1, "--order")
-    _require_at_least(args.limit, 0, "--limit")
-    if args.order > args.limit:
-        raise ResourceLimit(f"series order {args.order} exceeds limit {args.limit}")
-    series = builder(args.order + start)
+    _require_at_least(limit, 0, "--limit")
+    if args.order > limit:
+        raise ResourceLimit(f"series order {args.order} exceeds limit {limit}")
+    try:
+        series = builder(args.order + start)
+    except ResourceLimit as exc:  # raised at the builder's padded order
+        raise ResourceLimit(
+            f"series order {args.order} needs exponents above the key field maximum {MAXCAP}"
+        ) from exc
     for var in _parse_at(args.at):
         series = series.eval_one(var)
     coeffs = [series.coeff(n) for n in range(start, args.order + start)]
@@ -263,8 +271,9 @@ def build_parser():
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--at", default="",
                    help="comma-separated specializations, e.g. p=1,q=1,v=1")
-    p.add_argument("--limit", type=int, default=SERIES_LIMIT,
-                   help="series order guard (memory/time grows fast)")
+    limits = ", ".join(f"{name} {limit}" for name, (_, _, limit) in _GF_BUILDERS.items())
+    p.add_argument("--limit", type=int, default=None,
+                   help=f"largest --order; by default, about 1 s of work: {limits}")
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(func=_cmd_gf)
 

@@ -1,9 +1,9 @@
 """Integer closed forms and asymptotic/expected-value diagnostics.
 
-Every count here is a linear combination of central trinomial
+Every total here is a linear combination of central trinomial
 coefficients (plus a power of 3 for the area and interior-point totals),
-halved; the halving is guarded so that a transcription slip fails loudly
-instead of silently corrupting output.
+halved, held as a row of ``TRINOMIAL_FORMS``; the halving is guarded so
+that a transcription slip fails loudly instead of corrupting output.
 """
 
 import math
@@ -51,45 +51,53 @@ def motzkin(n: int) -> int:
     )
 
 
-def _halved(name, n, value):
+#: The paper's closed form of each total t as a row (a, b) of
+#: 2 t(n) = sum_i a_i T(n + i) + b 3^(n+1), n >= 1, T = ``trinomial``;
+#: ``verify`` checks each against the row ``gfs.trinomial_form`` derives
+TRINOMIAL_FORMS = {
+    "h": ([-6, -7, 3, 3, -1], 0),
+    "s": ([-5, -4, 3], 0),
+    "u": ([0, 2, -1, -3, 1], 1),
+    "p": ([8, 8, -5, -3, 1], 1),
+}
+
+
+def trinomial_sum(row, n):
+    """sum_i a_i T(n + i) + b 3^(n+1) for a row (a, b)."""
+    a, b = row
+    return sum(ai * trinomial(n + i) for i, ai in enumerate(a)) + b * 3 ** (n + 1)
+
+
+def closed_total(name, n):
+    """The total ``name`` (h, s, u or p) at length n >= 1 from its row in
+    ``TRINOMIAL_FORMS``, halved with a guard."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    value = trinomial_sum(TRINOMIAL_FORMS[name], n)
     q, r = divmod(value, 2)
     if r:
-        raise InternalInconsistency(f"{name}({n}): odd numerator {value}")
+        raise InternalInconsistency(f"{name}_closed({n}): odd numerator {value}")
     return q
 
 
 def h_closed(n: int) -> int:
     """Total of the last letter over all avoiding words of length n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    T = [trinomial(n + k) for k in range(5)]
-    return _halved("h_closed", n, -6 * T[0] - 7 * T[1] + 3 * T[2] + 3 * T[3] - T[4])
+    return closed_total("h", n)
 
 
 def s_closed(n: int) -> int:
     """Total semiperimeter over all avoiding words of length n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    T = [trinomial(n + k) for k in range(3)]
-    return _halved("s_closed", n, -5 * T[0] - 4 * T[1] + 3 * T[2])
+    return closed_total("s", n)
 
 
 def u_closed(n: int) -> int:
     """Total area over all avoiding words of length n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    T = [trinomial(n + k) for k in range(5)]
-    return _halved("u_closed", n, 3 ** (n + 1) + 2 * T[1] - T[2] - 3 * T[3] + T[4])
+    return closed_total("u", n)
 
 
 def p_closed(n: int) -> int:
     """Total number of interior points over all avoiding words of length n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    T = [trinomial(n + k) for k in range(5)]
-    return _halved(
-        "p_closed", n, 3 ** (n + 1) + 8 * T[0] + 8 * T[1] - 5 * T[2] - 3 * T[3] + T[4]
-    )
+    return closed_total("p", n)
 
 
 # -- diagnostics (floating point; no exactness claimed) ------------------------

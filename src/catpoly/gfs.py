@@ -18,9 +18,11 @@ against the DP by ``verify`` and the tests: B and H as ratios of sums,
 the product forms, defined as telescoped sums, through the q-shift
 equations those sums satisfy (x -> x q), all mod 2^(w N) with doubling
 steps for 1/(1 - q^j) and big-integer products.  Every x^n coefficient of
-a packed series, master or dense, is read back at the end, all of them in
-one decode; each slot is a count, so each packed value goes in as it is,
-its own two's complement.  The scalar series, the kernel-method closed
+a packed series is read back at the end, in batches of whole coefficients
+(``_read_back``); each slot is a count, so each packed value goes in as it
+is, its own two's complement.  The six scalar series are the rows of one
+table of algebraic forms, ``ALGEBRAIC_FORMS``, which ``trinomial_form``
+also reads as the paper's trinomial forms; they, the kernel-method closed
 forms and the continued fraction run on ``Series`` arithmetic.
 """
 
@@ -32,77 +34,92 @@ from operator import lshift
 from . import backend, closedforms
 from .backend import pack
 from .errors import DepthTooShallow, InternalInconsistency, ResourceLimit
-from .mpoly import CAPS_UNBOUNDED, Caps, MPoly
+from .mpoly import CAPS_UNBOUNDED, Caps, MPoly, _norm
 from .series import Series
 from .words import INCREMENTS, WordClass, increments, transfer
 
 _HALF = Fraction(1, 2)
 
+#: Delta = 1 - 2x - 3x^2 = (1 - 3x)(1 + x), as x-coefficients
+_DELTA = [1, -2, -3]
 
-def _sqrt_base(order, caps):
-    """sqrt(1 - 2x - 3x^2)."""
-    return Series.from_x_polynomial(order, [1, -2, -3], caps).sqrt()
+#: The Motzkin and central trinomial series and those of the totals h, s,
+#: u, p, each c (P + Q sqrt(Delta)) / (x^k Delta^e), as (c, P, Q, k, e)
+#: with P and Q given by their x-coefficients
+ALGEBRAIC_FORMS = {
+    "M": (_HALF, [1, -1], [-1], 2, 0),
+    "T": (1, [], [1], 0, 1),
+    "h": (_HALF, [1, -2, -3, 2, 2], [-1, 1, 2], 4, 0),
+    "s": (_HALF, [-3, 7, 7, -3], [3, -4, -5], 2, 1),
+    "u": (-_HALF, [1, -4, 0, 7, 2], [-1, 3, 1, -2], 4, 1),
+    "p": (-_HALF, [1, -4, -4, 17, 12, -10, -6], [-1, 3, 5, -8, -8], 4, 1),
+}
+
+
+def _algebraic_series(name, order, caps):
+    """The series ``ALGEBRAIC_FORMS[name]``, built at order + k so that the
+    division by x^k loses nothing; all but the square root runs packed."""
+    c, P, Q, k, e = ALGEBRAIC_FORMS[name]
+    work = order + k
+    caps = caps or Caps.for_order(work)
+    root = Series.from_x_polynomial(work, _DELTA, caps).sqrt()
+    num = Series.from_x_polynomial(work, Q, caps) * root + Series.from_x_polynomial(work, P, caps)
+    if e:
+        num = num.div(Series.from_x_polynomial(work, _DELTA, caps))
+    return num.divide_by_x_power(k).scale(c)
+
+
+def trinomial_form(name):
+    """The exact row (a, b, d) of ``ALGEBRAIC_FORMS[name]``: its x^n coefficient
+    t(n) has 2 t(n) = sum_i a_i T(n + i) + b 3^(n+1) + d (-1)^n for
+    n > deg P - k (n >= deg P - k - 1 if e = 1).  With R = Q Delta^(1-e) and
+    1/sqrt(Delta) = sum T(n) x^n, T(n + k - j) carries R_j; for e = 1,
+    [x^m] P/Delta = sum_j P_j (3^(m-j+1) + (-1)^(m-j)) / 4, also at m - j = -1.
+    """
+    c, P, Q, k, e = ALGEBRAIC_FORMS[name]
+    R = Q
+    if not e:
+        R = [sum(q * _DELTA[m - i] for i, q in enumerate(Q) if 0 <= m - i < 3)
+             for m in range(len(Q) + 2)]
+    if len(R) > k + 1:
+        raise InternalInconsistency(f"{name}: deg R = {len(R) - 1} > k, so T(n - 1) enters")
+    a = [_norm(2 * c * r) for r in reversed(R + [0] * (k + 1 - len(R)))]
+    # for e = 0, P / x^k is a polynomial: no 3^n or (-1)^n part
+    quarter = e * Fraction(c) / 2
+    b = _norm(quarter * sum(pj * Fraction(3) ** (k - j) for j, pj in enumerate(P)))
+    # by parity, since (-1) ** -1 is a float
+    d = _norm(quarter * sum(pj if (k - j) % 2 == 0 else -pj for j, pj in enumerate(P)))
+    return a, b, d
 
 
 def gf_motzkin(order, caps=None):
     """Motzkin number series (1 - x - sqrt(1-2x-3x^2)) / (2x^2)."""
-    work = order + 2
-    caps = caps or Caps.for_order(work)
-    num = Series.from_x_polynomial(work, [1, -1], caps) - _sqrt_base(work, caps)
-    return num.divide_by_x_power(2).scale(_HALF)
+    return _algebraic_series("M", order, caps)
 
 
 def gf_trinomial(order, caps=None):
     """Central trinomial series 1 / sqrt(1-2x-3x^2)."""
-    caps = caps or Caps.for_order(order)
-    return _sqrt_base(order, caps).inverse()
+    return _algebraic_series("T", order, caps)
 
 
 def gf_h(order, caps=None):
     """Series of the last-letter totals h(n)."""
-    work = order + 4
-    caps = caps or Caps.for_order(work)
-    s = _sqrt_base(work, caps)
-    left = Series.from_x_polynomial(work, [-1, 2], caps) * s
-    num = left + Series.from_x_polynomial(work, [1, -3, 0, 2], caps)
-    num = num * Series.from_x_polynomial(work, [1, 1], caps)
-    return num.divide_by_x_power(4).scale(_HALF)
+    return _algebraic_series("h", order, caps)
 
 
 def gf_s(order, caps=None):
     """Series of the semiperimeter totals s(n)."""
-    work = order + 2
-    caps = caps or Caps.for_order(work)
-    trino = gf_trinomial(work, caps)
-    num = Series.from_x_polynomial(work, [3, -4, -5], caps) * trino
-    num = num + Series.from_x_polynomial(work, [-3, 1], caps)
-    return num.divide_by_x_power(2).scale(_HALF)
-
-
-def _total_over_shifted_kernel(order, caps, sqrt_factor, plain_part):
-    # common tail of gf_u / gf_p: divide by 2x^4(3x^2 + 2x - 1)
-    work = order + 4
-    s = _sqrt_base(work, caps)
-    num = Series.from_x_polynomial(work, sqrt_factor, caps) * s
-    num = num + Series.from_x_polynomial(work, plain_part, caps)
-    unit = Series.from_x_polynomial(work, [-1, 2, 3], caps)
-    return num.div(unit).divide_by_x_power(4).scale(_HALF)
+    return _algebraic_series("s", order, caps)
 
 
 def gf_u(order, caps=None):
     """Series of the area totals u(n)."""
-    caps = caps or Caps.for_order(order + 4)
-    return _total_over_shifted_kernel(
-        order, caps, [-1, 3, 1, -2], [1, -4, 0, 7, 2]
-    )
+    return _algebraic_series("u", order, caps)
 
 
 def gf_p(order, caps=None):
     """Series of the interior-point totals p(n)."""
-    caps = caps or Caps.for_order(order + 4)
-    return _total_over_shifted_kernel(
-        order, caps, [-1, 3, 5, -8, -8], [1, -4, -4, 17, 12, -10, -6]
-    )
+    return _algebraic_series("p", order, caps)
 
 
 # -- multivariate masters (forward recurrence on packed q-rows) ------------------
@@ -126,8 +143,8 @@ def gf_p(order, caps=None):
 # cutting v before it loses terms.  p and q only grow, and the genuine last
 # letter of a length-n word is below n, so every row is exact and the caps
 # are applied once, when the rows are read back: ``_windows`` cuts every
-# occupied (p, v) row within the caps at the q cap, and one
-# ``backend.read_slots`` call decodes the rows of all the coefficients.
+# occupied (p, v) row within the caps at the q cap, and ``_read_back``
+# decodes the rows of all the coefficients, a bounded batch per call.
 
 
 def _solve_forward(order, contributions):
@@ -223,18 +240,20 @@ def _master(order, caps, base, step, plus, minus):
             if p <= caps.p:
                 yield from zip(rs[: caps.v + 1], count(pack(p, 0, 0)))
 
-    windows = [_windows(pairs(rows), caps, w) for rows in _solve_forward(order, contributions)]
-    return Series(order, [MPoly._raw(t) for t in backend.read_slots(windows, nbytes)], caps)
+    rows = _solve_forward(order, contributions)
+    return _read_back(order, caps, nbytes, (_windows(pairs(r), caps, w) for r in rows))
 
 
 def _windows(pairs, caps, w):
-    """The slot windows of one coefficient's (value, base key) pairs.
+    """The slot windows of one coefficient's (value, base key) pairs, and
+    the number of slots they hold.
 
     Each nonzero value gives one window, from its lowest nonzero slot to
     its top slot; only a value that reaches past the q cap is masked there.
     """
     top = caps.q + 1
     windows = []
+    size = 0
     for r, key in pairs:
         if r:
             first = ((r & -r).bit_length() - 1) // w
@@ -243,7 +262,28 @@ def _windows(pairs, caps, w):
                 if nslots > top:
                     nslots, r = top, r & ((1 << (w * top)) - 1)
                 windows.append((r, first, nslots, key))
-    return windows
+                size += nslots - first
+    return windows, size
+
+
+#: Most slot bytes per ``backend.read_slots`` call, whose bytes, limbs and
+#: ints are alive at once; every series below order 21 is one batch
+_READ_BATCH_BYTES = 1 << 20
+
+
+def _read_back(order, caps, nbytes, coeffs):
+    """The series whose x^n coefficients ``coeffs`` yields as (windows, slots)
+    pairs from ``_windows``, decoded in batches of at most
+    ``_READ_BATCH_BYTES`` slot bytes (or one coefficient, if it is larger)."""
+    terms, batch, size = [], [], 0
+    for windows, nslots in coeffs:
+        if batch and size + nslots * nbytes > _READ_BATCH_BYTES:
+            terms += backend.read_slots(batch, nbytes)
+            batch, size = [], 0
+        batch.append(windows)
+        size += nslots * nbytes
+    terms += backend.read_slots(batch, nbytes)
+    return Series(order, [MPoly._raw(t) for t in terms], caps)
 
 
 def master_pqv(order, caps=None):
@@ -368,8 +408,8 @@ def kernel_residual(order, caps=None):
 #   slots(n) = min(cap_q, n (n + 1) / 2) + 1
 # unless the q cap cuts it, and its slots lie in [0, M(n)], which
 # ``_slot_bytes`` sizes the slots for.  The x^n coefficients of a dense
-# series go to one ``backend.read_slots`` call for the whole series as they
-# are, each its own two's complement.
+# series are read back by ``_read_back`` as they are, each its own two's
+# complement.
 #
 # The constructors count the words directly, by the transfer DP over the
 # word automaton, ``words.transfer`` (see ``_transfer_packed``): each step is
@@ -402,7 +442,7 @@ def kernel_residual(order, caps=None):
 
 def _dense_series(order, caps, packed):
     """The series of a dense constructor whose x^n coefficients
-    ``packed(order, caps, w)`` returns, all read back in one decode.
+    ``packed(order, caps, w)`` returns, read back by ``_read_back``.
 
     The slots are sized from M(order - 1) by ``_slot_bytes``, the bound of
     every slot read back and of every slot of the transfer DP's states.
@@ -413,8 +453,8 @@ def _dense_series(order, caps, packed):
         raise ResourceLimit("the dense area/interior series need a finite q cap")
     nbytes = _slot_bytes(order)
     w = 8 * nbytes
-    windows = [_windows([(c, 0)], caps, w) for c in packed(order, caps, w)]
-    return Series(order, [MPoly._raw(t) for t in backend.read_slots(windows, nbytes)], caps)
+    coeffs = packed(order, caps, w)
+    return _read_back(order, caps, nbytes, (_windows([(c, 0)], caps, w) for c in coeffs))
 
 
 def _slots(caps, n):

@@ -242,10 +242,6 @@ class Series:
             out.append(residue.mul(inv0, capkey))
         return Series(n, out, self.caps)
 
-    def inverse(self):
-        one = Series.from_x_polynomial(self.order, [1], self.caps)
-        return one.div(self)
-
     def sqrt(self):
         """Square root of a series with constant term exactly 1."""
         if self.coeffs[0] != MPoly.scalar(1):
@@ -288,8 +284,3 @@ class Series:
             [co.divide_monomial(c, dp, dq, dv) for co in self.coeffs],
             self.caps,
         )
-
-    def truncate(self, order):
-        if order > self.order:
-            raise OrderMismatch(f"cannot extend order {self.order} to {order}")
-        return Series(order, self.coeffs[:order], self.caps)

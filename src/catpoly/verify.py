@@ -14,11 +14,13 @@ as sets of letter tuples for the bijection check.  Nothing outlives the
 run.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, List, Tuple
 
 from . import bijections, closedforms, gfs, tables, words
+from .backend import pack
 from .mpoly import MPoly
 from .series import Series
 from .words import WordClass
@@ -97,26 +99,9 @@ class _Context:
         )
 
 
-def _poly_from_triples(triples):
-    out = MPoly.zero()
-    for (dp, dq, dv), cnt in triples.items():
-        out = out + MPoly.monomial(cnt, dp, dq, dv)
-    return out
-
-
-def _scalar_histogram(records, stat):
-    hist = {}
-    for rec in records:
-        key = getattr(rec, stat)
-        hist[key] = hist.get(key, 0) + 1
-    return hist
-
-
-def _q_poly(hist):
-    out = MPoly.zero()
-    for e, cnt in hist.items():
-        out = out + MPoly.monomial(cnt, 0, e, 0)
-    return out
+def _q_histogram(records, stat):
+    """``records`` counted by ``stat``, as a polynomial in q."""
+    return MPoly(Counter(pack(0, getattr(rec, stat), 0) for rec in records))
 
 
 def run_verify(max_n: int = 10, max_order: int = 20) -> VerifyReport:
@@ -222,12 +207,6 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         enum_top = min(max_n, 12)
         if not top and not enum_top:
             return "skipped", "needs max_order >= 2 or max_n >= 1"
-        closed = {
-            "h": closedforms.h_closed,
-            "s": closedforms.s_closed,
-            "u": closedforms.u_closed,
-            "p": closedforms.p_closed,
-        }
         if top:
             series = {
                 "h": ctx.get(("gf_h", top + 1), lambda: gfs.gf_h(top + 1)),
@@ -239,21 +218,35 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
                 if ser.coeff(0).as_scalar() != 0:
                     return "fail", f"{key}-series has nonzero constant term"
                 for n in range(1, top + 1):
-                    if ser.coeff(n).as_scalar() != closed[key](n):
+                    if ser.coeff(n).as_scalar() != closedforms.closed_total(key, n):
                         return "fail", f"{key}({n}) series != closed form"
             dp = tables.totals(top)
             for key, seq in (("h", dp.h), ("s", dp.s), ("u", dp.u), ("p", dp.p)):
                 for n in range(1, top + 1):
-                    if seq[n] != closed[key](n):
+                    if seq[n] != closedforms.closed_total(key, n):
                         return "fail", f"{key}({n}) DP != closed form"
         stat_fields = {"h": "last", "s": "sper", "u": "area", "p": "inter"}
         for n in range(1, enum_top + 1):
             records = ctx.records_of(n)
             for key, stat in stat_fields.items():
-                if sum(getattr(rec, stat) for rec in records) != closed[key](n):
+                if sum(getattr(rec, stat) for rec in records) != closedforms.closed_total(key, n):
                     return "fail", f"{key}({n}) enumeration != closed form"
         halves = f"series/DP to n <= {top}" if top else "series/DP skipped, needs max_order >= 2"
         return "pass", f"four totals agree ({halves}, enumeration to n <= {enum_top})"
+
+    def trinomial_forms():
+        # the printed rows and the derived ones share nothing but the
+        # trinomials; the series route shares the table, so the DP and
+        # enumeration halves of totals_series_match stay its independent check
+        for name, printed in closedforms.TRINOMIAL_FORMS.items():
+            derived = gfs.trinomial_form(name)
+            if derived != (*printed, 0):
+                return "fail", f"{name}: derived row {derived} != printed {printed} and no (-1)^n"
+        a, b, d = gfs.trinomial_form("M")
+        for n in range(301):
+            if closedforms.trinomial_sum((a, b), n) + d * (-1) ** n != 2 * closedforms.motzkin(n):
+                return "fail", f"M: derived row {a}, {b}, {d} gives 2 m_{n} wrong"
+        return "pass", "derived rows equal the printed h, s, u, p forms; M's row gives m_n for n <= 300"
 
     def master_histograms():
         if max_n < 1:
@@ -261,11 +254,8 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         order = max_n + 1
         master = ctx.get(("master_pqv", order), lambda: gfs.master_pqv(order))
         for n in range(1, max_n + 1):
-            hist = {}
-            for rec in ctx.records_of(n):
-                key = (rec.sper, rec.area, rec.last)
-                hist[key] = hist.get(key, 0) + 1
-            if master.coeff(n) != _poly_from_triples(hist):
+            hist = Counter(pack(rec.sper, rec.area, rec.last) for rec in ctx.records_of(n))
+            if master.coeff(n) != MPoly(hist):
                 return "fail", f"histogram mismatch at n={n}"
         return "pass", f"master series equals the (sper, area, last) histograms for n <= {max_n}"
 
@@ -304,8 +294,7 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
             return "skipped", "needs max_n >= 1 and max_order >= 2"
         b = ctx.get(("sum_B", order), lambda: gfs.sum_B(order))
         for n in range(1, top_n + 1):
-            hist = _scalar_histogram(ctx.records_of(n, WordClass.CLASS_B), "area")
-            if b.coeff(n) != _q_poly(hist):
+            if b.coeff(n) != _q_histogram(ctx.records_of(n, WordClass.CLASS_B), "area"):
                 return "fail", f"rising-tail area mismatch at n={n}"
         if b != gfs.paper_form("sum_B", order):
             return "fail", "rising-tail area DP != ratio of sums"
@@ -316,8 +305,7 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         if pa != gfs.paper_form("prod_area", order):
             return "fail", "area DP != product form"
         for n in range(1, top_n + 1):
-            hist = _scalar_histogram(ctx.records_of(n), "area")
-            if pa.coeff(n) != _q_poly(hist):
+            if pa.coeff(n) != _q_histogram(ctx.records_of(n), "area"):
                 return "fail", f"area histogram mismatch at n={n}"
         at_one = pa.eval_one("q")
         for n in range(1, order):
@@ -334,8 +322,7 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
             return "skipped", "needs max_n >= 1 and max_order >= 2"
         h = ctx.get(("sum_H", order), lambda: gfs.sum_H(order))
         for n in range(1, top_n + 1):
-            hist = _scalar_histogram(ctx.records_of(n, WordClass.CLASS_B), "inter")
-            if h.coeff(n) != _q_poly(hist):
+            if h.coeff(n) != _q_histogram(ctx.records_of(n, WordClass.CLASS_B), "inter"):
                 return "fail", f"rising-tail interior mismatch at n={n}"
         if h != gfs.paper_form("sum_H", order):
             return "fail", "rising-tail interior DP != ratio of sums"
@@ -343,8 +330,7 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         if pi != gfs.paper_form("prod_interior", order):
             return "fail", "interior DP != product form"
         for n in range(1, top_n + 1):
-            hist = _scalar_histogram(ctx.records_of(n), "inter")
-            if pi.coeff(n) != _q_poly(hist):
+            if pi.coeff(n) != _q_histogram(ctx.records_of(n), "inter"):
                 return "fail", f"interior histogram mismatch at n={n}"
         cf_order = min(max_order, 12)
         master = gfs.master_interior_qv(cf_order)
@@ -431,11 +417,7 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
             "area": [[1], [2, 3], [4, 9, 6], [12, 20, 24, 10], [35, 55, 63, 50, 15]],
             "inter": [[0], [0, 0], [0, 1, 1], [1, 3, 6, 3], [6, 11, 18, 18, 6]],
         }
-        closed = {
-            "sper": closedforms.s_closed,
-            "area": closedforms.u_closed,
-            "inter": closedforms.p_closed,
-        }
+        closed = {"sper": "s", "area": "u", "inter": "p"}
         enum_top = min(max_n, 12)
         for stat in tables.STATS:
             t = tables.table_stat(top, stat)
@@ -451,7 +433,7 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
                     return "fail", f"{stat} table row {n} != printed matrix"
             sums = t.row_sums()
             for n in range(1, top + 1):
-                if sums[n - 1] != closed[stat](n):
+                if sums[n - 1] != closedforms.closed_total(closed[stat], n):
                     return "fail", f"{stat} row sum at n={n} != closed form"
         return "pass", "statistic tables match enumeration, printed matrices and closed forms"
 
@@ -519,6 +501,7 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         ("dyck_roundtrip", dyck_roundtrip),
         ("base_series", base_series),
         ("totals_series_match", totals_series_match),
+        ("trinomial_forms", trinomial_forms),
         ("master_histograms", master_histograms),
         ("master_specializations", master_specializations),
         ("area_series", area_series),

@@ -247,8 +247,23 @@ def test_gf_json(capsys):
 
 
 def test_gf_order_limit_exit3(capsys):
-    code, _, _ = run(capsys, "gf", "--which", "M", "--order", "99")
+    code, _, _ = run(capsys, "gf", "--which", "M", "--order", "1001")
     assert code == 3
+
+
+@pytest.mark.parametrize("which, limit", [("M", 1000), ("S", 100), ("Clast", 200), ("Cpv", 40), ("area", 100)])
+def test_gf_default_limit_per_builder(capsys, which, limit):
+    code, out, err = run(capsys, "gf", "--which", which, "--order", str(limit + 1))
+    assert (code, out) == (3, "")
+    assert f"series order {limit + 1} exceeds limit {limit}" in err
+
+
+def test_gf_past_the_key_fields_names_the_order_asked_for(capsys):
+    # gf_h works at order + 5 internally; the error names the order given
+    code, out, err = run(capsys, "gf", "--which", "h", "--order", "1100", "--limit", "2000")
+    assert (code, out) == (3, "")
+    assert "series order 1100 needs exponents above the key field maximum 524287" in err
+    assert "1105" not in err
 
 
 def test_gf_nonpositive_order_exit2(capsys):
@@ -336,7 +351,7 @@ def test_verify_json_times_every_check(capsys):
     )
     assert code == 0
     checks = json.loads(out)["checks"]
-    assert len(checks) == 18
+    assert len(checks) == 19
     for c in checks:
         assert type(c["seconds"]) is float and c["seconds"] >= 0
 
@@ -347,7 +362,7 @@ def test_verify_degenerate_run_skips(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "0", "--max-order", "1")
     assert code == 0
     assert "[SKIPPED] totals_series_match" in out
-    assert out.splitlines()[-1] == "7 passed, 0 failed, 11 skipped"
+    assert out.splitlines()[-1] == "8 passed, 0 failed, 11 skipped"
 
 
 def test_verify_empty_ranges_skip_not_pass(capsys):
@@ -357,7 +372,7 @@ def test_verify_empty_ranges_skip_not_pass(capsys):
     assert "[SKIPPED] derivative_identities" in out
     assert "[SKIPPED] base_series" in out
     assert "[SKIPPED] kernel_annihilation" in out
-    assert out.splitlines()[-1] == "12 passed, 0 failed, 6 skipped"
+    assert out.splitlines()[-1] == "13 passed, 0 failed, 6 skipped"
 
 
 def _check(name, max_order):
@@ -426,7 +441,7 @@ def test_verify_default_flags_pass_every_check(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     passed, failed, _ = (int(part.split()[0]) for part in out.splitlines()[-1].split(", "))
-    assert passed >= 18 and failed == 0
+    assert passed >= 19 and failed == 0
 
 
 @pytest.mark.parametrize("flag, value", [("--max-n", "-1"), ("--max-order", "0")])
@@ -446,7 +461,7 @@ def test_verify_passes_with_asserts_stripped():
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "18 passed, 0 failed, 0 skipped"
+    assert proc.stdout.splitlines()[-1] == "19 passed, 0 failed, 0 skipped"
 
 
 def test_verify_deterministic(capsys):

@@ -120,6 +120,13 @@ def test_closed_forms_match_series(closed, series):
         assert closed(n) == ser.coeff(n).as_scalar()
 
 
+def test_halving_guard_catches_a_slipped_row(monkeypatch):
+    # 2 h(n) = T(n) would make h(1) = 1/2: the odd numerator fails loudly
+    monkeypatch.setitem(cf.TRINOMIAL_FORMS, "h", ([1], 0))
+    with pytest.raises(InternalInconsistency, match=r"^h_closed\(1\): odd numerator 1$"):
+        cf.h_closed(1)
+
+
 def test_closed_forms_match_enumeration():
     for n in range(1, 11):
         words = list(enumerate_words(n))

@@ -350,6 +350,53 @@ ORDER_60_DIGESTS = {
 }
 
 
+# recorded while the six scalar series were still built by hand, one body
+# each: SHA-256 over the digest and caps of every order 1..60
+SCALAR_DIGESTS = {
+    "gf_motzkin": "7d193069a16fc1d4db79645af8f8fa752f36613fec2bc3bfb7a7023c0b5f7c46",
+    "gf_trinomial": "5d0d9ede398ad493bdbf4e841b04adec3539bed894a4d2b95ce22b1593e3a225",
+    "gf_h": "e2125974a68ce0e6d94ae87478a971355554ffa5eda1c2b203aa84f9635bb983",
+    "gf_s": "bbcce80e7895b2cfa8d8b9a4f07cbf44a2c9eae2854dee21366e0abd4d46c9f2",
+    "gf_u": "a7fb45fab3a4a6afa9a84396bd19d66d03a87b3bce9e049fa128092f4dac033f",
+    "gf_p": "2b86f4680c3aef4a2034940ed5f0c19aa750a719da650d1dcefaf988fe4154b4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_DIGESTS))
+def test_scalar_series_bit_identical_at_orders_1_to_60(name):
+    h = hashlib.sha256()
+    for order in range(1, 61):
+        s = getattr(gfs, name)(order)
+        h.update(f"{_digest(s)} {tuple(s.caps)}\n".encode())
+    assert h.hexdigest() == SCALAR_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, printed", [
+    ("h", ([-6, -7, 3, 3, -1], 0, 0)),
+    ("s", ([-5, -4, 3], 0, 0)),
+    ("u", ([0, 2, -1, -3, 1], 1, 0)),
+    ("p", ([8, 8, -5, -3, 1], 1, 0)),
+    ("M", ([3, 2, -1], 0, 0)),
+    ("T", ([2], 0, 0)),
+])
+def test_trinomial_form_of_each_algebraic_series(name, printed):
+    # the rows the paper prints for h, s, u, p, with no (-1)^n part, and
+    # 2 M(n) = 3 T(n) + 2 T(n + 1) - T(n + 2)
+    assert gfs.trinomial_form(name) == printed
+
+
+@pytest.mark.parametrize("name", sorted(gfs.ALGEBRAIC_FORMS))
+def test_trinomial_form_gives_the_series(name):
+    a, b, d = gfs.trinomial_form(name)
+    c, P, Q, k, e = gfs.ALGEBRAIC_FORMS[name]
+    series = gfs._algebraic_series(name, 40, None)
+    first = max(0, len(P) - k - e)
+    for n in range(first, 35):
+        want = sum(ai * trinomial_by_power(n + i) for i, ai in enumerate(a))
+        want += b * 3 ** (n + 1) + d * (-1) ** n
+        assert 2 * series.coeff(n).as_scalar() == want, n
+
+
 @pytest.mark.parametrize("name", sorted(ORDER_28_DIGESTS))
 def test_dense_constructors_bit_identical_at_order_28(name):
     assert _digest(getattr(gfs, name)(28)) == ORDER_28_DIGESTS[name]
@@ -568,6 +615,24 @@ def test_dense_constructors_decode_each_series_once(monkeypatch):
         assert calls == [12], name
 
 
+@pytest.mark.parametrize("name", PACKED)
+def test_packed_series_read_back_in_bounded_batches(monkeypatch, name):
+    # a bound far below one series' slot bytes splits the decode into
+    # batches of whole coefficients, with the same terms
+    calls = []
+    real = backend.read_slots
+
+    def spy(coeffs, nbytes):
+        calls.append(len(coeffs))
+        return real(coeffs, nbytes)
+
+    monkeypatch.setattr(backend, "read_slots", spy)
+    monkeypatch.setattr(gfs, "_READ_BATCH_BYTES", 1024)
+    digest = ORDER_28_DIGESTS[name] if name in DENSE else MASTER_DIGESTS[name, 28]
+    assert _digest(getattr(gfs, name)(28)) == digest
+    assert len(calls) > 2 and sum(calls) == 28
+
+
 def test_windows_cut_a_row_at_the_q_cap():
     # a non-negative row that reaches past the q cap is masked there, a row
     # within it goes in as it is, and a row whose lowest slot lies above
@@ -579,8 +644,9 @@ def test_windows_cut_a_row_at_the_q_cap():
     short = 3 << w
     above = 1 << 3 * w
     pairs = [(long, pack(1, 0, 0)), (0, pack(2, 0, 0)), (short, pack(0, 0, 2)), (above, pack(3, 0, 0))]
-    windows = gfs._windows(pairs, caps, w)
+    windows, nslots = gfs._windows(pairs, caps, w)
     assert windows == [(long % above, 1, 3, pack(1, 0, 0)), (short, 1, 2, pack(0, 0, 2))]
+    assert nslots == 3
     assert backend.read_slots([windows], nbytes) == [
         {pack(1, 1, 0): 5, pack(1, 2, 0): 7, pack(0, 1, 2): 3}
     ]

@@ -303,7 +303,7 @@ def test_trinomial_quotient_past_64_bits():
     # 1/sqrt(1 - 2x - 3x^2): integer scalar coefficients that pass 2^64
     root = Series.from_x_polynomial(60, [1, -2, -3], Caps.for_order(60)).sqrt()
     with kernel_calls() as calls:
-        t = root.inverse()
+        t = Series.from_x_polynomial(60, [1], root.caps).div(root)
     assert [c.as_scalar() for c in t.coeffs] == [closedforms.trinomial(n) for n in range(60)]
     assert t.coeff(59).as_scalar() > 2**64
     assert not calls

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from catpoly import bijections, gfs, tables, verify, words
+from catpoly import bijections, closedforms, gfs, tables, verify, words
 from catpoly.words import WordClass
 
 # small flags keep each run short; every fault below shows by n = 4
@@ -149,3 +149,22 @@ def test_paper_form_off_at_the_top_order(monkeypatch, name, check, detail):
     monkeypatch.setitem(gfs._PAPER_FORMS, name, wrong)
     checks = run_checks()
     assert (checks[check].status, checks[check].detail) == ("fail", detail)
+
+
+def test_trinomial_forms_catch_a_slip_in_the_algebraic_table(monkeypatch):
+    # the series and the derived row share the table; the DP totals and
+    # enumeration in totals_series_match share nothing with it
+    c, P, Q, k, e = gfs.ALGEBRAIC_FORMS["u"]
+    monkeypatch.setitem(gfs.ALGEBRAIC_FORMS, "u", (c, P, Q[:-1] + [Q[-1] + 1], k, e))
+    checks = run_checks()
+    assert checks["trinomial_forms"].status == "fail"
+    assert checks["trinomial_forms"].detail.startswith("u: derived row")
+    assert checks["totals_series_match"].status == "fail"
+
+
+def test_trinomial_forms_catch_a_slip_in_a_printed_row(monkeypatch):
+    a, b = closedforms.TRINOMIAL_FORMS["p"]
+    monkeypatch.setitem(closedforms.TRINOMIAL_FORMS, "p", ([a[0] + 2] + a[1:], b))
+    checks = run_checks()
+    assert checks["trinomial_forms"].status == "fail"
+    assert checks["trinomial_forms"].detail.startswith("p: derived row")
