@@ -16,27 +16,29 @@ its cap.  Exponents and caps are at most ``MAXCAP``, below half the field,
 so the sum of two in-range keys never carries across fields.
 
 ``mul_into`` is the term kernel: a double loop over two term dicts that
-drops every product outside the caps.  The slot helpers serve ``series``,
-which evaluates each coefficient of a q-only integer series at q = 2^w
-once per product or quotient, and ``gfs``, whose masters keep each (p, v)
-row of a coefficient as one such integer and whose area and
-interior-point constructors keep each coefficient as one.  ``read_slots``
-is a pure decoder of the windows of several coefficients, each already in
-w-bit two's complement: each window becomes bytes once, the joined bytes
-are cast to 64-bit limbs in bulk, and one dict build per coefficient keeps
-its nonzero slots, with no Python-level step per slot (the inverse of
+drops every product outside the caps, for ``MPoly.mul`` and
+``mpoly.invert``.  The slot helpers serve ``series``, which packs each
+coefficient of an operand into one integer by mixed-radix Kronecker
+substitution over (p, q, v) once per product, quotient or square root
+(``to_slots``) and decodes each output coefficient in one call
+(``read_signed``), and ``gfs``, whose masters keep each (p, v) row of a
+coefficient as one integer in q and whose area and interior-point
+constructors keep each coefficient as one.  ``read_slots`` is a pure
+decoder of the windows of several coefficients, each already in w-bit
+two's complement: each window becomes bytes once, the joined bytes are
+cast to 64-bit limbs in bulk, and one dict build per coefficient keeps its
+nonzero slots, with no Python-level step per slot (the inverse of
 Kronecker substitution; D. Harvey, J. Symbolic Comput. 44, 2009).
-``series`` encodes its signed slots with ``twos_complement`` and decodes
-one coefficient per call; every ``gfs`` slot is a count, so each value is
-its own two's complement, and each ``gfs`` series is decoded in bounded
-batches of whole coefficients.
+``read_signed`` encodes the signed slots of one ``series`` value with
+``twos_complement`` and casts them the same way; every ``gfs`` slot is a
+count, so each value is its own two's complement, and each ``gfs`` series
+is decoded in bounded batches of whole coefficients.
 """
 
 import sys
 from array import array
-from functools import reduce
 from itertools import chain, compress, repeat
-from operator import add, lshift, or_
+from operator import add, lshift
 
 FIELD = 20
 
@@ -48,8 +50,6 @@ MASK = (1 << FIELD) - 1
 GUARDS = (1 << (VSHIFT + FIELD)) | (1 << (QSHIFT + FIELD)) | (1 << (PSHIFT + FIELD))
 
 MAXCAP = (1 << FIELD) // 2 - 1
-
-_NOT_Q = ~(MASK << QSHIFT)
 
 BACKEND = "python"
 
@@ -75,12 +75,6 @@ def cap_key(cap_p, cap_q, cap_v):
     if not (0 <= cap_p <= MAXCAP and 0 <= cap_q <= MAXCAP and 0 <= cap_v <= MAXCAP):
         raise ValueError(f"caps out of range: {(cap_p, cap_q, cap_v)}")
     return GUARDS | (cap_p << PSHIFT) | (cap_q << QSHIFT) | cap_v
-
-
-def q_only_int(terms):
-    """True when every key of a term dict is a power of q alone and every
-    coefficient an int: the coefficients ``series`` packs into slots."""
-    return not reduce(or_, terms, 0) & _NOT_Q and set(map(type, terms.values())) <= {int}
 
 
 def mul_into(acc, a, b, capkey):
@@ -119,12 +113,14 @@ def slot_bytes(bound):
     return (bound.bit_length() + 1 + 7) // 8
 
 
-def to_slots(terms, deg, nbytes):
-    """Evaluate a q-only integer term dict of q-degree deg at q = 2^(8 * nbytes)."""
-    pos = bytearray(nbytes * (deg + 1))
-    neg = bytearray(nbytes * (deg + 1))
-    for k, c in terms.items():
-        i = (k >> QSHIFT) * nbytes
+def to_slots(slots, nbytes):
+    """Pack a dict {slot index: int} into one integer, w = 8 * nbytes bits a slot."""
+    if not slots:
+        return 0
+    pos = bytearray(nbytes * (max(slots) + 1))
+    neg = bytearray(len(pos))
+    for i, c in slots.items():
+        i *= nbytes
         if c > 0:
             pos[i : i + nbytes] = c.to_bytes(nbytes, "little")
         else:
@@ -172,6 +168,13 @@ def read_slots(coeffs, nbytes):
     # so both iterators stop at the first slot of the next coefficient
     data, selectors = iter(vals), iter(vals)
     return [dict(compress(zip(chain.from_iterable(r), data), selectors)) for r in keys]
+
+
+def read_signed(value, nslots, nbytes):
+    """Slots 0..nslots-1 of value as ints: ``twos_complement``, then one
+    ``to_bytes`` and one bulk cast, however many rows they span."""
+    raw = twos_complement(value, nslots, nbytes).to_bytes(nslots * nbytes, "little")
+    return _signed_slots(raw, nbytes)
 
 
 def _signed_slots(raw, nbytes):

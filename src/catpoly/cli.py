@@ -27,9 +27,9 @@ _GF_BUILDERS = {
     # (2 cores, Python 3.11); 1000 is the last within the key fields
     "M": (gfs.gf_motzkin, 0, 1000),
     "T": (gfs.gf_trinomial, 0, 1000),
-    "S": (gfs.cf_S, 1, 100),
-    "Clast": (gfs.cf_C_last, 1, 200),
-    "Cpv": (gfs.cf_C_sper_v, 1, 40),
+    "S": (gfs.cf_S, 1, 200),
+    "Clast": (gfs.cf_C_last, 1, 300),
+    "Cpv": (gfs.cf_C_sper_v, 1, 60),
     "B": (gfs.sum_B, 1, 100),
     "H": (gfs.sum_H, 1, 100),
     "area": (gfs.prod_area, 1, 100),

@@ -5,110 +5,161 @@ operations truncate at that order and at the per-variable caps, both of
 which commute with ring arithmetic.  Operands of binary operations must
 share order and caps.
 
-When every coefficient of both operands is an integer polynomial in q
-alone, ``*`` and ``div`` (the latter for a divisor with constant term +-1)
-work on Kronecker-packed coefficients: each coefficient is evaluated once
-at q = 2^w as a big integer, with one slot width w for the whole
-operation, each output order sums its big-integer products, and its
-slots are read back once through the ``backend`` slot helpers (Kronecker
-substitution; D. Harvey, J. Symbolic Comput. 44, 2009).  The scalar
-series and the continued fraction of ``gfs`` take this path; the area
-and interior-point sums and product forms do not use ``Series``
-arithmetic at all.  Every other operand pair multiplies coefficient by
-coefficient through the term kernel ``backend.mul_into``.
+``*``, ``div`` and ``sqrt`` share one packed path (Kronecker substitution;
+D. Harvey, J. Symbolic Comput. 44, 2009).  Each operand coefficient is
+packed once per operation into one big integer: term p^a q^b v^c of its
+numerator goes to slot (c * rp + a) * rq + b, with radices rq and rp past
+every degree the operation reaches, and its denominator (1 for integers)
+is kept beside it.  Each output order sums its big-integer products over
+one denominator and is read back once, cut at the caps.  The w-bit slots
+widen, with a repack, whenever an order's bound passes them.
 """
 
+from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache, reduce
+from itertools import chain, compress, islice, product, repeat
+from math import gcd, lcm
+from operator import attrgetter, floordiv, mul, or_
 
 from . import backend, mpoly
+from .backend import GUARDS, MASK, PSHIFT, QSHIFT, pack, unpack
 from .errors import (
     BadSqrtConstantTerm,
     InternalInconsistency,
     OrderMismatch,
 )
-from .mpoly import Caps, MPoly
+from .mpoly import Caps, MPoly, _norm
 
-_HALF = Fraction(1, 2)
-_UNITS = ({0: 1}, {0: -1})
+_ONE = MPoly.scalar(1)
 
-
-def _q_only_int(coeffs):
-    return all(backend.q_only_int(c.terms) for c in coeffs)
-
-
-def _shape(c):
-    """(q-degree, term count, largest |coefficient|) of a q-only coefficient."""
-    return c.degree("q"), len(c.terms), max(map(abs, c.terms.values()))
+#: Packed coefficients: per coefficient its numerator's slots, denominator,
+#: sum and largest of the slots' absolute values, and packed value
+_Coeffs = namedtuple("_Coeffs", "slots den size peak value")
 
 
-def _pack(coeffs, shapes, nbytes):
-    return [
-        backend.to_slots(c.terms, shape[0], nbytes) if shape else 0
-        for c, shape in zip(coeffs, shapes)
+def _degrees(coeffs, caps):
+    """Bounds on the (p, q, v) degrees of a list of coefficients, cut at the
+    caps: the fields of the OR of their keys, below twice each degree."""
+    return list(map(min, unpack(reduce(or_, chain.from_iterable(c.terms for c in coeffs), 0)), caps))
+
+
+def _last(coeffs):
+    """Index of the last nonzero coefficient, or -1."""
+    return max((i for i, c in enumerate(coeffs) if c), default=-1)
+
+
+@lru_cache(maxsize=32)
+def _live(caps, rq, rp, nslots):
+    """(selectors or None if all are live, indices, keys) of the slots below
+    nslots that lie within the caps."""
+    keys = [
+        pack(p, q, v) if p <= caps.p and q <= caps.q else -1
+        for v, p, q in islice(product(range(caps.v + 1), range(rp), range(rq)), nslots)
     ]
+    sel = [k >= 0 for k in keys]
+    return None if all(sel) else sel, list(compress(range(nslots), sel)), list(compress(keys, sel))
 
 
-def _pairs_bound(pairs, sa, sb):
-    """Bound on every slot of sum over (i, j) in pairs of A[i] * B[j]."""
-    return sum(sa[i][2] * sb[j][2] * min(sa[i][1], sb[j][1]) for i, j in pairs)
+class _Packing:
+    """The slot layout and width of one operation, and its packed lists.
 
-
-def _read(value, nslots, nbytes):
-    window = (backend.twos_complement(value, nslots, nbytes), 0, nslots, 0)
-    return MPoly._raw(backend.read_slots([[window]], nbytes)[0])
-
-
-def _dense_q_mul(a, b, cap_q):
-    """Coefficients of a * b, packing each coefficient once."""
-    sa = [_shape(c) if c else None for c in a]
-    sb = [_shape(c) if c else None for c in b]
-    pairs = [[(i, k - i) for i in range(k + 1) if sa[i] and sb[k - i]] for k in range(len(a))]
-    bound = max(
-        max(_pairs_bound(p, sa, sb) for p in pairs),
-        max((s[2] for s in sa + sb if s), default=0),
-    )
-    nbytes = backend.slot_bytes(bound)
-    pa, pb = _pack(a, sa, nbytes), _pack(b, sb, nbytes)
-    out = []
-    for p in pairs:
-        if not p:
-            out.append(MPoly.zero())
-            continue
-        top = min(cap_q, max(sa[i][0] + sb[j][0] for i, j in p))
-        out.append(_read(sum(pa[i] * pb[j] for i, j in p), top + 1, nbytes))
-    return out
-
-
-def _dense_q_div(num, b, u, cap_q):
-    """Coefficients of num / b for a divisor with constant term u = +-1.
-
-    out[k] = u * (num[k] - sum_{i<k} out[i] * b[k-i]) stays integral.  The
-    slot width must hold every packed coefficient of b and of the quotient
-    and every sum; a quotient can outgrow it, so each order first bounds
-    its sum and, if that no longer fits, widens the slots and repacks.
+    ``reach`` bounds the (p, q, v) degree of every value packed or formed;
+    a layout of one slot (a scalar series) needs no width.
     """
-    sb = [_shape(c) if c else None for c in b]
-    nbytes = backend.slot_bytes(max(s[2] for s in sb if s))
-    pb = _pack(b, sb, nbytes)
-    out, sq, pq = [], [], []
-    for k, c in enumerate(num):
-        sc = _shape(c) if c else None
-        pairs = [(i, k - i) for i in range(k) if sq[i] and sb[k - i]]
-        degs = [sq[i][0] + sb[j][0] for i, j in pairs] + ([sc[0]] if sc else [])
-        q = MPoly.zero()
-        if degs:
-            need = backend.slot_bytes((sc[2] if sc else 0) + _pairs_bound(pairs, sq, sb))
-            if need > nbytes:
-                nbytes = need
-                pb, pq = _pack(b, sb, nbytes), _pack(out, sq, nbytes)
-            value = sum(pq[i] * pb[j] for i, j in pairs)
-            if sc:
-                value -= backend.to_slots(c.terms, sc[0], nbytes)
-            q = _read(value if u < 0 else -value, min(cap_q, max(degs)) + 1, nbytes)
-        out.append(q)
-        sq.append(_shape(q) if q else None)
-        pq.append(backend.to_slots(q.terms, sq[-1][0], nbytes) if q else 0)
-    return out
+
+    def __init__(self, caps, reach):
+        (ep, eq, ev), self.capkey = reach, caps.key
+        # the outermost variable present needs no radix past its cap
+        if not ev:
+            ep = min(ep, caps.p)
+            eq = eq if ep else min(eq, caps.q)
+        self.rq, self.rp = eq + 1, ep + 1
+        top = (min(ev, caps.v) * self.rp + min(ep, caps.p)) * self.rq + min(eq, caps.q)
+        self.nslots, self.single = top + 1, top == 0
+        self.live = _live(caps, self.rq, self.rp, top + 1)
+        self.nbytes, self.whole, self.seqs = 1, True, []
+        self.one = self.coeffs([_ONE])
+
+    def _pack(self, slots):
+        return slots.get(0, 0) if self.single else backend.to_slots(slots, self.nbytes)
+
+    def coeffs(self, ms=()):
+        """A packed list of the MPolys ms, cut at the caps."""
+        seq, items = _Coeffs([], [], [], [], []), []
+        self.seqs.append(seq)
+        rq, rp, capkey = self.rq, self.rp, self.capkey
+        for m in ms:
+            slots = {
+                ((k & MASK) * rp + (k >> PSHIFT)) * rq + ((k >> QSHIFT) & MASK): c
+                for k, c in m.terms.items()
+                if (capkey - k) & GUARDS == GUARDS
+            }
+            den = lcm(*map(attrgetter("denominator"), slots.values()))
+            items.append((slots if den == 1 else {i: int(c * den) for i, c in slots.items()}, den))
+        # one widening for the whole list, not one per coefficient
+        self.fit(max((abs(c) for slots, _ in items for c in slots.values()), default=0))
+        for slots, den in items:
+            self.put(seq, slots, den)
+        return seq
+
+    def put(self, seq, slots, den):
+        """Pack the numerator slots over den as the next coefficient of seq."""
+        mags = list(map(abs, slots.values()))
+        peak = max(mags, default=0)
+        self.fit(peak)
+        self.whole = self.whole and den == 1
+        for field, item in zip(seq, (slots, den, sum(mags), peak, self._pack(slots))):
+            field.append(item)
+
+    def fit(self, bound):
+        """Widen the slots to hold |c| <= bound, repacking every coefficient."""
+        need = backend.slot_bytes(bound)
+        if not self.single and need > self.nbytes:
+            self.nbytes = need
+            for seq in self.seqs:
+                seq.value[:] = map(self._pack, seq.slots)
+
+    def combine(self, parts, factor=1):
+        """(numerator, denominator) of the sum over parts (w, x, y, k, lo, hi)
+        of w * sum_{lo <= i < hi} x_i y_(k-i), the slots first widened to
+        hold it times a multiplier of absolute sum ``factor``.  A product's
+        slots are at most min(peak x_i * size y_j, size x_i * peak y_j)."""
+        spans = [(w, x, y, slice(lo, hi), slice(k - hi + 1, k - lo + 1)) for w, x, y, k, lo, hi in parts]
+        den, scales = 1, [None] * len(spans)
+        if not self.whole:
+            dens = [list(map(mul, x.den[i], y.den[j][::-1])) for _, x, y, i, j in spans]
+            den = lcm(*(lcm(*d) for d in dens))
+            scales = [[den // e for e in d] for d in dens]
+        if not self.single:
+            bound = 0
+            for (w, x, y, i, j), s in zip(spans, scales):
+                sizes = map(min, map(mul, x.peak[i], y.size[j][::-1]), map(mul, x.size[i], y.peak[j][::-1]))
+                bound += abs(w) * sum(sizes if s is None else map(mul, sizes, s))
+            self.fit(bound * factor)
+        value = 0
+        for (w, x, y, i, j), s in zip(spans, scales):
+            terms = map(mul, x.value[i], y.value[j][::-1])
+            value += w * sum(terms if s is None else map(mul, terms, s))
+        return value, den
+
+    def read(self, value, den, seq=None):
+        """The MPoly of the numerator packed in value over den, cut at the
+        caps; its slots, over their least denominator, join seq if given."""
+        sel, index, keys = self.live
+        vals = [value]
+        if not self.single:
+            # no slot at or past bit_length // w + 1 holds anything
+            n = min(self.nslots, abs(value).bit_length() // (8 * self.nbytes) + 1)
+            vals = backend.read_signed(value, n, self.nbytes)
+            vals = vals if sel is None else list(compress(vals, sel))
+        if den != 1:
+            g = gcd(den, *vals)
+            den, vals = den // g, list(map(floordiv, vals, repeat(g)))
+        if seq is not None:
+            self.put(seq, dict(compress(zip(index, vals), vals)), den)
+        terms = compress(zip(keys, vals), vals)
+        return MPoly._raw(dict(terms if den == 1 else ((k, _norm(Fraction(c, den))) for k, c in terms)))
 
 
 class Series:
@@ -195,20 +246,15 @@ class Series:
 
     def __mul__(self, other):
         self._check_compatible(other)
-        n = self.order
-        a, b = self.coeffs, other.coeffs
-        if _q_only_int(a) and _q_only_int(b):
-            return Series(n, _dense_q_mul(a, b, self.caps.q), self.caps)
-        capkey = self.caps.key
+        a, b, caps = self.coeffs, other.coeffs, self.caps
+        pk = _Packing(caps, [i + j for i, j in zip(_degrees(a, caps), _degrees(b, caps))])
+        x, y = pk.coeffs(a), pk.coeffs(b)
+        hx, hy = _last(a), _last(b)
         out = []
-        for k in range(n):
-            acc = {}
-            for i in range(k + 1):
-                ai = a[i].terms
-                if ai:
-                    backend.mul_into(acc, ai, b[k - i].terms, capkey)
-            out.append(MPoly(acc))
-        return Series(n, out, self.caps)
+        for k in range(self.order):
+            part = (1, x, y, k, max(0, k - hy), max(0, min(k, hx) + 1))
+            out.append(pk.read(*pk.combine([part])))
+        return Series(self.order, out, caps)
 
     def mul_monomial(self, c, dp=0, dq=0, dv=0, x_shift=0):
         """Multiply by c * x^x_shift * p^dp q^dq v^dv."""
@@ -219,41 +265,45 @@ class Series:
         return Series(self.order, out, self.caps)
 
     def div(self, other):
-        """Series division; the divisor's constant term must be invertible."""
+        """Series division; the divisor's constant term must be invertible.
+
+        out_k = (num_k - sum_{i<k} out_i b_(k-i)) * inv, for the inverse inv
+        of b_0 in the capped ring: a scalar's reciprocal, or one
+        ``mpoly.invert`` of a non-scalar unit such as 1 - v.  A quotient may
+        fill the caps in each variable its operands carry.
+        """
         self._check_compatible(other)
-        unit = other.coeffs[0].terms
-        if unit in _UNITS and _q_only_int(self.coeffs) and _q_only_int(other.coeffs):
-            return Series(
-                self.order, _dense_q_div(self.coeffs, other.coeffs, unit[0], self.caps.q), self.caps
-            )
-        capkey = self.caps.key
-        bound = self.caps.p + self.caps.q + self.caps.v + 2
-        inv0 = mpoly.invert(other.coeffs[0], capkey, bound)
-        n = self.order
-        b = other.coeffs
-        out = []
+        caps, n, b = self.caps, self.order, other.coeffs
+        inv = mpoly.invert(b[0], caps.key, caps.p + caps.q + caps.v + 2)
+        dn, db, di = _degrees(self.coeffs, caps), _degrees(b, caps), _degrees([inv], caps)
+        reach = [max(t, (c if t or d else 0) + d) + i for t, d, i, c in zip(dn, db, di, caps)]
+        pk = _Packing(caps, reach)
+        num, den, unit, out = pk.coeffs(self.coeffs), pk.coeffs(b), pk.coeffs([inv]), pk.coeffs()
+        hb, result = _last(b), []
         for k in range(n):
-            acc = {}
-            for i in range(k):
-                qi = out[i].terms
-                if qi:
-                    backend.mul_into(acc, qi, b[k - i].terms, capkey)
-            residue = self.coeffs[k] - MPoly(acc)
-            out.append(residue.mul(inv0, capkey))
-        return Series(n, out, self.caps)
+            parts = [(1, num, pk.one, k, k, k + 1), (-1, out, den, k, max(0, k - hb), k)]
+            residue, d = pk.combine(parts, unit.size[0])
+            result.append(pk.read(residue * unit.value[0], d * unit.den[0], out))
+        return Series(n, result, caps)
 
     def sqrt(self):
-        """Square root of a series with constant term exactly 1."""
-        if self.coeffs[0] != MPoly.scalar(1):
+        """Square root of a series with constant term exactly 1.
+
+        out_k = (c_k - 2 sum_{0<i<k-i} out_i out_(k-i) - [k even] out_(k/2)^2) / 2,
+        which may fill the caps in each variable of c.
+        """
+        if self.coeffs[0] != _ONE:
             raise BadSqrtConstantTerm(f"constant term is {self.coeffs[0]}, not 1")
-        capkey = self.caps.key
-        out = [MPoly.scalar(1)]
-        for k in range(1, self.order):
-            acc = {}
-            for i in range(1, k):
-                backend.mul_into(acc, out[i].terms, out[k - i].terms, capkey)
-            out.append((self.coeffs[k] - MPoly(acc)).scale(_HALF))
-        return Series(self.order, out, self.caps)
+        caps, n = self.caps, self.order
+        pk = _Packing(caps, [2 * c if d else 0 for d, c in zip(_degrees(self.coeffs, caps), caps)])
+        c, out = pk.coeffs(self.coeffs), pk.coeffs([_ONE])
+        result = [_ONE]
+        for k in range(1, n):
+            parts = [(1, c, pk.one, k, k, k + 1), (-2, out, out, k, 1, (k + 1) // 2)]
+            parts.append((-1, out, out, k, k // 2, k // 2 + 1 - k % 2))
+            value, d = pk.combine(parts)
+            result.append(pk.read(value, 2 * d, out))
+        return Series(n, result, caps)
 
     # -- marker operations ----------------------------------------------------
 

@@ -251,11 +251,25 @@ def test_gf_order_limit_exit3(capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("which, limit", [("M", 1000), ("S", 100), ("Clast", 200), ("Cpv", 40), ("area", 100)])
+# Each builder's default --limit admits order `limit` and refuses the first order past
+# the default. The cases are the defaults themselves and the lower defaults that S,
+# Clast and Cpv had before their `Series` products, quotients and square roots took
+# the packed path; an order admitted then stays admitted.
+GF_DEFAULT_LIMITS = {"M": 1000, "S": 200, "Clast": 300, "Cpv": 60, "area": 100}
+
+
+@pytest.mark.parametrize(
+    "which, limit",
+    [("M", 1000), ("S", 100), ("S", 200), ("Clast", 200), ("Clast", 300), ("Cpv", 40), ("Cpv", 60), ("area", 100)],
+)
 def test_gf_default_limit_per_builder(capsys, which, limit):
-    code, out, err = run(capsys, "gf", "--which", which, "--order", str(limit + 1))
+    default = GF_DEFAULT_LIMITS[which]
+    code, out, err = run(capsys, "gf", "--which", which, "--order", str(limit))
+    assert (code, err) == (0, "")
+    assert out
+    code, out, err = run(capsys, "gf", "--which", which, "--order", str(default + 1))
     assert (code, out) == (3, "")
-    assert f"series order {limit + 1} exceeds limit {limit}" in err
+    assert f"series order {default + 1} exceeds limit {default}" in err
 
 
 def test_gf_past_the_key_fields_names_the_order_asked_for(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catpoly import backend, closedforms
+from catpoly import backend, closedforms, mpoly, verify
 from catpoly.backend import pack, unpack
 from catpoly.errors import (
     BadSqrtConstantTerm,
@@ -88,21 +88,27 @@ def test_mpoly_mul_monomial_normalises_once():
 @settings(max_examples=40, deadline=None)
 @given(series_strategy, series_strategy, series_strategy)
 def test_mul_associative_distributive(a, b, c):
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    with kernel_calls() as calls:
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+    assert not calls
 
 
 @settings(max_examples=40, deadline=None)
 @given(series_strategy, series_strategy)
 def test_mul_commutative(a, b):
-    assert a * b == b * a
+    with kernel_calls() as calls:
+        assert a * b == b * a
+    assert not calls
 
 
 @settings(max_examples=25, deadline=None)
 @given(series_strategy)
 def test_div_roundtrip(a):
     b = series_from_terms([[(1, 0, 0, 0)], [(2, 1, 0, 0), (1, 0, 1, 1)]])
-    assert (a * b).div(b) == a
+    with kernel_calls() as calls:
+        assert (a * b).div(b) == a
+    assert not calls
 
 
 @settings(max_examples=25, deadline=None)
@@ -111,8 +117,10 @@ def test_sqrt_squares_back(a):
     one = series_from_terms([[(1, 0, 0, 0)]])
     shifted = Series(a.order, [MPoly.zero()] + a.coeffs[:-1], a.caps)
     s = one + shifted
-    root = s.sqrt()
-    assert root * root == s
+    with kernel_calls() as calls:
+        root = s.sqrt()
+        assert root * root == s
+    assert not calls
 
 
 def test_sqrt_defining_identity():
@@ -200,7 +208,11 @@ def test_monomial_divide_exact_rational():
     assert half == MPoly.scalar(Fraction(3, 2))
 
 
-# q-only integer series: packed products and quotients ------------------------------
+# the packed path: products, quotients and square roots ------------------------------
+
+
+def within(e, caps):
+    return all(x <= c for x, c in zip(e, caps))
 
 
 def naive_mul(a, b, caps):
@@ -210,21 +222,45 @@ def naive_mul(a, b, caps):
         for j in range(len(a) - i):
             for (ea, ca), (eb, cb) in product(ai.items(), b[j].items()):
                 e = tuple(x + y for x, y in zip(ea, eb))
-                if all(x <= c for x, c in zip(e, caps)):
+                if within(e, caps):
                     out[i + j][e] = out[i + j].get(e, 0) + ca * cb
     return [{e: c for e, c in d.items() if c} for d in out]
 
 
+def naive_inverse(u, caps):
+    """Inverse of u = s (1 - t) in the capped ring: sum_m t^m / s."""
+    s = Fraction(u[(0, 0, 0)])
+    t = {e: -c / s for e, c in u.items() if e != (0, 0, 0)}
+    out, power = {(0, 0, 0): 1}, {(0, 0, 0): 1}
+    while power:
+        power = naive_mul([power], [t], caps)[0]
+        for e, c in power.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c / s for e, c in out.items() if c}
+
+
 def naive_div(num, b, caps):
-    """Quotient by a divisor whose constant term is the scalar u = +-1."""
-    u = b[0][(0, 0, 0)]
+    """Quotient by a divisor whose constant term is a unit, scalar or not."""
+    inv = naive_inverse(b[0], caps)
     out = []
     for k, c in enumerate(num):
-        acc = {e: v for e, v in c.items() if all(x <= m for x, m in zip(e, caps))}
+        acc = {e: v for e, v in c.items() if within(e, caps)}
         for i in range(k):
             for e, v in naive_mul([out[i]], [b[k - i]], caps)[0].items():
                 acc[e] = acc.get(e, 0) - v
-        out.append({e: u * v for e, v in acc.items() if v})
+        out.append(naive_mul([acc], [inv], caps)[0])
+    return out
+
+
+def naive_sqrt(c, caps):
+    """Square root of a series with constant term 1, one order at a time."""
+    out = [{(0, 0, 0): 1}]
+    for k in range(1, len(c)):
+        acc = {e: v for e, v in c[k].items() if within(e, caps)}
+        for i in range(1, k):
+            for e, v in naive_mul([out[i]], [out[k - i]], caps)[0].items():
+                acc[e] = acc.get(e, 0) - v
+        out.append({e: Fraction(v) / 2 for e, v in acc.items() if v})
     return out
 
 
@@ -238,49 +274,117 @@ def from_series(s):
 
 @contextmanager
 def kernel_calls():
-    """Counts calls of the per-pair term kernel inside the block."""
-    calls = []
+    """Calls of the per-pair term kernel made by ``Series`` products,
+    quotients and square roots inside the block, outside ``mpoly.invert``."""
+    calls, inside = [], []
     real = backend.mul_into
 
     def spy(*args):
-        calls.append(args)
+        if inside and inside[-1]:
+            calls.append(args)
         real(*args)
 
+    def marked(f, flag):
+        def wrapper(*args):
+            inside.append(flag)
+            try:
+                return f(*args)
+            finally:
+                inside.pop()
+
+        return wrapper
+
+    saved = [(mpoly, "invert"), (Series, "__mul__"), (Series, "div"), (Series, "sqrt")]
+    saved = [(owner, name, vars(owner)[name]) for owner, name in saved]
     backend.mul_into = spy
+    for owner, name, f in saved:
+        setattr(owner, name, marked(f, name != "invert"))
     try:
         yield calls
     finally:
         backend.mul_into = real
+        for owner, name, f in saved:
+            setattr(owner, name, f)
 
 
 big_or_zero = st.one_of(st.just(0), st.integers(min_value=-(2**100), max_value=2**100))
+small_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+coeff = st.dictionaries(
+    st.tuples(
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=2),
+    ),
+    st.one_of(big_or_zero, small_fraction).filter(bool),
+    max_size=4,
+)
 q_coeff = st.lists(big_or_zero, max_size=7).map(
     lambda cs: {(0, e, 0): c for e, c in enumerate(cs) if c}
 )
+UNITS = [
+    {(0, 0, 0): 1},
+    {(0, 0, 0): -1},
+    {(0, 0, 0): Fraction(1, 2)},
+    {(0, 0, 0): 2},
+    {(0, 0, 0): 1, (0, 1, 0): 1},  # 1 + q
+    {(0, 0, 0): 1, (1, 0, 0): 1},  # 1 + p
+    {(0, 0, 0): 2, (0, 0, 1): -2},  # 2 (1 - v)
+]
 
 
 @st.composite
-def q_series_pair(draw):
-    order = draw(st.integers(min_value=1, max_value=8))
-    caps = Caps(0, draw(st.integers(min_value=0, max_value=14)), 0)
-    a = draw(st.lists(q_coeff, min_size=order, max_size=order))
-    b = draw(st.lists(q_coeff, min_size=order, max_size=order))
+def series_pair(draw):
+    order = draw(st.integers(min_value=1, max_value=6))
+    caps = Caps(*(draw(st.integers(min_value=0, max_value=m)) for m in (3, 14, 3)))
+    c = draw(st.sampled_from([coeff, q_coeff]))
+    a = draw(st.lists(c, min_size=order, max_size=order))
+    b = draw(st.lists(c, min_size=order, max_size=order))
     return caps, a, b
 
 
 @settings(max_examples=150, deadline=None)
-@given(q_series_pair(), st.sampled_from([1, -1]))
-@example((Caps(0, 3, 0), [{(0, 0, 0): 5}], [{}]), 1)
-@example((Caps(0, 0, 0), [{}, {(0, 1, 0): 2**100}], [{(0, 2, 0): -3}, {}]), -1)
-def test_packed_mul_and_div_match_oracle(case, u):
+@given(series_pair(), st.sampled_from(UNITS))
+@example((Caps(0, 3, 0), [{(0, 0, 0): 5}], [{}]), {(0, 0, 0): 1})
+@example((Caps(0, 0, 0), [{}, {(0, 1, 0): 2**100}], [{(0, 2, 0): -3}, {}]), {(0, 0, 0): -1})
+def test_packed_mul_and_div_match_oracle(case, unit):
     caps, a, b = case
-    b = [{(0, 0, 0): u}] + b[1:]
+    b = [unit] + b[1:]
     sa, sb = to_series(a, caps), to_series(b, caps)
     with kernel_calls() as calls:
         prod = sa * sb
         quotient = sa.div(sb)
     assert from_series(prod) == naive_mul(a, b, caps)
     assert from_series(quotient) == naive_div(a, b, caps)
+    assert not calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_pair())
+def test_packed_sqrt_matches_oracle(case):
+    caps, a, _ = case
+    c = [{(0, 0, 0): 1}] + a[1:]
+    with kernel_calls() as calls:
+        root = to_series(c, caps).sqrt()
+    assert from_series(root) == naive_sqrt(c, caps)
+    assert not calls
+
+
+def test_sqrt_with_rational_coefficients():
+    # sqrt(1 + x) = 1 + x/2 - x^2/8 + x^3/16 - 5x^4/128 + ...
+    root = Series.from_x_polynomial(6, [1, 1], CAPS).sqrt()
+    want = [1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16), Fraction(-5, 128), Fraction(7, 256)]
+    assert root.scalar_coeffs() == want
+    assert type(root.coeff(0).as_scalar()) is int
+
+
+def test_sqrt_with_p_and_v_matches_oracle():
+    # 1 - 2p^2 x + (p^4 - 4p^3) x^2 + v x^3 / 3, with a rational coefficient
+    caps = Caps(12, 0, 3)
+    c = [{(0, 0, 0): 1}, {(2, 0, 0): -2}, {(4, 0, 0): 1, (3, 0, 0): -4}, {(0, 0, 1): Fraction(1, 3)}]
+    c += [{}] * 4
+    with kernel_calls() as calls:
+        root = to_series(c, caps).sqrt()
+    assert from_series(root) == naive_sqrt(c, caps)
     assert not calls
 
 
@@ -301,8 +405,8 @@ def test_quotient_outgrowing_64_bits():
 
 def test_trinomial_quotient_past_64_bits():
     # 1/sqrt(1 - 2x - 3x^2): integer scalar coefficients that pass 2^64
-    root = Series.from_x_polynomial(60, [1, -2, -3], Caps.for_order(60)).sqrt()
     with kernel_calls() as calls:
+        root = Series.from_x_polynomial(60, [1, -2, -3], Caps.for_order(60)).sqrt()
         t = Series.from_x_polynomial(60, [1], root.caps).div(root)
     assert [c.as_scalar() for c in t.coeffs] == [closedforms.trinomial(n) for n in range(60)]
     assert t.coeff(59).as_scalar() > 2**64
@@ -318,25 +422,32 @@ def test_trinomial_quotient_past_64_bits():
         MPoly.scalar(1) + MPoly.monomial(1, 1, 0, 0),  # 1 + p
     ],
 )
-def test_other_divisors_take_the_per_pair_loop(constant):
+def test_other_divisors_take_the_packed_path(constant):
     caps = Caps(3, 6, 2)
     b = Series.from_x_polynomial(4, [constant, MPoly.monomial(2, 0, 1, 0), 1], caps)
     num = Series.from_x_polynomial(4, [1, MPoly.monomial(-1, 0, 2, 0), 0, 5], caps)
     with kernel_calls() as calls:
         quotient = num.div(b)
-    assert calls
-    assert quotient * b == num
+    assert not calls
+    assert from_series(quotient) == naive_div(from_series(num), from_series(b), caps)
 
 
 @pytest.mark.parametrize(
     "coeff",
     [MPoly.scalar(Fraction(1, 2)), MPoly.monomial(1, 1, 0, 0), MPoly.monomial(1, 0, 0, 1)],
 )
-def test_other_products_take_the_per_pair_loop(coeff):
+def test_other_products_take_the_packed_path(coeff):
     a = Series.from_x_polynomial(3, [1, coeff], CAPS)
     b = Series.from_x_polynomial(3, [1, MPoly.monomial(3, 0, 1, 0)], CAPS)
     with kernel_calls() as calls:
         got = a * b
-    assert calls
-    assert got.coeffs == [MPoly.scalar(1), coeff + MPoly.monomial(3, 0, 1, 0), coeff.mul(b.coeffs[1])]
+    assert not calls
+    assert from_series(got) == naive_mul(from_series(a), from_series(b), CAPS)
 
+
+def test_verify_makes_no_kernel_call_from_series():
+    # every Series product, quotient and square root of the default checks
+    # runs packed; the term kernel is left to MPoly.mul and mpoly.invert
+    with kernel_calls() as calls:
+        assert verify.run_verify().exit_code == 0
+    assert not calls
