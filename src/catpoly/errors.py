@@ -44,7 +44,3 @@ class InternalInconsistency(CatpolyError):
     """An exactness guard failed (inexact monomial division, nonvanishing
     low-order coefficients, ...).  Signals a transcription error rather
     than silently corrupting output."""
-
-
-class DepthTooShallow(CatpolyError):
-    """Continued fraction evaluated with depth below the truncation order."""

@@ -3,8 +3,9 @@
 Conventions: x marks the length, p the semiperimeter, v the last letter;
 q marks the area in the area-flavoured series and the number of interior
 points in the interior-flavoured ones (the two families never mix).
-Internally each constructor may work at a padded order so that guarded
-divisions by powers of x lose nothing.
+Every constructor takes only its order.  Internally it may work at a padded
+order so that guarded divisions by powers of x lose nothing, always at the
+default caps (``Caps.for_order``) of that order, which cut no term.
 
 The two masters are built by forward recurrence on packed q-rows: each
 (p, v) row of an x^n coefficient is one big integer, the row's
@@ -33,8 +34,8 @@ from operator import lshift
 
 from . import backend, closedforms
 from .backend import pack
-from .errors import DepthTooShallow, InternalInconsistency, ResourceLimit
-from .mpoly import CAPS_UNBOUNDED, Caps, MPoly, _norm
+from .errors import InternalInconsistency
+from .mpoly import Caps, MPoly, _norm
 from .series import Series
 from .words import INCREMENTS, WordClass, increments, transfer
 
@@ -56,16 +57,15 @@ ALGEBRAIC_FORMS = {
 }
 
 
-def _algebraic_series(name, order, caps):
+def _algebraic_series(name, order):
     """The series ``ALGEBRAIC_FORMS[name]``, built at order + k so that the
     division by x^k loses nothing; all but the square root runs packed."""
     c, P, Q, k, e = ALGEBRAIC_FORMS[name]
     work = order + k
-    caps = caps or Caps.for_order(work)
-    root = Series.from_x_polynomial(work, _DELTA, caps).sqrt()
-    num = Series.from_x_polynomial(work, Q, caps) * root + Series.from_x_polynomial(work, P, caps)
+    root = Series.from_x_polynomial(work, _DELTA).sqrt()
+    num = Series.from_x_polynomial(work, Q) * root + Series.from_x_polynomial(work, P)
     if e:
-        num = num.div(Series.from_x_polynomial(work, _DELTA, caps))
+        num = num.div(Series.from_x_polynomial(work, _DELTA))
     return num.divide_by_x_power(k).scale(c)
 
 
@@ -92,34 +92,34 @@ def trinomial_form(name):
     return a, b, d
 
 
-def gf_motzkin(order, caps=None):
+def gf_motzkin(order):
     """Motzkin number series (1 - x - sqrt(1-2x-3x^2)) / (2x^2)."""
-    return _algebraic_series("M", order, caps)
+    return _algebraic_series("M", order)
 
 
-def gf_trinomial(order, caps=None):
+def gf_trinomial(order):
     """Central trinomial series 1 / sqrt(1-2x-3x^2)."""
-    return _algebraic_series("T", order, caps)
+    return _algebraic_series("T", order)
 
 
-def gf_h(order, caps=None):
+def gf_h(order):
     """Series of the last-letter totals h(n)."""
-    return _algebraic_series("h", order, caps)
+    return _algebraic_series("h", order)
 
 
-def gf_s(order, caps=None):
+def gf_s(order):
     """Series of the semiperimeter totals s(n)."""
-    return _algebraic_series("s", order, caps)
+    return _algebraic_series("s", order)
 
 
-def gf_u(order, caps=None):
+def gf_u(order):
     """Series of the area totals u(n)."""
-    return _algebraic_series("u", order, caps)
+    return _algebraic_series("u", order)
 
 
-def gf_p(order, caps=None):
+def gf_p(order):
     """Series of the interior-point totals p(n)."""
-    return _algebraic_series("p", order, caps)
+    return _algebraic_series("p", order)
 
 
 # -- multivariate masters (forward recurrence on packed q-rows) ------------------
@@ -139,12 +139,11 @@ def gf_p(order, caps=None):
 # row is the exact integer f(2^w) whatever the slot width: only the read-back
 # needs a bound on the slots, and ``_slot_bytes`` gives it.
 #
-# Only the v-substitutions need V = order: v -> q moves high v into q, so
-# cutting v before it loses terms.  p and q only grow, and the genuine last
-# letter of a length-n word is below n, so every row is exact and the caps
-# are applied once, when the rows are read back: ``_windows`` cuts every
-# occupied (p, v) row within the caps at the q cap, and ``_read_back``
-# decodes the rows of all the coefficients, a bounded batch per call.
+# V = order keeps every term: v -> q moves high v into q, and the genuine
+# last letter of a length-n word is below n, so every row is exact and lies
+# within the default caps of the order.  ``_windows`` gives every occupied
+# (p, v) row its slot window, and ``_read_back`` decodes the rows of all the
+# coefficients, a bounded batch per call.
 
 
 def _solve_forward(order, contributions):
@@ -181,7 +180,7 @@ def _slot_bytes(order):
     return backend.slot_bytes(closedforms.motzkin(order - 1))
 
 
-def _master(order, caps, base, step, plus, minus):
+def _master(order, base, step, plus, minus):
     """The master series for the base monomials ``base`` = ((dp, dq) at x,
     (dp, dq) at x^2), S = ``step`` and M = ``minus`` as (dp, dq, dv) and
     P = ``plus`` as (dp, dq).
@@ -189,9 +188,7 @@ def _master(order, caps, base, step, plus, minus):
     The rows are exact integers at any slot width, so the slots are sized
     from M(order - 1) by ``_slot_bytes``, the bound of the slots read back.
     """
-    caps = caps or Caps.for_order(order)
-    if caps == CAPS_UNBOUNDED:
-        raise ResourceLimit("1/(1 - qv) has no finite product without caps")
+    Caps.for_order(order)  # an order past the key fields raises before any work
     nbytes = _slot_bytes(order)
     w = 8 * nbytes
     width = order + 1
@@ -235,34 +232,29 @@ def _master(order, caps, base, step, plus, minus):
                     dst[v] += run
         return out
 
-    def pairs(rows):  # the rows within the p and v caps, with their keys
+    def pairs(rows):  # every row, with its key
         for p, rs in rows.items():
-            if p <= caps.p:
-                yield from zip(rs[: caps.v + 1], count(pack(p, 0, 0)))
+            yield from zip(rs, count(pack(p, 0, 0)))
 
     rows = _solve_forward(order, contributions)
-    return _read_back(order, caps, nbytes, (_windows(pairs(r), caps, w) for r in rows))
+    return _read_back(order, nbytes, (_windows(pairs(r), w) for r in rows))
 
 
-def _windows(pairs, caps, w):
+def _windows(pairs, w):
     """The slot windows of one coefficient's (value, base key) pairs, and
     the number of slots they hold.
 
     Each nonzero value gives one window, from its lowest nonzero slot to
-    its top slot; only a value that reaches past the q cap is masked there.
+    its top slot.
     """
-    top = caps.q + 1
     windows = []
     size = 0
     for r, key in pairs:
         if r:
             first = ((r & -r).bit_length() - 1) // w
-            if first < top:
-                nslots = r.bit_length() // w + 1
-                if nslots > top:
-                    nslots, r = top, r & ((1 << (w * top)) - 1)
-                windows.append((r, first, nslots, key))
-                size += nslots - first
+            nslots = r.bit_length() // w + 1
+            windows.append((r, first, nslots, key))
+            size += nslots - first
     return windows, size
 
 
@@ -271,7 +263,7 @@ def _windows(pairs, caps, w):
 _READ_BATCH_BYTES = 1 << 20
 
 
-def _read_back(order, caps, nbytes, coeffs):
+def _read_back(order, nbytes, coeffs):
     """The series whose x^n coefficients ``coeffs`` yields as (windows, slots)
     pairs from ``_windows``, decoded in batches of at most
     ``_READ_BATCH_BYTES`` slot bytes (or one coefficient, if it is larger)."""
@@ -283,61 +275,58 @@ def _read_back(order, caps, nbytes, coeffs):
         batch.append(windows)
         size += nslots * nbytes
     terms += backend.read_slots(batch, nbytes)
-    return Series(order, [MPoly._raw(t) for t in terms], caps)
+    return Series(order, [MPoly._raw(t) for t in terms])
 
 
-def master_pqv(order, caps=None):
+def master_pqv(order):
     """Length/semiperimeter/area/last-letter master series.
 
     Built by forward recurrence on packed q-rows from the self-substitution
     equation whose right side feeds the series back at v:=q, v:=qv and
     v:=q^2 v with the prefactors p^2 q x, p^3 q^2 x^2, p^3q^3x^2/(1-qv),
     p^2q^2xv and -p^3q^5x^2v^2/(1-qv).  The last letter runs up to the
-    order internally, so any caps cut the result exactly.
+    order internally, so no substitution loses a term.
     """
-    return _master(order, caps, ((2, 1), (3, 2)), (2, 2, 1), (3, 3), (3, 5, 2))
+    return _master(order, ((2, 1), (3, 2)), (2, 2, 1), (3, 3), (3, 5, 2))
 
 
-def master_interior_qv(order, caps=None):
+def master_interior_qv(order):
     """Length/interior-points/last-letter master series (q marks interior points).
 
     Built by forward recurrence on packed q-rows, like ``master_pqv``, from
     the equation with the terms x and x^2 and the prefactors xv (at v:=qv),
     x^2/(1-qv) (at v:=q) and -q^2x^2v^2/(1-qv) (at v:=q^2 v).
     """
-    return _master(order, caps, ((0, 0), (0, 0)), (0, 0, 1), (0, 0), (0, 2, 2))
+    return _master(order, ((0, 0), (0, 0)), (0, 0, 1), (0, 0), (0, 2, 2))
 
 
 # -- closed forms from the kernel method ---------------------------------------
 
 
-def _sqrt_sper_kernel(order, caps):
+def _sqrt_sper_kernel(order):
     """sqrt(1 - 2p^2 x + (p^4 - 4p^3) x^2)."""
     x2 = MPoly.monomial(1, 4, 0, 0) + MPoly.monomial(-4, 3, 0, 0)
-    base = Series.from_x_polynomial(order, [1, MPoly.monomial(-2, 2, 0, 0), x2], caps)
-    return base.sqrt()
+    return Series.from_x_polynomial(order, [1, MPoly.monomial(-2, 2, 0, 0), x2]).sqrt()
 
 
-def cf_S(order, caps=None):
+def cf_S(order):
     """Length/semiperimeter series in closed form."""
     work = order + 2
-    caps = caps or Caps.for_order(work)
     poly = Series.from_x_polynomial(
-        work, [1, MPoly.monomial(-1, 2, 0, 0), MPoly.monomial(-2, 3, 0, 0)], caps
+        work, [1, MPoly.monomial(-1, 2, 0, 0), MPoly.monomial(-2, 3, 0, 0)]
     )
-    num = poly - _sqrt_sper_kernel(work, caps)
+    num = poly - _sqrt_sper_kernel(work)
     return num.divide_by_x_power(2).divide_coeffs_monomial(2, 3, 0, 0)
 
 
-def cf_C_sper_v(order, caps=None):
+def cf_C_sper_v(order):
     """Length/semiperimeter/last-letter series in closed form."""
-    caps = caps or Caps.for_order(order)
     p2 = MPoly.monomial(1, 2, 0, 0)
     p2v = MPoly.monomial(1, 2, 0, 1)
     p3v = MPoly.monomial(1, 3, 0, 1)
     num = Series.from_x_polynomial(
-        order, [1, p2 - p2v.scale(2), p3v.scale(-2)], caps
-    ) - _sqrt_sper_kernel(order, caps)
+        order, [1, p2 - p2v.scale(2), p3v.scale(-2)]
+    ) - _sqrt_sper_kernel(order)
     one_minus_v = MPoly.scalar(1) - MPoly.monomial(1, 0, 0, 1)
     den = Series.from_x_polynomial(
         order,
@@ -346,51 +335,45 @@ def cf_C_sper_v(order, caps=None):
             MPoly.monomial(-2, 2, 0, 1) + MPoly.monomial(2, 2, 0, 2),
             MPoly.monomial(2, 3, 0, 2),
         ],
-        caps,
     )
     return num.div(den)
 
 
-def cf_C_last(order, caps=None):
+def cf_C_last(order):
     """Length/last-letter series in closed form (built on the Motzkin series)."""
-    caps = caps or Caps.for_order(order + 2)
-    motz = gf_motzkin(order, caps)
+    motz = gf_motzkin(order)
+    caps = motz.caps
     v = MPoly.monomial(1, 0, 0, 1)
     one_minus_v = MPoly.scalar(1) - v
     num = Series.from_x_polynomial(order, [0, one_minus_v, -v], caps)
     num = num + motz.mul_monomial(1, x_shift=2)
-    den = Series.from_x_polynomial(
-        order,
-        [one_minus_v, (-v).mul(one_minus_v), v.mul(v)],
-        caps,
-    )
+    # (1 - v) - v (1 - v) x + v^2 x^2
+    v2 = MPoly.monomial(1, 0, 0, 2)
+    den = Series.from_x_polynomial(order, [one_minus_v, v2 - v, v2], caps)
     return num.div(den)
 
 
-def kernel_root_v0(order, caps=None):
+def kernel_root_v0(order):
     """Small root of the semiperimeter kernel, as a series in x.
 
     Substituting it for v annihilates the kernel (checked via
     kernel_residual, in denominator-cleared form).
     """
     work = order + 1
-    caps = caps or Caps.for_order(work)
-    num = Series.from_x_polynomial(
-        work, [1, MPoly.monomial(1, 2, 0, 0)], caps
-    ) - _sqrt_sper_kernel(work, caps)
+    num = Series.from_x_polynomial(work, [1, MPoly.monomial(1, 2, 0, 0)]) - _sqrt_sper_kernel(work)
     root = num.divide_by_x_power(1).divide_coeffs_monomial(2, 2, 0, 0)
-    unit = Series.from_x_polynomial(order, [1, MPoly.monomial(1, 1, 0, 0)], caps)
+    unit = Series.from_x_polynomial(order, [1, MPoly.monomial(1, 1, 0, 0)], root.caps)
     return root.div(unit)
 
 
-def kernel_residual(order, caps=None):
+def kernel_residual(order):
     """(1 - v0)(1 - p^2 x v0) + p^3 x^2 v0^2, which must vanish mod x^order.
 
     This is the kernel 1 - p^2 x v + p^3 x^2 v^2/(1-v) multiplied through
     by (1 - v): the root has constant term 1, so 1/(1 - v0) is not itself
     a power series and the cleared form is the faithful annihilation test.
     """
-    v0 = kernel_root_v0(order, caps)
+    v0 = kernel_root_v0(order)
     caps = v0.caps
     one = Series.from_x_polynomial(order, [1], caps)
     p2xv0 = v0.mul_monomial(1, 2, 0, 0, x_shift=1)
@@ -405,11 +388,10 @@ def kernel_residual(order, caps=None):
 # at q = 2^w.  Their x^n coefficient counts avoiding words of length n < order
 # (the sums a subset of them) by area or by interior points, never more than
 # the area, which is at most n (n + 1) / 2.  So its q-degree is below
-#   slots(n) = min(cap_q, n (n + 1) / 2) + 1
-# unless the q cap cuts it, and its slots lie in [0, M(n)], which
-# ``_slot_bytes`` sizes the slots for.  The x^n coefficients of a dense
-# series are read back by ``_read_back`` as they are, each its own two's
-# complement.
+#   slots(n) = n (n + 1) / 2 + 1,
+# and its slots lie in [0, M(n)], which ``_slot_bytes`` sizes the slots for.
+# The x^n coefficients of a dense series are read back by ``_read_back`` as
+# they are, each its own two's complement.
 #
 # The constructors count the words directly, by the transfer DP over the
 # word automaton, ``words.transfer`` (see ``_transfer_packed``): each step is
@@ -426,10 +408,9 @@ def kernel_residual(order, caps=None):
 # takes log2(N/d) doubling steps r = (r + (r << s)) & mask.  Each image is
 # exact mod 2^(w N) whatever its slots hold, so no intermediate needs a bound
 # and nothing is repacked.  The residue of a result mod 2^(w slots(n)) then
-# reads back slot by slot, and each stored x^n coefficient is either exact
-# (the integer f(2^w), usable as is at any larger precision) or carries the
-# full cap_q + 1 slots.  Since no coefficient is ever needed past q^cap_q,
-# either way it serves every later order.  That allows two truncations:
+# reads back slot by slot, and each stored x^n coefficient is exact: the
+# integer f(2^w), usable as is at any larger precision.  That allows two
+# truncations:
 #   the quotient's x^k coefficient is needed only mod q^slots(k), so each of
 #     its products cuts the denominator term to slots(k) slots and
 #     multiplies it by a short earlier coefficient;
@@ -440,29 +421,26 @@ def kernel_residual(order, caps=None):
 #     is not formed.
 
 
-def _dense_series(order, caps, packed):
+def _dense_series(order, packed):
     """The series of a dense constructor whose x^n coefficients
-    ``packed(order, caps, w)`` returns, read back by ``_read_back``.
+    ``packed(order, w)`` returns, read back by ``_read_back``.
 
     The slots are sized from M(order - 1) by ``_slot_bytes``, the bound of
     every slot read back and of every slot of the transfer DP's states.
     """
-    caps = caps or Caps.for_order(order)
-    if caps == CAPS_UNBOUNDED:
-        # both routes take the same caps, and the paper's 1/(1 - q^j) needs them
-        raise ResourceLimit("the dense area/interior series need a finite q cap")
+    Caps.for_order(order)  # an order past the key fields raises before any work
     nbytes = _slot_bytes(order)
     w = 8 * nbytes
-    coeffs = packed(order, caps, w)
-    return _read_back(order, caps, nbytes, (_windows([(c, 0)], caps, w) for c in coeffs))
+    coeffs = packed(order, w)
+    return _read_back(order, nbytes, (_windows([(c, 0)], w) for c in coeffs))
 
 
-def _slots(caps, n):
+def _slots(n):
     """Slots that hold the x^n coefficient of a dense series."""
-    return min(caps.q, n * (n + 1) // 2) + 1
+    return n * (n + 1) // 2 + 1
 
 
-def _transfer_packed(stat, word_class, order, caps, w):
+def _transfer_packed(stat, word_class, order, w):
     """Packed x^n coefficients, n < order, of the words of ``word_class``
     by ``stat``: ``words.transfer`` at q = 2^w, where an increment k is a
     shift by k slots; the shifts of a rise layer and of a fall layer are
@@ -487,7 +465,7 @@ def _geom(r, d, w, mask):
     return r
 
 
-def _ratio(order, caps, w, step, term):
+def _ratio(order, w, step, term):
     """Packed coefficients of sum_j x^j t_j / (1 - sum_j x^j t_j / (1 - q^j)).
 
     t_j = ``term(P_j, j)``, linear in the partial product P_j, for P_1 = 1
@@ -495,7 +473,7 @@ def _ratio(order, caps, w, step, term):
     division by 1 - q^j gives both the denominator term
     t_j / (1 - q^j) = term(P_j / (1 - q^j), j) and the next partial product.
     """
-    mask = (1 << (w * _slots(caps, order - 1))) - 1
+    mask = (1 << (w * _slots(order - 1))) - 1
     den = [0] * order
     out = [0] * order
     prod = 1
@@ -504,29 +482,29 @@ def _ratio(order, caps, w, step, term):
         num = term(prod, k) & mask
         den[k] = term(quot, k) & mask
         # out = num / (1 - den): out[k] = num[k] + sum_j den[j] out[k - j]
-        cut = (1 << (w * _slots(caps, k))) - 1
+        cut = (1 << (w * _slots(k))) - 1
         out[k] = (num + sum((den[j] & cut) * out[k - j] for j in range(1, k))) & cut
         prod = step(prod, quot, k) & mask
     return out
 
 
-def _sum_B_packed(order, caps, w):
+def _sum_B_packed(order, w):
     # P_(i+1) = P_i (1 - q^i + q^(2i)) / (1 - q^i), t_j = (-1)^(j+1) q^j P_j
     def step(prod, quot, i):
         return quot - (quot << i * w) + (quot << 2 * i * w)
 
-    return _ratio(order, caps, w, step, lambda prod, j: (prod if j % 2 else -prod) << j * w)
+    return _ratio(order, w, step, lambda prod, j: (prod if j % 2 else -prod) << j * w)
 
 
-def _sum_H_packed(order, caps, w):
+def _sum_H_packed(order, w):
     # P_(i+1) = P_i (q^(i-1) - 1/(1 - q^i)), t_j = P_j
     def step(prod, quot, i):
         return (prod << (i - 1) * w) - quot
 
-    return _ratio(order, caps, w, step, lambda prod, j: prod)
+    return _ratio(order, w, step, lambda prod, j: prod)
 
 
-def _area_packed(order, caps, w):
+def _area_packed(order, w):
     """Packed coefficients of prod_area, built on the packed sum_B.
 
     G(x) = sum_(i >= 0) x^i q^(i(i+1)/2) prod_(k < i) (1 + B(x q^k)) obeys
@@ -537,19 +515,18 @@ def _area_packed(order, caps, w):
     about order^2/2 products in all, and prod_area = G - 1.  G_n is needed
     only mod q^slots(n), so a term with m + 1 >= slots(n) is not formed,
     and the others need b_(n-1-m) and G_m only mod q^(slots(n) - m - 1).
-    Each stored b_t and G_m is cut to its own slots: it is exact, or it
-    carries the full cap_q + 1 slots, so either way it holds that much.
+    Each stored b_t and G_m is cut to its own slots, where it is exact.
     """
-    b = [1] + _sum_B_packed(order, caps, w)[1:]
+    b = [1] + _sum_B_packed(order, w)[1:]
     g = [1] * order
     for n in range(1, order):
-        top = _slots(caps, n)
+        top = _slots(n)
         c = sum(b[n - 1 - m] * g[m] << (m + 1) * w for m in range(min(n, top - 1)))
         g[n] = c & ((1 << (w * top)) - 1)
     return [0] + g[1:]
 
 
-def _interior_packed(order, caps, w):
+def _interior_packed(order, w):
     """Packed coefficients of prod_interior, built on the packed sum_H.
 
     With m = i - 1 the paper's sum is x (1 + H(x)) K(x), where
@@ -559,12 +536,12 @@ def _interior_packed(order, caps, w):
     With h_0 = 1 and h_t = H_t, P_n = sum_(t < n) h_t K_(n-1-t), that is
       P_n = h_(n-1) + sum_(1 <= m < n) h_(n-1-m) P_m q^(m-1).
     As in ``_area_packed``, a term with m - 1 >= slots(n) is not formed,
-    and every stored h_t and P_m is exact or carries cap_q + 1 slots.
+    and every stored h_t and P_m is exact within its own slots.
     """
-    h = [1] + _sum_H_packed(order, caps, w)[1:]
+    h = [1] + _sum_H_packed(order, w)[1:]
     p = [0] * order
     for n in range(1, order):
-        top = _slots(caps, n)
+        top = _slots(n)
         c = sum(h[n - 1 - m] * p[m] << (m - 1) * w for m in range(1, min(n, top + 1)))
         p[n] = (h[n - 1] + c) & ((1 << (w * top)) - 1)
     return p
@@ -580,13 +557,13 @@ _PAPER_FORMS = {
 }
 
 
-def paper_form(name, order, caps=None):
+def paper_form(name, order):
     """The dense series ``name`` (``sum_B``, ``sum_H``, ``prod_area`` or
     ``prod_interior``) built from the paper's form instead of the DP."""
-    return _dense_series(order, caps, _PAPER_FORMS[name])
+    return _dense_series(order, _PAPER_FORMS[name])
 
 
-def sum_B(order, caps=None):
+def sum_B(order):
     """Length/area series of the words whose last two letters strictly rise.
 
     Built by the transfer DP over the word automaton (``_transfer_packed``)
@@ -594,32 +571,30 @@ def sum_B(order, caps=None):
     whose j-th terms carry x^j and the partial products of
     (1 - q^i + q^(2i)) / (1 - q^i), is ``paper_form("sum_B", ...)``.
     """
-    return _dense_series(order, caps, partial(_transfer_packed, "area", WordClass.CLASS_B))
+    return _dense_series(order, partial(_transfer_packed, "area", WordClass.CLASS_B))
 
 
-def cf_B_contfrac(order, depth, caps=None):
+def cf_B_contfrac(order):
     """The same series evaluated from its continued fraction, bottom-up.
 
-    Level j carries q^j x, so any depth >= order reproduces sum_B exactly.
+    Level j carries q^j x, so starting at level ``order`` reproduces sum_B
+    exactly.
     """
-    if depth < order:
-        raise DepthTooShallow(f"depth {depth} < order {order}")
-    caps = caps or Caps.for_order(order)
-    one = Series.from_x_polynomial(order, [1], caps)
+    one = Series.from_x_polynomial(order, [1])
 
     def level(j):
-        return Series.from_x_polynomial(order, [1, MPoly.monomial(1, 0, j, 0)], caps)
+        return Series.from_x_polynomial(order, [1, MPoly.monomial(1, 0, j, 0)])
 
-    d = level(depth)
-    for j in range(depth - 1, 0, -1):
+    d = level(order)
+    for j in range(order - 1, 0, -1):
         # (1 + q^j x) - (1 + q^j x) q^(j+1) x / d
         lvl = level(j)
         d = lvl - lvl.mul_monomial(1, 0, j + 1, 0, x_shift=1).div(d)
-    result = one.div(one - Series.from_x_polynomial(order, [0, MPoly.monomial(1, 0, 1, 0)], caps).div(d))
+    result = one.div(one - Series.from_x_polynomial(order, [0, MPoly.monomial(1, 0, 1, 0)]).div(d))
     return result - one
 
 
-def prod_area(order, caps=None):
+def prod_area(order):
     """Length/area series of all avoiding words.
 
     Built by the transfer DP, like ``sum_B``.  The paper's form, the sum
@@ -627,10 +602,10 @@ def prod_area(order, caps=None):
     through its q-shift equation (``_area_packed``), is
     ``paper_form("prod_area", ...)``.
     """
-    return _dense_series(order, caps, partial(_transfer_packed, "area", WordClass.AVOID_GEQ_GEQ))
+    return _dense_series(order, partial(_transfer_packed, "area", WordClass.AVOID_GEQ_GEQ))
 
 
-def sum_H(order, caps=None):
+def sum_H(order):
     """Length/interior-points series of the strictly-rising-tail words.
 
     Built by the transfer DP, like ``sum_B``.  The paper's form, the ratio
@@ -638,10 +613,10 @@ def sum_H(order, caps=None):
     q^(i-1) - 1/(1 - q^i), times 1/(1 - q^j) in the denominator terms, is
     ``paper_form("sum_H", ...)``.
     """
-    return _dense_series(order, caps, partial(_transfer_packed, "inter", WordClass.CLASS_B))
+    return _dense_series(order, partial(_transfer_packed, "inter", WordClass.CLASS_B))
 
 
-def prod_interior(order, caps=None):
+def prod_interior(order):
     """Length/interior-points series of all avoiding words.
 
     Built by the transfer DP, like ``sum_B``.  The paper's form, the sum
@@ -649,4 +624,4 @@ def prod_interior(order, caps=None):
     evaluated through its q-shift equation (``_interior_packed``), is
     ``paper_form("prod_interior", ...)``.
     """
-    return _dense_series(order, caps, partial(_transfer_packed, "inter", WordClass.AVOID_GEQ_GEQ))
+    return _dense_series(order, partial(_transfer_packed, "inter", WordClass.AVOID_GEQ_GEQ))

@@ -47,8 +47,7 @@ class Caps(NamedTuple):
         return cap_key(self.p, self.q, self.v)
 
 
-CAPS_UNBOUNDED = Caps(MAXCAP, MAXCAP, MAXCAP)
-_UNBOUNDED_KEY = CAPS_UNBOUNDED.key
+_UNBOUNDED_KEY = Caps(MAXCAP, MAXCAP, MAXCAP).key
 
 
 def _degree(terms, shift):

@@ -133,7 +133,7 @@ def test_08_kernel():
 def test_09_continued_fraction():
     with criterion(9, "continued fraction"):
         for order in range(1, 13):
-            assert gfs.cf_B_contfrac(order, order) == gfs.sum_B(order)
+            assert gfs.cf_B_contfrac(order) == gfs.sum_B(order)
 
 
 def test_10_tables():

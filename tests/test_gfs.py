@@ -1,12 +1,11 @@
 import hashlib
-from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catpoly import backend, gfs
-from catpoly.errors import DepthTooShallow, InternalInconsistency
+from catpoly.errors import InternalInconsistency
 from catpoly.backend import unpack
 from catpoly.mpoly import Caps, MPoly, pack
 from catpoly.series import Series
@@ -195,8 +194,8 @@ def test_kernel_root_annihilates():
 def test_kernel_root_at_p1():
     order = 12
     v0 = gfs.kernel_root_v0(order).eval_one("p")
-    caps = v0.caps
-    motz = gfs.gf_motzkin(order, caps)
+    motz = gfs.gf_motzkin(order)
+    caps = motz.caps
     one_plus_x = Series.from_x_polynomial(order, [1, 1], caps)
     numerator = Series.from_x_polynomial(order, [1], caps) + motz.mul_monomial(1, x_shift=1)
     assert v0 == numerator.div(one_plus_x)
@@ -222,13 +221,7 @@ def test_sum_B_matches_enumeration():
 
 def test_contfrac_equals_sum():
     for order in (4, 8, 12):
-        assert gfs.cf_B_contfrac(order, order) == gfs.sum_B(order)
-    assert gfs.cf_B_contfrac(5, 9) == gfs.sum_B(5)
-
-
-def test_contfrac_depth_guard():
-    with pytest.raises(DepthTooShallow):
-        gfs.cf_B_contfrac(8, 7)
+        assert gfs.cf_B_contfrac(order) == gfs.sum_B(order)
 
 
 def test_prod_area_series():
@@ -389,7 +382,7 @@ def test_trinomial_form_of_each_algebraic_series(name, printed):
 def test_trinomial_form_gives_the_series(name):
     a, b, d = gfs.trinomial_form(name)
     c, P, Q, k, e = gfs.ALGEBRAIC_FORMS[name]
-    series = gfs._algebraic_series(name, 40, None)
+    series = gfs._algebraic_series(name, 40)
     first = max(0, len(P) - k - e)
     for n in range(first, 35):
         want = sum(ai * trinomial_by_power(n + i) for i, ai in enumerate(a))
@@ -459,11 +452,6 @@ def test_dense_constructors_make_no_mpoly_or_series_arithmetic(monkeypatch):
         getattr(gfs, name)(12)
 
 
-def _cut(m, caps):
-    """The terms of an MPoly within the caps."""
-    return MPoly({k: c for k, c in m.terms.items() if all(map(int.__le__, unpack(k), caps))})
-
-
 def interior_histogram(n):
     out = MPoly.zero()
     for w in enumerate_words(n):
@@ -476,14 +464,9 @@ def interior_histogram(n):
     ("master_pqv", triple_histogram),
     ("master_interior_qv", interior_histogram),
 ])
-def test_masters_honour_any_caps(name, histogram, order):
-    # the v -> q substitution lifts v into q, so a v cap below the order
-    # must not cut v before it; the base terms obey the caps too
+def test_masters_equal_the_histograms(name, histogram, order):
     hist = [MPoly.zero()] + [histogram(n) for n in range(1, order)]
-    for caps in product((0, 3, 18), (0, 10, 44, 45), (0, 3, 4, 9)):
-        caps = Caps(*caps)
-        m = getattr(gfs, name)(order, caps)
-        assert m.coeffs == [_cut(h, caps) for h in hist], caps
+    assert getattr(gfs, name)(order).coeffs == hist
 
 
 def dense_histograms(name, order):
@@ -493,19 +476,10 @@ def dense_histograms(name, order):
     return [MPoly.zero()] + [histogram_poly(n, cls, stat) for n in range(1, order)]
 
 
-DENSE_CAPS = [Caps(*caps) for caps in product((0, 3, 18), (0, 5, 17, 44, 45), (0, 3, 9))]
-
-
 @pytest.mark.parametrize("order", [7, 9])
 @pytest.mark.parametrize("name", DENSE)
-def test_dense_constructors_honour_any_caps(name, order):
-    # the packed path works mod q^(cap + 1) and cuts each quotient order and
-    # each product-form coefficient shorter still; p and v caps never cut a
-    # q-only term
-    full = getattr(gfs, name)(order)
-    assert full.coeffs == dense_histograms(name, order)
-    for caps in DENSE_CAPS:
-        assert getattr(gfs, name)(order, caps).coeffs == [_cut(c, caps) for c in full.coeffs], caps
+def test_dense_constructors_equal_the_histograms(name, order):
+    assert getattr(gfs, name)(order).coeffs == dense_histograms(name, order)
 
 
 @pytest.mark.parametrize("name", DENSE)
@@ -513,13 +487,6 @@ def test_dense_constructors_equal_the_paper_forms(name):
     # the transfer DP against the paper's ratio and product forms
     for order in range(1, 41):
         assert getattr(gfs, name)(order) == gfs.paper_form(name, order), order
-
-
-@pytest.mark.parametrize("order", [7, 9])
-@pytest.mark.parametrize("name", DENSE)
-def test_dense_constructors_equal_the_paper_forms_under_any_caps(name, order):
-    for caps in DENSE_CAPS:
-        assert getattr(gfs, name)(order, caps) == gfs.paper_form(name, order, caps), caps
 
 
 def test_dense_constructors_form_no_quotient(monkeypatch):
@@ -535,7 +502,7 @@ def test_dense_constructors_form_no_quotient(monkeypatch):
         gfs.paper_form("sum_B", 12)
 
 
-def _telescope(order, caps, w, b, qexp):
+def _telescope(order, w, b, qexp):
     """Packed coefficients of the sum over i >= 1 of
     x^i q^qexp(i) prod_{k < i} (1 + B(x q^k)), for B packed in ``b``.
 
@@ -544,7 +511,7 @@ def _telescope(order, caps, w, b, qexp):
     only its first order - i coefficients reach the result, and only mod
     q^(N - qexp(i)).
     """
-    top = gfs._slots(caps, order - 1)
+    top = gfs._slots(order - 1)
     out = [0] * order
     partial = [1] + [0] * (order - 1)
     for i in range(1, order):
@@ -574,26 +541,16 @@ TELESCOPED = {
 }
 
 
-def telescoped_sum(name, order, caps=None):
+def telescoped_sum(name, order):
     """A product form evaluated from its telescoped sum, on the packed sum."""
     packed, qexp = TELESCOPED[name]
-    return gfs._dense_series(
-        order, caps, lambda order, caps, w: _telescope(order, caps, w, packed(order, caps, w), qexp)
-    )
+    return gfs._dense_series(order, lambda order, w: _telescope(order, w, packed(order, w), qexp))
 
 
 @pytest.mark.parametrize("name", sorted(TELESCOPED))
 def test_product_forms_equal_the_telescoped_sum(name):
     for order in range(1, 17):
         assert getattr(gfs, name)(order).coeffs == telescoped_sum(name, order).coeffs, order
-
-
-@pytest.mark.parametrize("order", [7, 9])
-@pytest.mark.parametrize("name", sorted(TELESCOPED))
-def test_product_forms_equal_the_telescoped_sum_under_any_caps(name, order):
-    for caps in DENSE_CAPS:
-        want = telescoped_sum(name, order, caps)
-        assert getattr(gfs, name)(order, caps).coeffs == want.coeffs, caps
 
 
 PACKED = DENSE + ("master_pqv", "master_interior_qv")
@@ -633,22 +590,19 @@ def test_packed_series_read_back_in_bounded_batches(monkeypatch, name):
     assert len(calls) > 2 and sum(calls) == 28
 
 
-def test_windows_cut_a_row_at_the_q_cap():
-    # a non-negative row that reaches past the q cap is masked there, a row
-    # within it goes in as it is, and a row whose lowest slot lies above
-    # the cap gives no window
+def test_windows_start_at_the_lowest_nonzero_slot():
+    # each nonzero row goes in as it is, from its lowest nonzero slot to its
+    # top slot, and a zero row gives no window
     nbytes = 2
     w = 8 * nbytes
-    caps = Caps(3, 2, 3)
-    long = sum(c << (w * j) for j, c in enumerate([0, 5, 7, 9, 11]))
-    short = 3 << w
-    above = 1 << 3 * w
-    pairs = [(long, pack(1, 0, 0)), (0, pack(2, 0, 0)), (short, pack(0, 0, 2)), (above, pack(3, 0, 0))]
-    windows, nslots = gfs._windows(pairs, caps, w)
-    assert windows == [(long % above, 1, 3, pack(1, 0, 0)), (short, 1, 2, pack(0, 0, 2))]
-    assert nslots == 3
+    long = sum(c << (w * j) for j, c in enumerate([0, 0, 5, 0, 9, 11]))
+    short = 3
+    pairs = [(long, pack(1, 0, 0)), (0, pack(2, 0, 0)), (short, pack(0, 0, 2))]
+    windows, nslots = gfs._windows(pairs, w)
+    assert windows == [(long, 2, 6, pack(1, 0, 0)), (short, 0, 1, pack(0, 0, 2))]
+    assert nslots == 5
     assert backend.read_slots([windows], nbytes) == [
-        {pack(1, 1, 0): 5, pack(1, 2, 0): 7, pack(0, 1, 2): 3}
+        {pack(1, 2, 0): 5, pack(1, 4, 0): 9, pack(1, 5, 0): 11, pack(0, 0, 2): 3}
     ]
 
 
@@ -664,9 +618,6 @@ def test_packed_slots_lie_within_motzkin(name):
     # the premise of the slot width: each slot read back counts avoiding
     # words of one length n, so it lies in [0, M(n)]
     assert_slots_within_motzkin(getattr(gfs, name)(40 if name in DENSE else 24))
-    for order in (7, 9):
-        for caps in DENSE_CAPS:
-            assert_slots_within_motzkin(getattr(gfs, name)(order, caps))
 
 
 def test_packed_slots_sized_from_motzkin(monkeypatch):

@@ -3,6 +3,7 @@
 import sys
 from array import array
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from catpoly import backend, gfs
 from catpoly.backend import GUARDS, MAXCAP, cap_key, pack, unpack
 from catpoly.errors import ResourceLimit
-from catpoly.mpoly import CAPS_UNBOUNDED, Caps, MPoly
+from catpoly.mpoly import Caps, MPoly
+from catpoly.series import Series
 
 exponent = st.integers(min_value=0, max_value=MAXCAP)
 triple = st.tuples(exponent, exponent, exponent)
@@ -99,41 +101,24 @@ def test_caps_for_order_field_limit():
         Caps.for_order(1024)
 
 
-def test_unbounded_substitutions_past_field_raise():
-    # the masters substitute v -> q v, v -> q^2 v and v -> q, then divide by
-    # 1 - qv: without caps that has no finite product, so both raise
-    for master in (gfs.master_pqv, gfs.master_interior_qv):
-        with pytest.raises(ResourceLimit):
-            master(6, CAPS_UNBOUNDED)
-        # caps on the field maximum itself drop nothing
-        assert master(6, Caps(MAXCAP, MAXCAP, MAXCAP - 1)) == master(6)
+def test_constructors_raise_past_the_key_fields_before_any_work(monkeypatch):
+    # every constructor builds at the default caps of its order, so order
+    # 1024 raises ResourceLimit before the DP, the recurrence, the paper's
+    # quotient or a continued-fraction level starts; gfs binds
+    # ``transfer`` by name, so it is refused there
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started past the key fields")
 
-
-@pytest.mark.parametrize("order", [1, 2, 3])
-@pytest.mark.parametrize("name", ["sum_B", "sum_H", "prod_area", "prod_interior"])
-def test_dense_constructors_raise_without_caps(name, order):
-    # the factors 1/(1 - q^j) of their paper forms have no finite product
-    # without caps, so both routes raise at every order, also where no such
-    # factor is built yet
-    build = getattr(gfs, name)
-    with pytest.raises(ResourceLimit):
-        build(order, CAPS_UNBOUNDED)
-    # caps on the field maximum itself drop nothing, and cost no more than
-    # the default caps: the packed path stops at the largest area
-    assert build(order + 5, Caps(MAXCAP, MAXCAP, MAXCAP - 1)) == build(order + 5)
-
-
-def test_capped_substitutions_still_truncate():
-    # v -> q lifts the last letter into q: a v cap below the order still
-    # keeps every term whose own exponents fit, and drops every other one
-    capped = gfs.master_pqv(9, Caps(10, 5, 1)).coeff(3)
-    assert capped == MPoly({pack(5, 4, 0): 1, pack(5, 4, 1): 1, pack(5, 5, 1): 1})
-    full = gfs.master_pqv(9)
-    for caps in (Caps(10, 5, 1), Caps(18, 45, 3)):
-        m = gfs.master_pqv(9, caps)
-        for n in range(9):
-            keep = {k: c for k, c in full.coeff(n).terms.items() if all(map(int.__le__, unpack(k), caps))}
-            assert m.coeff(n).terms == keep
+    monkeypatch.setattr(gfs, "transfer", refuse)
+    monkeypatch.setattr(gfs, "_solve_forward", refuse)
+    monkeypatch.setattr(gfs, "_ratio", refuse)
+    monkeypatch.setattr(Series, "div", refuse)
+    dense = ("sum_B", "sum_H", "prod_area", "prod_interior")
+    builders = [getattr(gfs, name) for name in dense + ("master_pqv", "master_interior_qv")]
+    builders += [partial(gfs.paper_form, name) for name in dense] + [gfs.cf_B_contfrac]
+    for build in builders:
+        with pytest.raises(ResourceLimit, match="order 1024 needs caps"):
+            build(1024)
 
 
 # -- the kernel against a naive exponent-tuple product -------------------------

@@ -141,8 +141,8 @@ def test_paper_form_off_at_the_top_order(monkeypatch, name, check, detail):
     # paper's form checks it against the DP
     real = gfs._PAPER_FORMS[name]
 
-    def wrong(order, caps, w):
-        out = real(order, caps, w)
+    def wrong(order, w):
+        out = real(order, w)
         out[-1] += 1
         return out
 
