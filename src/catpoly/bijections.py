@@ -12,8 +12,7 @@ enumerates its words, and ``bijectivity_report`` takes words a caller
 has already enumerated (``verify`` passes its census).
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Collection, List, Sequence, Tuple
+from typing import Callable, Collection, List, NamedTuple, Sequence, Tuple
 
 from .errors import NotInDomain
 from .words import (
@@ -27,8 +26,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class FirstReturnDecomp:
+class FirstReturnDecomp(NamedTuple):
     """w = 0 . elevated_block . remainder, with the block maximal."""
 
     elevated_block: Tuple[int, ...]
@@ -123,15 +121,16 @@ def psi(w) -> CatalanWord:
     return CatalanWord(_psi(word.letters))
 
 
-@dataclass
 class BijectionReport:
-    """Outcome of the exhaustive bijectivity check at one length."""
+    """Outcome of the exhaustive bijectivity check at one length, filled in
+    as the check runs."""
 
-    length: int
-    chi_domain: int = 0
-    chi_codomain: int = 0
-    psi_domain: int = 0
-    violations: List[str] = field(default_factory=list)
+    __slots__ = ("length", "chi_domain", "chi_codomain", "psi_domain", "violations")
+
+    def __init__(self, length: int):
+        self.length = length
+        self.chi_domain = self.chi_codomain = self.psi_domain = 0
+        self.violations: List[str] = []
 
     @property
     def ok(self):
@@ -186,7 +185,7 @@ def bijectivity_report(
     recursions are memoized for this call only; every domain word's image
     is still checked.
     """
-    report = BijectionReport(length=n)
+    report = BijectionReport(n)
     report.chi_domain = len(avoiding)
     report.chi_codomain = len(unequal_next)
     text = _word_text

@@ -11,7 +11,6 @@ check_recurrences and any disagreement is reported, never silently
 patched.
 """
 
-from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Tuple
 
 from .closedforms import motzkin
@@ -34,8 +33,7 @@ DEFAULT_TABLE_LIMIT = 300
 STATS = ("sper", "area", "inter")
 
 
-@dataclass
-class TriTable:
+class TriTable(NamedTuple):
     """Lower-triangular integer table; row n has entries at indices
     first_index .. first_index + n - 1."""
 
@@ -167,8 +165,7 @@ def totals(max_n: int) -> Totals:
 # -- verbatim evaluation of the published recurrences ---------------------------
 
 
-@dataclass
-class RecurrenceReport:
+class RecurrenceReport(NamedTuple):
     which: str
     max_n: int
     cells_checked: int

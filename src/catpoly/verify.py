@@ -8,37 +8,44 @@ The suite is deterministic: same flags, same statuses and details; only
 each check's wall time (``CheckResult.seconds``) varies.
 
 Every check that needs words reads them from one word census per run
-(``_Context``): each (length, class) is enumerated once, each word's
-``StatRecord`` is computed once, and the unequal-adjacent words are held
-as sets of letter tuples for the bijection check.  Nothing outlives the
-run.
+(``_Context``), enumerated under ``words.DEFAULT_ENUM_LIMIT``: each
+(length, class) is enumerated once, each word's ``StatRecord`` is
+computed once, both geometric oracles are read off one cell grid per word
+(``words.grid_oracles``), and the unequal-adjacent words are held as sets
+of letter tuples for the bijection check.  Nothing outlives the run.
+
+A check that raises fails, except for ``ResourceLimit``: a run that asks
+for more than a limit allows stops there, and ``run_verify`` raises it.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, List, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 from . import bijections, closedforms, gfs, tables, words
 from .backend import pack
+from .errors import ResourceLimit
 from .mpoly import MPoly
 from .series import Series
 from .words import WordClass
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # pass | fail | skipped
     detail: str = ""
     seconds: float = 0.0  # wall time of the check
 
 
-@dataclass
 class VerifyReport:
-    max_n: int
-    max_order: int
-    checks: List[CheckResult] = field(default_factory=list)
+    """The flags of one run and its checks, appended as they finish."""
+
+    __slots__ = ("max_n", "max_order", "checks")
+
+    def __init__(self, max_n: int, max_order: int):
+        self.max_n = max_n
+        self.max_order = max_order
+        self.checks: List[CheckResult] = []
 
     @property
     def exit_code(self):
@@ -63,7 +70,6 @@ class _Context:
     def __init__(self, max_n, max_order):
         self.max_n = max_n
         self.max_order = max_order
-        self.enum_limit = max(max_n + 2, 16)
         self._cache = {}
         self._records = {}
 
@@ -75,7 +81,7 @@ class _Context:
     def words_of(self, n, cls=WordClass.AVOID_GEQ_GEQ):
         return self.get(
             ("words", n, cls),
-            lambda: list(words.enumerate_words(n, cls, self.enum_limit)),
+            lambda: list(words.enumerate_words(n, cls)),
         )
 
     def unequal_adjacent(self, n):
@@ -109,12 +115,18 @@ def run_verify(max_n: int = 10, max_order: int = 20) -> VerifyReport:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
+    if max_n > words.DEFAULT_ENUM_LIMIT:
+        raise ResourceLimit(
+            f"max_n {max_n} exceeds the enumeration limit {words.DEFAULT_ENUM_LIMIT}"
+        )
     ctx = _Context(max_n, max_order)
-    report = VerifyReport(max_n=max_n, max_order=max_order)
+    report = VerifyReport(max_n, max_order)
     for name, fn in _build_checks(ctx):
         start = perf_counter()
         try:
             status, detail = fn()
+        except ResourceLimit:
+            raise
         except Exception as exc:  # a crashed check is a failed check
             status, detail = "fail", f"exception: {type(exc).__name__}: {exc}"
         report.checks.append(CheckResult(name, status, detail, perf_counter() - start))
@@ -139,14 +151,14 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
     def enumeration_cardinalities():
         b_counts = words.word_counts(max_n, WordClass.CLASS_B)
         for n in range(max_n + 1):
-            ws = ctx.words_of(n)
+            ws = [w.letters for w in ctx.words_of(n)]
             if len(ws) != closedforms.motzkin(n):
                 return "fail", f"|enumerate({n})| = {len(ws)} != m_{n}"
             if len(set(ws)) != len(ws):
                 return "fail", f"duplicates at n={n}"
-            if ws != sorted(ws, key=lambda w: w.letters):
+            if ws != sorted(ws):
                 return "fail", f"not lexicographic at n={n}"
-            b = ctx.words_of(n, WordClass.CLASS_B)
+            b = [w.letters for w in ctx.words_of(n, WordClass.CLASS_B)]
             if len(b) != b_counts[n]:
                 return "fail", f"B-count mismatch at n={n}"
             if set(b) != {w for w in ws if len(w) < 2 or w[-2] < w[-1]}:
@@ -169,9 +181,10 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
             return "fail", f"flagship statistics {rec}"
         for n in range(1, max_n + 1):
             for w, rec in zip(ctx.words_of(n), ctx.records_of(n)):
-                if rec.sper != words.sper_oracle(w.letters):
+                sper, inter = words.grid_oracles(w.letters)
+                if rec.sper != sper:
                     return "fail", f"sper mismatch at {w}"
-                if rec.inter != words.inter_oracle(w.letters):
+                if rec.inter != inter:
                     return "fail", f"inter mismatch at {w}"
         return "pass", f"formulas agree with geometric oracles for all n <= {max_n}"
 

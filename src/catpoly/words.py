@@ -6,7 +6,9 @@ columns of height letter+1.  The statistics (area, semiperimeter,
 interior points, last letter) come in two independent flavours: closed
 formulas over the height profile, and geometric oracles that count on the
 cell grid, held as one bitmask per row.  Both are exported so they can be
-cross-checked.
+cross-checked: ``stat_record`` gathers the formulas into one named tuple,
+and ``grid_oracles`` reads both oracles off one grid per word
+(``sper_oracle`` and ``inter_oracle`` are its two views).
 
 Enumeration and counting run the same (last letter, flag) automaton:
 ``enumerate_words`` walks ``_successors`` depth first on an explicit
@@ -17,10 +19,9 @@ the same DP with other weights.
 """
 
 import enum
-from dataclasses import dataclass
 from itertools import accumulate, count
 from operator import add, sub
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import EmptyWord, InternalInconsistency, NotCatalan, ResourceLimit
 
@@ -153,8 +154,9 @@ class Polyomino:
         }
 
 
-@dataclass(frozen=True)
-class StatRecord:
+class StatRecord(NamedTuple):
+    """A word's length and its four statistics."""
+
     length: int
     area: int
     sper: int
@@ -337,7 +339,7 @@ def stat_inter(w) -> int:
     letters = _tuple_of(w)
     _require_nonempty(letters)
     # min(h_i, h_{i+1}) - 1 is the smaller of the two letters
-    return sum(m for m in map(min, letters, letters[1:]) if m > 0)
+    return sum(map(min, letters, letters[1:]))
 
 
 def _grid_rows(letters):
@@ -357,39 +359,44 @@ def _grid_rows(letters):
     return rows
 
 
-def sper_oracle(w) -> int:
-    """Half the number of cell edges not shared with another cell.
+def grid_oracles(w) -> tuple:
+    """(semiperimeter, interior points) counted on one cell grid.
 
-    Per row r: the horizontal edges below it, where r differs from the row
-    under it, and the vertical edges, where a column differs from its left
-    neighbour; the top row's upper edges close the count.
+    Semiperimeter: half the number of cell edges not shared with another
+    cell.  Per row r, the horizontal edges below it, where r differs from
+    the row under it, and the vertical edges, where a column differs from
+    its left neighbour; the top row's upper edges close the count.
+
+    Interior points: lattice points surrounded by four cells.  A point
+    between columns i and i+1 and rows y-1 and y is interior when both
+    rows hold both columns: bit i of a & a>>1 & b & b>>1.
     """
     letters = _tuple_of(w)
     _require_nonempty(letters)
-    boundary = 0
-    below = 0
+    boundary = inter = below = 0
     for r in _grid_rows(letters):
         boundary += (r ^ below).bit_count() + (r ^ (r << 1)).bit_count()
+        inter += (below & (below >> 1) & r & (r >> 1)).bit_count()
         below = r
     boundary += below.bit_count()
     if boundary % 2:
         raise InternalInconsistency(f"odd boundary length {boundary} for {w}")
-    return boundary // 2
+    return boundary // 2, inter
+
+
+def sper_oracle(w) -> int:
+    """Semiperimeter counted on the cell grid (``grid_oracles``)."""
+    return grid_oracles(w)[0]
 
 
 def inter_oracle(w) -> int:
-    """Count lattice points surrounded by four cells of the polyomino.
-
-    A point between columns i and i+1 and rows y-1 and y is interior when
-    both rows hold both columns: bit i of a & a>>1 & b & b>>1.
-    """
-    letters = _tuple_of(w)
-    _require_nonempty(letters)
-    rows = _grid_rows(letters)
-    return sum((a & (a >> 1) & b & (b >> 1)).bit_count() for a, b in zip(rows, rows[1:]))
+    """Interior points counted on the cell grid (``grid_oracles``)."""
+    return grid_oracles(w)[1]
 
 
 def stat_record(w) -> StatRecord:
+    """The length and the four statistics of a word, by their closed
+    formulas (looked up by name, so a patched formula reaches every caller)."""
     letters = _tuple_of(w)
     _require_nonempty(letters)
     return StatRecord(

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -462,6 +463,35 @@ def test_verify_default_flags_pass_every_check(capsys):
 def test_verify_out_of_range_flag_exit2(capsys, flag, value):
     err = assert_usage_error(capsys, "verify", flag, value)
     assert flag.lstrip("-").replace("-", "_") in err
+
+
+def test_verify_past_the_key_field_exits3(capsys):
+    # the series checks reach order 1025 + 2 = 1027, past the key field;
+    # that is a resource limit, not a failed check
+    code, out, err = run(capsys, "verify", "--max-order", "1025")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: order 1027 needs caps") and "key field" in err
+
+
+def test_verify_past_the_enumeration_limit_exits3_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--max-n", "17")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err == "error: max_n 17 exceeds the enumeration limit 16\n"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, catpoly.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_verify_passes_with_asserts_stripped():

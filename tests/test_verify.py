@@ -63,7 +63,18 @@ def test_wrong_semiperimeter_formula_on_one_word(monkeypatch):
 
 @pytest.mark.parametrize("oracle, label", [("sper_oracle", "sper"), ("inter_oracle", "inter")])
 def test_wrong_oracle_on_one_word(monkeypatch, oracle, label):
-    monkeypatch.setattr(words, oracle, off_by_one_on(getattr(words, oracle), (0, 1, 2, 2)))
+    # verify reads both oracles off one grid per word: the fault goes into
+    # the coordinate of grid_oracles that the named oracle views
+    real = words.grid_oracles
+    index = ("sper_oracle", "inter_oracle").index(oracle)
+
+    def wrong(w):
+        out = list(real(w))
+        out[index] += words._tuple_of(w) == (0, 1, 2, 2)
+        return tuple(out)
+
+    monkeypatch.setattr(words, "grid_oracles", wrong)
+    assert getattr(words, oracle)((0, 1, 2, 2)) == {"sper": 7, "inter": 3}[label] + 1
     c = run_checks()["statistic_oracles"]
     assert (c.status, c.detail) == ("fail", f"{label} mismatch at 0122")
 
@@ -168,3 +179,17 @@ def test_trinomial_forms_catch_a_slip_in_a_printed_row(monkeypatch):
     checks = run_checks()
     assert checks["trinomial_forms"].status == "fail"
     assert checks["trinomial_forms"].detail.startswith("p: derived row")
+
+
+@pytest.mark.parametrize("make, other, field", [
+    (lambda: words.stat_record((0, 1, 2, 2)), words.StatRecord(4, 9, 7, 3, 2), "sper"),
+    (lambda: bijections.decompose((0, 1, 2, 0)), bijections.FirstReturnDecomp((1, 2), (0,)), "remainder"),
+    (lambda: verify.CheckResult("c", "pass", "ok", 0.5), verify.CheckResult("c", "pass", "ok", 0.5), "status"),
+], ids=["StatRecord", "FirstReturnDecomp", "CheckResult"])
+def test_records_are_immutable_values(make, other, field):
+    rec = make()
+    assert rec == other and hash(rec) == hash(other) and rec is not other
+    assert rec != other._replace(**{field: None})
+    with pytest.raises(AttributeError):
+        setattr(rec, field, None)
+    assert rec == other

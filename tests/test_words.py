@@ -310,6 +310,15 @@ def test_bit_oracles_equal_cell_counts_exhaustively():
             assert inter_oracle(w) == cell_inter(w)
 
 
+def test_stat_record_equals_cell_counts_exhaustively():
+    # a third route beside the formulas and the bit oracles: the explicit
+    # cell set of every Catalan word
+    for n in range(1, 10):
+        for w in enumerate_words(n, WordClass.ALL_CATALAN):
+            cells = Polyomino.from_word(w).cells()
+            assert stat_record(w) == (n, len(cells), cell_sper(w), cell_inter(w), w.letters[-1])
+
+
 @st.composite
 def tall_catalan_word(draw, max_len=30):
     """Catalan words that rise at least half the time, so letters pass 9."""
