@@ -9,11 +9,13 @@ letter tuples; ``decompose`` returns the same split as a record.
 
 The exhaustive check has two entry points: ``verify_bijectivity``
 enumerates its words, and ``bijectivity_report`` takes words a caller
-has already enumerated (``verify`` passes its census).
+has already enumerated (``verify`` passes its census, and one pair of
+memoized maps from ``memoized_maps`` for every length).
 """
 
 from typing import Callable, Collection, List, NamedTuple, Sequence, Tuple
 
+from . import words
 from .errors import NotInDomain
 from .words import (
     CatalanWord,
@@ -73,6 +75,17 @@ def _memoized(rule):
         return img
 
     return image
+
+
+def memoized_maps():
+    """A fresh memoized (chi, psi) pair on letter tuples.
+
+    ``_chi`` and ``_psi`` are looked up when this is called, so a patched
+    rule reaches the maps.  One pair may serve any number of reports: an
+    image computed at one length answers every later call on the same
+    letters.
+    """
+    return _memoized(_chi), _memoized(_psi)
 
 
 def _chi(letters, image=None):
@@ -173,6 +186,7 @@ def bijectivity_report(
     unequal: Collection[Tuple[int, ...]],
     unequal_next: Collection[Tuple[int, ...]],
     record: Callable[[Tuple[int, ...]], StatRecord],
+    maps=None,
 ) -> BijectionReport:
     """The check of ``verify_bijectivity`` on words given as letter tuples.
 
@@ -180,16 +194,20 @@ def bijectivity_report(
     class, taken as members without validating them again.  ``unequal``
     and ``unequal_next`` hold every unequal-adjacent word of length n and
     n+1: an image is valid exactly when it lies in the set of its length,
-    which also rules out non-Catalan images.  ``record`` gives a word's
-    statistics.  Sub-words repeat heavily across a domain, so both
-    recursions are memoized for this call only; every domain word's image
-    is still checked.
+    which also rules out non-Catalan images.  ``record`` gives a domain
+    word's statistics; an image's are computed by ``words.stat_sper``,
+    ``stat_area`` and ``stat_inter``, only those the check reads.  Sub-words
+    repeat heavily across a domain and across lengths, so both recursions
+    are memoized: ``maps`` is a (chi, psi) pair from ``memoized_maps``,
+    which a caller may share across lengths, and a fresh pair for this
+    call by default.  Every domain word's image is still checked.
     """
     report = BijectionReport(n)
     report.chi_domain = len(avoiding)
     report.chi_codomain = len(unequal_next)
     text = _word_text
-    chi_of, psi_of = _memoized(_chi), _memoized(_psi)
+    chi_of, psi_of = maps or memoized_maps()
+    sper, area, inter = words.stat_sper, words.stat_area, words.stat_inter
 
     images = set()
     for w in avoiding:
@@ -202,7 +220,7 @@ def bijectivity_report(
                 f"chi({text(w)}) = {text(img)} not unequal-adjacent of length {n + 1}"
             )
         if n >= 1:
-            before, after = record(w).sper, record(img).sper
+            before, after = record(w).sper, sper(img)
             if after != before + 2:
                 report.violations.append(
                     f"chi({text(w)}) semiperimeter {after} != {before} + 2"
@@ -229,8 +247,8 @@ def bijectivity_report(
         if len(img) != n:
             report.violations.append(f"psi({text(w)}) changed length")
         if n >= 1:
-            before, after = record(w), record(img)
-            if after.area != before.area or after.inter != before.inter:
+            before = record(w)
+            if area(img) != before.area or inter(img) != before.inter:
                 report.violations.append(
                     f"psi({text(w)}) = {text(img)} does not preserve area/interior"
                 )

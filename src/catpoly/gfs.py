@@ -577,21 +577,20 @@ def sum_B(order):
 def cf_B_contfrac(order):
     """The same series evaluated from its continued fraction, bottom-up.
 
-    Level j carries q^j x, so starting at level ``order`` reproduces sum_B
-    exactly.
+    Level j carries q^j x: d_j = (1 + q^j x)(1 - q^(j+1) x / d_(j+1)), from
+    d_order = 1 + q^order x, which reproduces sum_B exactly, and the series
+    is 1 / (1 - q x / d_1) - 1.  Each d_j is kept as a fraction N / D by the
+    Euler-Wallis recurrences N <- (1 + q^j x)(N - q^(j+1) x D), D <- N, so a
+    level is two monomial shifts and adds, and the only quotient is the
+    last one, q x D / (N - q x D).
     """
-    one = Series.from_x_polynomial(order, [1])
-
-    def level(j):
-        return Series.from_x_polynomial(order, [1, MPoly.monomial(1, 0, j, 0)])
-
-    d = level(order)
+    num = Series.from_x_polynomial(order, [1, MPoly.monomial(1, 0, order, 0)])
+    den = Series.from_x_polynomial(order, [1])
     for j in range(order - 1, 0, -1):
-        # (1 + q^j x) - (1 + q^j x) q^(j+1) x / d
-        lvl = level(j)
-        d = lvl - lvl.mul_monomial(1, 0, j + 1, 0, x_shift=1).div(d)
-    result = one.div(one - Series.from_x_polynomial(order, [0, MPoly.monomial(1, 0, 1, 0)]).div(d))
-    return result - one
+        cut = num - den.mul_monomial(1, 0, j + 1, 0, x_shift=1)
+        num, den = cut + cut.mul_monomial(1, 0, j, 0, x_shift=1), num
+    top = den.mul_monomial(1, 0, 1, 0, x_shift=1)
+    return top.div(num - top)
 
 
 def prod_area(order):

@@ -400,11 +400,7 @@ def stat_record(w) -> StatRecord:
     letters = _tuple_of(w)
     _require_nonempty(letters)
     return StatRecord(
-        length=len(letters),
-        area=stat_area(letters),
-        sper=stat_sper(letters),
-        inter=stat_inter(letters),
-        last=letters[-1],
+        len(letters), stat_area(letters), stat_sper(letters), stat_inter(letters), letters[-1]
     )
 
 
@@ -427,7 +423,12 @@ def to_dyck(w) -> str:
 
 
 def from_dyck(path: str) -> CatalanWord:
-    """Inverse of to_dyck: record the starting height of each up step."""
+    """Inverse of to_dyck: record the starting height of each up step.
+
+    A path that never dips below the axis starts each up step at most one
+    above the start of the previous one, so the letters are a Catalan word
+    by construction and are not validated again.
+    """
     letters = []
     height = 0
     for step in path:
@@ -442,4 +443,4 @@ def from_dyck(path: str) -> CatalanWord:
             raise ValueError(f"bad step {step!r}")
     if height != 0:
         raise ValueError("path does not return to the axis")
-    return CatalanWord(letters)
+    return CatalanWord._raw(tuple(letters))

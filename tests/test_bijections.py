@@ -6,11 +6,11 @@ from catpoly import gfs
 from catpoly.bijections import (
     FirstReturnDecomp,
     _chi,
-    _memoized,
     _psi,
     bijectivity_report,
     chi,
     decompose,
+    memoized_maps,
     psi,
     verify_bijectivity,
 )
@@ -227,9 +227,10 @@ def test_psi_laws_on_random_words(w):
 
 
 def test_memoized_images_equal_the_plain_recursion():
-    # one memo per bijection across all lengths, as within a report, so
-    # later words reuse the sub-word images of earlier ones
-    chi_of, psi_of = _memoized(_chi), _memoized(_psi)
+    # one memo per bijection across all lengths, as verify's bijection
+    # check shares one pair over every length, so later words reuse the
+    # sub-word images of earlier ones
+    chi_of, psi_of = memoized_maps()
     for n in range(11):
         for w in enumerate_words(n, WordClass.AVOID_GEQ_GEQ):
             assert chi_of(w.letters) == _chi(w.letters), w

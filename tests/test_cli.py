@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from catpoly import cli, gfs, verify
+from catpoly import cli, gfs, verify, words
 from catpoly.cli import main
 from catpoly.mpoly import MPoly
 from catpoly.render import render_svg
@@ -475,12 +475,16 @@ def test_verify_past_the_key_field_exits3(capsys):
 
 
 def test_verify_past_the_enumeration_limit_exits3_at_once(capsys):
-    start = time.perf_counter()
-    code, out, err = run(capsys, "verify", "--max-n", "17")
-    assert time.perf_counter() - start < 1.0
-    assert code == 3
-    assert out == ""
-    assert err == "error: max_n 17 exceeds the enumeration limit 16\n"
+    # the verify limit (13, about 1 s of work) lies below the enumeration
+    # limit (16): both one past it and past the enumeration limit are
+    # refused before any check runs
+    for max_n in (verify.MAX_N_LIMIT + 1, words.DEFAULT_ENUM_LIMIT + 1):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--max-n", str(max_n))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err == f"error: max_n {max_n} exceeds the verify limit 13 (about 1 s of work)\n"
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

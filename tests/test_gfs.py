@@ -219,9 +219,21 @@ def test_sum_B_matches_enumeration():
         assert b.coeff(n) == histogram_poly(n, WordClass.CLASS_B, stat_area)
 
 
-def test_contfrac_equals_sum():
-    for order in (4, 8, 12):
-        assert gfs.cf_B_contfrac(order) == gfs.sum_B(order)
+def test_contfrac_equals_sum(monkeypatch):
+    # the convergents N/D carry every level, so one quotient ends the
+    # evaluation at any order
+    divs = []
+    real = Series.div
+
+    def counted(self, other):
+        divs.append(self.order)
+        return real(self, other)
+
+    monkeypatch.setattr(Series, "div", counted)
+    for order in range(1, 31):
+        del divs[:]
+        assert gfs.cf_B_contfrac(order) == gfs.sum_B(order), order
+        assert divs == [order]
 
 
 def test_prod_area_series():

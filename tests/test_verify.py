@@ -50,6 +50,52 @@ def test_run_enumerates_each_length_and_class_once(monkeypatch):
     assert max(n for n, cls in calls if cls is WordClass.AVOID_NEQ_ADJACENT) == 11
 
 
+def test_census_holds_one_record_per_avoiding_word(monkeypatch):
+    # the bijection images get no record: only the 3,561 avoiding words of
+    # lengths 1-10 (the rising-tail words among them) are held
+    contexts = []
+
+    class Spy(verify._Context):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(self)
+
+    monkeypatch.setattr(verify, "_Context", Spy)
+    assert verify.run_verify().exit_code == 0
+    [ctx] = contexts
+    census = {w.letters for n in range(1, 11) for w in words.enumerate_words(n)}
+    assert len(census) == 3561
+    assert set(ctx._records) == census
+
+
+def bijection_check_at_max_n_10():
+    checks = verify.run_verify(max_n=10, max_order=MAX_ORDER).checks
+    c = next(c for c in checks if c.name == "bijection_checks")
+    return c.status, c.detail
+
+
+def test_image_semiperimeter_is_computed_by_the_formula(monkeypatch):
+    # chi(0123456789) = 0..10 is longer than every census word, so only
+    # the image side of the bijection check reads its semiperimeter
+    domain, image = tuple(range(10)), tuple(range(11))
+    assert bijections._chi(domain) == image
+    monkeypatch.setattr(words, "stat_sper", off_by_one_on(words.stat_sper, image))
+    assert bijection_check_at_max_n_10() == (
+        "fail", "n=10: chi(0123456789) semiperimeter 23 != 20 + 2",
+    )
+
+
+def test_image_area_is_computed_by_the_formula(monkeypatch):
+    # psi(0123455667) = 0123456765 holds the falls 7, 6, 5, so it is no
+    # census word and only the image side of the bijection check reads it
+    image = (0, 1, 2, 3, 4, 5, 6, 7, 6, 5)
+    assert bijections._psi((0, 1, 2, 3, 4, 5, 5, 6, 6, 7)) == image
+    monkeypatch.setattr(words, "stat_area", off_by_one_on(words.stat_area, image))
+    assert bijection_check_at_max_n_10() == (
+        "fail", "n=10: psi(0123455667) = 0123456765 does not preserve area/interior",
+    )
+
+
 def test_wrong_semiperimeter_formula_on_one_word(monkeypatch):
     monkeypatch.setattr(words, "stat_sper", off_by_one_on(words.stat_sper, (0, 1, 0, 1)))
     checks = run_checks()

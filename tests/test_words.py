@@ -1,4 +1,5 @@
 import inspect
+import math
 from itertools import islice
 
 import pytest
@@ -380,6 +381,41 @@ def test_dyck_roundtrip_injective():
         assert len(paths) == len(words)
         for w in words:
             assert from_dyck(to_dyck(w)) == w
+
+
+def dyck_paths(semilength):
+    """Every Dyck path of the semilength, by first return: U p D q."""
+    if semilength == 0:
+        yield ""
+        return
+    for k in range(semilength):
+        for inner in dyck_paths(k):
+            for rest in dyck_paths(semilength - 1 - k):
+                yield "U" + inner + "D" + rest
+
+
+def test_from_dyck_gives_catalan_words_from_every_path():
+    # from_dyck trusts its letters; the validating constructor must agree
+    for n in range(9):
+        paths = list(dyck_paths(n))
+        assert len(paths) == math.comb(2 * n, n) // (n + 1)
+        words = {from_dyck(path) for path in paths}
+        assert len(words) == len(paths)
+        for path in paths:
+            w = from_dyck(path)
+            assert CatalanWord(w.letters) == w and len(w) == n
+            if n:
+                assert to_dyck(w) == path
+
+
+@pytest.mark.parametrize("path, message", [
+    ("UDDU", "path dips below the axis"),
+    ("UXD", "bad step 'X'"),
+    ("UUD", "path does not return to the axis"),
+])
+def test_from_dyck_rejects_a_path_that_is_not_dyck(path, message):
+    with pytest.raises(ValueError, match=message):
+        from_dyck(path)
 
 
 # randomized coverage beyond the exhaustive range -------------------------------
