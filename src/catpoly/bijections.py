@@ -201,20 +201,53 @@ def bijectivity_report(
     are memoized: ``maps`` is a (chi, psi) pair from ``memoized_maps``,
     which a caller may share across lengths, and a fresh pair for this
     call by default.  Every domain word's image is still checked.
+
+    Each bijection is checked a whole domain at a time: its images and
+    their statistics as lists, compared with the domain's.  Only a domain
+    that fails is walked word by word, to list every violation in order.
     """
     report = BijectionReport(n)
     report.chi_domain = len(avoiding)
     report.chi_codomain = len(unequal_next)
-    text = _word_text
+    report.psi_domain = len(rising_tail)
     chi_of, psi_of = maps or memoized_maps()
     sper, area, inter = words.stat_sper, words.stat_area, words.stat_inter
 
-    images = set()
-    for w in avoiding:
-        img = chi_of(w)
-        if img in images:
+    images = list(map(chi_of, avoiding))
+    if not (
+        len(set(images)) == len(images) == len(unequal_next)
+        and all(map(unequal_next.__contains__, images))
+        and (n < 1 or list(map(sper, images)) == [record(w).sper + 2 for w in avoiding])
+    ):
+        _chi_violations(report, avoiding, images, unequal_next, record, sper)
+
+    images = list(map(psi_of, rising_tail))
+    if not (
+        len(set(images)) == len(images)
+        and all(map(unequal.__contains__, images))
+        and set(map(len, images)) <= {n}
+        and (n < 1 or _preserved(images, list(map(record, rising_tail)), area, inter))
+    ):
+        _psi_violations(report, rising_tail, images, unequal, record, area, inter)
+    return report
+
+
+def _preserved(images, before, area, inter):
+    """Whether every image keeps the area and interior points of its word."""
+    return (
+        list(map(area, images)) == [rec.area for rec in before]
+        and list(map(inter, images)) == [rec.inter for rec in before]
+    )
+
+
+def _chi_violations(report, avoiding, images, unequal_next, record, sper):
+    """Append every violation of chi, word by word, to ``report``."""
+    n, text = report.length, _word_text
+    seen = set()
+    for w, img in zip(avoiding, images):
+        if img in seen:
             report.violations.append(f"chi collision at {text(w)} -> {text(img)}")
-        images.add(img)
+        seen.add(img)
         if img not in unequal_next:
             report.violations.append(
                 f"chi({text(w)}) = {text(img)} not unequal-adjacent of length {n + 1}"
@@ -225,18 +258,20 @@ def bijectivity_report(
                 report.violations.append(
                     f"chi({text(w)}) semiperimeter {after} != {before} + 2"
                 )
-    if len(images) != len(unequal_next):
+    if len(seen) != len(unequal_next):
         report.violations.append(
-            f"chi image size {len(images)} != codomain size {len(unequal_next)}"
+            f"chi image size {len(seen)} != codomain size {len(unequal_next)}"
         )
 
-    report.psi_domain = len(rising_tail)
-    psi_images = set()
-    for w in rising_tail:
-        img = psi_of(w)
-        if img in psi_images:
+
+def _psi_violations(report, rising_tail, images, unequal, record, area, inter):
+    """Append every violation of psi, word by word, to ``report``."""
+    n, text = report.length, _word_text
+    seen = set()
+    for w, img in zip(rising_tail, images):
+        if img in seen:
             report.violations.append(f"psi collision at {text(w)} -> {text(img)}")
-        psi_images.add(img)
+        seen.add(img)
         if img not in unequal:
             if any(a == b for a, b in zip(img, img[1:])):
                 report.violations.append(
@@ -252,4 +287,3 @@ def bijectivity_report(
                 report.violations.append(
                     f"psi({text(w)}) = {text(img)} does not preserve area/interior"
                 )
-    return report

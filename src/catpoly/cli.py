@@ -6,11 +6,9 @@ Big integers are serialized as decimal strings in JSON output.
 """
 
 import argparse
-import csv
-import json
 import sys
 
-from . import bijections, gfs, render, tables, words
+from . import bijections, gfs, tables, words
 from .backend import MAXCAP
 from .errors import CatpolyError, NotCatalan, NotInDomain, ResourceLimit
 from .verify import run_verify
@@ -48,6 +46,8 @@ def _require_at_least(value, low, flag):
 
 
 def _dump(obj):
+    import json  # only the JSON outputs pay for it
+
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -73,6 +73,8 @@ def _cmd_enumerate(args):
     cls = WordClass.parse(args.word_class)
     stream = words.enumerate_words(args.length, cls, args.limit)
     if args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         writer.writerow(["word", "length", "area", "sper", "inter", "last"])
         for w in stream:
@@ -100,6 +102,8 @@ def _cmd_stats(args):
 
 def _cmd_render(args):
     _require_at_least(args.cell_size, 1, "--cell-size")
+    from . import render
+
     w = CatalanWord.parse(args.word)
     if len(w) == 0:
         print("ε")
@@ -131,6 +135,8 @@ def _cmd_table(args):
         }
         print(_dump(obj))
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         for n, row in enumerate(table.rows, start=1):
             writer.writerow([n] + row)

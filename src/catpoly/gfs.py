@@ -341,8 +341,12 @@ def cf_C_sper_v(order):
 
 def cf_C_last(order):
     """Length/last-letter series in closed form (built on the Motzkin series)."""
-    motz = gf_motzkin(order)
-    caps = motz.caps
+    return _last_letter_form(gf_motzkin(order))
+
+
+def _last_letter_form(motz):
+    """``cf_C_last`` at the order of ``motz``, built on that Motzkin series."""
+    order, caps = motz.order, motz.caps
     v = MPoly.monomial(1, 0, 0, 1)
     one_minus_v = MPoly.scalar(1) - v
     num = Series.from_x_polynomial(order, [0, one_minus_v, -v], caps)
@@ -373,8 +377,12 @@ def kernel_residual(order):
     by (1 - v): the root has constant term 1, so 1/(1 - v0) is not itself
     a power series and the cleared form is the faithful annihilation test.
     """
-    v0 = kernel_root_v0(order)
-    caps = v0.caps
+    return _kernel_residual(kernel_root_v0(order))
+
+
+def _kernel_residual(v0):
+    """``kernel_residual`` of a root ``v0`` already built, at its order."""
+    order, caps = v0.order, v0.caps
     one = Series.from_x_polynomial(order, [1], caps)
     p2xv0 = v0.mul_monomial(1, 2, 0, 0, x_shift=1)
     p3x2v0sq = (v0 * v0).mul_monomial(1, 3, 0, 0, x_shift=2)

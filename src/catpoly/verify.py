@@ -7,13 +7,17 @@ or orders is empty under the flags reports skipped, never a vacuous pass.
 The suite is deterministic: same flags, same statuses and details; only
 each check's wall time (``CheckResult.seconds``) varies.
 
-Every check that needs words reads them from one word census per run
-(``_Context``): each (length, class) is enumerated once, each word's
-``StatRecord`` is computed once, both geometric oracles are read off one
-cell grid per word (``words.grid_oracles``), and the unequal-adjacent
-words are held as sets of letter tuples for the bijection check.  The bijection check memoizes
-each bijection once for all lengths and computes an image's statistics
-without a record.  Nothing outlives the run.
+Every check reads its series and its words from one ``_Context`` per run.
+Each series is built once, at the largest order any check reads it, and a
+check that needs a lower order reads its leading coefficients.  The word
+census holds each (length, class) of one ``enumerate_words`` call as
+letter tuples, and the ``StatRecord``s of one length come from one map
+over each statistic's formula.  The census is checked a whole length at a
+time: the grid oracles, the Dyck roundtrip and the bijections' images
+are computed as lists and compared with the formulas' lists, histograms
+are counted by statistic value, and only a length whose lists differ is
+walked word by word, to name its first failing word.  The bijection check
+memoizes each bijection once for all lengths.  Nothing outlives the run.
 
 A ``max_n`` above ``MAX_N_LIMIT`` is refused before any check runs.  A
 check that raises fails, except for ``ResourceLimit``: a run that asks
@@ -21,6 +25,9 @@ for more than a limit allows stops there, and ``run_verify`` raises it.
 """
 
 from collections import Counter
+from functools import partial
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from time import perf_counter
 from typing import Callable, List, NamedTuple, Tuple
 
@@ -29,7 +36,7 @@ from .backend import pack
 from .errors import ResourceLimit
 from .mpoly import MPoly
 from .series import Series
-from .words import WordClass
+from .words import StatRecord, WordClass, _word_text
 
 
 #: Largest ``max_n`` accepted: the largest whose whole ``catpoly verify
@@ -67,17 +74,26 @@ class VerifyReport:
 
 
 class _Context:
-    """One run's shared state: lazily built series and the word census.
+    """One run's shared state: its series and its word census, each built
+    once, on first use.
 
-    The census is built per (length, class) on first use: the words from
-    one ``enumerate_words`` call and their statistics.  A ``StatRecord``
-    is computed once per word, whichever class or check asks for it
-    first.
+    ``series`` builds every series once, at the largest order any check of
+    the run reads it (``orders``, set by ``_build_checks``); a check that
+    needs a lower order reads a slice of its leading coefficients.  Series
+    equality ignores the caps, and every cap is one that cuts no genuine
+    term, so a slice equals the series built at its own order.
+
+    The census holds the words of each (length, class) as letter tuples,
+    from one ``enumerate_words`` call.  The ``StatRecord``s of the avoiding
+    words of one length are built together, by one map over each
+    statistic's formula; the rising-tail words are avoiding words, so
+    theirs are looked up.  ``record`` answers for any census word.
     """
 
     def __init__(self, max_n, max_order):
         self.max_n = max_n
         self.max_order = max_order
+        self.orders = {}
         self._cache = {}
         self._records = {}
 
@@ -86,36 +102,69 @@ class _Context:
             self._cache[key] = builder()
         return self._cache[key]
 
+    def series(self, name, order):
+        """``gfs.<name>(order)``, read off the run's one build of it."""
+        top = self.orders[name]
+        if name == "cf_C_last":  # built on the run's Motzkin series
+            build = lambda: gfs._last_letter_form(self.series("gf_motzkin", top))
+        else:
+            build = partial(getattr(gfs, name), top)
+        return _leading(self.get(name, build), order)
+
+    def paper_form(self, name, order):
+        """``gfs.paper_form(name, order)``, built at the order of its DP twin."""
+        build = partial(gfs.paper_form, name, self.orders[name])
+        return _leading(self.get(("paper_form", name), build), order)
+
     def words_of(self, n, cls=WordClass.AVOID_GEQ_GEQ):
+        """The words of length n in the class, as letter tuples, in order."""
         return self.get(
             ("words", n, cls),
-            lambda: list(words.enumerate_words(n, cls)),
+            lambda: [w.letters for w in words.enumerate_words(n, cls)],
         )
 
     def unequal_adjacent(self, n):
         """Every unequal-adjacent word of length n, as a set of letter tuples."""
         return self.get(
             ("unequal", n),
-            lambda: frozenset(w.letters for w in self.words_of(n, WordClass.AVOID_NEQ_ADJACENT)),
+            lambda: frozenset(
+                w.letters for w in words.enumerate_words(n, WordClass.AVOID_NEQ_ADJACENT)
+            ),
         )
 
     def record(self, letters):
-        rec = self._records.get(letters)
-        if rec is None:
-            rec = self._records[letters] = words.stat_record(letters)
-        return rec
+        """The ``StatRecord`` of an avoiding word of the census."""
+        if letters not in self._records:
+            self.records_of(len(letters))
+        return self._records[letters]
 
     def records_of(self, n, cls=WordClass.AVOID_GEQ_GEQ):
         """Statistics of ``words_of(n, cls)``, in the same order."""
-        return self.get(
-            ("records", n, cls),
-            lambda: [self.record(w.letters) for w in self.words_of(n, cls)],
-        )
+        return self.get(("records", n, cls), lambda: self._build_records(n, cls))
+
+    def _build_records(self, n, cls):
+        if cls is WordClass.CLASS_B:  # rising-tail words are avoiding words
+            self.records_of(n)
+            return list(map(self._records.__getitem__, self.words_of(n, cls)))
+        ws = self.words_of(n, cls)
+        # the formulas are looked up now, so a patched one reaches the checks
+        recs = list(map(
+            StatRecord, repeat(n), map(words.stat_area, ws), map(words.stat_sper, ws),
+            map(words.stat_inter, ws), map(itemgetter(-1), ws),
+        ))
+        self._records.update(zip(ws, recs))
+        return recs
+
+
+def _leading(s, order):
+    """The series s cut to its coefficients below x^order."""
+    return s if s.order == order else Series(order, s.coeffs[:order], s.caps)
 
 
 def _q_histogram(records, stat):
     """``records`` counted by ``stat``, as a polynomial in q."""
-    return MPoly(Counter(pack(0, getattr(rec, stat), 0) for rec in records))
+    counts = Counter(map(attrgetter(stat), records))
+    return MPoly({pack(0, value, 0): k for value, k in counts.items()})
 
 
 def run_verify(max_n: int = 10, max_order: int = 20) -> VerifyReport:
@@ -142,6 +191,20 @@ def run_verify(max_n: int = 10, max_order: int = 20) -> VerifyReport:
 def _build_checks(ctx) -> List[Tuple[str, Callable]]:
     max_n = ctx.max_n
     max_order = ctx.max_order
+    # the orders the checks read series at; each series is built once, at
+    # the largest order it is read at (``_Context.series``)
+    top = min(max_order, 30)  # the totals and their derivative identities
+    dense = min(max_order, 13)  # the area and interior series
+    low = min(max_order, 12)  # the closed forms against the masters
+    ctx.orders = {
+        "gf_motzkin": max(max_order, top + 1),
+        "gf_trinomial": max_order,
+        **dict.fromkeys(("gf_h", "gf_s", "gf_u", "gf_p", "cf_S", "cf_C_last"), top + 1),
+        **dict.fromkeys(("sum_B", "sum_H", "prod_area", "prod_interior"), dense),
+        **dict.fromkeys(("cf_C_sper_v", "cf_B_contfrac", "master_interior_qv"), low),
+        "master_pqv": max(max_n + 1, low),
+        "kernel_root_v0": max_order,
+    }
 
     def counts_match_closed_form():
         counts = words.word_counts(30, WordClass.AVOID_GEQ_GEQ)
@@ -157,14 +220,14 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
     def enumeration_cardinalities():
         b_counts = words.word_counts(max_n, WordClass.CLASS_B)
         for n in range(max_n + 1):
-            ws = [w.letters for w in ctx.words_of(n)]
+            ws = ctx.words_of(n)
             if len(ws) != closedforms.motzkin(n):
                 return "fail", f"|enumerate({n})| = {len(ws)} != m_{n}"
             if len(set(ws)) != len(ws):
                 return "fail", f"duplicates at n={n}"
             if ws != sorted(ws):
                 return "fail", f"not lexicographic at n={n}"
-            b = [w.letters for w in ctx.words_of(n, WordClass.CLASS_B)]
+            b = ctx.words_of(n, WordClass.CLASS_B)
             if len(b) != b_counts[n]:
                 return "fail", f"B-count mismatch at n={n}"
             if set(b) != {w for w in ws if len(w) < 2 or w[-2] < w[-1]}:
@@ -173,7 +236,7 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
 
     def length4_catalog():
         expected = ["0010", "0011", "0012", "0101", "0112", "0120", "0121", "0122", "0123"]
-        got = [str(w) for w in ctx.words_of(4)]
+        got = list(map(_word_text, ctx.words_of(4)))
         if got != expected:
             return "fail", f"got {got}"
         return "pass", "the 9 length-4 words are reproduced exactly"
@@ -186,33 +249,43 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         if (rec.area, rec.sper, rec.inter) != (34, 22, 13):
             return "fail", f"flagship statistics {rec}"
         for n in range(1, max_n + 1):
-            for w, rec in zip(ctx.words_of(n), ctx.records_of(n)):
-                sper, inter = words.grid_oracles(w.letters)
+            ws, recs = ctx.words_of(n), ctx.records_of(n)
+            oracles = list(map(words.grid_oracles, ws))
+            if oracles == list(map(attrgetter("sper", "inter"), recs)):
+                continue
+            for w, rec, (sper, inter) in zip(ws, recs, oracles):
                 if rec.sper != sper:
-                    return "fail", f"sper mismatch at {w}"
+                    return "fail", f"sper mismatch at {_word_text(w)}"
                 if rec.inter != inter:
-                    return "fail", f"inter mismatch at {w}"
+                    return "fail", f"inter mismatch at {_word_text(w)}"
         return "pass", f"formulas agree with geometric oracles for all n <= {max_n}"
 
     def dyck_roundtrip():
         if max_n < 1:
             return "skipped", "needs max_n >= 1"
         for n in range(1, max_n + 1):
+            ws = ctx.words_of(n)
+            paths = list(map(words.to_dyck, ws))
+            if len(set(paths)) == len(paths) and set(map(len, paths)) == {2 * n}:
+                try:
+                    if [w.letters for w in map(words.from_dyck, paths)] == ws:
+                        continue
+                except ValueError:  # a path from_dyck refuses: found below
+                    pass
             seen = set()
-            for w in ctx.words_of(n):
-                path = words.to_dyck(w)
+            for w, path in zip(ws, paths):
                 if len(path) != 2 * n or path in seen:
-                    return "fail", f"bad path for {w}"
+                    return "fail", f"bad path for {_word_text(w)}"
                 seen.add(path)
-                if words.from_dyck(path) != w:
-                    return "fail", f"roundtrip failed for {w}"
+                if words.from_dyck(path).letters != w:
+                    return "fail", f"roundtrip failed for {_word_text(w)}"
         return "pass", f"Dyck conversion is injective and invertible for n <= {max_n}"
 
     def base_series():
         if max_order < 2:
             return "skipped", "needs max_order >= 2"
-        m = gfs.gf_motzkin(max_order)
-        t = gfs.gf_trinomial(max_order)
+        m = ctx.series("gf_motzkin", max_order)
+        t = ctx.series("gf_trinomial", max_order)
         for n in range(max_order):
             if m.coeff(n).as_scalar() != closedforms.motzkin(n):
                 return "fail", f"Motzkin series at {n}"
@@ -222,18 +295,13 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
 
     def totals_series_match():
         # below max_order 2 the series and DP would compare n = 1 only
-        top = min(max_order, 30) if max_order >= 2 else 0
+        series_top = top if max_order >= 2 else 0
         enum_top = min(max_n, 12)
-        if not top and not enum_top:
+        if not series_top and not enum_top:
             return "skipped", "needs max_order >= 2 or max_n >= 1"
-        if top:
-            series = {
-                "h": ctx.get(("gf_h", top + 1), lambda: gfs.gf_h(top + 1)),
-                "s": ctx.get(("gf_s", top + 1), lambda: gfs.gf_s(top + 1)),
-                "u": gfs.gf_u(top + 1),
-                "p": gfs.gf_p(top + 1),
-            }
-            for key, ser in series.items():
+        if series_top:
+            for key in "hsup":
+                ser = ctx.series(f"gf_{key}", top + 1)
                 if ser.coeff(0).as_scalar() != 0:
                     return "fail", f"{key}-series has nonzero constant term"
                 for n in range(1, top + 1):
@@ -248,9 +316,9 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         for n in range(1, enum_top + 1):
             records = ctx.records_of(n)
             for key, stat in stat_fields.items():
-                if sum(getattr(rec, stat) for rec in records) != closedforms.closed_total(key, n):
+                if sum(map(attrgetter(stat), records)) != closedforms.closed_total(key, n):
                     return "fail", f"{key}({n}) enumeration != closed form"
-        halves = f"series/DP to n <= {top}" if top else "series/DP skipped, needs max_order >= 2"
+        halves = f"series/DP to n <= {top}" if series_top else "series/DP skipped, needs max_order >= 2"
         return "pass", f"four totals agree ({halves}, enumeration to n <= {enum_top})"
 
     def trinomial_forms():
@@ -270,58 +338,55 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
     def master_histograms():
         if max_n < 1:
             return "skipped", "needs max_n >= 1"
-        order = max_n + 1
-        master = ctx.get(("master_pqv", order), lambda: gfs.master_pqv(order))
+        master = ctx.series("master_pqv", max_n + 1)
         for n in range(1, max_n + 1):
-            hist = Counter(pack(rec.sper, rec.area, rec.last) for rec in ctx.records_of(n))
-            if master.coeff(n) != MPoly(hist):
+            hist = Counter(map(attrgetter("sper", "area", "last"), ctx.records_of(n)))
+            if master.coeff(n) != MPoly({pack(*key): k for key, k in hist.items()}):
                 return "fail", f"histogram mismatch at n={n}"
         return "pass", f"master series equals the (sper, area, last) histograms for n <= {max_n}"
 
     def master_specializations():
         if max_order < 2:
             return "skipped", "needs max_order >= 2"
-        order = min(max_order, 12)
-        master = ctx.get(("master_pqv", order), lambda: gfs.master_pqv(order))
-        at_q1 = master.eval_one("q")
-        if at_q1 != gfs.cf_C_sper_v(order):
+        order = low
+        at_q1 = ctx.series("master_pqv", order).eval_one("q")
+        if at_q1 != ctx.series("cf_C_sper_v", order):
             return "fail", "master at q=1 != closed semiperimeter/last form"
-        if at_q1.eval_one("v") != gfs.cf_S(order):
+        if at_q1.eval_one("v") != ctx.series("cf_S", order):
             return "fail", "master at q=v=1 != closed semiperimeter form"
-        if at_q1.eval_one("p") != gfs.cf_C_last(order):
+        if at_q1.eval_one("p") != ctx.series("cf_C_last", order):
             return "fail", "master at p=q=1 != closed last-letter form"
         plain = at_q1.eval_one("p").eval_one("v")
         for n in range(1, order):
             if plain.coeff(n).as_scalar() != closedforms.motzkin(n):
                 return "fail", f"master at p=q=v=1 != m_{n}"
         if order > 4:
-            if gfs.cf_C_last(5).coeff(4) != MPoly({0: 2, 1: 3, 2: 3, 3: 1}):
+            if ctx.series("cf_C_last", 5).coeff(4) != MPoly({0: 2, 1: 3, 2: 3, 3: 1}):
                 return "fail", "last-letter x^4 coefficient != v^3+3v^2+3v+2"
             expected_s = (
                 MPoly.monomial(2, 6, 0, 0)
                 + MPoly.monomial(6, 7, 0, 0)
                 + MPoly.monomial(1, 8, 0, 0)
             )
-            if gfs.cf_S(5).coeff(4) != expected_s:
+            if ctx.series("cf_S", 5).coeff(4) != expected_s:
                 return "fail", "semiperimeter x^4 coefficient != 2p^6+6p^7+p^8"
         return "pass", f"closed forms equal master specializations to order {order}"
 
     def area_series():
-        order = min(max_order, 13)
+        order = dense
         top_n = min(max_n, order - 1)
         if top_n < 1:
             return "skipped", "needs max_n >= 1 and max_order >= 2"
-        b = ctx.get(("sum_B", order), lambda: gfs.sum_B(order))
+        b = ctx.series("sum_B", order)
         for n in range(1, top_n + 1):
             if b.coeff(n) != _q_histogram(ctx.records_of(n, WordClass.CLASS_B), "area"):
                 return "fail", f"rising-tail area mismatch at n={n}"
-        if b != gfs.paper_form("sum_B", order):
+        if b != ctx.paper_form("sum_B", order):
             return "fail", "rising-tail area DP != ratio of sums"
-        cf_order = min(max_order, 12)
-        if gfs.cf_B_contfrac(cf_order) != gfs.paper_form("sum_B", cf_order):
+        if ctx.series("cf_B_contfrac", low) != ctx.paper_form("sum_B", low):
             return "fail", "continued fraction != sum form"
-        pa = ctx.get(("prod_area", order), lambda: gfs.prod_area(order))
-        if pa != gfs.paper_form("prod_area", order):
+        pa = ctx.series("prod_area", order)
+        if pa != ctx.paper_form("prod_area", order):
             return "fail", "area DP != product form"
         for n in range(1, top_n + 1):
             if pa.coeff(n) != _q_histogram(ctx.records_of(n), "area"):
@@ -335,28 +400,27 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         return "pass", f"area generating functions cross-check to n <= {top_n}"
 
     def interior_series():
-        order = min(max_order, 13)
+        order = dense
         top_n = min(max_n, order - 1)
         if top_n < 1:
             return "skipped", "needs max_n >= 1 and max_order >= 2"
-        h = ctx.get(("sum_H", order), lambda: gfs.sum_H(order))
+        h = ctx.series("sum_H", order)
         for n in range(1, top_n + 1):
             if h.coeff(n) != _q_histogram(ctx.records_of(n, WordClass.CLASS_B), "inter"):
                 return "fail", f"rising-tail interior mismatch at n={n}"
-        if h != gfs.paper_form("sum_H", order):
+        if h != ctx.paper_form("sum_H", order):
             return "fail", "rising-tail interior DP != ratio of sums"
-        pi = ctx.get(("prod_interior", order), lambda: gfs.prod_interior(order))
-        if pi != gfs.paper_form("prod_interior", order):
+        pi = ctx.series("prod_interior", order)
+        if pi != ctx.paper_form("prod_interior", order):
             return "fail", "interior DP != product form"
         for n in range(1, top_n + 1):
             if pi.coeff(n) != _q_histogram(ctx.records_of(n), "inter"):
                 return "fail", f"interior histogram mismatch at n={n}"
-        cf_order = min(max_order, 12)
-        master = gfs.master_interior_qv(cf_order)
-        if master.eval_one("v") != gfs.prod_interior(cf_order):
+        at_v1 = ctx.series("master_interior_qv", low).eval_one("v")
+        if at_v1 != ctx.series("prod_interior", low):
             return "fail", "interior master at v=1 != product form"
-        plain = master.eval_one("v").eval_one("q")
-        for n in range(1, cf_order):
+        plain = at_v1.eval_one("q")
+        for n in range(1, low):
             if plain.coeff(n).as_scalar() != closedforms.motzkin(n):
                 return "fail", f"interior master at q=v=1 != m_{n}"
         if order > 5 and pi.coeff(5).coefficient(0, 3, 0) != 5:
@@ -366,24 +430,21 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
     def derivative_identities():
         if max_order < 2:
             return "skipped", "needs max_order >= 2"
-        top = min(max_order, 30)
-        ds = gfs.cf_S(top + 1).derivative("p").eval_one("p")
-        gs = ctx.get(("gf_s", top + 1), lambda: gfs.gf_s(top + 1))
+        ds = ctx.series("cf_S", top + 1).derivative("p").eval_one("p")
+        gs = ctx.series("gf_s", top + 1)
         for n in range(1, top + 1):
             if ds.coeff(n) != gs.coeff(n):
                 return "fail", f"semiperimeter derivative identity fails at n={n}"
-        dh = gfs.cf_C_last(top + 1).derivative("v").eval_one("v")
-        gh = ctx.get(("gf_h", top + 1), lambda: gfs.gf_h(top + 1))
+        dh = ctx.series("cf_C_last", top + 1).derivative("v").eval_one("v")
+        gh = ctx.series("gf_h", top + 1)
         for n in range(1, top + 1):
             if dh.coeff(n) != gh.coeff(n):
                 return "fail", f"last-letter derivative identity fails at n={n}"
-        order = min(max_order, 13)
-        pa = ctx.get(("prod_area", order), lambda: gfs.prod_area(order))
-        du = pa.derivative("q").eval_one("q")
-        gu = gfs.gf_u(order)
-        pi = ctx.get(("prod_interior", order), lambda: gfs.prod_interior(order))
-        dp_ = pi.derivative("q").eval_one("q")
-        gp = gfs.gf_p(order)
+        order = dense
+        du = ctx.series("prod_area", order).derivative("q").eval_one("q")
+        gu = ctx.series("gf_u", order)
+        dp_ = ctx.series("prod_interior", order).derivative("q").eval_one("q")
+        gp = ctx.series("gf_p", order)
         for n in range(1, order):
             if du.coeff(n) != gu.coeff(n):
                 return "fail", f"area derivative identity fails at n={n}"
@@ -394,11 +455,11 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
     def kernel_annihilation():
         if max_order < 2:
             return "skipped", "needs max_order >= 2"
-        residual = gfs.kernel_residual(max_order)
-        if not residual.is_zero():
+        root = ctx.series("kernel_root_v0", max_order)
+        if not gfs._kernel_residual(root).is_zero():
             return "fail", "kernel residual is not the zero series"
-        v0 = gfs.kernel_root_v0(max_order).eval_one("p")
-        motz = gfs.gf_motzkin(max_order)
+        v0 = root.eval_one("p")
+        motz = ctx.series("gf_motzkin", max_order)
         caps = motz.caps
         one_plus_x = Series.from_x_polynomial(max_order, [1, 1], caps)
         expected = (
@@ -475,8 +536,8 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         for n in range(min(max_n, 12) + 1):
             rep = bijections.bijectivity_report(
                 n,
-                [w.letters for w in ctx.words_of(n)],
-                [w.letters for w in ctx.words_of(n, WordClass.CLASS_B)],
+                ctx.words_of(n),
+                ctx.words_of(n, WordClass.CLASS_B),
                 ctx.unequal_adjacent(n),
                 ctx.unequal_adjacent(n + 1),
                 ctx.record,

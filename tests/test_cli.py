@@ -471,7 +471,9 @@ def test_verify_past_the_key_field_exits3(capsys):
     code, out, err = run(capsys, "verify", "--max-order", "1025")
     assert code == 3
     assert out == ""
-    assert err.startswith("error: order 1027 needs caps") and "key field" in err
+    assert err == (
+        "error: order 1027 needs caps (2054, 527878, 1027) above the key field maximum 524287\n"
+    )
 
 
 def test_verify_past_the_enumeration_limit_exits3_at_once(capsys):
@@ -496,6 +498,21 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_text_verify_leaves_out_the_output_formats():
+    # json, csv and the renderer are imported by the commands that print
+    # with them, not by a text verify run
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys\nfrom catpoly.cli import main\n"
+         "main(['verify', '--max-n', '2', '--max-order', '3'])\n"
+         "print(sorted({'json', 'csv', 'catpoly.render'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_verify_passes_with_asserts_stripped():

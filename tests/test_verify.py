@@ -68,6 +68,34 @@ def test_census_holds_one_record_per_avoiding_word(monkeypatch):
     assert set(ctx._records) == census
 
 
+def test_run_builds_each_series_once(monkeypatch):
+    # every public constructor is spied on, nested calls included: the
+    # closed last-letter form and the kernel residual are built on the
+    # run's own Motzkin series and kernel root, through private helpers
+    calls = Counter()
+
+    def spy(name, real, order_of=None):
+        def wrapped(*args):
+            calls[name, order_of(*args) if order_of else args] += 1
+            return real(*args)
+
+        return wrapped
+
+    for name, fn in list(vars(gfs).items()):
+        if callable(fn) and not name.startswith("_") and getattr(fn, "__module__", None) == gfs.__name__:
+            monkeypatch.setattr(gfs, name, spy(name, fn))
+    for name, helper in (("cf_C_last", "_last_letter_form"), ("kernel_residual", "_kernel_residual")):
+        monkeypatch.setattr(gfs, helper, spy(name, getattr(gfs, helper), lambda s: (s.order,)))
+    assert verify.run_verify().exit_code == 0
+    assert [key for key, k in calls.items() if k > 1] == []
+    for name in ("cf_S", "cf_C_last", "master_pqv", "gf_motzkin"):
+        assert len([args for called, args in calls if called == name]) == 1, name
+    # one build of each paper form, at the order of its DP twin
+    assert sorted(args for name, args in calls if name == "paper_form") == [
+        ("prod_area", 13), ("prod_interior", 13), ("sum_B", 13), ("sum_H", 13),
+    ]
+
+
 def bijection_check_at_max_n_10():
     checks = verify.run_verify(max_n=10, max_order=MAX_ORDER).checks
     c = next(c for c in checks if c.name == "bijection_checks")
@@ -123,6 +151,26 @@ def test_wrong_oracle_on_one_word(monkeypatch, oracle, label):
     assert getattr(words, oracle)((0, 1, 2, 2)) == {"sper": 7, "inter": 3}[label] + 1
     c = run_checks()["statistic_oracles"]
     assert (c.status, c.detail) == ("fail", f"{label} mismatch at 0122")
+
+
+@pytest.mark.parametrize("target, fault, detail", [
+    ((0, 1, 0, 1), lambda real, w: real((0, 0, 1, 0)), "bad path for 0101"),
+    ((0, 0, 1, 1), lambda real, w: real(w) + "UD", "bad path for 0011"),
+], ids=["repeated", "too long"])
+def test_dyck_roundtrip_names_the_word_of_a_bad_path(monkeypatch, target, fault, detail):
+    real = words.to_dyck
+    monkeypatch.setattr(words, "to_dyck", lambda w: fault(real, w) if words._tuple_of(w) == target else real(w))
+    c = run_checks()["dyck_roundtrip"]
+    assert (c.status, c.detail) == ("fail", detail)
+
+
+def test_dyck_roundtrip_names_the_word_that_does_not_come_back(monkeypatch):
+    real, path = words.from_dyck, words.to_dyck((0, 0, 1, 2))
+    monkeypatch.setattr(
+        words, "from_dyck", lambda p: real(words.to_dyck((0, 0, 1, 1))) if p == path else real(p),
+    )
+    c = run_checks()["dyck_roundtrip"]
+    assert (c.status, c.detail) == ("fail", "roundtrip failed for 0012")
 
 
 def test_chi_collision(monkeypatch):
