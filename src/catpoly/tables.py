@@ -11,7 +11,7 @@ check_recurrences and any disagreement is reported, never silently
 patched.
 """
 
-from typing import Iterable, List, NamedTuple, Tuple
+from typing import Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .closedforms import motzkin
 from .errors import ResourceLimit
@@ -152,13 +152,16 @@ class Totals(NamedTuple):
     p: List[int]
 
 
-def totals(max_n: int) -> Totals:
-    """h(n) from the c table, s/u/p(n) as row sums of the statistic tables."""
-    c = table_c(max_n)
-    h = [0] + [sum(k * v for k, v in enumerate(row)) for row in c.rows]
-    out = {}
-    for stat in STATS:
-        out[stat] = [0] + table_stat(max_n, stat).row_sums()
+def totals(max_n: int, built: Optional[Mapping[str, TriTable]] = None) -> Totals:
+    """h(n) from the c table, s/u/p(n) as row sums of the statistic tables.
+
+    ``built`` maps "c" and each of ``STATS`` to a table of at least max_n
+    rows, which is read instead of building the tables at max_n.
+    """
+    if built is None:
+        built = {"c": table_c(max_n), **{stat: table_stat(max_n, stat) for stat in STATS}}
+    h = [0] + [sum(k * v for k, v in enumerate(row)) for row in built["c"].rows[:max_n]]
+    out = {stat: [0] + built[stat].row_sums()[:max_n] for stat in STATS}
     return Totals(h=h, s=out["sper"], u=out["area"], p=out["inter"])
 
 
@@ -192,18 +195,22 @@ class RecurrenceReport(NamedTuple):
 RECURRENCES = ("s_base", "s_diff", "u_base", "u_diff", "p_base", "p_diff")
 
 
-def check_recurrences(max_n: int, which: str) -> RecurrenceReport:
+def check_recurrences(
+    max_n: int, which: str, built: Optional[Mapping[str, TriTable]] = None
+) -> RecurrenceReport:
     """Evaluate one printed recurrence cell-by-cell against the DP tables.
 
     Out-of-triangle references count as 0.  The s_diff formula is printed
     with unbalanced parentheses; it is evaluated with each multiplier
-    applied to its own group, i.e. 2*(...) + 3*(...).
+    applied to its own group, i.e. 2*(...) + 3*(...).  ``built`` is read
+    as in ``totals``: no cell of a row past max_n is referenced.
     """
     if which not in RECURRENCES:
         raise ValueError(f"unknown recurrence {which!r}")
-    c = table_c(max_n)
     stat = {"s": "sper", "u": "area", "p": "inter"}[which[0]]
-    t = table_stat(max_n, stat)
+    if built is None:
+        built = {"c": table_c(max_n), stat: table_stat(max_n, stat)}
+    c, t = built["c"], built[stat]
 
     def C(n, k):
         return c.entry(n, k)

@@ -136,6 +136,15 @@ def test_check_recurrences_lhs_is_table_value(which):
         assert _rhs != lhs
 
 
+def test_larger_built_tables_give_the_same_reports_and_totals():
+    # verify builds the tables once, at n = 30, and reads them at n = 10
+    # and 20: no report or total reads a row past its own max_n
+    built = {"c": tables.table_c(30), **{stat: tables.table_stat(30, stat) for stat in tables.STATS}}
+    for which in tables.RECURRENCES:
+        assert tables.check_recurrences(10, which, built) == tables.check_recurrences(10, which)
+    assert tables.totals(20, built) == tables.totals(20)
+
+
 def test_check_recurrences_documents_discrepancies():
     # the printed s-recurrence excludes the k = i term of its sum; the first
     # cell where that term is nonzero must therefore be reported

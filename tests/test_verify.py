@@ -1,11 +1,17 @@
 """The verify suite reads its words from one census per run, and each
-check rewired onto that census still catches the faults it is there for."""
+check rewired onto that census still catches the faults it is there for.
+A run split over two processes reports what a run in one process does,
+faults included, and leaves no process behind."""
 
+import ast
+import os
+import threading
 from collections import Counter
 
 import pytest
 
-from catpoly import bijections, closedforms, gfs, tables, verify, words
+from catpoly import bijections, cli, closedforms, gfs, tables, verify, words
+from catpoly.errors import ResourceLimit
 from catpoly.words import WordClass
 
 # small flags keep each run short; every fault below shows by n = 4
@@ -29,17 +35,38 @@ def test_unmodified_run_passes():
     assert [c.name for c in checks.values() if c.status != "pass"] == []
 
 
-def test_run_enumerates_each_length_and_class_once(monkeypatch):
-    calls = Counter()
+class CallLog:
+    """Calls counted in every process of a run: each call appends one line,
+    the repr of its key, to a file, so the calls of a forked child count."""
+
+    def __init__(self, path):
+        self.path = path
+        path.touch()
+
+    def add(self, key):
+        with open(self.path, "a", encoding="utf-8") as f:
+            f.write(repr(key) + "\n")
+
+    def keys(self):
+        return [ast.literal_eval(line) for line in self.path.read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.fixture
+def call_log(tmp_path):
+    return CallLog(tmp_path / "calls.txt")
+
+
+def test_run_enumerates_each_length_and_class_once(monkeypatch, call_log):
     real = words.enumerate_words
 
     def spy(n, word_class=WordClass.AVOID_GEQ_GEQ, limit=words.DEFAULT_ENUM_LIMIT):
-        calls[n, word_class] += 1
+        call_log.add((n, word_class.name))
         return real(n, word_class, limit)
 
     for module in (words, tables, bijections):
         monkeypatch.setattr(module, "enumerate_words", spy)
     assert verify.run_verify().exit_code == 0
+    calls = Counter((n, WordClass[name]) for n, name in call_log.keys())
     assert calls and max(calls.values()) == 1
     # every class the checks read is enumerated: avoiding and rising-tail
     # words to max_n, unequal-adjacent words to one past the bijection top
@@ -50,14 +77,22 @@ def test_run_enumerates_each_length_and_class_once(monkeypatch):
     assert max(n for n, cls in calls if cls is WordClass.AVOID_NEQ_ADJACENT) == 11
 
 
-def test_census_holds_one_record_per_avoiding_word(monkeypatch):
+def test_census_holds_one_record_per_avoiding_word(monkeypatch, call_log):
     # the bijection images get no record: only the 3,561 avoiding words of
     # lengths 1-10 (the rising-tail words among them) are held
     contexts = []
 
+    class LoggedRecords(dict):
+        def update(self, pairs):
+            pairs = list(pairs)
+            for letters, _rec in pairs:
+                call_log.add(letters)
+            super().update(pairs)
+
     class Spy(verify._Context):
         def __init__(self, *args):
             super().__init__(*args)
+            self._records = LoggedRecords()
             contexts.append(self)
 
     monkeypatch.setattr(verify, "_Context", Spy)
@@ -66,17 +101,17 @@ def test_census_holds_one_record_per_avoiding_word(monkeypatch):
     census = {w.letters for n in range(1, 11) for w in words.enumerate_words(n)}
     assert len(census) == 3561
     assert set(ctx._records) == census
+    # and in both processes: a record the child made is logged too
+    assert set(call_log.keys()) == census
 
 
-def test_run_builds_each_series_once(monkeypatch):
+def test_run_builds_each_series_once(monkeypatch, call_log):
     # every public constructor is spied on, nested calls included: the
     # closed last-letter form and the kernel residual are built on the
     # run's own Motzkin series and kernel root, through private helpers
-    calls = Counter()
-
     def spy(name, real, order_of=None):
         def wrapped(*args):
-            calls[name, order_of(*args) if order_of else args] += 1
+            call_log.add((name, order_of(*args) if order_of else args))
             return real(*args)
 
         return wrapped
@@ -87,6 +122,7 @@ def test_run_builds_each_series_once(monkeypatch):
     for name, helper in (("cf_C_last", "_last_letter_form"), ("kernel_residual", "_kernel_residual")):
         monkeypatch.setattr(gfs, helper, spy(name, getattr(gfs, helper), lambda s: (s.order,)))
     assert verify.run_verify().exit_code == 0
+    calls = Counter(call_log.keys())
     assert [key for key, k in calls.items() if k > 1] == []
     for name in ("cf_S", "cf_C_last", "master_pqv", "gf_motzkin"):
         assert len([args for called, args in calls if called == name]) == 1, name
@@ -94,6 +130,159 @@ def test_run_builds_each_series_once(monkeypatch):
     assert sorted(args for name, args in calls if name == "paper_form") == [
         ("prod_area", 13), ("prod_interior", 13), ("sum_B", 13), ("sum_H", 13),
     ]
+
+
+def test_run_builds_each_table_once(monkeypatch, call_log):
+    # the totals, the table checks and the twelve recurrence reports all
+    # read one c table and one table per statistic, at the largest n read
+    real_c, real_stat = tables.table_c, tables.table_stat
+    monkeypatch.setattr(tables, "table_c", lambda n: call_log.add(("c", n)) or real_c(n))
+    monkeypatch.setattr(
+        tables, "table_stat", lambda n, stat: call_log.add((stat, n)) or real_stat(n, stat),
+    )
+    assert verify.run_verify().exit_code == 0
+    assert sorted(call_log.keys()) == [("area", 30), ("c", 30), ("inter", 30), ("sper", 30)]
+
+
+# the two-process path ------------------------------------------------------------
+
+two_processes = pytest.mark.skipif(
+    not verify._can_split(), reason="the run forks only with fork and a second CPU",
+)
+
+
+def in_one_process(monkeypatch):
+    monkeypatch.setattr(verify, "_can_split", lambda: False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def check_names():
+    return [name for name, _fn in verify._build_checks(verify._Context(0, 1))]
+
+
+@two_processes
+def test_a_child_check_that_raises_fails_as_it_does_in_one_process(monkeypatch, call_log):
+    def broken(n):
+        call_log.add(os.getpid())
+        raise ValueError(f"no estimate at {n}")
+
+    monkeypatch.setattr(closedforms, "asym_h", broken)
+    split = run_checks()["asymptotic_diagnostics"]
+    assert_no_child_left()
+    assert os.getpid() not in call_log.keys()  # the check ran in the child
+    in_one_process(monkeypatch)
+    alone = run_checks()["asymptotic_diagnostics"]
+    assert (split.status, split.detail) == (alone.status, alone.detail) == (
+        "fail", "exception: ValueError: no estimate at 300",
+    )
+
+
+def cli_runs_on_both_paths(monkeypatch, capsys, *argv):
+    """(exit code, stdout, stderr) of ``catpoly verify``, split then in one process."""
+    out = []
+    for split in (True, False):
+        if not split:
+            in_one_process(monkeypatch)
+        code = cli.main(["verify", *argv])
+        assert_no_child_left()
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+@two_processes
+def test_a_resource_limit_in_a_child_check_stops_the_run(monkeypatch, capsys):
+    message = "bijection census exceeds limit"
+
+    def too_big(n, *args):
+        raise ResourceLimit(message)
+
+    monkeypatch.setattr(bijections, "bijectivity_report", too_big)
+    with pytest.raises(ResourceLimit, match=f"^{message}$"):
+        verify.run_verify(max_n=MAX_N, max_order=MAX_ORDER)
+    assert_no_child_left()
+    split, alone = cli_runs_on_both_paths(monkeypatch, capsys)
+    assert split == alone == (3, "", f"error: {message}\n")
+
+
+@two_processes
+def test_a_resource_limit_in_a_parent_check_exits_3_on_both_paths(monkeypatch, capsys):
+    split, alone = cli_runs_on_both_paths(monkeypatch, capsys, "--max-order", "1025")
+    assert split == alone
+    assert split[:2] == (3, "") and split[2].startswith("error: order 1027 needs caps")
+
+
+@two_processes
+def test_a_child_that_dies_fails_each_of_its_checks(monkeypatch, capsys):
+    parent = os.getpid()
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(7)
+        raise AssertionError("the bijection check ran in the parent")
+
+    monkeypatch.setattr(bijections, "bijectivity_report", dying)
+    report = verify.run_verify()
+    assert_no_child_left()
+    assert report.exit_code == 1
+    assert [c.name for c in report.checks] == check_names()
+    for c in report.checks:
+        if c.name in verify.CHILD_CHECKS:
+            assert (c.status, c.detail) == ("fail", "the check process ended with exit status 7")
+        else:
+            assert c.status == "pass", c.name
+    assert cli.main(["verify"]) == 1
+    assert_no_child_left()
+    assert "[FAIL   ] bijection_checks: the check process ended with exit status 7\n" in capsys.readouterr().out
+
+
+def test_a_census_that_raises_fails_each_check_that_reads_it(monkeypatch):
+    # the census is built before the checks run; its fault reaches each
+    # check that reads it, in either process, as it did when read lazily
+    real = words.stat_inter
+
+    def broken(w):
+        if len(w) == 4:
+            raise ValueError("no interior points")
+        return real(w)
+
+    monkeypatch.setattr(words, "stat_inter", broken)
+    checks = run_checks()
+    assert_no_child_left()
+    failed = {name for name, c in checks.items() if c.status == "fail"}
+    assert {"statistic_oracles", "master_histograms", "table_c_checks", "bijection_checks"} <= failed
+    assert {checks[name].detail for name in failed} == {"exception: ValueError: no interior points"}
+    assert checks["length4_catalog"].status == "pass"
+
+
+@pytest.mark.parametrize("cause", ["no fork", "one CPU", "another thread"])
+def test_run_stays_in_one_process(monkeypatch, cause):
+    def fork():
+        raise AssertionError("forked")
+
+    if cause == "no fork":
+        monkeypatch.delattr(os, "fork", raising=False)
+    else:
+        monkeypatch.setattr(os, "fork", fork, raising=False)
+    if cause == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    done = threading.Event()
+    other = threading.Thread(target=done.wait, args=(60,))
+    if cause == "another thread":
+        other.start()
+    try:
+        report = verify.run_verify(max_n=MAX_N, max_order=MAX_ORDER)
+    finally:
+        done.set()
+        if other.is_alive():
+            other.join(60)
+    assert not other.is_alive()
+    assert [c.name for c in report.checks] == check_names()
+    assert report.exit_code == 0
 
 
 def bijection_check_at_max_n_10():
