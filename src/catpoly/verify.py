@@ -108,8 +108,8 @@ class VerifyReport:
 
 
 class _Context:
-    """One run's shared state: its series and its word census, each built
-    once, on first use.
+    """One run's shared state: its series, its word census and its tables,
+    each built once.
 
     ``series`` builds every series once, at the largest order any check of
     the run reads it (``orders``, set by ``_build_checks``); a check that
