@@ -108,7 +108,7 @@ def _chi(letters, image=None):
 def chi(w) -> CatalanWord:
     """Map an avoiding word to an unequal-adjacent word one letter longer."""
     word = w if isinstance(w, CatalanWord) else CatalanWord(w)
-    if not avoids(word, WordClass.AVOID_GEQ_GEQ):
+    if not avoids(word.letters, WordClass.AVOID_GEQ_GEQ):
         raise NotInDomain(f"{word} contains a weakly decreasing triple")
     return CatalanWord(_chi(word.letters))
 
@@ -129,7 +129,7 @@ def psi(w) -> CatalanWord:
     """Map a strictly-rising-tail word to an unequal-adjacent word,
     preserving length, area and interior points."""
     word = w if isinstance(w, CatalanWord) else CatalanWord(w)
-    if not avoids(word, WordClass.CLASS_B):
+    if not avoids(word.letters, WordClass.CLASS_B):
         raise NotInDomain(f"{word} is not in the strictly-rising-tail class")
     return CatalanWord(_psi(word.letters))
 

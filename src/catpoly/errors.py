@@ -29,7 +29,7 @@ class NotInDomain(CatpolyError):
 
 
 class OrderMismatch(CatpolyError):
-    """Series operands disagree on truncation order or variable caps."""
+    """Series operands disagree on their order, or a coefficient past it is read."""
 
 
 class NonUnitDivisor(CatpolyError):

@@ -4,8 +4,8 @@ Conventions: x marks the length, p the semiperimeter, v the last letter;
 q marks the area in the area-flavoured series and the number of interior
 points in the interior-flavoured ones (the two families never mix).
 Every constructor takes only its order.  Internally it may work at a padded
-order so that guarded divisions by powers of x lose nothing, always at the
-default caps (``Caps.for_order``) of that order, which cut no term.
+order so that guarded divisions by powers of x lose nothing.  Every series
+carries the caps of its order (``Caps.for_order``), which cut no term.
 
 The two masters are built by forward recurrence on packed q-rows: each
 (p, v) row of an x^n coefficient is one big integer, the row's
@@ -346,14 +346,14 @@ def cf_C_last(order):
 
 def _last_letter_form(motz):
     """``cf_C_last`` at the order of ``motz``, built on that Motzkin series."""
-    order, caps = motz.order, motz.caps
+    order = motz.order
     v = MPoly.monomial(1, 0, 0, 1)
     one_minus_v = MPoly.scalar(1) - v
-    num = Series.from_x_polynomial(order, [0, one_minus_v, -v], caps)
+    num = Series.from_x_polynomial(order, [0, one_minus_v, -v])
     num = num + motz.mul_monomial(1, x_shift=2)
     # (1 - v) - v (1 - v) x + v^2 x^2
     v2 = MPoly.monomial(1, 0, 0, 2)
-    den = Series.from_x_polynomial(order, [one_minus_v, v2 - v, v2], caps)
+    den = Series.from_x_polynomial(order, [one_minus_v, v2 - v, v2])
     return num.div(den)
 
 
@@ -366,7 +366,7 @@ def kernel_root_v0(order):
     work = order + 1
     num = Series.from_x_polynomial(work, [1, MPoly.monomial(1, 2, 0, 0)]) - _sqrt_sper_kernel(work)
     root = num.divide_by_x_power(1).divide_coeffs_monomial(2, 2, 0, 0)
-    unit = Series.from_x_polynomial(order, [1, MPoly.monomial(1, 1, 0, 0)], root.caps)
+    unit = Series.from_x_polynomial(order, [1, MPoly.monomial(1, 1, 0, 0)])
     return root.div(unit)
 
 
@@ -382,8 +382,7 @@ def kernel_residual(order):
 
 def _kernel_residual(v0):
     """``kernel_residual`` of a root ``v0`` already built, at its order."""
-    order, caps = v0.order, v0.caps
-    one = Series.from_x_polynomial(order, [1], caps)
+    one = Series.from_x_polynomial(v0.order, [1])
     p2xv0 = v0.mul_monomial(1, 2, 0, 0, x_shift=1)
     p3x2v0sq = (v0 * v0).mul_monomial(1, 3, 0, 0, x_shift=2)
     return (one - v0) * (one - p2xv0) + p3x2v0sq

@@ -1,9 +1,9 @@
 """Power series in x truncated at a fixed order, with MPoly coefficients.
 
 A series of order N carries the coefficients of x^0 .. x^(N-1).  All
-operations truncate at that order and at the per-variable caps, both of
-which commute with ring arithmetic.  Operands of binary operations must
-share order and caps.
+operations truncate at that order and at the per-variable caps of that
+order, ``Caps.for_order(N)``, both of which commute with ring arithmetic.
+Operands of binary operations must share their order.
 
 ``*``, ``div`` and ``sqrt`` share one packed path (Kronecker substitution;
 D. Harvey, J. Symbolic Comput. 44, 2009).  Each operand coefficient is
@@ -32,6 +32,9 @@ from .errors import (
 from .mpoly import Caps, MPoly, _norm
 
 _ONE = MPoly.scalar(1)
+
+#: ``Caps.for_order``, built once per order; it raises past the key fields
+_caps = lru_cache(maxsize=None)(Caps.for_order)
 
 #: Packed coefficients: per coefficient its numerator's slots, denominator,
 #: sum and largest of the slots' absolute values, and packed value
@@ -165,11 +168,11 @@ class _Packing:
 class Series:
     __slots__ = ("order", "coeffs", "caps")
 
-    def __init__(self, order, coeffs=None, caps=None):
+    def __init__(self, order, coeffs=None):
         if order < 1:
             raise ValueError("series order must be >= 1")
         self.order = order
-        self.caps = caps if caps is not None else Caps.for_order(order)
+        self.caps = _caps(order)
         if coeffs is None:
             self.coeffs = [MPoly.zero() for _ in range(order)]
         else:
@@ -180,13 +183,13 @@ class Series:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, order, caps=None):
-        return cls(order, None, caps)
+    def zero(cls, order):
+        return cls(order)
 
     @classmethod
-    def from_x_polynomial(cls, order, poly_coeffs, caps=None):
+    def from_x_polynomial(cls, order, poly_coeffs):
         """Series whose x^n coefficient is poly_coeffs[n] (scalar or MPoly)."""
-        s = cls.zero(order, caps)
+        s = cls.zero(order)
         for n, c in enumerate(poly_coeffs):
             if n >= order:
                 break
@@ -194,7 +197,7 @@ class Series:
         return s
 
     def copy(self):
-        return Series(self.order, list(self.coeffs), self.caps)
+        return Series(self.order, list(self.coeffs))
 
     # -- basics ----------------------------------------------------------
 
@@ -220,27 +223,24 @@ class Series:
         return not any(self.coeffs)
 
     def _check_compatible(self, other):
-        if self.order != other.order or self.caps != other.caps:
-            raise OrderMismatch(
-                f"operands disagree: order {self.order} vs {other.order}, "
-                f"caps {self.caps} vs {other.caps}"
-            )
+        if self.order != other.order:
+            raise OrderMismatch(f"operands disagree: order {self.order} vs {other.order}")
 
     # -- linear operations -------------------------------------------------
 
     def __add__(self, other):
         self._check_compatible(other)
-        return Series(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)], self.caps)
+        return Series(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return Series(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)], self.caps)
+        return Series(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return Series(self.order, [-c for c in self.coeffs], self.caps)
+        return Series(self.order, [-c for c in self.coeffs])
 
     def scale(self, r):
-        return Series(self.order, [c.scale(r) for c in self.coeffs], self.caps)
+        return Series(self.order, [c.scale(r) for c in self.coeffs])
 
     # -- multiplicative operations ------------------------------------------
 
@@ -254,7 +254,7 @@ class Series:
         for k in range(self.order):
             part = (1, x, y, k, max(0, k - hy), max(0, min(k, hx) + 1))
             out.append(pk.read(*pk.combine([part])))
-        return Series(self.order, out, caps)
+        return Series(self.order, out)
 
     def mul_monomial(self, c, dp=0, dq=0, dv=0, x_shift=0):
         """Multiply by c * x^x_shift * p^dp q^dq v^dv."""
@@ -262,7 +262,7 @@ class Series:
         out = [MPoly.zero()] * min(x_shift, self.order)
         for n in range(self.order - x_shift):
             out.append(self.coeffs[n].mul_monomial(c, dp, dq, dv, capkey))
-        return Series(self.order, out, self.caps)
+        return Series(self.order, out)
 
     def div(self, other):
         """Series division; the divisor's constant term must be invertible.
@@ -284,7 +284,7 @@ class Series:
             parts = [(1, num, pk.one, k, k, k + 1), (-1, out, den, k, max(0, k - hb), k)]
             residue, d = pk.combine(parts, unit.size[0])
             result.append(pk.read(residue * unit.value[0], d * unit.den[0], out))
-        return Series(n, result, caps)
+        return Series(n, result)
 
     def sqrt(self):
         """Square root of a series with constant term exactly 1.
@@ -303,15 +303,15 @@ class Series:
             parts.append((-1, out, out, k, k // 2, k // 2 + 1 - k % 2))
             value, d = pk.combine(parts)
             result.append(pk.read(value, 2 * d, out))
-        return Series(n, result, caps)
+        return Series(n, result)
 
     # -- marker operations ----------------------------------------------------
 
     def derivative(self, var):
-        return Series(self.order, [c.derivative(var) for c in self.coeffs], self.caps)
+        return Series(self.order, [c.derivative(var) for c in self.coeffs])
 
     def eval_one(self, var):
-        return Series(self.order, [c.eval_one(var) for c in self.coeffs], self.caps)
+        return Series(self.order, [c.eval_one(var) for c in self.coeffs])
 
     # -- exactness-guarded divisions ----------------------------------------
 
@@ -325,12 +325,8 @@ class Series:
                 raise InternalInconsistency(
                     f"x^{n} coefficient {self.coeffs[n]} nonzero; cannot divide by x^{k}"
                 )
-        return Series(self.order - k, self.coeffs[k:], self.caps)
+        return Series(self.order - k, self.coeffs[k:])
 
     def divide_coeffs_monomial(self, c, dp=0, dq=0, dv=0):
         """Divide every coefficient by c * p^dp q^dq v^dv, exactly."""
-        return Series(
-            self.order,
-            [co.divide_monomial(c, dp, dq, dv) for co in self.coeffs],
-            self.caps,
-        )
+        return Series(self.order, [co.divide_monomial(c, dp, dq, dv) for co in self.coeffs])

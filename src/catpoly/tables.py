@@ -192,7 +192,60 @@ class RecurrenceReport(NamedTuple):
         )
 
 
-RECURRENCES = ("s_base", "s_diff", "u_base", "u_diff", "p_base", "p_diff")
+#: The printed recurrences, verbatim: name -> (first n, first i, i_stop,
+#: right side), checked for i in range(first i, n + i_stop); the right side
+#: is a function of (T, C, n, i), where T(n, i) reads the statistic table by
+#: height and C(n, k) the c table by last letter
+_PRINTED = {
+    "s_base": (3, 2, 0, lambda T, C, n, i: (
+        T(n - 1, i - 1) + 2 * C(n - 1, i - 2)
+        + sum(T(n - 2, k) + 3 * C(n - 2, k - 1) for k in range(i - 1, n - 1) if k != i)
+    )),
+    "s_diff": (3, 2, 0, lambda T, C, n, i: (
+        T(n, i - 1)
+        + T(n - 1, i - 1)
+        + T(n - 2, i - 1)
+        - T(n - 1, i - 2)
+        - T(n - 2, i)
+        - T(n - 2, i - 2)
+        + 2 * (C(n - 1, i - 2) - C(n - 1, i - 3))
+        + 3 * (C(n - 2, i - 2) - C(n - 2, i - 1) - C(n - 2, i - 2))
+    )),
+    "u_base": (2, 2, 1, lambda T, C, n, i: (
+        T(n - 1, i - 1) + (i + 1) * C(n - 1, i - 2)
+        + sum(T(n - 2, k - 1) + (i + k + 2) * C(n - 2, k - 2) for k in range(i, n - 1))
+    )),
+    "u_diff": (2, 3, 1, lambda T, C, n, i: (
+        T(n, i - 1)
+        + T(n - 1, i - 1)
+        - T(n - 1, i - 2)
+        + T(n - 2, n - 3)
+        - T(n - 2, i - 2)
+        + (n + i) * C(n - 2, n - 4)
+        - (2 * i + 1) * C(n - 2, i - 3)
+        + (i + 1) * C(n - 1, i - 2)
+        - i * C(n - 1, i - 3)
+        + sum(C(n - 2, k - 2) for k in range(i - 1, n - 1))
+    )),
+    "p_base": (2, 2, 1, lambda T, C, n, i: (
+        T(n - 1, i - 1) + (i - 2) * C(n - 1, i - 2)
+        + sum(T(n - 2, k - 1) + (i + k - 3) * C(n - 2, k - 2) for k in range(i, n - 1))
+    )),
+    "p_diff": (2, 3, 1, lambda T, C, n, i: (
+        T(n, i - 1)
+        + T(n - 1, i - 1)
+        - T(n - 1, i - 2)
+        + (i - 2) * C(n - 1, i - 2)
+        - (i - 3) * C(n - 1, i - 3)
+        + T(n - 2, n - 3)
+        - T(n - 2, i - 2)
+        + (n + i - 5) * C(n - 2, n - 4)
+        - (2 * i - 4) * C(n - 2, i - 3)
+        + sum(C(n - 2, k - 2) for k in range(i - 2, n - 1))
+    )),
+}
+
+RECURRENCES = tuple(_PRINTED)
 
 
 def check_recurrences(
@@ -210,102 +263,14 @@ def check_recurrences(
     stat = {"s": "sper", "u": "area", "p": "inter"}[which[0]]
     if built is None:
         built = {"c": table_c(max_n), stat: table_stat(max_n, stat)}
-    c, t = built["c"], built[stat]
-
-    def C(n, k):
-        return c.entry(n, k)
-
-    def T(n, i):
-        return t.entry(n, i)
-
+    C, T = built["c"].entry, built[stat].entry
+    first_n, first_i, i_stop, formula = _PRINTED[which]
     mismatches = []
     checked = 0
-
-    if which == "s_base":
-        for n in range(3, max_n + 1):
-            for i in range(2, n):
-                rhs = T(n - 1, i - 1) + 2 * C(n - 1, i - 2)
-                rhs += sum(
-                    T(n - 2, k) + 3 * C(n - 2, k - 1)
-                    for k in range(i - 1, n - 1)
-                    if k != i
-                )
-                checked += 1
-                if rhs != T(n, i):
-                    mismatches.append((n, i, T(n, i), rhs))
-    elif which == "s_diff":
-        for n in range(3, max_n + 1):
-            for i in range(2, n):
-                rhs = (
-                    T(n, i - 1)
-                    + T(n - 1, i - 1)
-                    + T(n - 2, i - 1)
-                    - T(n - 1, i - 2)
-                    - T(n - 2, i)
-                    - T(n - 2, i - 2)
-                    + 2 * (C(n - 1, i - 2) - C(n - 1, i - 3))
-                    + 3 * (C(n - 2, i - 2) - C(n - 2, i - 1) - C(n - 2, i - 2))
-                )
-                checked += 1
-                if rhs != T(n, i):
-                    mismatches.append((n, i, T(n, i), rhs))
-    elif which == "u_base":
-        for n in range(2, max_n + 1):
-            for i in range(2, n + 1):
-                rhs = T(n - 1, i - 1) + (i + 1) * C(n - 1, i - 2)
-                rhs += sum(
-                    T(n - 2, k - 1) + (i + k + 2) * C(n - 2, k - 2)
-                    for k in range(i, n - 1)
-                )
-                checked += 1
-                if rhs != T(n, i):
-                    mismatches.append((n, i, T(n, i), rhs))
-    elif which == "u_diff":
-        for n in range(2, max_n + 1):
-            for i in range(3, n + 1):
-                rhs = (
-                    T(n, i - 1)
-                    + T(n - 1, i - 1)
-                    - T(n - 1, i - 2)
-                    + T(n - 2, n - 3)
-                    - T(n - 2, i - 2)
-                    + (n + i) * C(n - 2, n - 4)
-                    - (2 * i + 1) * C(n - 2, i - 3)
-                    + (i + 1) * C(n - 1, i - 2)
-                    - i * C(n - 1, i - 3)
-                    + sum(C(n - 2, k - 2) for k in range(i - 1, n - 1))
-                )
-                checked += 1
-                if rhs != T(n, i):
-                    mismatches.append((n, i, T(n, i), rhs))
-    elif which == "p_base":
-        for n in range(2, max_n + 1):
-            for i in range(2, n + 1):
-                rhs = T(n - 1, i - 1) + (i - 2) * C(n - 1, i - 2)
-                rhs += sum(
-                    T(n - 2, k - 1) + (i + k - 3) * C(n - 2, k - 2)
-                    for k in range(i, n - 1)
-                )
-                checked += 1
-                if rhs != T(n, i):
-                    mismatches.append((n, i, T(n, i), rhs))
-    else:  # p_diff
-        for n in range(2, max_n + 1):
-            for i in range(3, n + 1):
-                rhs = (
-                    T(n, i - 1)
-                    + T(n - 1, i - 1)
-                    - T(n - 1, i - 2)
-                    + (i - 2) * C(n - 1, i - 2)
-                    - (i - 3) * C(n - 1, i - 3)
-                    + T(n - 2, n - 3)
-                    - T(n - 2, i - 2)
-                    + (n + i - 5) * C(n - 2, n - 4)
-                    - (2 * i - 4) * C(n - 2, i - 3)
-                    + sum(C(n - 2, k - 2) for k in range(i - 2, n - 1))
-                )
-                checked += 1
-                if rhs != T(n, i):
-                    mismatches.append((n, i, T(n, i), rhs))
-
+    for n in range(first_n, max_n + 1):
+        for i in range(first_i, n + i_stop):
+            rhs = formula(T, C, n, i)
+            checked += 1
+            if rhs != T(n, i):
+                mismatches.append((n, i, T(n, i), rhs))
     return RecurrenceReport(which, max_n, checked, mismatches)

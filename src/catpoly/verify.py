@@ -113,9 +113,8 @@ class _Context:
 
     ``series`` builds every series once, at the largest order any check of
     the run reads it (``orders``, set by ``_build_checks``); a check that
-    needs a lower order reads a slice of its leading coefficients.  Series
-    equality ignores the caps, and every cap is one that cuts no genuine
-    term, so a slice equals the series built at its own order.
+    needs a lower order reads a slice of its leading coefficients, which
+    equals the series built at its own order.
 
     The census holds the words of each (length, class) as letter tuples,
     from one ``enumerate_words`` call.  The ``StatRecord``s of the avoiding
@@ -214,7 +213,7 @@ class _Context:
 
 def _leading(s, order):
     """The series s cut to its coefficients below x^order."""
-    return s if s.order == order else Series(order, s.coeffs[:order], s.caps)
+    return s if s.order == order else Series(order, s.coeffs[:order])
 
 
 def _q_histogram(records, stat):
@@ -584,11 +583,9 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
             return "fail", "kernel residual is not the zero series"
         v0 = root.eval_one("p")
         motz = ctx.series("gf_motzkin", max_order)
-        caps = motz.caps
-        one_plus_x = Series.from_x_polynomial(max_order, [1, 1], caps)
+        one_plus_x = Series.from_x_polynomial(max_order, [1, 1])
         expected = (
-            Series.from_x_polynomial(max_order, [1], caps)
-            + motz.mul_monomial(1, x_shift=1)
+            Series.from_x_polynomial(max_order, [1]) + motz.mul_monomial(1, x_shift=1)
         ).div(one_plus_x)
         if v0 != expected:
             return "fail", "root at p=1 != (1 + x M(x)) / (1 + x)"

@@ -8,7 +8,9 @@ formulas over the height profile, and geometric oracles that count on the
 cell grid, held as one bitmask per row.  Both are exported so they can be
 cross-checked: ``stat_record`` gathers the formulas into one named tuple,
 and ``grid_oracles`` reads both oracles off one grid per word
-(``sper_oracle`` and ``inter_oracle`` are its two views).
+(``sper_oracle`` and ``inter_oracle`` are its two views).  They, ``avoids``
+and ``to_dyck`` read a word through the sequence protocol: a
+``CatalanWord``, or its letters as a tuple or a list.
 
 Enumeration and counting run the same (last letter, flag) automaton:
 ``enumerate_words`` walks ``_successors`` depth first on an explicit
@@ -169,25 +171,18 @@ def validate(seq: Sequence[int]) -> CatalanWord:
     return seq if isinstance(seq, CatalanWord) else CatalanWord(seq)
 
 
-def _tuple_of(w) -> tuple:
-    return w.letters if isinstance(w, CatalanWord) else tuple(w)
-
-
 def avoids(w: CatalanWord, word_class: WordClass) -> bool:
     """Membership test for the supported word classes."""
-    letters = _tuple_of(w)
-    n = len(letters)
+    n = len(w)
     if word_class is WordClass.ALL_CATALAN:
         return True
     if word_class is WordClass.AVOID_NEQ_ADJACENT:
-        return all(letters[i] != letters[i + 1] for i in range(n - 1))
-    geqgeq = all(
-        not (letters[i] >= letters[i + 1] >= letters[i + 2]) for i in range(n - 2)
-    )
+        return all(w[i] != w[i + 1] for i in range(n - 1))
+    geqgeq = all(not (w[i] >= w[i + 1] >= w[i + 2]) for i in range(n - 2))
     if word_class is WordClass.AVOID_GEQ_GEQ:
         return geqgeq
     if word_class is WordClass.CLASS_B:
-        return geqgeq and (n < 2 or letters[-2] < letters[-1])
+        return geqgeq and (n < 2 or w[-2] < w[-1])
     raise ValueError(f"unknown class {word_class}")
 
 
@@ -311,35 +306,31 @@ def _require_nonempty(letters):
 
 def stat_area(w) -> int:
     """Total number of cells: sum of (letter + 1)."""
-    letters = _tuple_of(w)
-    _require_nonempty(letters)
-    return sum(letters) + len(letters)
+    _require_nonempty(w)
+    return sum(w) + len(w)
 
 
 def stat_last(w) -> int:
-    letters = _tuple_of(w)
-    _require_nonempty(letters)
-    return letters[-1]
+    _require_nonempty(w)
+    return w[-1]
 
 
 def stat_sper(w) -> int:
     """Semiperimeter via the height profile: n + (h1 + hn + sum|dh|)/2."""
-    letters = _tuple_of(w)
-    _require_nonempty(letters)
-    # heights are letters + 1, so h1 + hn is letters[0] + letters[-1] + 2
-    variation = sum(map(abs, map(sub, letters[1:], letters)))
-    total = letters[0] + letters[-1] + 2 + variation
+    _require_nonempty(w)
+    # heights are letters + 1, so h1 + hn is w[0] + w[-1] + 2
+    variation = sum(map(abs, map(sub, w[1:], w)))
+    total = w[0] + w[-1] + 2 + variation
     if total % 2:
         raise InternalInconsistency(f"odd height-profile total {total} for {w}")
-    return len(letters) + total // 2
+    return len(w) + total // 2
 
 
 def stat_inter(w) -> int:
     """Interior points via adjacent columns: sum of min(h_i, h_{i+1}) - 1."""
-    letters = _tuple_of(w)
-    _require_nonempty(letters)
+    _require_nonempty(w)
     # min(h_i, h_{i+1}) - 1 is the smaller of the two letters
-    return sum(map(min, letters, letters[1:]))
+    return sum(map(min, w, w[1:]))
 
 
 def _grid_rows(letters):
@@ -371,10 +362,9 @@ def grid_oracles(w) -> tuple:
     between columns i and i+1 and rows y-1 and y is interior when both
     rows hold both columns: bit i of a & a>>1 & b & b>>1.
     """
-    letters = _tuple_of(w)
-    _require_nonempty(letters)
+    _require_nonempty(w)
     boundary = inter = below = 0
-    for r in _grid_rows(letters):
+    for r in _grid_rows(w):
         boundary += (r ^ below).bit_count() + (r ^ (r << 1)).bit_count()
         inter += (below & (below >> 1) & r & (r >> 1)).bit_count()
         below = r
@@ -397,11 +387,8 @@ def inter_oracle(w) -> int:
 def stat_record(w) -> StatRecord:
     """The length and the four statistics of a word, by their closed
     formulas (looked up by name, so a patched formula reaches every caller)."""
-    letters = _tuple_of(w)
-    _require_nonempty(letters)
-    return StatRecord(
-        len(letters), stat_area(letters), stat_sper(letters), stat_inter(letters), letters[-1]
-    )
+    _require_nonempty(w)
+    return StatRecord(len(w), stat_area(w), stat_sper(w), stat_inter(w), w[-1])
 
 
 # -- Dyck path correspondence -------------------------------------------------
@@ -409,11 +396,10 @@ def stat_record(w) -> StatRecord:
 
 def to_dyck(w) -> str:
     """The unique Dyck path whose up-step starting heights read off the word."""
-    letters = _tuple_of(w)
-    _require_nonempty(letters)
+    _require_nonempty(w)
     steps = []
     height = 0
-    for target in letters:
+    for target in w:
         # descend to the up-step's starting height, then go up
         steps.append("D" * (height - target))
         steps.append("U")

@@ -17,9 +17,6 @@ from catpoly.errors import (
 from catpoly.mpoly import Caps, MPoly
 from catpoly.series import Series
 
-CAPS = Caps.for_order(8)
-
-
 def series_from_terms(spec, order=5):
     """spec: list per x-order of (coeff, dp, dq, dv) tuples."""
     coeffs = []
@@ -30,7 +27,7 @@ def series_from_terms(spec, order=5):
         coeffs.append(acc)
     while len(coeffs) < order:
         coeffs.append(MPoly.zero())
-    return Series(order, coeffs[:order], CAPS)
+    return Series(order, coeffs[:order])
 
 
 term = st.tuples(
@@ -115,7 +112,7 @@ def test_div_roundtrip(a):
 @given(series_strategy)
 def test_sqrt_squares_back(a):
     one = series_from_terms([[(1, 0, 0, 0)]])
-    shifted = Series(a.order, [MPoly.zero()] + a.coeffs[:-1], a.caps)
+    shifted = Series(a.order, [MPoly.zero()] + a.coeffs[:-1])
     s = one + shifted
     with kernel_calls() as calls:
         root = s.sqrt()
@@ -124,19 +121,19 @@ def test_sqrt_squares_back(a):
 
 
 def test_sqrt_defining_identity():
-    s = Series.from_x_polynomial(8, [1, -2, -3], CAPS)
+    s = Series.from_x_polynomial(8, [1, -2, -3])
     root = s.sqrt()
     assert root * root == s
 
 
 def test_sqrt_requires_unit_constant():
     with pytest.raises(BadSqrtConstantTerm):
-        Series.from_x_polynomial(4, [2, 1], CAPS).sqrt()
+        Series.from_x_polynomial(4, [2, 1]).sqrt()
 
 
 def test_div_requires_invertible_constant():
-    num = Series.from_x_polynomial(4, [1], CAPS)
-    den = Series.from_x_polynomial(4, [0, 1], CAPS)
+    num = Series.from_x_polynomial(4, [1])
+    den = Series.from_x_polynomial(4, [0, 1])
     with pytest.raises(NonUnitDivisor):
         num.div(den)
 
@@ -144,23 +141,23 @@ def test_div_requires_invertible_constant():
 def test_div_by_nonscalar_unit():
     # (1 - v) is invertible under the caps
     one_minus_v = MPoly.scalar(1) - MPoly.monomial(1, 0, 0, 1)
-    den = Series.from_x_polynomial(4, [one_minus_v], CAPS)
-    num = Series.from_x_polynomial(4, [MPoly.scalar(1)], CAPS)
+    den = Series.from_x_polynomial(4, [one_minus_v])
+    num = Series.from_x_polynomial(4, [MPoly.scalar(1)])
     q = num.div(den)
     assert q * den == num
     # the inverse of (1-v) is the truncated geometric series in v
-    assert q.coeff(0) == MPoly({k: 1 for k in range(CAPS.v + 1)})
+    assert q.coeff(0) == MPoly({k: 1 for k in range(q.caps.v + 1)})
 
 
 def test_order_mismatch_raises():
-    a = Series.from_x_polynomial(4, [1], CAPS)
-    b = Series.from_x_polynomial(5, [1], CAPS)
+    a = Series.from_x_polynomial(4, [1])
+    b = Series.from_x_polynomial(5, [1])
     with pytest.raises(OrderMismatch):
         a + b
 
 
 def test_coeff_out_of_range():
-    a = Series.from_x_polynomial(4, [1], CAPS)
+    a = Series.from_x_polynomial(4, [1])
     with pytest.raises(OrderMismatch):
         a.coeff(4)
 
@@ -170,13 +167,13 @@ def test_coeff_out_of_range():
 
 def test_derivative_term_by_term():
     v2 = MPoly.monomial(1, 0, 0, 2)
-    s = Series.from_x_polynomial(3, [0, v2], CAPS)
+    s = Series.from_x_polynomial(3, [0, v2])
     d = s.derivative("v")
     assert d.coeff(1) == MPoly.monomial(2, 0, 0, 1)
 
 
 def test_scale_by_rational():
-    s = Series.from_x_polynomial(3, [2, 4], CAPS)
+    s = Series.from_x_polynomial(3, [2, 4])
     half = s.scale(Fraction(1, 2))
     assert half.scalar_coeffs() == [1, 2, 0]
 
@@ -185,7 +182,7 @@ def test_scale_by_rational():
 
 
 def test_divide_by_x_power_guard():
-    s = Series.from_x_polynomial(4, [0, 1, 1], CAPS)
+    s = Series.from_x_polynomial(4, [0, 1, 1])
     shifted = s.divide_by_x_power(1)
     assert shifted.order == 3
     assert shifted.scalar_coeffs() == [1, 1, 0]
@@ -195,7 +192,7 @@ def test_divide_by_x_power_guard():
 
 def test_divide_coeffs_monomial_guard():
     p3 = MPoly.monomial(4, 3, 0, 0)
-    s = Series.from_x_polynomial(3, [p3], CAPS)
+    s = Series.from_x_polynomial(3, [p3])
     q = s.divide_coeffs_monomial(2, 3, 0, 0)
     assert q.coeff(0) == MPoly.scalar(2)
     with pytest.raises(InternalInconsistency):
@@ -264,8 +261,8 @@ def naive_sqrt(c, caps):
     return out
 
 
-def to_series(spec, caps):
-    return Series(len(spec), [MPoly({pack(*e): c for e, c in d.items()}) for d in spec], caps)
+def to_series(spec):
+    return Series(len(spec), [MPoly({pack(*e): c for e, c in d.items()}) for d in spec])
 
 
 def from_series(s):
@@ -309,18 +306,24 @@ def kernel_calls():
 
 big_or_zero = st.one_of(st.just(0), st.integers(min_value=-(2**100), max_value=2**100))
 small_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-coeff = st.dictionaries(
-    st.tuples(
-        st.integers(min_value=0, max_value=2),
-        st.integers(min_value=0, max_value=6),
-        st.integers(min_value=0, max_value=2),
-    ),
-    st.one_of(big_or_zero, small_fraction).filter(bool),
-    max_size=4,
-)
-q_coeff = st.lists(big_or_zero, max_size=7).map(
-    lambda cs: {(0, e, 0): c for e, c in enumerate(cs) if c}
-)
+
+
+def coeff_past(caps):
+    """Coefficients with exponents up to one past each cap, so that cuts happen."""
+    return st.dictionaries(
+        st.tuples(*(st.integers(min_value=0, max_value=c + 1) for c in caps)),
+        st.one_of(big_or_zero, small_fraction).filter(bool),
+        max_size=4,
+    )
+
+
+def q_coeff_past(caps):
+    """Dense q-polynomials that run one past the q cap."""
+    return st.lists(big_or_zero, max_size=caps.q + 2).map(
+        lambda cs: {(0, e, 0): c for e, c in enumerate(cs) if c}
+    )
+
+
 UNITS = [
     {(0, 0, 0): 1},
     {(0, 0, 0): -1},
@@ -335,21 +338,22 @@ UNITS = [
 @st.composite
 def series_pair(draw):
     order = draw(st.integers(min_value=1, max_value=6))
-    caps = Caps(*(draw(st.integers(min_value=0, max_value=m)) for m in (3, 14, 3)))
-    c = draw(st.sampled_from([coeff, q_coeff]))
+    caps = Caps.for_order(order)
+    c = draw(st.sampled_from([coeff_past(caps), q_coeff_past(caps)]))
     a = draw(st.lists(c, min_size=order, max_size=order))
     b = draw(st.lists(c, min_size=order, max_size=order))
-    return caps, a, b
+    return a, b
 
 
 @settings(max_examples=150, deadline=None)
 @given(series_pair(), st.sampled_from(UNITS))
-@example((Caps(0, 3, 0), [{(0, 0, 0): 5}], [{}]), {(0, 0, 0): 1})
-@example((Caps(0, 0, 0), [{}, {(0, 1, 0): 2**100}], [{(0, 2, 0): -3}, {}]), {(0, 0, 0): -1})
+@example(([{(0, 0, 0): 5}], [{}]), {(0, 0, 0): 1})
+@example(([{}, {(0, 4, 0): 2**100}], [{(0, 2, 0): -3}, {}]), {(0, 0, 0): -1})
 def test_packed_mul_and_div_match_oracle(case, unit):
-    caps, a, b = case
+    a, b = case
     b = [unit] + b[1:]
-    sa, sb = to_series(a, caps), to_series(b, caps)
+    sa, sb = to_series(a), to_series(b)
+    caps = sa.caps
     with kernel_calls() as calls:
         prod = sa * sb
         quotient = sa.div(sb)
@@ -361,44 +365,45 @@ def test_packed_mul_and_div_match_oracle(case, unit):
 @settings(max_examples=60, deadline=None)
 @given(series_pair())
 def test_packed_sqrt_matches_oracle(case):
-    caps, a, _ = case
+    a, _ = case
     c = [{(0, 0, 0): 1}] + a[1:]
     with kernel_calls() as calls:
-        root = to_series(c, caps).sqrt()
-    assert from_series(root) == naive_sqrt(c, caps)
+        root = to_series(c).sqrt()
+    assert from_series(root) == naive_sqrt(c, root.caps)
     assert not calls
 
 
 def test_sqrt_with_rational_coefficients():
     # sqrt(1 + x) = 1 + x/2 - x^2/8 + x^3/16 - 5x^4/128 + ...
-    root = Series.from_x_polynomial(6, [1, 1], CAPS).sqrt()
+    root = Series.from_x_polynomial(6, [1, 1]).sqrt()
     want = [1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16), Fraction(-5, 128), Fraction(7, 256)]
     assert root.scalar_coeffs() == want
     assert type(root.coeff(0).as_scalar()) is int
 
 
 def test_sqrt_with_p_and_v_matches_oracle():
-    # 1 - 2p^2 x + (p^4 - 4p^3) x^2 + v x^3 / 3, with a rational coefficient
-    caps = Caps(12, 0, 3)
-    c = [{(0, 0, 0): 1}, {(2, 0, 0): -2}, {(4, 0, 0): 1, (3, 0, 0): -4}, {(0, 0, 1): Fraction(1, 3)}]
+    # 1 - 2p^3 x + (p^6 - 4p^5) x^2 + v^3 x^3 / 3, with a rational coefficient;
+    # at order 8 its p-degrees pass the p cap 16 from x^6 on
+    c = [{(0, 0, 0): 1}, {(3, 0, 0): -2}, {(6, 0, 0): 1, (5, 0, 0): -4}, {(0, 0, 3): Fraction(1, 3)}]
     c += [{}] * 4
     with kernel_calls() as calls:
-        root = to_series(c, caps).sqrt()
-    assert from_series(root) == naive_sqrt(c, caps)
+        root = to_series(c).sqrt()
+    assert from_series(root) == naive_sqrt(c, root.caps)
     assert not calls
 
 
 def test_quotient_outgrowing_64_bits():
-    # 1 / (1 - 3(1 + q + ... + q^5) x - q^2 x^2): the slots widen and the
-    # packed coefficients are repacked while the quotient grows past 2^64
-    caps = Caps(0, 40, 0)
+    # 1 / (1 - 3(1 + q^2 + ... + q^12) x - q^2 x^2): the slots widen and the
+    # packed coefficients are repacked while the quotient grows past 2^64,
+    # and its q-degrees pass the q cap 171 of order 18
     order = 18
-    b = [{(0, 0, 0): 1}, {(0, e, 0): -3 for e in range(6)}, {(0, 2, 0): -1}]
+    b = [{(0, 0, 0): 1}, {(0, 2 * e, 0): -3 for e in range(7)}, {(0, 2, 0): -1}]
     b += [{}] * (order - len(b))
     num = [{(0, 0, 0): 1}] + [{}] * (order - 1)
     with kernel_calls() as calls:
-        got = from_series(to_series(num, caps).div(to_series(b, caps)))
-    assert got == naive_div(num, b, caps)
+        quotient = to_series(num).div(to_series(b))
+    got = from_series(quotient)
+    assert got == naive_div(num, b, quotient.caps)
     assert max(abs(c) for d in got for c in d.values()) > 2**64
     assert not calls
 
@@ -406,8 +411,8 @@ def test_quotient_outgrowing_64_bits():
 def test_trinomial_quotient_past_64_bits():
     # 1/sqrt(1 - 2x - 3x^2): integer scalar coefficients that pass 2^64
     with kernel_calls() as calls:
-        root = Series.from_x_polynomial(60, [1, -2, -3], Caps.for_order(60)).sqrt()
-        t = Series.from_x_polynomial(60, [1], root.caps).div(root)
+        root = Series.from_x_polynomial(60, [1, -2, -3]).sqrt()
+        t = Series.from_x_polynomial(60, [1]).div(root)
     assert [c.as_scalar() for c in t.coeffs] == [closedforms.trinomial(n) for n in range(60)]
     assert t.coeff(59).as_scalar() > 2**64
     assert not calls
@@ -423,13 +428,12 @@ def test_trinomial_quotient_past_64_bits():
     ],
 )
 def test_other_divisors_take_the_packed_path(constant):
-    caps = Caps(3, 6, 2)
-    b = Series.from_x_polynomial(4, [constant, MPoly.monomial(2, 0, 1, 0), 1], caps)
-    num = Series.from_x_polynomial(4, [1, MPoly.monomial(-1, 0, 2, 0), 0, 5], caps)
+    b = Series.from_x_polynomial(4, [constant, MPoly.monomial(2, 0, 1, 0), 1])
+    num = Series.from_x_polynomial(4, [1, MPoly.monomial(-1, 0, 2, 0), 0, 5])
     with kernel_calls() as calls:
         quotient = num.div(b)
     assert not calls
-    assert from_series(quotient) == naive_div(from_series(num), from_series(b), caps)
+    assert from_series(quotient) == naive_div(from_series(num), from_series(b), quotient.caps)
 
 
 @pytest.mark.parametrize(
@@ -437,12 +441,12 @@ def test_other_divisors_take_the_packed_path(constant):
     [MPoly.scalar(Fraction(1, 2)), MPoly.monomial(1, 1, 0, 0), MPoly.monomial(1, 0, 0, 1)],
 )
 def test_other_products_take_the_packed_path(coeff):
-    a = Series.from_x_polynomial(3, [1, coeff], CAPS)
-    b = Series.from_x_polynomial(3, [1, MPoly.monomial(3, 0, 1, 0)], CAPS)
+    a = Series.from_x_polynomial(3, [1, coeff])
+    b = Series.from_x_polynomial(3, [1, MPoly.monomial(3, 0, 1, 0)])
     with kernel_calls() as calls:
         got = a * b
     assert not calls
-    assert from_series(got) == naive_mul(from_series(a), from_series(b), CAPS)
+    assert from_series(got) == naive_mul(from_series(a), from_series(b), got.caps)
 
 
 def test_verify_makes_no_kernel_call_from_series():

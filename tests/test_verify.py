@@ -25,7 +25,7 @@ def run_checks():
 
 def off_by_one_on(real, target):
     def wrong(w):
-        return real(w) + (words._tuple_of(w) == target)
+        return real(w) + (tuple(w) == target)
 
     return wrong
 
@@ -333,7 +333,7 @@ def test_wrong_oracle_on_one_word(monkeypatch, oracle, label):
 
     def wrong(w):
         out = list(real(w))
-        out[index] += words._tuple_of(w) == (0, 1, 2, 2)
+        out[index] += tuple(w) == (0, 1, 2, 2)
         return tuple(out)
 
     monkeypatch.setattr(words, "grid_oracles", wrong)
@@ -348,7 +348,7 @@ def test_wrong_oracle_on_one_word(monkeypatch, oracle, label):
 ], ids=["repeated", "too long"])
 def test_dyck_roundtrip_names_the_word_of_a_bad_path(monkeypatch, target, fault, detail):
     real = words.to_dyck
-    monkeypatch.setattr(words, "to_dyck", lambda w: fault(real, w) if words._tuple_of(w) == target else real(w))
+    monkeypatch.setattr(words, "to_dyck", lambda w: fault(real, w) if tuple(w) == target else real(w))
     c = run_checks()["dyck_roundtrip"]
     assert (c.status, c.detail) == ("fail", detail)
 
