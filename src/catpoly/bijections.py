@@ -7,13 +7,18 @@ same length, preserving area and interior points.  Both recurse on the
 first-return split w = 0 . (elevated block) . remainder, taken on plain
 letter tuples; ``decompose`` returns the same split as a record.
 
-The exhaustive check has two entry points: ``verify_bijectivity``
-enumerates its words, and ``bijectivity_report`` takes words a caller
-has already enumerated (``verify`` passes its census, and one pair of
-memoized maps from ``memoized_maps`` for every length).
+``chi``, ``psi`` and the exhaustive check all run one memoized recursion
+per bijection (``memoized_maps``).  The check has two entry points:
+``verify_bijectivity`` enumerates its words, and ``bijectivity_report``
+takes words and statistics a caller already holds (``verify`` passes its
+census, and one pair of memoized maps for every length).  Each law is
+evaluated once per length, as one list of flags over the domain, and
+every violation is read off that list.
 """
 
-from typing import Callable, Collection, List, NamedTuple, Sequence, Tuple
+from itertools import compress, count
+from operator import eq, not_
+from typing import Collection, List, NamedTuple, Sequence, Tuple
 
 from . import words
 from .errors import NotInDomain
@@ -88,10 +93,8 @@ def memoized_maps():
     return _memoized(_chi), _memoized(_psi)
 
 
-def _chi(letters, image=None):
-    """chi on a letter tuple, recursing through ``image`` (plain recursion
-    by default)."""
-    image = image or _chi
+def _chi(letters, image):
+    """chi on a letter tuple, recursing through ``image``."""
     if not letters:
         return (0,)
     block, rem = _split(letters)
@@ -110,13 +113,11 @@ def chi(w) -> CatalanWord:
     word = w if isinstance(w, CatalanWord) else CatalanWord(w)
     if not avoids(word.letters, WordClass.AVOID_GEQ_GEQ):
         raise NotInDomain(f"{word} contains a weakly decreasing triple")
-    return CatalanWord(_chi(word.letters))
+    return CatalanWord(_memoized(_chi)(word.letters))
 
 
-def _psi(letters, image=None):
-    """psi on a letter tuple, recursing through ``image`` (plain recursion
-    by default)."""
-    image = image or _psi
+def _psi(letters, image):
+    """psi on a letter tuple, recursing through ``image``."""
     if not letters:
         return ()
     block, rem = _split(letters)
@@ -131,7 +132,7 @@ def psi(w) -> CatalanWord:
     word = w if isinstance(w, CatalanWord) else CatalanWord(w)
     if not avoids(word.letters, WordClass.CLASS_B):
         raise NotInDomain(f"{word} is not in the strictly-rising-tail class")
-    return CatalanWord(_psi(word.letters))
+    return CatalanWord(_memoized(_psi)(word.letters))
 
 
 class BijectionReport:
@@ -157,7 +158,7 @@ class BijectionReport:
         )
 
 
-def verify_bijectivity(n: int, limit: int = 16) -> BijectionReport:
+def verify_bijectivity(n: int, limit: int = words.DEFAULT_ENUM_LIMIT) -> BijectionReport:
     """Exhaustively check both bijections at length n.
 
     chi must map the avoiding words injectively onto the unequal-adjacent
@@ -169,13 +170,17 @@ def verify_bijectivity(n: int, limit: int = 16) -> BijectionReport:
     def letters(length, word_class, top):
         return [w.letters for w in enumerate_words(length, word_class, top)]
 
+    avoiding = letters(n, WordClass.AVOID_GEQ_GEQ, limit)
+    rising_tail = letters(n, WordClass.CLASS_B, limit)
     return bijectivity_report(
         n,
-        letters(n, WordClass.AVOID_GEQ_GEQ, limit),
-        letters(n, WordClass.CLASS_B, limit),
+        avoiding,
+        rising_tail,
         set(letters(n, WordClass.AVOID_NEQ_ADJACENT, limit)),
         set(letters(n + 1, WordClass.AVOID_NEQ_ADJACENT, limit + 1)),
-        stat_record,
+        # the empty word has no statistics
+        list(map(stat_record, filter(None, avoiding))),
+        list(map(stat_record, filter(None, rising_tail))),
     )
 
 
@@ -185,7 +190,8 @@ def bijectivity_report(
     rising_tail: Sequence[Tuple[int, ...]],
     unequal: Collection[Tuple[int, ...]],
     unequal_next: Collection[Tuple[int, ...]],
-    record: Callable[[Tuple[int, ...]], StatRecord],
+    avoiding_records: Sequence[StatRecord],
+    rising_tail_records: Sequence[StatRecord],
     maps=None,
 ) -> BijectionReport:
     """The check of ``verify_bijectivity`` on words given as letter tuples.
@@ -194,17 +200,22 @@ def bijectivity_report(
     class, taken as members without validating them again.  ``unequal``
     and ``unequal_next`` hold every unequal-adjacent word of length n and
     n+1: an image is valid exactly when it lies in the set of its length,
-    which also rules out non-Catalan images.  ``record`` gives a domain
-    word's statistics; an image's are computed by ``words.stat_sper``,
-    ``stat_area`` and ``stat_inter``, only those the check reads.  Sub-words
-    repeat heavily across a domain and across lengths, so both recursions
-    are memoized: ``maps`` is a (chi, psi) pair from ``memoized_maps``,
-    which a caller may share across lengths, and a fresh pair for this
-    call by default.  Every domain word's image is still checked.
+    which also rules out non-Catalan images.  ``avoiding_records`` and
+    ``rising_tail_records`` are the statistics of the two domains, in the
+    same order, and empty at n = 0, where no statistic is checked; an
+    image's are computed by ``words.stat_sper``, ``stat_area`` and
+    ``stat_inter``, only those the check reads.  Sub-words repeat heavily
+    across a domain and across lengths, so both recursions are memoized:
+    ``maps`` is a (chi, psi) pair from ``memoized_maps``, which a caller
+    may share across lengths, and a fresh pair for this call by default.
+    Every domain word's image is still checked.
 
-    Each bijection is checked a whole domain at a time: its images and
-    their statistics as lists, compared with the domain's.  Only a domain
-    that fails is walked word by word, to list every violation in order.
+    Each law is evaluated once, as one list of flags over its domain: chi
+    maps to images not seen before, in the codomain, with semiperimeter
+    + 2; psi to images not seen before, unequal-adjacent, of length n,
+    keeping area and interior points.  The violations are read off the
+    same lists, in word order and, within a word, in law order; chi's
+    count of images against its codomain comes after its words.
     """
     report = BijectionReport(n)
     report.chi_domain = len(avoiding)
@@ -212,78 +223,58 @@ def bijectivity_report(
     report.psi_domain = len(rising_tail)
     chi_of, psi_of = maps or memoized_maps()
     sper, area, inter = words.stat_sper, words.stat_area, words.stat_inter
+    out, text = report.violations, _word_text
 
     images = list(map(chi_of, avoiding))
-    if not (
-        len(set(images)) == len(images) == len(unequal_next)
-        and all(map(unequal_next.__contains__, images))
-        and (n < 1 or list(map(sper, images)) == [record(w).sper + 2 for w in avoiding])
-    ):
-        _chi_violations(report, avoiding, images, unequal_next, record, sper)
+    fresh = _first_seen(images)
+    inside = list(map(unequal_next.__contains__, images))
+    shifted = [sper(img) == rec.sper + 2 for rec, img in zip(avoiding_records, images)]
+    for i, law in _broken(fresh, inside, shifted):
+        w, img = text(avoiding[i]), text(images[i])
+        if law == 0:
+            out.append(f"chi collision at {w} -> {img}")
+        elif law == 1:
+            out.append(f"chi({w}) = {img} not unequal-adjacent of length {n + 1}")
+        else:
+            out.append(f"chi({w}) semiperimeter {sper(images[i])} != {avoiding_records[i].sper} + 2")
+    distinct = sum(fresh)
+    if distinct != len(unequal_next):
+        out.append(f"chi image size {distinct} != codomain size {len(unequal_next)}")
 
     images = list(map(psi_of, rising_tail))
-    if not (
-        len(set(images)) == len(images)
-        and all(map(unequal.__contains__, images))
-        and set(map(len, images)) <= {n}
-        and (n < 1 or _preserved(images, list(map(record, rising_tail)), area, inter))
-    ):
-        _psi_violations(report, rising_tail, images, unequal, record, area, inter)
+    fresh = _first_seen(images)
+    inside = list(map(unequal.__contains__, images))
+    same_length = list(map(n.__eq__, map(len, images)))
+    kept = [
+        area(img) == rec.area and inter(img) == rec.inter
+        for rec, img in zip(rising_tail_records, images)
+    ]
+    for i, law in _broken(fresh, inside, same_length, kept):
+        w, img = text(rising_tail[i]), text(images[i])
+        if law == 0:
+            out.append(f"psi collision at {w} -> {img}")
+        elif law == 1:  # an image of another length is named by the next law
+            if any(map(eq, images[i], images[i][1:])):
+                out.append(f"psi({w}) = {img} has equal adjacent letters")
+            elif len(images[i]) == n:
+                out.append(f"psi({w}) = {img} is not a Catalan word")
+        elif law == 2:
+            out.append(f"psi({w}) changed length")
+        else:
+            out.append(f"psi({w}) = {img} does not preserve area/interior")
     return report
 
 
-def _preserved(images, before, area, inter):
-    """Whether every image keeps the area and interior points of its word."""
-    return (
-        list(map(area, images)) == [rec.area for rec in before]
-        and list(map(inter, images)) == [rec.inter for rec in before]
+def _first_seen(images):
+    """Flags over ``images``: whether each is the first of its value."""
+    first = dict(zip(reversed(images), range(len(images) - 1, -1, -1)))
+    return list(map(eq, map(first.__getitem__, images), range(len(images))))
+
+
+def _broken(*laws):
+    """The (word, law) index pairs of every flag down in ``laws``, lists of
+    flags over one domain, in word order and then law order."""
+    return sorted(
+        (i, k) for k, flags in enumerate(laws) if not all(flags)
+        for i in compress(count(), map(not_, flags))
     )
-
-
-def _chi_violations(report, avoiding, images, unequal_next, record, sper):
-    """Append every violation of chi, word by word, to ``report``."""
-    n, text = report.length, _word_text
-    seen = set()
-    for w, img in zip(avoiding, images):
-        if img in seen:
-            report.violations.append(f"chi collision at {text(w)} -> {text(img)}")
-        seen.add(img)
-        if img not in unequal_next:
-            report.violations.append(
-                f"chi({text(w)}) = {text(img)} not unequal-adjacent of length {n + 1}"
-            )
-        if n >= 1:
-            before, after = record(w).sper, sper(img)
-            if after != before + 2:
-                report.violations.append(
-                    f"chi({text(w)}) semiperimeter {after} != {before} + 2"
-                )
-    if len(seen) != len(unequal_next):
-        report.violations.append(
-            f"chi image size {len(seen)} != codomain size {len(unequal_next)}"
-        )
-
-
-def _psi_violations(report, rising_tail, images, unequal, record, area, inter):
-    """Append every violation of psi, word by word, to ``report``."""
-    n, text = report.length, _word_text
-    seen = set()
-    for w, img in zip(rising_tail, images):
-        if img in seen:
-            report.violations.append(f"psi collision at {text(w)} -> {text(img)}")
-        seen.add(img)
-        if img not in unequal:
-            if any(a == b for a, b in zip(img, img[1:])):
-                report.violations.append(
-                    f"psi({text(w)}) = {text(img)} has equal adjacent letters"
-                )
-            elif len(img) == n:
-                report.violations.append(f"psi({text(w)}) = {text(img)} is not a Catalan word")
-        if len(img) != n:
-            report.violations.append(f"psi({text(w)}) changed length")
-        if n >= 1:
-            before = record(w)
-            if area(img) != before.area or inter(img) != before.inter:
-                report.violations.append(
-                    f"psi({text(w)}) = {text(img)} does not preserve area/interior"
-                )

@@ -14,9 +14,9 @@ from .errors import CatpolyError, NotCatalan, NotInDomain, ResourceLimit
 from .verify import run_verify
 from .words import CatalanWord, WordClass
 
-#: Default guard rails; every one can be raised via --limit at the
+#: Default guard rail of ``table`` (``enumerate``'s is
+#: ``words.DEFAULT_ENUM_LIMIT``); both can be raised via --limit at the
 #: documented cost of memory and time.
-ENUM_LIMIT = 16
 TABLE_LIMIT = tables.DEFAULT_TABLE_LIMIT
 
 _GF_BUILDERS = {
@@ -124,8 +124,7 @@ def _cmd_table(args):
     if name == "c":
         table = tables.table_c(args.max_n)
     else:
-        stat = {"s": "sper", "u": "area", "p": "inter"}[name]
-        table = tables.table_stat(args.max_n, stat, args.limit)
+        table = tables.table_stat(args.max_n, tables.STAT_OF[name], args.limit)
     if args.format == "json":
         obj = {
             "which": name,
@@ -248,7 +247,7 @@ def build_parser():
     p.add_argument("--class", dest="word_class", default="geqgeq",
                    choices=[c.value for c in WordClass])
     p.add_argument("--format", default="text", choices=["text", "json", "csv"])
-    p.add_argument("--limit", type=int, default=ENUM_LIMIT,
+    p.add_argument("--limit", type=int, default=words.DEFAULT_ENUM_LIMIT,
                    help="enumeration size guard (memory/time grows fast)")
     p.set_defaults(func=_cmd_enumerate)
 

@@ -16,6 +16,7 @@ from typing import Iterable, List, Mapping, NamedTuple, Optional, Tuple
 from .closedforms import motzkin
 from .errors import ResourceLimit
 from .words import (
+    DEFAULT_ENUM_LIMIT,
     INCREMENTS,
     WordClass,
     enumerate_words,
@@ -31,6 +32,9 @@ from .words import (
 DEFAULT_TABLE_LIMIT = 300
 
 STATS = ("sper", "area", "inter")
+
+#: The letter of each total and table -> the ``StatRecord`` field it sums
+STAT_OF = {"h": "last", "s": "sper", "u": "area", "p": "inter"}
 
 
 class TriTable(NamedTuple):
@@ -101,7 +105,7 @@ def tabulate_by_last(name: str, first_index: int, rows: Iterable[Iterable[Tuple[
     return TriTable(name, first_index, out)
 
 
-def table_c_enumerated(max_n: int, limit: int = 16) -> TriTable:
+def table_c_enumerated(max_n: int, limit: int = DEFAULT_ENUM_LIMIT) -> TriTable:
     """Oracle twin of table_c built by full enumeration."""
     return tabulate_by_last("c", 0, (
         ((w[-1], 1) for w in enumerate_words(n, WordClass.AVOID_GEQ_GEQ, limit))
@@ -134,7 +138,7 @@ def table_stat(max_n: int, stat: str, limit: int = DEFAULT_TABLE_LIMIT) -> TriTa
     return TriTable(stat, 1, [[(a + b) >> width for a, b in zip(u, f)] for u, f in states])
 
 
-def table_stat_enumerated(max_n: int, stat: str, limit: int = 16) -> TriTable:
+def table_stat_enumerated(max_n: int, stat: str, limit: int = DEFAULT_ENUM_LIMIT) -> TriTable:
     """Oracle twin of table_stat built by full enumeration."""
     fn = {"sper": stat_sper, "area": stat_area, "inter": stat_inter}[stat]
     return tabulate_by_last(stat, 1, (
@@ -161,8 +165,8 @@ def totals(max_n: int, built: Optional[Mapping[str, TriTable]] = None) -> Totals
     if built is None:
         built = {"c": table_c(max_n), **{stat: table_stat(max_n, stat) for stat in STATS}}
     h = [0] + [sum(k * v for k, v in enumerate(row)) for row in built["c"].rows[:max_n]]
-    out = {stat: [0] + built[stat].row_sums()[:max_n] for stat in STATS}
-    return Totals(h=h, s=out["sper"], u=out["area"], p=out["inter"])
+    sums = {key: [0] + built[stat].row_sums()[:max_n] for key, stat in STAT_OF.items() if stat in STATS}
+    return Totals(h=h, **sums)
 
 
 # -- verbatim evaluation of the published recurrences ---------------------------
@@ -260,7 +264,7 @@ def check_recurrences(
     """
     if which not in RECURRENCES:
         raise ValueError(f"unknown recurrence {which!r}")
-    stat = {"s": "sper", "u": "area", "p": "inter"}[which[0]]
+    stat = STAT_OF[which[0]]
     if built is None:
         built = {"c": table_c(max_n), stat: table_stat(max_n, stat)}
     C, T = built["c"].entry, built[stat].entry

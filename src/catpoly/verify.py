@@ -13,12 +13,12 @@ check that needs a lower order reads its leading coefficients.  The word
 census holds each (length, class) of one ``enumerate_words`` call as
 letter tuples, and the ``StatRecord``s of one length come from one map
 over each statistic's formula.  The census is checked a whole length at a
-time: the grid oracles, the Dyck roundtrip and the bijections' images
-are computed as lists and compared with the formulas' lists, histograms
-are counted by statistic value, and only a length whose lists differ is
-walked word by word, to name its first failing word.  The bijection check
-memoizes each bijection once for all lengths.  The statistic tables are
-built once, at the largest n any check reads.  Nothing outlives the run.
+time, each law once: the grid oracles and the Dyck roundtrip as one list
+compared with the formulas' or the words', each bijection law as one list
+of flags, and histograms counted by statistic value.  A failure is named
+from the lists that were compared.  The bijection check memoizes each
+bijection once for all lengths.  The statistic tables are built once, at
+the largest n any check reads.  Nothing outlives the run.
 
 The run builds the whole census and the tables first, then forks once.
 The child runs ``CHILD_CHECKS``: the checks of the words, the bijections,
@@ -46,8 +46,8 @@ import os
 import threading
 from collections import Counter
 from functools import partial
-from itertools import repeat
-from operator import attrgetter, itemgetter
+from itertools import compress, count, repeat
+from operator import attrgetter, itemgetter, ne
 from time import perf_counter
 from typing import Callable, List, NamedTuple, Tuple
 
@@ -120,7 +120,7 @@ class _Context:
     from one ``enumerate_words`` call.  The ``StatRecord``s of the avoiding
     words of one length are built together, by one map over each
     statistic's formula; the rising-tail words are avoiding words, so
-    theirs are looked up.  ``record`` answers for any census word.
+    theirs are looked up.
     ``build_census`` builds the whole census and the run's tables before
     any check runs, so that both processes of a split run read them.
     """
@@ -187,12 +187,6 @@ class _Context:
             ),
         )
 
-    def record(self, letters):
-        """The ``StatRecord`` of an avoiding word of the census."""
-        if letters not in self._records:
-            self.records_of(len(letters))
-        return self._records[letters]
-
     def records_of(self, n, cls=WordClass.AVOID_GEQ_GEQ):
         """Statistics of ``words_of(n, cls)``, in the same order."""
         return self.get(("records", n, cls), lambda: self._build_records(n, cls))
@@ -214,6 +208,20 @@ class _Context:
 def _leading(s, order):
     """The series s cut to its coefficients below x^order."""
     return s if s.order == order else Series(order, s.coeffs[:order])
+
+
+def _first_difference(xs, ys):
+    """The first index where two lists of equal length differ, or None."""
+    return next(compress(count(), map(ne, xs, ys)), None)
+
+
+def _dyck_letters(path):
+    """The letters ``words.from_dyck`` reads off the path; None if it
+    refuses the path."""
+    try:
+        return words.from_dyck(path).letters
+    except ValueError:
+        return None
 
 
 def _q_histogram(records, stat):
@@ -373,36 +381,29 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         if (rec.area, rec.sper, rec.inter) != (34, 22, 13):
             return "fail", f"flagship statistics {rec}"
         for n in range(1, max_n + 1):
-            ws, recs = ctx.words_of(n), ctx.records_of(n)
+            ws = ctx.words_of(n)
             oracles = list(map(words.grid_oracles, ws))
-            if oracles == list(map(attrgetter("sper", "inter"), recs)):
-                continue
-            for w, rec, (sper, inter) in zip(ws, recs, oracles):
-                if rec.sper != sper:
-                    return "fail", f"sper mismatch at {_word_text(w)}"
-                if rec.inter != inter:
-                    return "fail", f"inter mismatch at {_word_text(w)}"
+            formulas = list(map(attrgetter("sper", "inter"), ctx.records_of(n)))
+            i = _first_difference(oracles, formulas)
+            if i is not None:
+                label = "sper" if oracles[i][0] != formulas[i][0] else "inter"
+                return "fail", f"{label} mismatch at {_word_text(ws[i])}"
         return "pass", f"formulas agree with geometric oracles for all n <= {max_n}"
 
     def dyck_roundtrip():
         if max_n < 1:
             return "skipped", "needs max_n >= 1"
+        # the roundtrip is the one law: a left inverse makes to_dyck
+        # injective, and a path from_dyck reads n letters off has 2n steps;
+        # the length and an earlier equal path only label the word found
         for n in range(1, max_n + 1):
             ws = ctx.words_of(n)
             paths = list(map(words.to_dyck, ws))
-            if len(set(paths)) == len(paths) and set(map(len, paths)) == {2 * n}:
-                try:
-                    if [w.letters for w in map(words.from_dyck, paths)] == ws:
-                        continue
-                except ValueError:  # a path from_dyck refuses: found below
-                    pass
-            seen = set()
-            for w, path in zip(ws, paths):
-                if len(path) != 2 * n or path in seen:
-                    return "fail", f"bad path for {_word_text(w)}"
-                seen.add(path)
-                if words.from_dyck(path).letters != w:
-                    return "fail", f"roundtrip failed for {_word_text(w)}"
+            i = _first_difference(list(map(_dyck_letters, paths)), ws)
+            if i is not None:
+                path = paths[i]
+                bad = len(path) != 2 * n or path in paths[:i]
+                return "fail", f"{'bad path' if bad else 'roundtrip failed'} for {_word_text(ws[i])}"
         return "pass", f"Dyck conversion is injective and invertible for n <= {max_n}"
 
     def base_series():
@@ -431,14 +432,13 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
                     if ser.coeff(n).as_scalar() != closedforms.closed_total(key, n):
                         return "fail", f"{key}({n}) series != closed form"
             dp = tables.totals(top, ctx.run_tables())
-            for key, seq in (("h", dp.h), ("s", dp.s), ("u", dp.u), ("p", dp.p)):
+            for key, seq in dp._asdict().items():
                 for n in range(1, top + 1):
                     if seq[n] != closedforms.closed_total(key, n):
                         return "fail", f"{key}({n}) DP != closed form"
-        stat_fields = {"h": "last", "s": "sper", "u": "area", "p": "inter"}
         for n in range(1, enum_top + 1):
             records = ctx.records_of(n)
-            for key, stat in stat_fields.items():
+            for key, stat in tables.STAT_OF.items():
                 if sum(map(attrgetter(stat), records)) != closedforms.closed_total(key, n):
                     return "fail", f"{key}({n}) enumeration != closed form"
         halves = f"series/DP to n <= {top}" if series_top else "series/DP skipped, needs max_order >= 2"
@@ -617,7 +617,7 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
             "area": [[1], [2, 3], [4, 9, 6], [12, 20, 24, 10], [35, 55, 63, 50, 15]],
             "inter": [[0], [0, 0], [0, 1, 1], [1, 3, 6, 3], [6, 11, 18, 18, 6]],
         }
-        closed = {"sper": "s", "area": "u", "inter": "p"}
+        closed = {stat: key for key, stat in tables.STAT_OF.items()}
         for stat in tables.STATS:
             t = ctx.run_tables()[stat]
             oracle = tables.tabulate_by_last(stat, 1, (
@@ -659,7 +659,9 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
                 ctx.words_of(n, WordClass.CLASS_B),
                 ctx.unequal_adjacent(n),
                 ctx.unequal_adjacent(n + 1),
-                ctx.record,
+                # the empty word has no statistics
+                ctx.records_of(n) if n else [],
+                ctx.records_of(n, WordClass.CLASS_B) if n else [],
                 maps,
             )
             if not rep.ok:

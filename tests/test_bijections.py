@@ -2,11 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catpoly import gfs
+from catpoly import bijections, gfs
 from catpoly.bijections import (
     FirstReturnDecomp,
-    _chi,
-    _psi,
     bijectivity_report,
     chi,
     decompose,
@@ -170,17 +168,60 @@ def test_bijectivity_report_rejects_a_short_codomain():
     # the count of images against the codomain
     codomain = set(letters(5, WordClass.AVOID_NEQ_ADJACENT))
     codomain.discard(chi(W("0123")).letters)
+    avoiding, rising_tail = letters(4, WordClass.AVOID_GEQ_GEQ), letters(4, WordClass.CLASS_B)
     rep = bijectivity_report(
         4,
-        letters(4, WordClass.AVOID_GEQ_GEQ),
-        letters(4, WordClass.CLASS_B),
+        avoiding,
+        rising_tail,
         set(letters(4, WordClass.AVOID_NEQ_ADJACENT)),
         codomain,
-        stat_record,
+        list(map(stat_record, avoiding)),
+        list(map(stat_record, rising_tail)),
     )
     assert rep.violations == [
         f"chi(0123) = {chi(W('0123'))} not unequal-adjacent of length 5",
         "chi image size 9 != codomain size 8",
+    ]
+
+
+def patch_rule(monkeypatch, name, target, image):
+    """Patch the rule ``name`` to send the word ``target`` to ``image``."""
+    real = getattr(bijections, name)
+    monkeypatch.setattr(
+        bijections, name, lambda letters, rec: image if letters == target else real(letters, rec),
+    )
+
+
+def test_psi_image_of_the_wrong_length(monkeypatch):
+    # 01012 is one letter too long: no unequal-adjacent word of length 4,
+    # yet it has no equal adjacent letters, so only its length is named
+    patch_rule(monkeypatch, "_psi", (0, 0, 1, 2), (0, 1, 0, 1, 2))
+    assert verify_bijectivity(4).violations == [
+        "psi(0012) changed length",
+        "psi(0012) = 01012 does not preserve area/interior",
+    ]
+
+
+def test_psi_collision_with_a_later_word(monkeypatch):
+    # 0012 takes the image of 0123, the last rising-tail word of length 4:
+    # the area fault is named at 0012, the collision at 0123
+    image = psi(W("0123")).letters
+    patch_rule(monkeypatch, "_psi", (0, 0, 1, 2), image)
+    assert verify_bijectivity(4).violations == [
+        "psi(0012) = 0123 does not preserve area/interior",
+        "psi collision at 0123 -> 0123",
+    ]
+
+
+def test_chi_collision_that_also_breaks_the_semiperimeter(monkeypatch):
+    # 0123 (semiperimeter 8) takes the image of 0010 (semiperimeter 6):
+    # one word, two laws in law order, then the codomain count
+    image = chi(W("0010")).letters
+    patch_rule(monkeypatch, "_chi", (0, 1, 2, 3), image)
+    assert verify_bijectivity(4).violations == [
+        "chi collision at 0123 -> 01010",
+        "chi(0123) semiperimeter 8 != 8 + 2",
+        "chi image size 8 != codomain size 9",
     ]
 
 
@@ -226,13 +267,13 @@ def test_psi_laws_on_random_words(w):
     assert stat_inter(img) == stat_inter(w)
 
 
-def test_memoized_images_equal_the_plain_recursion():
+def test_shared_memoized_images_equal_fresh_ones():
     # one memo per bijection across all lengths, as verify's bijection
     # check shares one pair over every length, so later words reuse the
-    # sub-word images of earlier ones
+    # sub-word images of earlier ones; a fresh pair per word shares none
     chi_of, psi_of = memoized_maps()
-    for n in range(11):
+    for n in range(9):
         for w in enumerate_words(n, WordClass.AVOID_GEQ_GEQ):
-            assert chi_of(w.letters) == _chi(w.letters), w
+            assert chi_of(w.letters) == memoized_maps()[0](w.letters), w
         for w in enumerate_words(n, WordClass.CLASS_B):
-            assert psi_of(w.letters) == _psi(w.letters), w
+            assert psi_of(w.letters) == memoized_maps()[1](w.letters), w

@@ -295,7 +295,7 @@ def test_image_semiperimeter_is_computed_by_the_formula(monkeypatch):
     # chi(0123456789) = 0..10 is longer than every census word, so only
     # the image side of the bijection check reads its semiperimeter
     domain, image = tuple(range(10)), tuple(range(11))
-    assert bijections._chi(domain) == image
+    assert bijections.memoized_maps()[0](domain) == image
     monkeypatch.setattr(words, "stat_sper", off_by_one_on(words.stat_sper, image))
     assert bijection_check_at_max_n_10() == (
         "fail", "n=10: chi(0123456789) semiperimeter 23 != 20 + 2",
@@ -306,7 +306,7 @@ def test_image_area_is_computed_by_the_formula(monkeypatch):
     # psi(0123455667) = 0123456765 holds the falls 7, 6, 5, so it is no
     # census word and only the image side of the bijection check reads it
     image = (0, 1, 2, 3, 4, 5, 6, 7, 6, 5)
-    assert bijections._psi((0, 1, 2, 3, 4, 5, 5, 6, 6, 7)) == image
+    assert bijections.memoized_maps()[1]((0, 1, 2, 3, 4, 5, 5, 6, 6, 7)) == image
     monkeypatch.setattr(words, "stat_area", off_by_one_on(words.stat_area, image))
     assert bijection_check_at_max_n_10() == (
         "fail", "n=10: psi(0123455667) = 0123456765 does not preserve area/interior",
@@ -371,7 +371,7 @@ def test_chi_collision(monkeypatch):
         return real((0, 0, 1, 0) if letters == (0, 1, 2, 3) else letters, image)
 
     monkeypatch.setattr(bijections, "_chi", colliding)
-    image = "".join(map(str, real((0, 0, 1, 0))))
+    image = "".join(map(str, bijections.memoized_maps()[0]((0, 0, 1, 0))))
     c = run_checks()["bijection_checks"]
     assert (c.status, c.detail) == ("fail", f"n=4: chi collision at 0123 -> {image}")
 
