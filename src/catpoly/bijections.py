@@ -16,12 +16,13 @@ evaluated once per length, as one list of flags over the domain, and
 every violation is read off that list.
 """
 
+import sys
 from itertools import compress, count
 from operator import eq, not_
 from typing import Collection, List, NamedTuple, Sequence, Tuple
 
 from . import words
-from .errors import NotInDomain
+from .errors import NotInDomain, ResourceLimit
 from .words import (
     CatalanWord,
     StatRecord,
@@ -108,12 +109,28 @@ def _chi(letters, image):
     return (0,) + _raised(image(_lowered(block[:-1]))) + image(rem)
 
 
+def _image(name, rule, word):
+    """``rule`` applied to ``word`` through a fresh memo, as a word.
+
+    The recursion goes one level per letter on 0123..., two frames a
+    level; a word too deep for the interpreter's recursion limit is a
+    resource limit, not a crash.
+    """
+    try:
+        return CatalanWord(_memoized(rule)(word.letters))
+    except RecursionError:
+        raise ResourceLimit(
+            f"{name} of a word of length {len(word)} recurses past "
+            f"the interpreter's recursion limit {sys.getrecursionlimit()}"
+        ) from None
+
+
 def chi(w) -> CatalanWord:
     """Map an avoiding word to an unequal-adjacent word one letter longer."""
     word = w if isinstance(w, CatalanWord) else CatalanWord(w)
     if not avoids(word.letters, WordClass.AVOID_GEQ_GEQ):
         raise NotInDomain(f"{word} contains a weakly decreasing triple")
-    return CatalanWord(_memoized(_chi)(word.letters))
+    return _image("chi", _chi, word)
 
 
 def _psi(letters, image):
@@ -132,7 +149,7 @@ def psi(w) -> CatalanWord:
     word = w if isinstance(w, CatalanWord) else CatalanWord(w)
     if not avoids(word.letters, WordClass.CLASS_B):
         raise NotInDomain(f"{word} is not in the strictly-rising-tail class")
-    return CatalanWord(_memoized(_psi)(word.letters))
+    return _image("psi", _psi, word)
 
 
 class BijectionReport:

@@ -5,37 +5,32 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 Big integers are serialized as decimal strings in JSON output.
 """
 
-import argparse
 import sys
 
-from . import bijections, gfs, tables, words
-from .backend import MAXCAP
+from . import words
 from .errors import CatpolyError, NotCatalan, NotInDomain, ResourceLimit
-from .verify import run_verify
 from .words import CatalanWord, WordClass
 
-#: Default guard rail of ``table`` (``enumerate``'s is
-#: ``words.DEFAULT_ENUM_LIMIT``); both can be raised via --limit at the
-#: documented cost of memory and time.
-TABLE_LIMIT = tables.DEFAULT_TABLE_LIMIT
+# Each command imports the modules it runs, so ``enumerate`` or ``stats``
+# never loads the series, table or verify code.
 
 _GF_BUILDERS = {
-    # name -> (constructor, first structural index, default order limit):
-    # the largest round order whose ``catpoly gf`` process took under 1 s
-    # (2 cores, Python 3.11); 1000 is the last within the key fields
-    "M": (gfs.gf_motzkin, 0, 1000),
-    "T": (gfs.gf_trinomial, 0, 1000),
-    "S": (gfs.cf_S, 1, 200),
-    "Clast": (gfs.cf_C_last, 1, 300),
-    "Cpv": (gfs.cf_C_sper_v, 1, 60),
-    "B": (gfs.sum_B, 1, 100),
-    "H": (gfs.sum_H, 1, 100),
-    "area": (gfs.prod_area, 1, 100),
-    "inter": (gfs.prod_interior, 1, 100),
-    "h": (gfs.gf_h, 1, 1000),
-    "s": (gfs.gf_s, 1, 1000),
-    "u": (gfs.gf_u, 1, 1000),
-    "p": (gfs.gf_p, 1, 1000),
+    # name -> (constructor in ``gfs``, first structural index, default order
+    # limit): the largest round order whose ``catpoly gf`` process took
+    # under 1 s (2 cores, Python 3.11); 1000 is the last within the key fields
+    "M": ("gf_motzkin", 0, 1000),
+    "T": ("gf_trinomial", 0, 1000),
+    "S": ("cf_S", 1, 200),
+    "Clast": ("cf_C_last", 1, 300),
+    "Cpv": ("cf_C_sper_v", 1, 60),
+    "B": ("sum_B", 1, 100),
+    "H": ("sum_H", 1, 100),
+    "area": ("prod_area", 1, 100),
+    "inter": ("prod_interior", 1, 100),
+    "h": ("gf_h", 1, 1000),
+    "s": ("gf_s", 1, 1000),
+    "u": ("gf_u", 1, 1000),
+    "p": ("gf_p", 1, 1000),
 }
 
 
@@ -116,15 +111,18 @@ def _cmd_render(args):
 
 
 def _cmd_table(args):
+    from . import tables
+
     name = args.which
+    limit = tables.DEFAULT_TABLE_LIMIT if args.limit is None else args.limit
     _require_at_least(args.max_n, 1, "--max-n")
-    _require_at_least(args.limit, 0, "--limit")
-    if args.max_n > args.limit:
-        raise ResourceLimit(f"table size {args.max_n} exceeds limit {args.limit}")
+    _require_at_least(limit, 0, "--limit")
+    if args.max_n > limit:
+        raise ResourceLimit(f"table size {args.max_n} exceeds limit {limit}")
     if name == "c":
         table = tables.table_c(args.max_n)
     else:
-        table = tables.table_stat(args.max_n, tables.STAT_OF[name], args.limit)
+        table = tables.table_stat(args.max_n, tables.STAT_OF[name], limit)
     if args.format == "json":
         obj = {
             "which": name,
@@ -161,6 +159,9 @@ def _parse_at(spec):
 
 
 def _cmd_gf(args):
+    from . import gfs
+    from .backend import MAXCAP
+
     builder, start, default = _GF_BUILDERS[args.which]
     limit = default if args.limit is None else args.limit
     _require_at_least(args.order, 1, "--order")
@@ -168,7 +169,7 @@ def _cmd_gf(args):
     if args.order > limit:
         raise ResourceLimit(f"series order {args.order} exceeds limit {limit}")
     try:
-        series = builder(args.order + start)
+        series = getattr(gfs, builder)(args.order + start)
     except ResourceLimit as exc:  # raised at the builder's padded order
         raise ResourceLimit(
             f"series order {args.order} needs exponents above the key field maximum {MAXCAP}"
@@ -193,6 +194,8 @@ def _cmd_gf(args):
 
 
 def _cmd_bijection(args):
+    from . import bijections
+
     w = CatalanWord.parse(args.word)
     fn = bijections.chi if args.which == "chi" else bijections.psi
     image = fn(w)
@@ -212,6 +215,8 @@ def _cmd_bijection(args):
 
 
 def _cmd_verify(args):
+    from .verify import run_verify
+
     report = run_verify(args.max_n, args.max_order)
     if args.format == "json":
         print(_dump({
@@ -235,6 +240,8 @@ def _cmd_verify(args):
 
 
 def build_parser():
+    import argparse  # only a command line pays for it, not ``import catpoly.cli``
+
     parser = argparse.ArgumentParser(
         prog="catpoly",
         description="Exact enumeration and generating functions for "
@@ -267,7 +274,7 @@ def build_parser():
     p.add_argument("--which", required=True, choices=["c", "s", "u", "p"])
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--format", default="text", choices=["text", "csv", "json"])
-    p.add_argument("--limit", type=int, default=TABLE_LIMIT,
+    p.add_argument("--limit", type=int, default=None,
                    help="largest --max-n; guards output size (3 MB of text at 300)")
     p.set_defaults(func=_cmd_table)
 

@@ -12,7 +12,7 @@ from catpoly.bijections import (
     psi,
     verify_bijectivity,
 )
-from catpoly.errors import NotInDomain
+from catpoly.errors import NotInDomain, ResourceLimit
 from catpoly.mpoly import MPoly
 from catpoly.words import (
     CatalanWord,
@@ -133,6 +133,27 @@ def test_psi_injective():
     for n in range(11):
         words = list(enumerate_words(n, WordClass.CLASS_B))
         assert len({psi(w) for w in words}) == len(words)
+
+
+# deep words -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fn", [chi, psi], ids=["chi", "psi"])
+def test_too_deep_a_word_is_a_resource_limit(fn):
+    # on 0123... both recurse one level per letter, two frames a level:
+    # 600 letters pass the default recursion limit of 1000
+    with pytest.raises(ResourceLimit, match="recursion limit"):
+        fn(CatalanWord(range(600)))
+
+
+def test_a_long_shallow_word_still_maps():
+    # 0101... recurses one level per block, half as deep
+    w = CatalanWord((0, 1) * 300)
+    image = chi(w)
+    assert len(image) == 601 and stat_sper(image) == stat_sper(w) + 2
+    image = psi(w)
+    assert len(image) == 600
+    assert (stat_area(image), stat_inter(image)) == (stat_area(w), stat_inter(w))
 
 
 def test_psi_area_histogram_matches_series():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from catpoly import cli, gfs, verify, words
+from catpoly import gfs, tables, verify, words
 from catpoly.cli import main
 from catpoly.mpoly import MPoly
 from catpoly.render import render_svg
@@ -195,7 +195,7 @@ def test_table_json_round_trips(capsys):
 
 
 def test_table_limit_exit3(capsys):
-    code, _, _ = run(capsys, "table", "--which", "s", "--max-n", str(cli.TABLE_LIMIT + 1))
+    code, _, _ = run(capsys, "table", "--which", "s", "--max-n", str(tables.DEFAULT_TABLE_LIMIT + 1))
     assert code == 3
 
 
@@ -338,6 +338,26 @@ def test_bijection_out_of_domain_exit2(capsys):
     code, _, err = run(capsys, "bijection", "--which", "psi", "--word", "00")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("which", ["chi", "psi"])
+def test_bijection_too_deep_a_word_exit3(capsys, which):
+    # 0,1,...,599 recurses past the interpreter's recursion limit
+    code, out, err = run(capsys, "bijection", "--which", which,
+                         "--word", ",".join(map(str, range(600))))
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: {which} of a word of length 600 recurses past "
+        f"the interpreter's recursion limit {sys.getrecursionlimit()}\n"
+    )
+
+
+@pytest.mark.parametrize("which", ["chi", "psi"])
+def test_bijection_long_shallow_word(capsys, which):
+    code, out, err = run(capsys, "bijection", "--which", which,
+                         "--word", ",".join("01" * 300))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == ("length: 600 -> 601" if which == "chi" else "length: 600 -> 600")
 
 
 # verify ---------------------------------------------------------------------------
@@ -498,6 +518,65 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# The modules a command does not run: none of them is imported.
+_SERIES = ("catpoly.gfs", "catpoly.series", "catpoly.mpoly")
+_COMMAND_MODULES = _SERIES + (
+    "catpoly.verify", "catpoly.tables", "catpoly.bijections", "catpoly.closedforms", "fractions",
+)
+_NOT_LOADED = {
+    "import catpoly": _COMMAND_MODULES + ("catpoly.words", "catpoly.cli"),
+    # the parser is built by main(), not by importing the module
+    "import catpoly.cli": _COMMAND_MODULES + ("argparse",),
+}
+_COMMANDS_NOT_LOADING = [
+    (("--help",), _COMMAND_MODULES),
+    (("enumerate", "--length", "5"), _COMMAND_MODULES),
+    (("stats", "--word", "0123"), _COMMAND_MODULES),
+    (("gf", "--which", "B", "--order", "4"),
+     ("catpoly.verify", "catpoly.tables", "catpoly.bijections")),
+    (("table", "--which", "s", "--max-n", "4"), _SERIES + ("catpoly.verify", "catpoly.bijections")),
+]
+
+_RUN_COMMAND = (
+    "import io, sys\n"
+    "from catpoly.cli import main\n"
+    "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+    "try:\n"
+    "    code = main(sys.argv[1:])\n"
+    "except SystemExit as exc:  # --help\n"
+    "    code = exc.code\n"
+    "sys.stdout = stdout\n"
+    "if code:\n"
+    "    sys.exit(code)\n"
+)
+
+
+def _loaded_modules(code, *argv):
+    """The module names loaded after running ``code`` in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code + "print(' '.join(sys.modules))", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("statement", sorted(_NOT_LOADED))
+def test_import_loads_no_command_module(statement):
+    loaded = _loaded_modules(f"import sys\n{statement}\n")
+    assert "catpoly" in loaded
+    assert loaded.isdisjoint(_NOT_LOADED[statement]), loaded & set(_NOT_LOADED[statement])
+
+
+@pytest.mark.parametrize("argv, absent", _COMMANDS_NOT_LOADING,
+                         ids=[argv[0].lstrip("-") for argv, _ in _COMMANDS_NOT_LOADING])
+def test_command_loads_only_what_it_runs(argv, absent):
+    loaded = _loaded_modules(_RUN_COMMAND, *argv)
+    assert "catpoly.cli" in loaded
+    assert loaded.isdisjoint(absent), loaded & set(absent)
 
 
 def test_text_verify_leaves_out_the_output_formats():
