@@ -1,7 +1,7 @@
 """The packed exponent key and the term-merge kernel.
 
 Sparse polynomials in the markers (p, q, v) are dicts mapping a packed
-exponent key to a nonzero coefficient (int or Fraction).  This module owns
+exponent key to a nonzero int coefficient.  This module owns
 the key layout: p, q and v each get a field of ``FIELD`` bits topped by one
 guard bit, 63 bits in all:
 

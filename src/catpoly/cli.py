@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 resource limit exceeded.  Data goes to stdout, diagnostics to stderr.
-Big integers are serialized as decimal strings in JSON output.
+Exit codes: 0 success, 1 verification failure (or a failed exactness
+guard), 2 usage or parse error, 3 resource limit exceeded, 141 (128 +
+SIGPIPE) when the reader of stdout closed it early, as ``head`` does.
+Data goes to stdout, diagnostics to stderr.  Big integers are serialized
+as decimal strings in JSON output.
 """
 
+import os
 import sys
 
 from . import words
@@ -308,7 +311,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # the last buffered output meets a closed pipe here
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at exit cannot fail
+        # again, and leave the signal handling alone: main also runs in-process
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -7,9 +7,10 @@ that a transcription slip fails loudly instead of corrupting output.
 """
 
 import math
+import sys
 from fractions import Fraction
 
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, ResourceLimit
 
 
 def _p_recursive(cache, name, n, lead, prev, prev2):
@@ -103,19 +104,31 @@ def p_closed(n: int) -> int:
 # -- diagnostics (floating point; no exactness claimed) ------------------------
 
 
+def _in_float_range(name, n, approx):
+    """approx(), or ResourceLimit when it passes the largest float: a power
+    that overflows raises, a product that does gives inf."""
+    try:
+        value = approx()
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise ResourceLimit(f"{name}({n}) exceeds the float range (at most {sys.float_info.max:.4g})")
+    return value
+
+
 def asym_h(n: int) -> float:
     """Leading-order approximation of h_closed(n)."""
-    return 2.0 * math.sqrt(3.0 / math.pi) * 3.0 ** (n + 1) / n**1.5
+    return _in_float_range("asym_h", n, lambda: 2.0 * math.sqrt(3.0 / math.pi) * 3.0 ** (n + 1) / n**1.5)
 
 
 def asym_s(n: int) -> float:
     """Leading-order approximation of s_closed(n)."""
-    return 2.5 * math.sqrt(3.0 / math.pi) * 3.0**n / math.sqrt(n)
+    return _in_float_range("asym_s", n, lambda: 2.5 * math.sqrt(3.0 / math.pi) * 3.0**n / math.sqrt(n))
 
 
 def asym_up(n: int) -> float:
     """Leading-order approximation of both u_closed(n) and p_closed(n)."""
-    return 3.0 ** (n + 1) / 2.0
+    return _in_float_range("asym_up", n, lambda: 3.0 ** (n + 1) / 2.0)
 
 
 def expected_last(n: int) -> Fraction:

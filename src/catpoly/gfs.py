@@ -35,38 +35,42 @@ from operator import lshift
 from . import backend, closedforms
 from .backend import pack
 from .errors import InternalInconsistency
-from .mpoly import Caps, MPoly, _norm
+from .mpoly import Caps, MPoly
 from .series import Series
 from .words import INCREMENTS, WordClass, increments, transfer
-
-_HALF = Fraction(1, 2)
 
 #: Delta = 1 - 2x - 3x^2 = (1 - 3x)(1 + x), as x-coefficients
 _DELTA = [1, -2, -3]
 
 #: The Motzkin and central trinomial series and those of the totals h, s,
-#: u, p, each c (P + Q sqrt(Delta)) / (x^k Delta^e), as (c, P, Q, k, e)
+#: u, p, each (P + Q sqrt(Delta)) / (c x^k Delta^e), as (c, P, Q, k, e)
 #: with P and Q given by their x-coefficients
 ALGEBRAIC_FORMS = {
-    "M": (_HALF, [1, -1], [-1], 2, 0),
+    "M": (2, [1, -1], [-1], 2, 0),
     "T": (1, [], [1], 0, 1),
-    "h": (_HALF, [1, -2, -3, 2, 2], [-1, 1, 2], 4, 0),
-    "s": (_HALF, [-3, 7, 7, -3], [3, -4, -5], 2, 1),
-    "u": (-_HALF, [1, -4, 0, 7, 2], [-1, 3, 1, -2], 4, 1),
-    "p": (-_HALF, [1, -4, -4, 17, 12, -10, -6], [-1, 3, 5, -8, -8], 4, 1),
+    "h": (2, [1, -2, -3, 2, 2], [-1, 1, 2], 4, 0),
+    "s": (2, [-3, 7, 7, -3], [3, -4, -5], 2, 1),
+    "u": (-2, [1, -4, 0, 7, 2], [-1, 3, 1, -2], 4, 1),
+    "p": (-2, [1, -4, -4, 17, 12, -10, -6], [-1, 3, 5, -8, -8], 4, 1),
 }
 
 
 def _algebraic_series(name, order):
     """The series ``ALGEBRAIC_FORMS[name]``, built at order + k so that the
-    division by x^k loses nothing; all but the square root runs packed."""
+    division by x^k loses nothing; all but the square root runs packed.
+    The division by c is exact, so a slip in the table fails loudly."""
     c, P, Q, k, e = ALGEBRAIC_FORMS[name]
     work = order + k
     root = Series.from_x_polynomial(work, _DELTA).sqrt()
     num = Series.from_x_polynomial(work, Q) * root + Series.from_x_polynomial(work, P)
     if e:
         num = num.div(Series.from_x_polynomial(work, _DELTA))
-    return num.divide_by_x_power(k).scale(c)
+    return num.divide_by_x_power(k).divide_coeffs_monomial(c)
+
+
+def _whole(r):
+    """A rational of a trinomial row, as an int when it is one."""
+    return r.numerator if r.denominator == 1 else r
 
 
 def trinomial_form(name):
@@ -83,12 +87,12 @@ def trinomial_form(name):
              for m in range(len(Q) + 2)]
     if len(R) > k + 1:
         raise InternalInconsistency(f"{name}: deg R = {len(R) - 1} > k, so T(n - 1) enters")
-    a = [_norm(2 * c * r) for r in reversed(R + [0] * (k + 1 - len(R)))]
+    a = [_whole(Fraction(2 * r, c)) for r in reversed(R + [0] * (k + 1 - len(R)))]
     # for e = 0, P / x^k is a polynomial: no 3^n or (-1)^n part
-    quarter = e * Fraction(c) / 2
-    b = _norm(quarter * sum(pj * Fraction(3) ** (k - j) for j, pj in enumerate(P)))
+    quarter = Fraction(e, 2 * c)
+    b = _whole(quarter * sum(pj * Fraction(3) ** (k - j) for j, pj in enumerate(P)))
     # by parity, since (-1) ** -1 is a float
-    d = _norm(quarter * sum(pj if (k - j) % 2 == 0 else -pj for j, pj in enumerate(P)))
+    d = _whole(quarter * sum(pj if (k - j) % 2 == 0 else -pj for j, pj in enumerate(P)))
     return a, b, d
 
 
@@ -320,23 +324,21 @@ def cf_S(order):
 
 
 def cf_C_sper_v(order):
-    """Length/semiperimeter/last-letter series in closed form."""
+    """Length/semiperimeter/last-letter series in closed form: its even
+    numerator, halved, over a divisor with the unit 1 - v as constant term."""
     p2 = MPoly.monomial(1, 2, 0, 0)
     p2v = MPoly.monomial(1, 2, 0, 1)
     p3v = MPoly.monomial(1, 3, 0, 1)
     num = Series.from_x_polynomial(
         order, [1, p2 - p2v.scale(2), p3v.scale(-2)]
     ) - _sqrt_sper_kernel(order)
-    one_minus_v = MPoly.scalar(1) - MPoly.monomial(1, 0, 0, 1)
-    den = Series.from_x_polynomial(
-        order,
-        [
-            one_minus_v.scale(2),
-            MPoly.monomial(-2, 2, 0, 1) + MPoly.monomial(2, 2, 0, 2),
-            MPoly.monomial(2, 3, 0, 2),
-        ],
-    )
-    return num.div(den)
+    # (1 - v) + (p^2 v^2 - p^2 v) x + p^3 v^2 x^2
+    den = Series.from_x_polynomial(order, [
+        MPoly.scalar(1) - MPoly.monomial(1, 0, 0, 1),
+        MPoly.monomial(1, 2, 0, 2) - p2v,
+        MPoly.monomial(1, 3, 0, 2),
+    ])
+    return num.divide_coeffs_monomial(2).div(den)
 
 
 def cf_C_last(order):

@@ -1,14 +1,16 @@
-"""Sparse polynomials in the three markers p, q, v over exact rationals.
+"""Sparse polynomials in the three markers p, q, v with integer coefficients.
 
 p marks the semiperimeter, q the area (or the interior points, depending
 on the series being built) and v the value of the last letter.  Terms are
 stored as a dict from a packed exponent key (see ``backend`` for the
-layout) to a nonzero int or Fraction coefficient, so equality is plain
-dict equality and the multiply kernel tests all three caps with one
-integer subtraction per product.
+layout) to a nonzero int coefficient, so equality is plain dict equality
+and the multiply kernel tests all three caps with one integer subtraction
+per product.  Every coefficient counts polyominoes, so the entry points
+refuse anything but an int (TypeError), and every division is exact or
+raises: a remainder is a transcription slip, not a rational.
 """
 
-from fractions import Fraction
+from operator import index
 from typing import NamedTuple
 
 from . import backend
@@ -66,14 +68,8 @@ def _check_field(a, b):
             raise ResourceLimit(f"{var}-degree {da + db} exceeds the key field maximum {MAXCAP}")
 
 
-def _norm(c):
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 def _cleaned(d):
-    return {k: _norm(c) for k, c in d.items() if c != 0}
+    return {k: c for k, c in d.items() if c}
 
 
 def _merged(out, pairs):
@@ -86,7 +82,7 @@ def _merged(out, pairs):
         if s == 0:
             out.pop(k, None)
         else:
-            out[k] = _norm(s)
+            out[k] = s
     return MPoly._raw(out)
 
 
@@ -96,7 +92,7 @@ class MPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = _cleaned(terms) if terms else {}
+        self.terms = _cleaned({k: index(c) for k, c in terms.items()}) if terms else {}
 
     @classmethod
     def _raw(cls, terms):
@@ -111,13 +107,12 @@ class MPoly:
 
     @classmethod
     def scalar(cls, c):
-        c = _norm(c)
-        return cls._raw({0: c} if c != 0 else {})
+        return cls.monomial(c)
 
     @classmethod
     def monomial(cls, c, dp=0, dq=0, dv=0):
-        c = _norm(c)
-        return cls._raw({pack(dp, dq, dv): c} if c != 0 else {})
+        c = index(c)
+        return cls._raw({pack(dp, dq, dv): c} if c else {})
 
     def __bool__(self):
         return bool(self.terms)
@@ -155,12 +150,12 @@ class MPoly:
         return self.mul(other)
 
     def scale(self, c):
-        c = _norm(c)
+        c = index(c)
         if c == 0:
             return MPoly.zero()
         if c == 1:
             return self
-        return MPoly._raw({k: _norm(v * c) for k, v in self.terms.items()})
+        return MPoly._raw({k: v * c for k, v in self.terms.items()})
 
     def mul_monomial(self, c, dp=0, dq=0, dv=0, capkey=_UNBOUNDED_KEY):
         """Multiply by c * p^dp q^dq v^dv, dropping terms beyond the caps.
@@ -168,6 +163,7 @@ class MPoly:
         Without caps, a degree past the key field maximum raises
         ResourceLimit, as in ``mul``.
         """
+        c = index(c)
         if c == 0:
             return MPoly.zero()
         if capkey == _UNBOUNDED_KEY:
@@ -178,27 +174,26 @@ class MPoly:
             nk = k + shift
             if (capkey - nk) & GUARDS != GUARDS:
                 continue
-            out[nk] = _norm(v * c)
+            out[nk] = v * c
         return MPoly._raw(out)
 
     def divide_monomial(self, c, dp=0, dq=0, dv=0):
         """Exact division by c * p^dp q^dq v^dv.
 
         Raises InternalInconsistency when some term lacks the required
-        exponents; this is the loud-failure guard for transcription slips.
+        exponents or leaves a remainder by c; this is the loud-failure
+        guard for transcription slips.
         """
-        shift = pack(dp, dq, dv)
+        c, shift = index(c), pack(dp, dq, dv)
         out = {}
         for k, v in self.terms.items():
             ep, eq, ev = unpack(k)
-            if ep < dp or eq < dq or ev < dv:
+            quot, rem = divmod(v, c)
+            if ep < dp or eq < dq or ev < dv or rem:
                 raise InternalInconsistency(
-                    f"term p^{ep}q^{eq}v^{ev} not divisible by p^{dp}q^{dq}v^{dv}"
+                    f"term {MPoly._raw({k: v})} not divisible by {MPoly._raw({shift: c})}"
                 )
-            out[k - shift] = v
-        if c != 1:
-            inv = Fraction(1, 1) / c
-            out = {k: _norm(v * inv) for k, v in out.items()}
+            out[k - shift] = quot
         return MPoly._raw(out)
 
     def eval_one(self, var):
@@ -217,8 +212,7 @@ class MPoly:
                 continue
             nk = k - (1 << shift)
             cur = get(nk)
-            s = c * e if cur is None else cur + c * e
-            out[nk] = _norm(s)
+            out[nk] = c * e if cur is None else cur + c * e
         return MPoly._raw(_cleaned(out))
 
     def degree(self, var):
@@ -269,24 +263,24 @@ class MPoly:
 
 
 def invert(m, capkey, iteration_bound):
-    """Multiplicative inverse of an MPoly with invertible scalar part.
+    """Multiplicative inverse of an MPoly whose scalar part s is 1 or -1.
 
     Works in the capped quotient ring: the non-scalar part is nilpotent
-    there, so a finite Neumann series terminates.
+    there, so a finite Neumann series terminates.  Any other scalar part
+    has no integer inverse and raises NonUnitDivisor.
     """
     s = m.scalar_part()
-    if s == 0:
-        raise NonUnitDivisor(f"no scalar term in {m}")
-    inv_s = Fraction(1, 1) / s
+    if s not in (1, -1):
+        raise NonUnitDivisor(f"scalar term {s} of {m} is not 1 or -1")
     rest = m - MPoly.scalar(s)
     if not rest:
-        return MPoly.scalar(inv_s)
-    t = rest.scale(-inv_s)  # m = s(1 - t)
+        return MPoly.scalar(s)
+    t = rest.scale(-s)  # m = s(1 - t), and 1/s = s
     result = MPoly.scalar(1)
     power = MPoly.scalar(1)
     for _ in range(iteration_bound):
         power = power.mul(t, capkey)
         if not power:
-            return result.scale(inv_s)
+            return result.scale(s)
         result = result + power
     raise InternalInconsistency(f"inverse of {m} did not terminate under caps")

@@ -7,20 +7,19 @@ Operands of binary operations must share their order.
 
 ``*``, ``div`` and ``sqrt`` share one packed path (Kronecker substitution;
 D. Harvey, J. Symbolic Comput. 44, 2009).  Each operand coefficient is
-packed once per operation into one big integer: term p^a q^b v^c of its
-numerator goes to slot (c * rp + a) * rq + b, with radices rq and rp past
-every degree the operation reaches, and its denominator (1 for integers)
-is kept beside it.  Each output order sums its big-integer products over
-one denominator and is read back once, cut at the caps.  The w-bit slots
-widen, with a repack, whenever an order's bound passes them.
+packed once per operation into one big integer: its term p^a q^b v^c goes
+to slot (c * rp + a) * rq + b, with radices rq and rp past every degree
+the operation reaches.  Each output order sums its big-integer
+products and is read back once, cut at the caps.  The w-bit slots widen,
+with a repack, whenever an order's bound passes them.  Coefficients are
+integers throughout: ``div`` takes only a divisor whose constant term has
+scalar part 1 or -1, and ``sqrt`` halves exactly or raises.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, compress, islice, product, repeat
-from math import gcd, lcm
-from operator import attrgetter, floordiv, mul, or_
+from itertools import chain, compress, islice, product
+from operator import mul, or_
 
 from . import backend, mpoly
 from .backend import GUARDS, MASK, PSHIFT, QSHIFT, pack, unpack
@@ -29,16 +28,16 @@ from .errors import (
     InternalInconsistency,
     OrderMismatch,
 )
-from .mpoly import Caps, MPoly, _norm
+from .mpoly import Caps, MPoly
 
 _ONE = MPoly.scalar(1)
 
 #: ``Caps.for_order``, built once per order; it raises past the key fields
 _caps = lru_cache(maxsize=None)(Caps.for_order)
 
-#: Packed coefficients: per coefficient its numerator's slots, denominator,
-#: sum and largest of the slots' absolute values, and packed value
-_Coeffs = namedtuple("_Coeffs", "slots den size peak value")
+#: Packed coefficients: per coefficient its slots, sum and largest of the
+#: slots' absolute values, and packed value
+_Coeffs = namedtuple("_Coeffs", "slots size peak value")
 
 
 def _degrees(coeffs, caps):
@@ -81,7 +80,7 @@ class _Packing:
         top = (min(ev, caps.v) * self.rp + min(ep, caps.p)) * self.rq + min(eq, caps.q)
         self.nslots, self.single = top + 1, top == 0
         self.live = _live(caps, self.rq, self.rp, top + 1)
-        self.nbytes, self.whole, self.seqs = 1, True, []
+        self.nbytes, self.seqs = 1, []
         self.one = self.coeffs([_ONE])
 
     def _pack(self, slots):
@@ -89,30 +88,29 @@ class _Packing:
 
     def coeffs(self, ms=()):
         """A packed list of the MPolys ms, cut at the caps."""
-        seq, items = _Coeffs([], [], [], [], []), []
+        seq = _Coeffs([], [], [], [])
         self.seqs.append(seq)
         rq, rp, capkey = self.rq, self.rp, self.capkey
-        for m in ms:
-            slots = {
+        items = [
+            {
                 ((k & MASK) * rp + (k >> PSHIFT)) * rq + ((k >> QSHIFT) & MASK): c
                 for k, c in m.terms.items()
                 if (capkey - k) & GUARDS == GUARDS
             }
-            den = lcm(*map(attrgetter("denominator"), slots.values()))
-            items.append((slots if den == 1 else {i: int(c * den) for i, c in slots.items()}, den))
+            for m in ms
+        ]
         # one widening for the whole list, not one per coefficient
-        self.fit(max((abs(c) for slots, _ in items for c in slots.values()), default=0))
-        for slots, den in items:
-            self.put(seq, slots, den)
+        self.fit(max((abs(c) for slots in items for c in slots.values()), default=0))
+        for slots in items:
+            self.put(seq, slots)
         return seq
 
-    def put(self, seq, slots, den):
-        """Pack the numerator slots over den as the next coefficient of seq."""
+    def put(self, seq, slots):
+        """Pack the slots as the next coefficient of seq."""
         mags = list(map(abs, slots.values()))
         peak = max(mags, default=0)
         self.fit(peak)
-        self.whole = self.whole and den == 1
-        for field, item in zip(seq, (slots, den, sum(mags), peak, self._pack(slots))):
+        for field, item in zip(seq, (slots, sum(mags), peak, self._pack(slots))):
             field.append(item)
 
     def fit(self, bound):
@@ -124,31 +122,23 @@ class _Packing:
                 seq.value[:] = map(self._pack, seq.slots)
 
     def combine(self, parts, factor=1):
-        """(numerator, denominator) of the sum over parts (w, x, y, k, lo, hi)
-        of w * sum_{lo <= i < hi} x_i y_(k-i), the slots first widened to
-        hold it times a multiplier of absolute sum ``factor``.  A product's
-        slots are at most min(peak x_i * size y_j, size x_i * peak y_j)."""
+        """The sum over parts (w, x, y, k, lo, hi) of
+        w * sum_{lo <= i < hi} x_i y_(k-i), the slots first widened to hold
+        it times a multiplier of absolute sum ``factor``.  A product's slots
+        are at most min(peak x_i * size y_j, size x_i * peak y_j)."""
         spans = [(w, x, y, slice(lo, hi), slice(k - hi + 1, k - lo + 1)) for w, x, y, k, lo, hi in parts]
-        den, scales = 1, [None] * len(spans)
-        if not self.whole:
-            dens = [list(map(mul, x.den[i], y.den[j][::-1])) for _, x, y, i, j in spans]
-            den = lcm(*(lcm(*d) for d in dens))
-            scales = [[den // e for e in d] for d in dens]
         if not self.single:
             bound = 0
-            for (w, x, y, i, j), s in zip(spans, scales):
+            for w, x, y, i, j in spans:
                 sizes = map(min, map(mul, x.peak[i], y.size[j][::-1]), map(mul, x.size[i], y.peak[j][::-1]))
-                bound += abs(w) * sum(sizes if s is None else map(mul, sizes, s))
+                bound += abs(w) * sum(sizes)
             self.fit(bound * factor)
-        value = 0
-        for (w, x, y, i, j), s in zip(spans, scales):
-            terms = map(mul, x.value[i], y.value[j][::-1])
-            value += w * sum(terms if s is None else map(mul, terms, s))
-        return value, den
+        return sum(w * sum(map(mul, x.value[i], y.value[j][::-1])) for w, x, y, i, j in spans)
 
-    def read(self, value, den, seq=None):
-        """The MPoly of the numerator packed in value over den, cut at the
-        caps; its slots, over their least denominator, join seq if given."""
+    def read(self, value, seq=None, divisor=1):
+        """The MPoly packed in value, cut at the caps and divided exactly by
+        divisor; its slots join seq if given.  A slot that divisor does not
+        divide raises InternalInconsistency."""
         sel, index, keys = self.live
         vals = [value]
         if not self.single:
@@ -156,13 +146,14 @@ class _Packing:
             n = min(self.nslots, abs(value).bit_length() // (8 * self.nbytes) + 1)
             vals = backend.read_signed(value, n, self.nbytes)
             vals = vals if sel is None else list(compress(vals, sel))
-        if den != 1:
-            g = gcd(den, *vals)
-            den, vals = den // g, list(map(floordiv, vals, repeat(g)))
+        if divisor != 1:
+            bad = next((c for c in vals if c % divisor), 0)
+            if bad:
+                raise InternalInconsistency(f"coefficient {bad} is not divisible by {divisor}")
+            vals = [c // divisor for c in vals]
         if seq is not None:
-            self.put(seq, dict(compress(zip(index, vals), vals)), den)
-        terms = compress(zip(keys, vals), vals)
-        return MPoly._raw(dict(terms if den == 1 else ((k, _norm(Fraction(c, den))) for k, c in terms)))
+            self.put(seq, dict(compress(zip(index, vals), vals)))
+        return MPoly._raw(dict(compress(zip(keys, vals), vals)))
 
 
 class Series:
@@ -253,7 +244,7 @@ class Series:
         out = []
         for k in range(self.order):
             part = (1, x, y, k, max(0, k - hy), max(0, min(k, hx) + 1))
-            out.append(pk.read(*pk.combine([part])))
+            out.append(pk.read(pk.combine([part])))
         return Series(self.order, out)
 
     def mul_monomial(self, c, dp=0, dq=0, dv=0, x_shift=0):
@@ -265,12 +256,13 @@ class Series:
         return Series(self.order, out)
 
     def div(self, other):
-        """Series division; the divisor's constant term must be invertible.
+        """Series division by a divisor whose constant term b_0 has scalar
+        part 1 or -1; any other raises NonUnitDivisor.
 
         out_k = (num_k - sum_{i<k} out_i b_(k-i)) * inv, for the inverse inv
-        of b_0 in the capped ring: a scalar's reciprocal, or one
-        ``mpoly.invert`` of a non-scalar unit such as 1 - v.  A quotient may
-        fill the caps in each variable its operands carry.
+        of b_0 in the capped ring: +-1 itself, or one ``mpoly.invert`` of a
+        non-scalar unit such as 1 - v.  A quotient may fill the caps in each
+        variable its operands carry.
         """
         self._check_compatible(other)
         caps, n, b = self.caps, self.order, other.coeffs
@@ -282,15 +274,16 @@ class Series:
         hb, result = _last(b), []
         for k in range(n):
             parts = [(1, num, pk.one, k, k, k + 1), (-1, out, den, k, max(0, k - hb), k)]
-            residue, d = pk.combine(parts, unit.size[0])
-            result.append(pk.read(residue * unit.value[0], d * unit.den[0], out))
+            result.append(pk.read(pk.combine(parts, unit.size[0]) * unit.value[0], out))
         return Series(n, result)
 
     def sqrt(self):
         """Square root of a series with constant term exactly 1.
 
         out_k = (c_k - 2 sum_{0<i<k-i} out_i out_(k-i) - [k even] out_(k/2)^2) / 2,
-        which may fill the caps in each variable of c.
+        which may fill the caps in each variable of c.  The root of a series
+        that is no square of an integer series leaves an odd numerator, and
+        the halving raises InternalInconsistency.
         """
         if self.coeffs[0] != _ONE:
             raise BadSqrtConstantTerm(f"constant term is {self.coeffs[0]}, not 1")
@@ -301,8 +294,7 @@ class Series:
         for k in range(1, n):
             parts = [(1, c, pk.one, k, k, k + 1), (-2, out, out, k, 1, (k + 1) // 2)]
             parts.append((-1, out, out, k, k // 2, k // 2 + 1 - k % 2))
-            value, d = pk.combine(parts)
-            result.append(pk.read(value, 2 * d, out))
+            result.append(pk.read(pk.combine(parts), out, 2))
         return Series(n, result)
 
     # -- marker operations ----------------------------------------------------

@@ -281,6 +281,16 @@ def test_gf_past_the_key_fields_names_the_order_asked_for(capsys):
     assert "1105" not in err
 
 
+def test_gf_with_a_slip_in_the_algebraic_table_exits_1(capsys, monkeypatch):
+    # the last entry of P one too large leaves odd numerators, which the
+    # exact division by -2 refuses
+    c, P, Q, k, e = gfs.ALGEBRAIC_FORMS["u"]
+    monkeypatch.setitem(gfs.ALGEBRAIC_FORMS, "u", (c, P[:-1] + [P[-1] + 1], Q, k, e))
+    code, out, err = run(capsys, "gf", "--which", "u", "--order", "5")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_gf_nonpositive_order_exit2(capsys):
     err = assert_usage_error(capsys, "gf", "--which", "M", "--order", "-1")
     assert "--order" in err
@@ -606,6 +616,25 @@ def test_verify_passes_with_asserts_stripped():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "19 passed, 0 failed, 0 skipped"
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--length", "12"),  # 200 kB
+    ("table", "--which", "s", "--max-n", "300"),  # 3 MB
+], ids=["enumerate", "table"])
+def test_closed_pipe_exits_141_quietly(argv):
+    # the reader takes one line and closes the pipe, as ``| head -1`` does;
+    # the output is larger than a pipe holds, so a later write meets it closed
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "catpoly.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_verify_deterministic(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from catpoly import closedforms as cf
 from catpoly import gfs
-from catpoly.errors import InternalInconsistency
+from catpoly.errors import InternalInconsistency, ResourceLimit
 from catpoly.words import (
     enumerate_words,
     stat_area,
@@ -155,6 +155,30 @@ def test_asym_up_trivial_value():
 def test_asym_ratios_approach_one():
     assert abs(cf.h_closed(400) / cf.asym_h(400) - 1) < abs(cf.h_closed(100) / cf.asym_h(100) - 1)
     assert 0.9 <= cf.u_closed(200) / cf.asym_up(200) <= 1.1
+
+
+# recorded while the helpers still returned inf or raised OverflowError
+# past the float range: every value that fits, as float.hex
+ASYM_VALUES = {
+    "asym_h": {50: "0x1.42b26fcc6accep+73", 300: "0x1.9f126fca2f66cp+465",
+               640: "0x1.ecc80a1fe81a4p+1002"},
+    "asym_s": {50: "0x1.a42dac3cd5babp+77", 300: "0x1.9558012b724a3p+472",
+               640: "0x1.00a82ff09e385p+1011", 645: "0x1.e55ae1dce0ae5p+1018"},
+    "asym_up": {50: "0x1.c80ffbd2918f7p+79", 300: "0x1.0d6b7feec878dp+476",
+                640: "0x1.f254f3dad2460p+1014", 645: "0x1.d906a378b5987p+1022"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASYM_VALUES))
+def test_asymptotics_fail_one_way_past_the_float_range(name):
+    # a value past the largest float raises ResourceLimit, whether the
+    # power overflows (asym_h(646)) or only the product does (asym_h(645))
+    for n in (50, 300, 640, 645, 646, 700):
+        if n in ASYM_VALUES[name]:
+            assert getattr(cf, name)(n).hex() == ASYM_VALUES[name][n]
+        else:
+            with pytest.raises(ResourceLimit, match="float range"):
+                getattr(cf, name)(n)
 
 
 def test_expected_last():

@@ -367,6 +367,18 @@ SCALAR_DIGESTS = {
 }
 
 
+# recorded while the coefficients were still exact rationals, every one of
+# them whole: SHA-256 over the digest of every order 1..30
+ROUTE_DIGESTS = {
+    "cf_S": "596491a6343f9df749fc6b81ce455548f1f0b70fc163aad0158775ae82948f72",
+    "cf_C_sper_v": "f4ee6bb8ca5e8f14b573abca26f255fb7e4627076d2bd5ed5a908c9197e2d2fd",
+    "cf_C_last": "a129f368ad1125441e0704e5501bf8f791ea99e1e67d09c046eb9fe24cd3c330",
+    "kernel_root_v0": "c360edc53901edafcf0323fd7f57189e66a537aed422a8b9473974c77bf95887",
+    "kernel_residual": "1520edd3491ce71ffe6cf779fbfee19f120654e74c238c2c793088401133518a",
+    "cf_B_contfrac": "7936e98829408c6a0f52f7b2764ec90859d633ca3e5dbd13098bbe755ed86373",
+}
+
+
 #: Every public constructor of the library
 CONSTRUCTORS = [
     "gf_motzkin", "gf_trinomial", "gf_h", "gf_s", "gf_u", "gf_p",
@@ -386,14 +398,25 @@ def test_every_constructor_lies_within_the_caps_of_its_order(name):
         assert s.order == order and s.caps == caps
         for c in s.coeffs:
             assert all(all(e <= cap for e, cap in zip(unpack(k), caps)) for k in c.terms)
+            assert all(type(x) is int for x in c.terms.values())
+
+
+def _orders_digest(name, orders):
+    """SHA-256 over the digest of the constructor ``name`` at each order."""
+    h = hashlib.sha256()
+    for order in orders:
+        h.update(f"{_digest(getattr(gfs, name)(order))}\n".encode())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(SCALAR_DIGESTS))
 def test_scalar_series_bit_identical_at_orders_1_to_60(name):
-    h = hashlib.sha256()
-    for order in range(1, 61):
-        h.update(f"{_digest(getattr(gfs, name)(order))}\n".encode())
-    assert h.hexdigest() == SCALAR_DIGESTS[name]
+    assert _orders_digest(name, range(1, 61)) == SCALAR_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_DIGESTS))
+def test_closed_forms_and_continued_fraction_bit_identical_at_orders_1_to_30(name):
+    assert _orders_digest(name, range(1, 31)) == ROUTE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name, printed", [
@@ -432,6 +455,15 @@ def test_dense_constructors_bit_identical_at_order_28(name):
 @pytest.mark.parametrize("name", sorted(ORDER_60_DIGESTS))
 def test_dense_constructors_bit_identical_at_order_60(name):
     assert _digest(getattr(gfs, name)(60)) == ORDER_60_DIGESTS[name]
+
+
+def test_a_slip_in_the_algebraic_table_fails_loudly(monkeypatch):
+    # the last entry of P one too large leaves odd numerators, which the
+    # exact division by -2 refuses
+    c, P, Q, k, e = gfs.ALGEBRAIC_FORMS["u"]
+    monkeypatch.setitem(gfs.ALGEBRAIC_FORMS, "u", (c, P[:-1] + [P[-1] + 1], Q, k, e))
+    with pytest.raises(InternalInconsistency):
+        gfs.gf_u(5)
 
 
 def test_sums_make_no_kernel_call(monkeypatch):

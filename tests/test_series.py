@@ -45,9 +45,19 @@ series_strategy = st.lists(st.lists(term, max_size=3), min_size=1, max_size=5).m
 
 
 def test_mpoly_zero_fraction_normalization():
-    m = MPoly.scalar(Fraction(6, 3))
-    assert m.terms == {0: 2}
-    assert MPoly.scalar(Fraction(0, 5)).terms == {}
+    # a zero coefficient is dropped; every coefficient counts polyominoes, so
+    # each constructor refuses a Fraction, even a whole or zero one, and a float
+    assert MPoly.scalar(6 // 3).terms == {0: 2}
+    assert MPoly.scalar(0).terms == {}
+    assert MPoly({pack(1, 0, 0): 1, 0: 0}).terms == {pack(1, 0, 0): 1}
+    for c in (Fraction(6, 3), Fraction(0, 5), Fraction(1, 2), 2.0):
+        for make in (
+            lambda: MPoly({pack(1, 0, 0): 1, 0: c}),
+            lambda: MPoly.scalar(c),
+            lambda: MPoly.monomial(c, 1, 0, 0),
+        ):
+            with pytest.raises(TypeError):
+                make()
 
 
 def test_mpoly_addition_cancels():
@@ -74,9 +84,16 @@ def test_mpoly_eval_one_merges():
 
 
 def test_mpoly_mul_monomial_normalises_once():
-    # a Fraction coefficient that becomes whole is stored as an int
-    c = MPoly.monomial(Fraction(1, 2)).mul_monomial(2).scalar_part()
-    assert c == 1 and type(c) is int
+    # an int multiplier keeps int coefficients and a zero one gives zero;
+    # scale and mul_monomial refuse a Fraction, even a whole one, and a float
+    m = MPoly.monomial(3, 1, 0, 0)
+    c = m.mul_monomial(2, 0, 1, 0).coefficient(1, 1, 0)
+    assert c == 6 and type(c) is int
+    assert not m.mul_monomial(0, 0, 1, 0) and not m.scale(0)
+    for c in (Fraction(6, 3), Fraction(1, 2), 2.0):
+        for make in (lambda: m.scale(c), lambda: m.mul_monomial(c, 0, 1, 0)):
+            with pytest.raises(TypeError):
+                make()
 
 
 # arithmetic properties -----------------------------------------------------------
@@ -111,12 +128,14 @@ def test_div_roundtrip(a):
 @settings(max_examples=25, deadline=None)
 @given(series_strategy)
 def test_sqrt_squares_back(a):
+    # s = (1 + x a)^2, so its root is 1 + x a, cut at the caps
     one = series_from_terms([[(1, 0, 0, 0)]])
-    shifted = Series(a.order, [MPoly.zero()] + a.coeffs[:-1])
-    s = one + shifted
+    r = one + Series(a.order, [MPoly.zero()] + a.coeffs[:-1])
+    s = r * r
     with kernel_calls() as calls:
         root = s.sqrt()
         assert root * root == s
+        assert root == r * one
     assert not calls
 
 
@@ -136,6 +155,21 @@ def test_div_requires_invertible_constant():
     den = Series.from_x_polynomial(4, [0, 1])
     with pytest.raises(NonUnitDivisor):
         num.div(den)
+
+
+@pytest.mark.parametrize("constant", [
+    MPoly.scalar(2),
+    MPoly.scalar(3),
+    MPoly.scalar(2) - MPoly.monomial(2, 0, 0, 1),  # 2 (1 - v)
+])
+def test_div_refuses_a_constant_term_other_than_one_or_minus_one(constant):
+    # the inverse of any other scalar part is no integer series
+    num = Series.from_x_polynomial(4, [1, 1])
+    den = Series.from_x_polynomial(4, [constant, MPoly.monomial(1, 1, 0, 0)])
+    with pytest.raises(NonUnitDivisor):
+        num.div(den)
+    with pytest.raises(NonUnitDivisor):
+        mpoly.invert(constant, den.caps.key, 10)
 
 
 def test_div_by_nonscalar_unit():
@@ -172,10 +206,11 @@ def test_derivative_term_by_term():
     assert d.coeff(1) == MPoly.monomial(2, 0, 0, 1)
 
 
-def test_scale_by_rational():
+def test_scale_by_an_integer_only():
     s = Series.from_x_polynomial(3, [2, 4])
-    half = s.scale(Fraction(1, 2))
-    assert half.scalar_coeffs() == [1, 2, 0]
+    assert s.scale(-3).scalar_coeffs() == [-6, -12, 0]
+    with pytest.raises(TypeError):
+        s.scale(Fraction(1, 2))
 
 
 # exactness guards ----------------------------------------------------------------
@@ -195,14 +230,17 @@ def test_divide_coeffs_monomial_guard():
     s = Series.from_x_polynomial(3, [p3])
     q = s.divide_coeffs_monomial(2, 3, 0, 0)
     assert q.coeff(0) == MPoly.scalar(2)
-    with pytest.raises(InternalInconsistency):
-        s.divide_coeffs_monomial(2, 4, 0, 0)
+    for c, dp in ((2, 4), (3, 3)):  # a missing power of p, a remainder
+        with pytest.raises(InternalInconsistency):
+            s.divide_coeffs_monomial(c, dp, 0, 0)
 
 
-def test_monomial_divide_exact_rational():
-    m = MPoly.monomial(3, 2, 0, 0)
-    half = m.divide_monomial(2, 2, 0, 0)
-    assert half == MPoly.scalar(Fraction(3, 2))
+def test_monomial_divide_refuses_a_remainder():
+    m = MPoly.monomial(6, 2, 0, 0) + MPoly.monomial(-4, 3, 1, 0)
+    assert m.divide_monomial(-2, 2, 0, 0) == MPoly.scalar(-3) + MPoly.monomial(2, 1, 1, 0)
+    for c in (3, 4):
+        with pytest.raises(InternalInconsistency):
+            m.divide_monomial(c, 2, 0, 0)
 
 
 # the packed path: products, quotients and square roots ------------------------------
@@ -225,15 +263,15 @@ def naive_mul(a, b, caps):
 
 
 def naive_inverse(u, caps):
-    """Inverse of u = s (1 - t) in the capped ring: sum_m t^m / s."""
-    s = Fraction(u[(0, 0, 0)])
-    t = {e: -c / s for e, c in u.items() if e != (0, 0, 0)}
+    """Inverse of u = s (1 - t), s = +-1, in the capped ring: s sum_m t^m."""
+    s = u[(0, 0, 0)]
+    t = {e: -c * s for e, c in u.items() if e != (0, 0, 0)}
     out, power = {(0, 0, 0): 1}, {(0, 0, 0): 1}
     while power:
         power = naive_mul([power], [t], caps)[0]
         for e, c in power.items():
             out[e] = out.get(e, 0) + c
-    return {e: c / s for e, c in out.items() if c}
+    return {e: c * s for e, c in out.items() if c}
 
 
 def naive_div(num, b, caps):
@@ -257,7 +295,8 @@ def naive_sqrt(c, caps):
         for i in range(1, k):
             for e, v in naive_mul([out[i]], [out[k - i]], caps)[0].items():
                 acc[e] = acc.get(e, 0) - v
-        out.append({e: Fraction(v) / 2 for e, v in acc.items() if v})
+        assert all(v % 2 == 0 for v in acc.values()), "not the square of an integer series"
+        out.append({e: v // 2 for e, v in acc.items() if v})
     return out
 
 
@@ -305,14 +344,14 @@ def kernel_calls():
 
 
 big_or_zero = st.one_of(st.just(0), st.integers(min_value=-(2**100), max_value=2**100))
-small_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+small = st.integers(min_value=-4, max_value=4)
 
 
 def coeff_past(caps):
     """Coefficients with exponents up to one past each cap, so that cuts happen."""
     return st.dictionaries(
         st.tuples(*(st.integers(min_value=0, max_value=c + 1) for c in caps)),
-        st.one_of(big_or_zero, small_fraction).filter(bool),
+        st.one_of(big_or_zero, small).filter(bool),
         max_size=4,
     )
 
@@ -327,11 +366,9 @@ def q_coeff_past(caps):
 UNITS = [
     {(0, 0, 0): 1},
     {(0, 0, 0): -1},
-    {(0, 0, 0): Fraction(1, 2)},
-    {(0, 0, 0): 2},
     {(0, 0, 0): 1, (0, 1, 0): 1},  # 1 + q
     {(0, 0, 0): 1, (1, 0, 0): 1},  # 1 + p
-    {(0, 0, 0): 2, (0, 0, 1): -2},  # 2 (1 - v)
+    {(0, 0, 0): 1, (0, 0, 1): -1},  # 1 - v
 ]
 
 
@@ -365,27 +402,36 @@ def test_packed_mul_and_div_match_oracle(case, unit):
 @settings(max_examples=60, deadline=None)
 @given(series_pair())
 def test_packed_sqrt_matches_oracle(case):
+    # the square of r = 1 + a_1 x + ..., whose root is r cut at the caps
     a, _ = case
-    c = [{(0, 0, 0): 1}] + a[1:]
+    r = [{(0, 0, 0): 1}] + a[1:]
+    caps = Caps.for_order(len(r))
+    c = naive_mul(r, r, caps)
     with kernel_calls() as calls:
         root = to_series(c).sqrt()
-    assert from_series(root) == naive_sqrt(c, root.caps)
+    assert from_series(root) == naive_sqrt(c, caps)
+    assert from_series(root) == [{e: v for e, v in d.items() if within(e, caps)} for d in r]
     assert not calls
 
 
-def test_sqrt_with_rational_coefficients():
-    # sqrt(1 + x) = 1 + x/2 - x^2/8 + x^3/16 - 5x^4/128 + ...
-    root = Series.from_x_polynomial(6, [1, 1]).sqrt()
-    want = [1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16), Fraction(-5, 128), Fraction(7, 256)]
-    assert root.scalar_coeffs() == want
-    assert type(root.coeff(0).as_scalar()) is int
+@pytest.mark.parametrize("c", [
+    [1, 1],  # sqrt(1 + x) = 1 + x/2 - ...
+    [1, 2, 2],  # 1 + x + x^2/2 + ...
+    [1, MPoly.monomial(-2, 3, 0, 0), MPoly.monomial(1, 6, 0, 0) + MPoly.monomial(-4, 5, 0, 0),
+     MPoly.monomial(1, 0, 0, 3)],  # ... + v^3 x^3 / 2 + ...
+], ids=["one_plus_x", "two_x", "p_and_v"])
+def test_sqrt_of_a_non_square_raises(c):
+    with pytest.raises(InternalInconsistency):
+        Series.from_x_polynomial(6, c).sqrt()
 
 
 def test_sqrt_with_p_and_v_matches_oracle():
-    # 1 - 2p^3 x + (p^6 - 4p^5) x^2 + v^3 x^3 / 3, with a rational coefficient;
-    # at order 8 its p-degrees pass the p cap 16 from x^6 on
-    c = [{(0, 0, 0): 1}, {(3, 0, 0): -2}, {(6, 0, 0): 1, (5, 0, 0): -4}, {(0, 0, 3): Fraction(1, 3)}]
-    c += [{}] * 4
+    # (1 - 2p^3 x + (p^6 - 4p^5) x^2) (1 + v^3 x^3)^2, whose root is an integer
+    # series; at order 8 its p-degrees pass the p cap 16 from x^6 on
+    caps = Caps.for_order(8)
+    kernel = [{(0, 0, 0): 1}, {(3, 0, 0): -2}, {(6, 0, 0): 1, (5, 0, 0): -4}] + [{}] * 5
+    square = [{(0, 0, 0): 1}, {}, {}, {(0, 0, 3): 2}, {}, {}, {(0, 0, 6): 1}, {}]
+    c = naive_mul(kernel, square, caps)
     with kernel_calls() as calls:
         root = to_series(c).sqrt()
     assert from_series(root) == naive_sqrt(c, root.caps)
@@ -421,8 +467,8 @@ def test_trinomial_quotient_past_64_bits():
 @pytest.mark.parametrize(
     "constant",
     [
-        MPoly.scalar(Fraction(1, 2)),  # a Fraction coefficient
-        MPoly.scalar(2),  # integral but not a unit
+        MPoly.scalar(-1),  # the other scalar unit
+        MPoly.scalar(-1) + MPoly.monomial(1, 0, 0, 1),  # -1 + v
         MPoly.scalar(1) + MPoly.monomial(1, 0, 1, 0),  # 1 + q
         MPoly.scalar(1) + MPoly.monomial(1, 1, 0, 0),  # 1 + p
     ],
@@ -438,7 +484,7 @@ def test_other_divisors_take_the_packed_path(constant):
 
 @pytest.mark.parametrize(
     "coeff",
-    [MPoly.scalar(Fraction(1, 2)), MPoly.monomial(1, 1, 0, 0), MPoly.monomial(1, 0, 0, 1)],
+    [MPoly.scalar(-3), MPoly.monomial(1, 1, 0, 0), MPoly.monomial(1, 0, 0, 1)],
 )
 def test_other_products_take_the_packed_path(coeff):
     a = Series.from_x_polynomial(3, [1, coeff])
