@@ -24,20 +24,21 @@ substitution over (p, q, v) once per product, quotient or square root
 (``read_signed``), and ``gfs``, whose masters keep each (p, v) row of a
 coefficient as one integer in q and whose area and interior-point
 constructors keep each coefficient as one.  ``read_slots`` is a pure
-decoder of the windows of several coefficients, each already in w-bit
-two's complement: each window becomes bytes once, the joined bytes are
-cast to 64-bit limbs in bulk, and one dict build per coefficient keeps its
-nonzero slots, with no Python-level step per slot (the inverse of
-Kronecker substitution; D. Harvey, J. Symbolic Comput. 44, 2009).
-``read_signed`` encodes the signed slots of one ``series`` value with
-``twos_complement`` and casts them the same way; every ``gfs`` slot is a
-count, so each value is its own two's complement, and each ``gfs`` series
+decoder: it takes one byte string holding the slots of several
+coefficients in two's complement and, for each coefficient, the keys of
+its slots in order; the slots are cast to ints in bulk at their own width
+(``_signed_slots``), and one dict build per coefficient keeps its nonzero
+slots, with no Python-level step per slot (the inverse of Kronecker
+substitution; D. Harvey, J. Symbolic Comput. 44, 2009).  ``read_signed``
+encodes the signed slots of one ``series`` value with ``twos_complement``
+and casts them the same way; every ``gfs`` slot is a count, so each value
+is written out as it is, its own two's complement, and each ``gfs`` series
 is decoded in bounded batches of whole coefficients.
 """
 
 import sys
 from array import array
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import add, lshift
 
 FIELD = 20
@@ -54,6 +55,10 @@ MAXCAP = (1 << FIELD) // 2 - 1
 BACKEND = "python"
 
 _BIG_ENDIAN = sys.byteorder == "big"
+
+#: the signed array typecode of each item size among 1, 2, 4 and 8 bytes,
+#: found by size, since the size of a typecode varies by host
+_SIGNED = {array(code).itemsize: code for code in "bhilq"}
 
 # byte -> the byte that extends its sign: 0xFF when its top bit is set
 _SIGN_BYTE = bytes(0xFF if b & 0x80 else 0 for b in range(256))
@@ -140,34 +145,21 @@ def twos_complement(value, nslots, nbytes):
     return ((value + bias) & ((1 << (8 * nbytes * nslots)) - 1)) ^ bias
 
 
-def read_slots(coeffs, nbytes):
-    """One term dict for each coefficient, given as windows of packed values.
+def read_slots(raw, nbytes, keys):
+    """One term dict for each coefficient whose slots ``raw`` holds.
 
-    ``coeffs`` lists each coefficient's windows.  A window
-    ``(value, first, nslots, base)`` stores slots first..nslots-1 of
-    ``value``: slot j becomes the term of key base + q^j, and no two
-    windows of one coefficient may give the same key.  Each ``value`` holds
-    its slots in w-bit two's complement, w = 8 * nbytes, as
-    ``twos_complement`` leaves them, so 0 <= value < 2^(w * nslots); a
-    value out of that range raises ``OverflowError``.
-
-    Each window becomes bytes by one shift and one ``to_bytes``; all are
-    joined, widened to whole 64-bit limbs and cast to ints in bulk, and
-    one dict build per coefficient keeps its nonzero slots.
+    ``raw`` is the little-endian bytes of every coefficient's slots in
+    turn, nbytes each, in two's complement.  ``keys`` gives, for each
+    coefficient, the keys of its slots in order, as many as it has bytes
+    in ``raw`` over nbytes.  The slots are cast to ints in bulk by
+    ``_signed_slots``, and one dict build per coefficient keeps its
+    nonzero slots, with no Python-level step per slot.
     """
-    w = 8 * nbytes
-    step = 1 << QSHIFT
-    chunks = []
-    keys = []
-    for windows in coeffs:
-        for value, first, nslots, _ in windows:
-            chunks.append((value >> (w * first)).to_bytes(nbytes * (nslots - first), "little"))
-        keys.append([range(base + i * step, base + j * step, step) for _, i, j, base in windows])
-    vals = _signed_slots(b"".join(chunks), nbytes)
+    vals = _signed_slots(raw, nbytes)
     # zip stops on its exhausted keys and compress on its exhausted data,
     # so both iterators stop at the first slot of the next coefficient
     data, selectors = iter(vals), iter(vals)
-    return [dict(compress(zip(chain.from_iterable(r), data), selectors)) for r in keys]
+    return [dict(compress(zip(k, data), selectors)) for k in keys]
 
 
 def read_signed(value, nslots, nbytes):
@@ -181,13 +173,15 @@ def _signed_slots(raw, nbytes):
     """The ints held in two's complement by the little-endian slots of raw,
     nbytes each.
 
-    The slots are widened to m = ceil(nbytes / 8) limbs of 64 bits: byte
-    b of every slot moves by one strided copy, and the sign byte that
-    fills each slot's upper bytes comes from one ``translate``.  The limbs
-    are cast in bulk; for m >= 2 each slot's signed top limb and unsigned
-    lower limbs are combined with ``map``.
+    A slot of 1, 2, 4 or 8 bytes is cast as it is, by the signed array
+    typecode of its size.  A slot of 3, 5, 6 or 7 bytes is widened to the
+    next of those sizes, and a wider one to m = ceil(nbytes / 8) limbs of
+    64 bits: byte b of every slot moves by one strided copy, and the sign
+    byte that fills each slot's upper bytes comes from one ``translate``.
+    For m >= 2 each slot's signed top limb and unsigned lower limbs are
+    combined with ``map``.
     """
-    size = 8 * -(-nbytes // 8)
+    size = _cast_size(nbytes)
     if size != nbytes:
         wide = bytearray(len(raw) // nbytes * size)
         for b in range(nbytes):
@@ -196,14 +190,22 @@ def _signed_slots(raw, nbytes):
         for b in range(nbytes, size):
             wide[b::size] = sign
         raw = wide
-    limbs = array("q", raw)
+    limbs = array(_SIGNED[min(size, 8)], raw)
     if _BIG_ENDIAN:
         limbs.byteswap()
-    m = size // 8
-    if m == 1:
+    if size <= 8:
         return limbs.tolist()
+    m = size // 8
     unsigned = memoryview(limbs).cast("B").cast("Q")
     vals = limbs[m - 1 :: m]
     for i in range(m - 2, -1, -1):
         vals = map(add, map(lshift, vals, repeat(64)), unsigned[i::m])
     return list(vals)
+
+
+def _cast_size(nbytes):
+    """Bytes per slot once widened: the least cast width that holds nbytes,
+    or whole 64-bit limbs past 8 bytes."""
+    if nbytes > 8:
+        return 8 * -(-nbytes // 8)
+    return min(size for size in _SIGNED if size >= nbytes)

@@ -19,17 +19,18 @@ against the DP by ``verify`` and the tests: B and H as ratios of sums,
 the product forms, defined as telescoped sums, through the q-shift
 equations those sums satisfy (x -> x q), all mod 2^(w N) with doubling
 steps for 1/(1 - q^j) and big-integer products.  Every x^n coefficient of
-a packed series is read back at the end, in batches of whole coefficients
-(``_read_back``); each slot is a count, so each packed value goes in as it
-is, its own two's complement.  The six scalar series are the rows of one
-table of algebraic forms, ``ALGEBRAIC_FORMS``, which ``trinomial_form``
-also reads as the paper's trinomial forms; they, the kernel-method closed
-forms and the continued fraction run on ``Series`` arithmetic.
+a packed series is read back at the end as one byte string and one run of
+slot keys, in batches of whole coefficients (``_read_back``); each slot is
+a count, so each packed value is written out as it is, its own two's
+complement.  The six scalar series are the rows of one table of algebraic
+forms, ``ALGEBRAIC_FORMS``, which ``trinomial_form`` also reads as the
+paper's trinomial forms; they, the kernel-method closed forms and the
+continued fraction run on ``Series`` arithmetic.
 """
 
 from fractions import Fraction
 from functools import partial
-from itertools import count, islice
+from itertools import chain, count, islice
 from operator import lshift
 
 from . import backend, closedforms
@@ -145,9 +146,10 @@ def gf_p(order):
 #
 # V = order keeps every term: v -> q moves high v into q, and the genuine
 # last letter of a length-n word is below n, so every row is exact and lies
-# within the default caps of the order.  ``_windows`` gives every occupied
-# (p, v) row its slot window, and ``_read_back`` decodes the rows of all the
-# coefficients, a bounded batch per call.
+# within the default caps of the order.  Each nonzero (p, v) row is written
+# out from its lowest nonzero slot to its top one, with the keys of those
+# slots; the rows of a coefficient are joined, and ``_read_back`` decodes
+# the coefficients, a bounded batch per call.
 
 
 def _solve_forward(order, contributions):
@@ -236,31 +238,23 @@ def _master(order, base, step, plus, minus):
                     dst[v] += run
         return out
 
-    def pairs(rows):  # every row, with its key
+    def slots(rows):
+        chunks, keys = [], []
         for p, rs in rows.items():
-            yield from zip(rs, count(pack(p, 0, 0)))
+            for r, base in zip(rs, count(pack(p, 0, 0))):
+                if r:
+                    first = ((r & -r).bit_length() - 1) // w
+                    top = r.bit_length() // w + 1
+                    chunks.append((r >> first * w).to_bytes(nbytes * (top - first), "little"))
+                    keys.append(range(base + first * _QSTEP, base + top * _QSTEP, _QSTEP))
+        return b"".join(chunks), chain.from_iterable(keys)
 
     rows = _solve_forward(order, contributions)
-    return _read_back(order, nbytes, (_windows(pairs(r), w) for r in rows))
+    return _read_back(order, nbytes, map(slots, rows))
 
 
-def _windows(pairs, w):
-    """The slot windows of one coefficient's (value, base key) pairs, and
-    the number of slots they hold.
-
-    Each nonzero value gives one window, from its lowest nonzero slot to
-    its top slot.
-    """
-    windows = []
-    size = 0
-    for r, key in pairs:
-        if r:
-            first = ((r & -r).bit_length() - 1) // w
-            nslots = r.bit_length() // w + 1
-            windows.append((r, first, nslots, key))
-            size += nslots - first
-    return windows, size
-
+#: The key of q, the step between the keys of consecutive q-slots
+_QSTEP = pack(0, 1, 0)
 
 #: Most slot bytes per ``backend.read_slots`` call, whose bytes, limbs and
 #: ints are alive at once; every series below order 21 is one batch
@@ -268,17 +262,18 @@ _READ_BATCH_BYTES = 1 << 20
 
 
 def _read_back(order, nbytes, coeffs):
-    """The series whose x^n coefficients ``coeffs`` yields as (windows, slots)
-    pairs from ``_windows``, decoded in batches of at most
+    """The series whose x^n coefficients ``coeffs`` yields as the bytes of
+    their slots and the keys of those slots, decoded in batches of at most
     ``_READ_BATCH_BYTES`` slot bytes (or one coefficient, if it is larger)."""
-    terms, batch, size = [], [], 0
-    for windows, nslots in coeffs:
-        if batch and size + nslots * nbytes > _READ_BATCH_BYTES:
-            terms += backend.read_slots(batch, nbytes)
-            batch, size = [], 0
-        batch.append(windows)
-        size += nslots * nbytes
-    terms += backend.read_slots(batch, nbytes)
+    terms, raws, keys, size = [], [], [], 0
+    for raw, key in coeffs:
+        if raws and size + len(raw) > _READ_BATCH_BYTES:
+            terms += backend.read_slots(b"".join(raws), nbytes, keys)
+            raws, keys, size = [], [], 0
+        raws.append(raw)
+        keys.append(key)
+        size += len(raw)
+    terms += backend.read_slots(b"".join(raws), nbytes, keys)
     return Series(order, [MPoly._raw(t) for t in terms])
 
 
@@ -400,7 +395,8 @@ def _kernel_residual(v0):
 #   slots(n) = n (n + 1) / 2 + 1,
 # and its slots lie in [0, M(n)], which ``_slot_bytes`` sizes the slots for.
 # The x^n coefficients of a dense series are read back by ``_read_back`` as
-# they are, each its own two's complement.
+# they are, each its own two's complement, every slot up to the top one
+# written out; the decode drops the few zero slots among them.
 #
 # The constructors count the words directly, by the transfer DP over the
 # word automaton, ``words.transfer`` (see ``_transfer_packed``): each step is
@@ -440,8 +436,12 @@ def _dense_series(order, packed):
     Caps.for_order(order)  # an order past the key fields raises before any work
     nbytes = _slot_bytes(order)
     w = 8 * nbytes
-    coeffs = packed(order, w)
-    return _read_back(order, nbytes, (_windows([(c, 0)], w) for c in coeffs))
+
+    def slots(c):
+        n = c.bit_length() // w + 1
+        return c.to_bytes(nbytes * n, "little"), range(0, n * _QSTEP, _QSTEP)
+
+    return _read_back(order, nbytes, map(slots, packed(order, w)))
 
 
 def _slots(n):

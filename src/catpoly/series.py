@@ -230,9 +230,6 @@ class Series:
     def __neg__(self):
         return Series(self.order, [-c for c in self.coeffs])
 
-    def scale(self, r):
-        return Series(self.order, [c.scale(r) for c in self.coeffs])
-
     # -- multiplicative operations ------------------------------------------
 
     def __mul__(self, other):

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, settings
@@ -625,9 +626,9 @@ def test_dense_constructors_decode_each_series_once(monkeypatch):
     calls = []
     real = backend.read_slots
 
-    def spy(coeffs, nbytes):
-        calls.append(len(coeffs))
-        return real(coeffs, nbytes)
+    def spy(raw, nbytes, keys):
+        calls.append(len(keys))
+        return real(raw, nbytes, keys)
 
     monkeypatch.setattr(backend, "read_slots", spy)
     for name in PACKED:
@@ -643,9 +644,9 @@ def test_packed_series_read_back_in_bounded_batches(monkeypatch, name):
     calls = []
     real = backend.read_slots
 
-    def spy(coeffs, nbytes):
-        calls.append(len(coeffs))
-        return real(coeffs, nbytes)
+    def spy(raw, nbytes, keys):
+        calls.append(len(keys))
+        return real(raw, nbytes, keys)
 
     monkeypatch.setattr(backend, "read_slots", spy)
     monkeypatch.setattr(gfs, "_READ_BATCH_BYTES", 1024)
@@ -654,20 +655,31 @@ def test_packed_series_read_back_in_bounded_batches(monkeypatch, name):
     assert len(calls) > 2 and sum(calls) == 28
 
 
-def test_windows_start_at_the_lowest_nonzero_slot():
-    # each nonzero row goes in as it is, from its lowest nonzero slot to its
-    # top slot, and a zero row gives no window
-    nbytes = 2
-    w = 8 * nbytes
-    long = sum(c << (w * j) for j, c in enumerate([0, 0, 5, 0, 9, 11]))
-    short = 3
-    pairs = [(long, pack(1, 0, 0)), (0, pack(2, 0, 0)), (short, pack(0, 0, 2))]
-    windows, nslots = gfs._windows(pairs, w)
-    assert windows == [(long, 2, 6, pack(1, 0, 0)), (short, 0, 1, pack(0, 0, 2))]
-    assert nslots == 5
-    assert backend.read_slots([windows], nbytes) == [
-        {pack(1, 2, 0): 5, pack(1, 4, 0): 9, pack(1, 5, 0): 11, pack(0, 0, 2): 3}
-    ]
+@pytest.mark.parametrize("name", ["master_pqv", "master_interior_qv"])
+def test_master_rows_read_back_from_their_lowest_nonzero_slot(monkeypatch, name):
+    # each nonzero (p, v) row hands over its slots from its lowest nonzero
+    # one to its top one, so no leading or trailing zero slot of a row
+    # reaches the dict build, and a zero row hands over none
+    runs = []
+    real = backend.read_slots
+
+    def spy(raw, nbytes, keys):
+        keys = [list(k) for k in keys]
+        slots = [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
+        assert len(slots) == sum(map(len, keys))
+        it = iter(slots)
+        for k in keys:
+            for _, run in groupby(k, lambda key: unpack(key)[::2]):
+                qs = [unpack(key)[1] for key in run]
+                assert qs == list(range(qs[0], qs[-1] + 1))
+                runs.append((qs[0], [next(it) for _ in qs]))
+        return real(raw, nbytes, keys)
+
+    monkeypatch.setattr(backend, "read_slots", spy)
+    assert _digest(getattr(gfs, name)(28)) == MASTER_DIGESTS[name, 28]
+    assert runs and all(run[0] and run[-1] for _, run in runs)
+    # the trim is real: many rows start above q^0
+    assert sum(q0 > 0 for q0, _ in runs) > len(runs) // 2
 
 
 def assert_slots_within_motzkin(series):
@@ -689,9 +701,9 @@ def test_packed_slots_sized_from_motzkin(monkeypatch):
     widths = []
     real = backend.read_slots
 
-    def spy(coeffs, nbytes):
+    def spy(raw, nbytes, keys):
         widths.append(nbytes)
-        return real(coeffs, nbytes)
+        return real(raw, nbytes, keys)
 
     monkeypatch.setattr(backend, "read_slots", spy)
     for name in PACKED:
@@ -777,8 +789,10 @@ def test_packed_geom_matches_dense_product(case, dq):
     mask = (1 << (w * (caps.q + 1))) - 1
     packed = sum(c << (w * (k >> backend.QSHIFT)) for k, c in m.terms.items()) & mask
     nslots = caps.q + 1
-    window = (backend.twos_complement(gfs._geom(packed, dq, w, mask), nslots, nbytes), 0, nslots, 0)
-    got = MPoly(backend.read_slots([[window]], nbytes)[0])
+    value = backend.twos_complement(gfs._geom(packed, dq, w, mask), nslots, nbytes)
+    raw = value.to_bytes(nbytes * nslots, "little")
+    keys = range(0, nslots << backend.QSHIFT, 1 << backend.QSHIFT)
+    got = MPoly(backend.read_slots(raw, nbytes, [keys])[0])
     assert got == m.mul(_geom_oracle(dq, caps), caps.key)
 
 

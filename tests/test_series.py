@@ -206,13 +206,6 @@ def test_derivative_term_by_term():
     assert d.coeff(1) == MPoly.monomial(2, 0, 0, 1)
 
 
-def test_scale_by_an_integer_only():
-    s = Series.from_x_polynomial(3, [2, 4])
-    assert s.scale(-3).scalar_coeffs() == [-6, -12, 0]
-    with pytest.raises(TypeError):
-        s.scale(Fraction(1, 2))
-
-
 # exactness guards ----------------------------------------------------------------
 
 
