@@ -5,6 +5,15 @@ guard), 2 usage or parse error, 3 resource limit exceeded, 141 (128 +
 SIGPIPE) when the reader of stdout closed it early, as ``head`` does.
 Data goes to stdout, diagnostics to stderr.  Big integers are serialized
 as decimal strings in JSON output.
+
+A CLI process (``python -m catpoly.cli`` or the installed ``catpoly``)
+runs ``run``: it flushes stdout and stderr after ``main`` returns and
+ends at that last flush through ``os._exit``, skipping the interpreter
+teardown (the final garbage collection and the freeing of every module).
+atexit handlers do not run there; catpoly registers none.  ``main`` is
+unchanged for tests and embedders that call it in-process: it returns
+the exit code.  A usage error, ``--help`` or an unexpected exception
+leaves ``main`` by raising and takes the normal exit.
 """
 
 import os
@@ -307,6 +316,13 @@ def build_parser():
     return parser
 
 
+def _quiet_stdout():
+    """Point stdout at devnull, so that no later flush meets the closed pipe."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -315,11 +331,8 @@ def main(argv=None):
         sys.stdout.flush()  # the last buffered output meets a closed pipe here
         return code
     except BrokenPipeError:
-        # point stdout at devnull, so that the flush at exit cannot fail
-        # again, and leave the signal handling alone: main also runs in-process
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # leave the signal handling alone: main also runs in-process
+        _quiet_stdout()
         return 141
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -332,5 +345,21 @@ def main(argv=None):
         return 1
 
 
+def run():
+    """Run ``main`` on the command line and end the process at its last flush.
+
+    What ``main`` left buffered is flushed here; the teardown that
+    ``os._exit`` then skips would only free memory the process gives back.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()  # text written before an error is still buffered
+        sys.stderr.flush()
+    except BrokenPipeError:
+        _quiet_stdout()
+        code = 141
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -24,7 +24,7 @@ The run builds the whole census and the tables first, then forks once.
 The child runs ``CHILD_CHECKS``: the checks of the words, the bijections,
 the tables and the closed forms.  They read no series, so each series is
 built in the parent alone, and their seconds are about half the checks'
-total (19 of 39 ms at the default flags; 2 cores, Python 3.11).  The
+total (about 18 of 40 ms at the default flags; 2 cores, Python 3.11).  The
 child sends its ``CheckResult``s back over a pipe with ``marshal`` and
 leaves through ``os._exit``, flushing nothing it inherited.  The parent
 runs the other checks, reads the pipe, reaps the child before

@@ -637,6 +637,83 @@ def test_closed_pipe_exits_141_quietly(argv):
     assert (proc.wait(timeout=60), err) == (141, b"")
 
 
+# A fresh process ends at run's last flush, through os._exit ----------------------
+
+
+def _buffered_env():
+    """The environment of a child whose stdout is buffered when not a terminal."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    return env
+
+
+def _fresh(tmp_path, *args):
+    """Exit code, stdout and stderr of ``python *args``, its stdout sent to a
+    file, so fully buffered: what ``run`` does not flush never arrives."""
+    with open(tmp_path / "stdout", "w+b") as out:
+        proc = subprocess.run(
+            [sys.executable, *args], stdout=out, stderr=subprocess.PIPE,
+            env=_buffered_env(), timeout=120,
+        )
+        out.seek(0)
+        return proc.returncode, out.read().decode(), proc.stderr.decode()
+
+
+_FRESH_ARGVS = [
+    ("enumerate", "--length", "5"),
+    ("stats", "--word", "00123223401011"),
+    ("gf", "--which", "B", "--order", "6"),
+    ("verify", "--max-n", "4", "--max-order", "6"),
+    ("enumerate", "--length", "-1"),
+    ("verify", "--max-n", "14"),
+]
+
+
+@pytest.mark.parametrize("argv, code", zip(_FRESH_ARGVS, (0, 0, 0, 0, 2, 3)),
+                         ids=[" ".join(argv) for argv in _FRESH_ARGVS])
+def test_fresh_process_matches_main_in_process(capsys, tmp_path, argv, code):
+    expected = run(capsys, *argv)
+    assert expected[0] == code
+    assert _fresh(tmp_path, "-m", "catpoly.cli", *argv) == expected
+
+
+_BEFORE_AN_ERROR = (
+    "import atexit, sys\n"
+    "from catpoly import cli\n"
+    "from catpoly.errors import ResourceLimit\n"
+    "def stats(args):\n"
+    "    print('written before the error')\n"
+    "    raise ResourceLimit('stopped')\n"
+    "cli._cmd_stats = stats\n"
+    "atexit.register(print, 'teardown', file=sys.stderr)\n"
+    "cli.run()\n"
+)
+
+
+def test_fresh_process_delivers_output_written_before_an_error(tmp_path):
+    # main's own flush is skipped by the error, so run's flush delivers the
+    # line; the process then ends at once, and the atexit handler never runs
+    assert _fresh(tmp_path, "-c", _BEFORE_AN_ERROR, "stats", "--word", "0") == (
+        3, "written before the error\n", "error: stopped\n"
+    )
+
+
+def test_closed_pipe_on_the_last_flush_exits_141_quietly():
+    # main returns with its line still buffered, and run's flush meets a
+    # pipe whose reader is already gone
+    driver = "from catpoly import cli\ncli.main = lambda: print('never read') or 0\ncli.run()\n"
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", driver], stdout=write_fd, stderr=subprocess.PIPE,
+            env=_buffered_env(), timeout=60,
+        )
+    finally:
+        os.close(write_fd)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 def test_verify_deterministic(capsys):
     _, out1, _ = run(capsys, "verify", "--max-n", "4", "--max-order", "6")
     _, out2, _ = run(capsys, "verify", "--max-n", "4", "--max-order", "6")
