@@ -17,14 +17,14 @@ so the sum of two in-range keys never carries across fields.
 
 ``mul_into`` is the term kernel: a double loop over two term dicts that
 drops every product outside the caps, for ``MPoly.mul`` and
-``mpoly.invert``.  The slot helpers serve ``series``, which packs each
-coefficient of an operand into one integer by mixed-radix Kronecker
-substitution over (p, q, v) once per product, quotient or square root
-(``to_slots``) and decodes each output coefficient in one call
-(``read_signed``), and ``gfs``, whose masters keep each (p, v) row of a
-coefficient as one integer in q and whose area and interior-point
-constructors keep each coefficient as one.  ``read_slots`` is a pure
-decoder: it takes one byte string holding the slots of several
+``mpoly.invert``; every ``MPoly`` product runs under caps.  The slot
+helpers serve ``series``, which packs each coefficient of an operand into
+one integer by mixed-radix Kronecker substitution over (p, q, v) once per
+product, quotient or square root (``to_slots``) and decodes each output
+coefficient in one call (``read_signed``), and ``gfs``, whose masters keep
+each (p, v) row of a coefficient as one integer in q and whose area and
+interior-point constructors keep each coefficient as one.  ``read_slots``
+is a pure decoder: it takes one byte string holding the slots of several
 coefficients in two's complement and, for each coefficient, the keys of
 its slots in order; the slots are cast to ints in bulk at their own width
 (``_signed_slots``), and one dict build per coefficient keeps its nonzero

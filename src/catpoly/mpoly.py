@@ -5,9 +5,11 @@ on the series being built) and v the value of the last letter.  Terms are
 stored as a dict from a packed exponent key (see ``backend`` for the
 layout) to a nonzero int coefficient, so equality is plain dict equality
 and the multiply kernel tests all three caps with one integer subtraction
-per product.  Every coefficient counts polyominoes, so the entry points
-refuse anything but an int (TypeError), and every division is exact or
-raises: a remainder is a transcription slip, not a rational.
+per product.  Every product and shift runs under the caps of its series
+(``Caps.key``); there is no uncapped product.  Every coefficient counts
+polyominoes, so the entry points refuse anything but an int (TypeError),
+and every division is exact or raises: a remainder is a transcription
+slip, not a rational.
 """
 
 from operator import index
@@ -49,23 +51,8 @@ class Caps(NamedTuple):
         return cap_key(self.p, self.q, self.v)
 
 
-_UNBOUNDED_KEY = Caps(MAXCAP, MAXCAP, MAXCAP).key
-
-
 def _degree(terms, shift):
     return max(((k >> shift) & MASK for k in terms), default=0)
-
-
-def _degrees(terms):
-    """(p, q, v) degrees of a term dict."""
-    return [_degree(terms, shift) for shift in _SHIFTS.values()]
-
-
-def _check_field(a, b):
-    """Raise ResourceLimit when the degree sums a + b pass the key field maximum."""
-    for var, da, db in zip("pqv", a, b):
-        if da + db > MAXCAP:
-            raise ResourceLimit(f"{var}-degree {da + db} exceeds the key field maximum {MAXCAP}")
 
 
 def _cleaned(d):
@@ -122,9 +109,6 @@ class MPoly:
             return self.terms == other.terms
         return NotImplemented
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other):
         return _merged(dict(self.terms), other.terms.items())
 
@@ -134,20 +118,11 @@ class MPoly:
     def __neg__(self):
         return MPoly._raw({k: -c for k, c in self.terms.items()})
 
-    def mul(self, other, capkey=_UNBOUNDED_KEY):
-        """Product, dropping terms beyond the caps.
-
-        Without caps nothing may be dropped, so a product whose degree
-        would pass the key field maximum raises ResourceLimit instead.
-        """
-        if capkey == _UNBOUNDED_KEY:
-            _check_field(_degrees(self.terms), _degrees(other.terms))
+    def mul(self, other, capkey):
+        """Product, dropping terms beyond the caps."""
         acc = {}
         backend.mul_into(acc, self.terms, other.terms, capkey)
         return MPoly._raw(_cleaned(acc))
-
-    def __mul__(self, other):
-        return self.mul(other)
 
     def scale(self, c):
         c = index(c)
@@ -157,17 +132,11 @@ class MPoly:
             return self
         return MPoly._raw({k: v * c for k, v in self.terms.items()})
 
-    def mul_monomial(self, c, dp=0, dq=0, dv=0, capkey=_UNBOUNDED_KEY):
-        """Multiply by c * p^dp q^dq v^dv, dropping terms beyond the caps.
-
-        Without caps, a degree past the key field maximum raises
-        ResourceLimit, as in ``mul``.
-        """
+    def mul_monomial(self, c, dp=0, dq=0, dv=0, *, capkey):
+        """Multiply by c * p^dp q^dq v^dv, dropping terms beyond the caps."""
         c = index(c)
         if c == 0:
             return MPoly.zero()
-        if capkey == _UNBOUNDED_KEY:
-            _check_field(_degrees(self.terms), (dp, dq, dv))
         shift = pack(dp, dq, dv)
         out = {}
         for k, v in self.terms.items():
@@ -218,9 +187,6 @@ class MPoly:
     def degree(self, var):
         return _degree(self.terms, _SHIFTS[var])
 
-    def scalar_part(self):
-        return self.terms.get(0, 0)
-
     def is_scalar(self):
         return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
@@ -262,14 +228,16 @@ class MPoly:
         return f"MPoly({self})"
 
 
-def invert(m, capkey, iteration_bound):
+def invert(m, capkey):
     """Multiplicative inverse of an MPoly whose scalar part s is 1 or -1.
 
-    Works in the capped quotient ring: the non-scalar part is nilpotent
-    there, so a finite Neumann series terminates.  Any other scalar part
-    has no integer inverse and raises NonUnitDivisor.
+    Works in the capped quotient ring: every term of t = 1 - m/s has a
+    positive total degree, so t^k vanishes under the caps once k passes
+    their sum, and the Neumann series 1 + t + t^2 + ... stops at its first
+    zero power.  Any other scalar part has no integer inverse and raises
+    NonUnitDivisor.
     """
-    s = m.scalar_part()
+    s = m.coefficient()
     if s not in (1, -1):
         raise NonUnitDivisor(f"scalar term {s} of {m} is not 1 or -1")
     rest = m - MPoly.scalar(s)
@@ -278,7 +246,7 @@ def invert(m, capkey, iteration_bound):
     t = rest.scale(-s)  # m = s(1 - t), and 1/s = s
     result = MPoly.scalar(1)
     power = MPoly.scalar(1)
-    for _ in range(iteration_bound):
+    for _ in range(sum(unpack(capkey)) + 1):
         power = power.mul(t, capkey)
         if not power:
             return result.scale(s)

@@ -174,13 +174,9 @@ class Series:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, order):
-        return cls(order)
-
-    @classmethod
     def from_x_polynomial(cls, order, poly_coeffs):
         """Series whose x^n coefficient is poly_coeffs[n] (scalar or MPoly)."""
-        s = cls.zero(order)
+        s = cls(order)
         for n, c in enumerate(poly_coeffs):
             if n >= order:
                 break
@@ -249,7 +245,7 @@ class Series:
         capkey = self.caps.key
         out = [MPoly.zero()] * min(x_shift, self.order)
         for n in range(self.order - x_shift):
-            out.append(self.coeffs[n].mul_monomial(c, dp, dq, dv, capkey))
+            out.append(self.coeffs[n].mul_monomial(c, dp, dq, dv, capkey=capkey))
         return Series(self.order, out)
 
     def div(self, other):
@@ -258,12 +254,12 @@ class Series:
 
         out_k = (num_k - sum_{i<k} out_i b_(k-i)) * inv, for the inverse inv
         of b_0 in the capped ring: +-1 itself, or one ``mpoly.invert`` of a
-        non-scalar unit such as 1 - v.  A quotient may fill the caps in each
-        variable its operands carry.
+        non-scalar unit such as 1 - v, which sizes its loop from the caps.
+        A quotient may fill the caps in each variable its operands carry.
         """
         self._check_compatible(other)
         caps, n, b = self.caps, self.order, other.coeffs
-        inv = mpoly.invert(b[0], caps.key, caps.p + caps.q + caps.v + 2)
+        inv = mpoly.invert(b[0], caps.key)
         dn, db, di = _degrees(self.coeffs, caps), _degrees(b, caps), _degrees([inv], caps)
         reach = [max(t, (c if t or d else 0) + d) + i for t, d, i, c in zip(dn, db, di, caps)]
         pk = _Packing(caps, reach)

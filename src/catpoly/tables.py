@@ -45,10 +45,6 @@ class TriTable(NamedTuple):
     first_index: int
     rows: List[List[int]]
 
-    @property
-    def size(self):
-        return len(self.rows)
-
     def row(self, n):
         return self.rows[n - 1]
 

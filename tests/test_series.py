@@ -69,7 +69,9 @@ def test_mpoly_addition_cancels():
 def test_mpoly_mul_and_str():
     a = MPoly.monomial(1, 0, 1, 0) + MPoly.scalar(1)  # 1 + q
     b = MPoly.monomial(1, 0, 0, 1)  # v
-    assert str(a * b) == "v+qv"
+    assert str(a.mul(b, Caps(1, 1, 1).key)) == "v+qv"
+    # the caps cut the product: q^1 v^1 passes a q cap of 0
+    assert str(a.mul(b, Caps(1, 0, 1).key)) == "v"
 
 
 def test_mpoly_derivative():
@@ -87,11 +89,12 @@ def test_mpoly_mul_monomial_normalises_once():
     # an int multiplier keeps int coefficients and a zero one gives zero;
     # scale and mul_monomial refuse a Fraction, even a whole one, and a float
     m = MPoly.monomial(3, 1, 0, 0)
-    c = m.mul_monomial(2, 0, 1, 0).coefficient(1, 1, 0)
+    key = Caps(2, 2, 2).key
+    c = m.mul_monomial(2, 0, 1, 0, capkey=key).coefficient(1, 1, 0)
     assert c == 6 and type(c) is int
-    assert not m.mul_monomial(0, 0, 1, 0) and not m.scale(0)
+    assert not m.mul_monomial(0, 0, 1, 0, capkey=key) and not m.scale(0)
     for c in (Fraction(6, 3), Fraction(1, 2), 2.0):
-        for make in (lambda: m.scale(c), lambda: m.mul_monomial(c, 0, 1, 0)):
+        for make in (lambda: m.scale(c), lambda: m.mul_monomial(c, 0, 1, 0, capkey=key)):
             with pytest.raises(TypeError):
                 make()
 
@@ -169,7 +172,7 @@ def test_div_refuses_a_constant_term_other_than_one_or_minus_one(constant):
     with pytest.raises(NonUnitDivisor):
         num.div(den)
     with pytest.raises(NonUnitDivisor):
-        mpoly.invert(constant, den.caps.key, 10)
+        mpoly.invert(constant, den.caps.key)
 
 
 def test_div_by_nonscalar_unit():
@@ -363,6 +366,36 @@ UNITS = [
     {(0, 0, 0): 1, (1, 0, 0): 1},  # 1 + p
     {(0, 0, 0): 1, (0, 0, 1): -1},  # 1 - v
 ]
+
+
+def inverse_terms(unit, caps):
+    """``mpoly.invert`` of a unit given as {(p, q, v): c}, back on exponent
+    triples."""
+    inv = mpoly.invert(to_series([unit]).coeffs[0], caps.key)
+    return {unpack(k): c for k, c in inv.terms.items()}
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+@pytest.mark.parametrize("unit", UNITS)
+def test_invert_sizes_its_loop_from_the_caps(unit, order):
+    # invert takes no bound: the loop it derives from the caps reaches the
+    # inverse of every unit at every order
+    caps = Caps.for_order(order)
+    inv = inverse_terms(unit, caps)
+    assert naive_mul([inv], [unit], caps) == [{(0, 0, 0): 1}]
+    assert inv == naive_inverse(unit, caps)
+
+
+@pytest.mark.parametrize("order", range(1, 5))
+def test_invert_bound_is_tight(order):
+    # for 1 - (p + q + v), t = p + q + v and t^k stays nonzero up to k =
+    # cap_p + cap_q + cap_v, where p^cap_p q^cap_q v^cap_v appears, so the
+    # inverse needs every pass of the derived loop
+    caps = Caps.for_order(order)
+    unit = {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1}
+    inv = inverse_terms(unit, caps)
+    assert naive_mul([inv], [unit], caps) == [{(0, 0, 0): 1}]
+    assert inv[tuple(caps)] != 0
 
 
 @st.composite
