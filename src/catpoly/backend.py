@@ -5,9 +5,14 @@ exponent key to a nonzero int coefficient.  This module owns
 the key layout: p, q and v each get a field of ``FIELD`` bits topped by one
 guard bit, 63 bits in all:
 
-    bits  0..19  v exponent      bit 20  guard
-    bits 21..40  q exponent      bit 41  guard
+    bits  0..19  q exponent      bit 20  guard
+    bits 21..40  v exponent      bit 41  guard
     bits 42..61  p exponent      bit 62  guard
+
+q takes the low field because the dense series carry q alone: the keys of
+such a coefficient are its q-exponents 0, 1, 2, ..., small ints that spread
+over a dict's table (an exponent below 257 is a cached int), where a key
+with empty low bits would start every probe at the same slot.
 
 Guard bits let a single subtraction test all three per-variable caps at
 once: for a product key ``k`` and a cap key carrying the guard bits set,
@@ -43,8 +48,8 @@ from operator import add, lshift
 
 FIELD = 20
 
-VSHIFT = 0
-QSHIFT = FIELD + 1
+QSHIFT = 0
+VSHIFT = FIELD + 1
 PSHIFT = 2 * (FIELD + 1)
 
 MASK = (1 << FIELD) - 1
@@ -68,18 +73,18 @@ def pack(dp=0, dq=0, dv=0):
     """Pack an exponent triple into a single integer key."""
     if not (0 <= dp <= MAXCAP and 0 <= dq <= MAXCAP and 0 <= dv <= MAXCAP):
         raise ValueError(f"exponents out of range: {(dp, dq, dv)}")
-    return (dp << PSHIFT) | (dq << QSHIFT) | dv
+    return (dp << PSHIFT) | (dv << VSHIFT) | dq
 
 
 def unpack(key):
-    return (key >> PSHIFT) & MASK, (key >> QSHIFT) & MASK, key & MASK
+    return (key >> PSHIFT) & MASK, key & MASK, (key >> VSHIFT) & MASK
 
 
 def cap_key(cap_p, cap_q, cap_v):
     """Pack per-variable caps together with the guard bits."""
     if not (0 <= cap_p <= MAXCAP and 0 <= cap_q <= MAXCAP and 0 <= cap_v <= MAXCAP):
         raise ValueError(f"caps out of range: {(cap_p, cap_q, cap_v)}")
-    return GUARDS | (cap_p << PSHIFT) | (cap_q << QSHIFT) | cap_v
+    return GUARDS | (cap_p << PSHIFT) | (cap_v << VSHIFT) | cap_q
 
 
 def mul_into(acc, a, b, capkey):

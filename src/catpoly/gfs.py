@@ -241,7 +241,7 @@ def _master(order, base, step, plus, minus):
     def slots(rows):
         chunks, keys = [], []
         for p, rs in rows.items():
-            for r, base in zip(rs, count(pack(p, 0, 0))):
+            for r, base in zip(rs, count(pack(p, 0, 0), _VSTEP)):
                 if r:
                     first = ((r & -r).bit_length() - 1) // w
                     top = r.bit_length() // w + 1
@@ -255,6 +255,9 @@ def _master(order, base, step, plus, minus):
 
 #: The key of q, the step between the keys of consecutive q-slots
 _QSTEP = pack(0, 1, 0)
+
+#: The key of v, the step between the keys of consecutive (p, v) rows
+_VSTEP = pack(0, 0, 1)
 
 #: Most slot bytes per ``backend.read_slots`` call, whose bytes, limbs and
 #: ints are alive at once; every series below order 21 is one batch
@@ -396,7 +399,10 @@ def _kernel_residual(v0):
 # and its slots lie in [0, M(n)], which ``_slot_bytes`` sizes the slots for.
 # The x^n coefficients of a dense series are read back by ``_read_back`` as
 # they are, each its own two's complement, every slot up to the top one
-# written out; the decode drops the few zero slots among them.
+# written out; the decode drops the few zero slots among them.  The key of
+# slot k is that of q^k, which is k itself, since q has the low field of the
+# key (``backend``): the keys are the slot indices, small ints that spread
+# over the table of each coefficient's dict.
 #
 # The constructors count the words directly, by the transfer DP over the
 # word automaton, ``words.transfer`` (see ``_transfer_packed``): each step is
@@ -451,10 +457,10 @@ def _slots(n):
 
 def _transfer_packed(stat, word_class, order, w):
     """Packed x^n coefficients, n < order, of the words of ``word_class``
-    by ``stat``: ``words.transfer`` at q = 2^w, where an increment k is a
-    shift by k slots; the shifts of a rise layer and of a fall layer are
-    computed once.  Every state counts words of one length n, so its slots
-    lie in [0, M(n)] and never carry.
+    by ``stat``: the totals of ``words.transfer`` at q = 2^w, where an
+    increment k is a shift by k slots; the shifts of a rise layer and of a
+    fall layer are computed once.  Every state counts words of one length
+    n, so its slots lie in [0, M(n)] and never carry.
     """
     rise, fall = ([k * w for k in islice(increments(stat, up), order)] for up in (True, False))
 
@@ -462,7 +468,7 @@ def _transfer_packed(stat, word_class, order, w):
         return list(map(lshift, layer, rise if up else fall))
 
     states = transfer(order - 1, word_class, 1 << INCREMENTS[stat][0] * w, times)
-    return [0] + [sum(u) + sum(f) for u, f in states]
+    return [0] + [total for _u, _f, total in states]
 
 
 def _geom(r, d, w, mask):

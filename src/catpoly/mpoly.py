@@ -202,9 +202,8 @@ class MPoly:
         if not self.terms:
             return "0"
         parts = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            ep, eq, ev = unpack(k)
+        # by exponents (p, q, v), whatever the order of the key's fields
+        for (ep, eq, ev), c in sorted((unpack(k), c) for k, c in self.terms.items()):
             factors = "".join(
                 name if e == 1 else f"{name}^{e}"
                 for name, e in (("p", ep), ("q", eq), ("v", ev))

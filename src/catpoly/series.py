@@ -22,7 +22,7 @@ from itertools import chain, compress, islice, product
 from operator import mul, or_
 
 from . import backend, mpoly
-from .backend import GUARDS, MASK, PSHIFT, QSHIFT, pack, unpack
+from .backend import GUARDS, MASK, PSHIFT, QSHIFT, VSHIFT, pack, unpack
 from .errors import (
     BadSqrtConstantTerm,
     InternalInconsistency,
@@ -93,7 +93,8 @@ class _Packing:
         rq, rp, capkey = self.rq, self.rp, self.capkey
         items = [
             {
-                ((k & MASK) * rp + (k >> PSHIFT)) * rq + ((k >> QSHIFT) & MASK): c
+                (((k >> VSHIFT) & MASK) * rp + ((k >> PSHIFT) & MASK)) * rq
+                + ((k >> QSHIFT) & MASK): c
                 for k, c in m.terms.items()
                 if (capkey - k) & GUARDS == GUARDS
             }

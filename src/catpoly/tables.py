@@ -131,7 +131,7 @@ def table_stat(max_n: int, stat: str, limit: int = DEFAULT_TABLE_LIMIT) -> TriTa
         return [x + ((x & low) * k << width) for x, k in zip(layer, increments(stat, rise))]
 
     states = transfer(max_n, WordClass.AVOID_GEQ_GEQ, 1 + (INCREMENTS[stat][0] << width), times)
-    return TriTable(stat, 1, [[(a + b) >> width for a, b in zip(u, f)] for u, f in states])
+    return TriTable(stat, 1, [[(a + b) >> width for a, b in zip(u, f)] for u, f, _total in states])
 
 
 def table_stat_enumerated(max_n: int, stat: str, limit: int = DEFAULT_ENUM_LIMIT) -> TriTable:

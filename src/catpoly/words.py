@@ -250,7 +250,8 @@ def increments(stat, rise):
 
 
 def transfer(max_n: int, word_class: WordClass, start, times) -> Iterator[tuple]:
-    """Yield the weighted states (U, F) of the class at each length 1..max_n.
+    """Yield the weighted states (U, F) of the class at each length 1..max_n,
+    with their total.
 
     The transfer DP of the automaton of ``_successors`` (P. Flajolet and
     R. Sedgewick, Analytic Combinatorics, 2009, section V.5).  U[c] holds
@@ -267,28 +268,39 @@ def transfer(max_n: int, word_class: WordClass, start, times) -> Iterator[tuple]
     layer[i] appends letter i + 1 if ``rise``, else letter i.  Any ring
     serves: ints for counts, packed q-integers for the series, dual
     numbers for the statistic tables.  The yielded lists are read only.
+
+    Each length comes as (U, F, total): the total is the sum of U and F, all
+    the words of that length, weighted, read off the next step's suffix
+    sum.  Its last entry is the sum of U, to which the (>=,>=) class adds
+    that of F; the classes that sum U + F find the whole total there, and
+    the rising-tail class counts U alone.  The last length, with no next
+    step, sums its own states.
     """
     both = word_class in (WordClass.ALL_CATALAN, WordClass.AVOID_NEQ_ADJACENT)
     strict = word_class is WordClass.AVOID_NEQ_ADJACENT
     rising_tail = word_class is WordClass.CLASS_B
     u, f = [start], [0]
     for n in range(1, max_n + 1):
-        if n > 1:
-            t = list(map(add, u, f))
-            falls = list(accumulate(reversed(t if both else u)))
-            falls.reverse()
-            if strict:
-                del falls[0]
-            u = [0] + times(t, True)
-            f = times(falls, False) + [0] * (n - len(falls))
-        yield u, ([0] * n if rising_tail else f)
+        shown = [0] * n if rising_tail else f
+        if n == max_n:
+            yield u, shown, sum(u) + sum(shown)
+            return
+        t = list(map(add, u, f))
+        falls = list(accumulate(reversed(t if both else u)))
+        total = falls[-1] if both or rising_tail else falls[-1] + sum(f)
+        falls.reverse()
+        if strict:
+            del falls[0]
+        yield u, shown, total
+        u = [0] + times(t, True)
+        f = times(falls, False) + [0] * (n + 1 - len(falls))
 
 
 def word_counts(max_n: int, word_class: WordClass = WordClass.AVOID_GEQ_GEQ) -> list:
     """Exact counts of the words of every length 0..max_n, in one pass of
     ``transfer`` with unit weights; never materializes words."""
     states = transfer(max_n, word_class, 1, lambda layer, rise: layer)
-    return [1] + [sum(u) + sum(f) for u, f in states]
+    return [1] + [total for _u, _f, total in states]
 
 
 def count_words(n: int, word_class: WordClass = WordClass.AVOID_GEQ_GEQ) -> int:

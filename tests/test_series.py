@@ -183,7 +183,7 @@ def test_div_by_nonscalar_unit():
     q = num.div(den)
     assert q * den == num
     # the inverse of (1-v) is the truncated geometric series in v
-    assert q.coeff(0) == MPoly({k: 1 for k in range(q.caps.v + 1)})
+    assert q.coeff(0) == MPoly({pack(0, 0, k): 1 for k in range(q.caps.v + 1)})
 
 
 def test_order_mismatch_raises():

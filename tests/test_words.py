@@ -216,15 +216,19 @@ def test_word_counts_keep_every_length_of_one_pass():
 
 def test_transfer_states_match_enumeration():
     # U[c] / F[c] count the words ending in c whose previous letter is
-    # not / is >= c, state by state, in every class
+    # not / is >= c, state by state, in every class, and the total counts
+    # all of them; each max_n ends the DP at another length, where the
+    # total is summed from the states, not read off a next step
     for cls in WordClass:
-        states = list(transfer(10, cls, 1, lambda layer, rise: layer))
-        assert len(states) == 10
-        for n, (u, f) in enumerate(states, start=1):
-            want = ([0] * n, [0] * n)
+        want = []
+        for n in range(1, 11):
+            u, f = [0] * n, [0] * n
             for w in enumerate_words(n, cls):
-                want[n >= 2 and w[-2] >= w[-1]][w[-1]] += 1
-            assert (u, f) == want, (cls, n)
+                (f if n >= 2 and w[-2] >= w[-1] else u)[w[-1]] += 1
+            want.append((u, f, sum(u) + sum(f)))
+        for max_n in range(11):
+            states = list(transfer(max_n, cls, 1, lambda layer, rise: layer))
+            assert states == want[:max_n], (cls, max_n)
 
 
 def test_unequal_adjacent_shifted_motzkin():
