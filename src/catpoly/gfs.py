@@ -458,16 +458,12 @@ def _slots(n):
 def _transfer_packed(stat, word_class, order, w):
     """Packed x^n coefficients, n < order, of the words of ``word_class``
     by ``stat``: the totals of ``words.transfer`` at q = 2^w, where an
-    increment k is a shift by k slots; the shifts of a rise layer and of a
-    fall layer are computed once.  Every state counts words of one length
-    n, so its slots lie in [0, M(n)] and never carry.
+    increment k is a shift by k slots, so ``weigh`` is a left shift by a
+    weight of k w bits.  Every state counts words of one length n, so its
+    slots lie in [0, M(n)] and never carry.
     """
     rise, fall = ([k * w for k in islice(increments(stat, up), order)] for up in (True, False))
-
-    def times(layer, up):
-        return list(map(lshift, layer, rise if up else fall))
-
-    states = transfer(order - 1, word_class, 1 << INCREMENTS[stat][0] * w, times)
+    states = transfer(order - 1, word_class, 1 << INCREMENTS[stat][0] * w, lshift, rise, fall)
     return [0] + [total for _u, _f, total in states]
 
 

@@ -11,6 +11,7 @@ check_recurrences and any disagreement is reported, never silently
 patched.
 """
 
+from itertools import islice
 from typing import Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .closedforms import motzkin
@@ -112,11 +113,12 @@ def table_c_enumerated(max_n: int, limit: int = DEFAULT_ENUM_LIMIT) -> TriTable:
 def table_stat(max_n: int, stat: str, limit: int = DEFAULT_TABLE_LIMIT) -> TriTable:
     """Statistic totals by ``words.transfer`` on dual numbers.
 
-    Each state holds count + total 2^W: q = 1 + e with e = 2^W and e^2 = 0,
-    so appending a letter that adds k maps x to x + k (x mod 2^W) 2^W.
-    Every count, and every sum of counts read out, is at most
-    M(max_n) < 2^W (M = Motzkin), so no count carries into the totals,
-    which sit above them unbounded.
+    Each state holds count 2^W + total, the dual number count + total e
+    (q = 1 + e, e^2 = 0) scaled by 2^W, so ``weigh`` appends a letter that
+    adds k by mapping x to x + k (x >> W).  A word of length n has area at
+    most n(n + 1)/2, semiperimeter at most its area + 1 and fewer interior
+    points than cells, so no total kept or read out passes
+    M(max_n) (max_n(max_n + 1)/2 + 1) < 2^W (M = Motzkin) into the counts.
     """
     if stat not in STATS:
         raise ValueError(f"unknown statistic {stat!r}")
@@ -124,14 +126,15 @@ def table_stat(max_n: int, stat: str, limit: int = DEFAULT_TABLE_LIMIT) -> TriTa
         raise ValueError("max_n must be >= 1")
     if max_n > limit:
         raise ResourceLimit(f"table size {max_n} exceeds limit {limit}")
-    width = motzkin(max_n).bit_length()
+    width = (motzkin(max_n) * (max_n * (max_n + 1) // 2 + 1)).bit_length()
     low = (1 << width) - 1
 
-    def times(layer, rise):
-        return [x + ((x & low) * k << width) for x, k in zip(layer, increments(stat, rise))]
+    def weigh(x, k):
+        return x + (x >> width) * k
 
-    states = transfer(max_n, WordClass.AVOID_GEQ_GEQ, 1 + (INCREMENTS[stat][0] << width), times)
-    return TriTable(stat, 1, [[(a + b) >> width for a, b in zip(u, f)] for u, f, _total in states])
+    rise, fall = (list(islice(increments(stat, up), max_n)) for up in (True, False))
+    states = transfer(max_n, WordClass.AVOID_GEQ_GEQ, (1 << width) + INCREMENTS[stat][0], weigh, rise, fall)
+    return TriTable(stat, 1, [[(a + b) & low for a, b in zip(u, f)] for u, f, _total in states])
 
 
 def table_stat_enumerated(max_n: int, stat: str, limit: int = DEFAULT_ENUM_LIMIT) -> TriTable:

@@ -14,15 +14,16 @@ and ``to_dyck`` read a word through the sequence protocol: a
 
 Enumeration and counting run the same (last letter, flag) automaton:
 ``enumerate_words`` walks ``_successors`` depth first on an explicit
-stack, and ``transfer`` steps all words of one length at a time, with the
-weights its caller chooses.  ``word_counts`` is ``transfer`` with unit
-weights; the statistic tables and the area and interior-point series are
-the same DP with other weights.
+stack, and ``transfer`` steps all words of one length at a time, letter
+by letter, with the ``weigh`` and the rise and fall weights its caller
+chooses.  ``word_counts`` is ``transfer`` with unit weights; the
+statistic tables and the area and interior-point series are the same DP
+in other rings, weighed by the increments of ``INCREMENTS``.
 """
 
 import enum
-from itertools import accumulate, count
-from operator import add, sub
+from itertools import count
+from operator import sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import EmptyWord, InternalInconsistency, NotCatalan, ResourceLimit
@@ -244,12 +245,13 @@ INCREMENTS = {"sper": (2, 0, 2, 1), "area": (1, 1, 1, 1), "inter": (0, 1, -1, 0)
 
 
 def increments(stat, rise):
-    """The increments of ``stat`` along one layer of ``transfer``, in order."""
+    """The increments of ``stat`` for a rise (or a fall or stay) to each
+    letter 0, 1, 2, ... in turn: the weights ``transfer`` takes, in order."""
     _start, slope, up, down = INCREMENTS[stat]
-    return count(slope + up, slope) if rise else count(down, slope)
+    return count(up if rise else down, slope)
 
 
-def transfer(max_n: int, word_class: WordClass, start, times) -> Iterator[tuple]:
+def transfer(max_n: int, word_class: WordClass, start, weigh, rise, fall) -> Iterator[tuple]:
     """Yield the weighted states (U, F) of the class at each length 1..max_n,
     with their total.
 
@@ -260,21 +262,22 @@ def transfer(max_n: int, word_class: WordClass, start, times) -> Iterator[tuple]
     ``start``.  A rise to c may follow U[c-1] and F[c-1]; a fall or stay to
     c may follow U[b] for b >= c, and also F[b] in the classes that do not
     avoid (>=,>=); the unequal-adjacent class needs b > c.  The rising-tail
-    class keeps only U, and its F reads 0.  So one step is a running suffix
-    sum and two weighted layers:
-      U'[c] = times(U[c-1] + F[c-1], rise) for c >= 1,
-      F'[c] = times(sum of U[b] (+ F[b]) over b >= c (> c), fall).
-    ``times(layer, rise)`` returns a whole layer weighted, as a new list:
-    layer[i] appends letter i + 1 if ``rise``, else letter i.  Any ring
-    serves: ints for counts, packed q-integers for the series, dual
-    numbers for the statistic tables.  The yielded lists are read only.
+    class keeps only U, and its F reads 0.  So one step, taken one letter
+    at a time from the top, is one running sum and two weighings:
+      U'[c] = weigh(U[c-1] + F[c-1], rise[c]) for c >= 1,
+      F'[c] = weigh(sum of U[b] (+ F[b]) over b >= c (> c), fall[c]).
+    ``weigh(value, weight)`` appends a letter, weighted rise[c] for a rise
+    to c and fall[c] for a fall or stay to c (c < max_n; rise[0] is never
+    read), and must map 0 to 0.  Any ring serves: ints for counts, packed
+    q-integers for the series, dual numbers for the statistic tables.
+    The yielded lists are read only.
 
     Each length comes as (U, F, total): the total is the sum of U and F, all
-    the words of that length, weighted, read off the next step's suffix
-    sum.  Its last entry is the sum of U, to which the (>=,>=) class adds
-    that of F; the classes that sum U + F find the whole total there, and
-    the rising-tail class counts U alone.  The last length, with no next
-    step, sums its own states.
+    the words of that length, weighted, read off the next step's running
+    sum.  It ends as the sum of U, to which the (>=,>=) class adds that of
+    F; the classes that sum U + F find the whole total there, and the
+    rising-tail class counts U alone.  The last length, with no next step,
+    sums its own states.
     """
     both = word_class in (WordClass.ALL_CATALAN, WordClass.AVOID_NEQ_ADJACENT)
     strict = word_class is WordClass.AVOID_NEQ_ADJACENT
@@ -285,21 +288,28 @@ def transfer(max_n: int, word_class: WordClass, start, times) -> Iterator[tuple]
         if n == max_n:
             yield u, shown, sum(u) + sum(shown)
             return
-        t = list(map(add, u, f))
-        falls = list(accumulate(reversed(t if both else u)))
-        total = falls[-1] if both or rising_tail else falls[-1] + sum(f)
-        falls.reverse()
-        if strict:
-            del falls[0]
-        yield u, shown, total
-        u = [0] + times(t, True)
-        f = times(falls, False) + [0] * (n + 1 - len(falls))
+        nu, nf = [0] * (n + 1), [0] * (n + 1)
+        run = 0
+        for c in range(n - 1, -1, -1):
+            x = u[c] + f[c]
+            nu[c + 1] = weigh(x, rise[c + 1])
+            if strict:
+                nf[c] = weigh(run, fall[c])
+                run += x
+            else:
+                run += x if both else u[c]
+                nf[c] = weigh(run, fall[c])
+        yield u, shown, run if both or rising_tail else run + sum(f)
+        u, f = nu, nf
 
 
 def word_counts(max_n: int, word_class: WordClass = WordClass.AVOID_GEQ_GEQ) -> list:
     """Exact counts of the words of every length 0..max_n, in one pass of
     ``transfer`` with unit weights; never materializes words."""
-    states = transfer(max_n, word_class, 1, lambda layer, rise: layer)
+    if max_n < 0:
+        raise ValueError(f"word length must be >= 0, got {max_n}")
+    units = [1] * max_n
+    states = transfer(max_n, word_class, 1, lambda value, _unit: value, units, units)
     return [1] + [total for _u, _f, total in states]
 
 

@@ -206,6 +206,14 @@ def test_table_past_old_limit_succeeds(capsys):
     assert len(out.splitlines()) == 61
 
 
+@pytest.mark.parametrize("which", "csup")
+def test_table_text_matches_the_golden_file(capsys, which):
+    code, out, err = run(capsys, "table", "--which", which, "--max-n", "30")
+    assert (code, err) == (0, "")
+    golden = Path(__file__).resolve().parent / "golden" / f"table_{which}_max_n_30.txt"
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_table_max_n_zero_names_flag(capsys):
     err = assert_usage_error(capsys, "table", "--which", "c", "--max-n", "0")
     assert "--max-n" in err

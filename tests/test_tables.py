@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from catpoly import closedforms as cf
@@ -65,6 +67,22 @@ def test_stat_tables_match_enumeration(stat):
     t = tables.table_stat(10, stat)
     oracle = tables.table_stat_enumerated(10, stat)
     assert t.rows == oracle.rows
+
+
+# recorded before the transfer DP stepped one letter at a time: SHA-256 of
+# the rows of each statistic table at the table limit, n = 300
+STAT_300_DIGESTS = {
+    "sper": "42362d44e11a2201c7d98b28b7c1e206388f9ab8dbcf25247d05b92d46e28087",
+    "area": "9ceb576525a825aecb1fe393aeeade17aff02754602262843411bd7be811913b",
+    "inter": "59632b0cff2e551f4d9771edb4c86dc50a92baf028d77ed217f34d01279efd7b",
+}
+
+
+@pytest.mark.parametrize("stat", tables.STATS)
+def test_stat_tables_at_the_limit_match_their_digest(stat):
+    rows = tables.table_stat(tables.DEFAULT_TABLE_LIMIT, stat).rows
+    text = "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == STAT_300_DIGESTS[stat]
 
 
 def test_stat_table_index_convention():

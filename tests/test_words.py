@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 from itertools import islice
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from catpoly.errors import EmptyWord, NotCatalan, ResourceLimit
 from catpoly.words import (
+    INCREMENTS,
     CatalanWord,
     Polyomino,
     WordClass,
@@ -15,6 +17,7 @@ from catpoly.words import (
     count_words,
     enumerate_words,
     from_dyck,
+    increments,
     inter_oracle,
     sper_oracle,
     stat_area,
@@ -227,8 +230,65 @@ def test_transfer_states_match_enumeration():
                 (f if n >= 2 and w[-2] >= w[-1] else u)[w[-1]] += 1
             want.append((u, f, sum(u) + sum(f)))
         for max_n in range(11):
-            states = list(transfer(max_n, cls, 1, lambda layer, rise: layer))
+            units = [1] * max_n
+            states = list(transfer(max_n, cls, 1, lambda value, _unit: value, units, units))
             assert states == want[:max_n], (cls, max_n)
+
+
+@pytest.mark.parametrize("stat", sorted(INCREMENTS))
+def test_weighted_transfer_states_match_enumeration(stat):
+    # each letter's weight lands on its own state: on dual numbers
+    # count + total 2^W, U[c] / F[c] hold the (count, statistic total) of
+    # the words ending in c, split by the flag, in every class and at
+    # every max_n
+    width = 64
+    low = (1 << width) - 1
+    value = {"sper": stat_sper, "area": stat_area, "inter": stat_inter}[stat]
+    start = 1 + (INCREMENTS[stat][0] << width)
+
+    def weigh(x, k):
+        return x + ((x & low) * k << width)
+
+    def pairs(layer):
+        return [(x & low, x >> width) for x in layer]
+
+    for cls in WordClass:
+        want = []
+        for n in range(1, 11):
+            u, f = [(0, 0)] * n, [(0, 0)] * n
+            for w in enumerate_words(n, cls):
+                side = f if n >= 2 and w[-2] >= w[-1] else u
+                count, total = side[w[-1]]
+                side[w[-1]] = (count + 1, total + value(w))
+            want.append((u, f, (sum(c for c, _ in u + f), sum(t for _, t in u + f))))
+        for max_n in range(11):
+            rise, fall = (list(islice(increments(stat, up), max_n)) for up in (True, False))
+            states = transfer(max_n, cls, start, weigh, rise, fall)
+            got = [(pairs(u), pairs(f), (total & low, total >> width)) for u, f, total in states]
+            assert got == want[:max_n], (cls, max_n)
+
+
+# recorded before the transfer DP stepped one letter at a time: SHA-256 of
+# the counts of every length up to 300 in each class
+COUNT_300_DIGESTS = {
+    WordClass.ALL_CATALAN: "e565f3eea9884585501efb165c9f31b11ead502fc02e8893a08fe19503ea90b3",
+    WordClass.AVOID_GEQ_GEQ: "944b82dea1e3f9186529c4c87191f5af2cdd2a1ad2f97c0e76dfeb808c3765b9",
+    WordClass.AVOID_NEQ_ADJACENT: "ba1e64cbd0709edb83d2d95bb500419be242fab2a4cf5706895a74d39c285a5d",
+    WordClass.CLASS_B: "ba1e64cbd0709edb83d2d95bb500419be242fab2a4cf5706895a74d39c285a5d",
+}
+
+
+@pytest.mark.parametrize("cls", WordClass)
+def test_word_counts_to_300_match_their_digest(cls):
+    text = " ".join(map(str, word_counts(300, cls))) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == COUNT_300_DIGESTS[cls]
+
+
+@pytest.mark.parametrize("n", [-1, -2, -3])
+def test_counts_of_a_negative_length_raise(n):
+    for count in (word_counts, count_words):
+        with pytest.raises(ValueError, match="word length must be >= 0"):
+            count(n)
 
 
 def test_unequal_adjacent_shifted_motzkin():
