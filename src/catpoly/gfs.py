@@ -30,7 +30,7 @@ continued fraction run on ``Series`` arithmetic.
 
 from fractions import Fraction
 from functools import partial
-from itertools import chain, count, islice
+from itertools import chain, count
 from operator import lshift
 
 from . import backend, closedforms
@@ -462,7 +462,7 @@ def _transfer_packed(stat, word_class, order, w):
     weight of k w bits.  Every state counts words of one length n, so its
     slots lie in [0, M(n)] and never carry.
     """
-    rise, fall = ([k * w for k in islice(increments(stat, up), order)] for up in (True, False))
+    rise, fall = increments(stat, order, w)
     states = transfer(order - 1, word_class, 1 << INCREMENTS[stat][0] * w, lshift, rise, fall)
     return [0] + [total for _u, _f, total in states]
 

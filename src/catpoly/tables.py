@@ -11,7 +11,6 @@ check_recurrences and any disagreement is reported, never silently
 patched.
 """
 
-from itertools import islice
 from typing import Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .closedforms import motzkin
@@ -132,7 +131,7 @@ def table_stat(max_n: int, stat: str, limit: int = DEFAULT_TABLE_LIMIT) -> TriTa
     def weigh(x, k):
         return x + (x >> width) * k
 
-    rise, fall = (list(islice(increments(stat, up), max_n)) for up in (True, False))
+    rise, fall = increments(stat, max_n)
     states = transfer(max_n, WordClass.AVOID_GEQ_GEQ, (1 << width) + INCREMENTS[stat][0], weigh, rise, fall)
     return TriTable(stat, 1, [[(a + b) & low for a, b in zip(u, f)] for u, f, _total in states])
 

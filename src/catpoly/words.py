@@ -22,7 +22,7 @@ in other rings, weighed by the increments of ``INCREMENTS``.
 """
 
 import enum
-from itertools import count
+from itertools import count, islice
 from operator import sub
 from typing import Iterator, NamedTuple, Sequence
 
@@ -244,11 +244,12 @@ def enumerate_words(
 INCREMENTS = {"sper": (2, 0, 2, 1), "area": (1, 1, 1, 1), "inter": (0, 1, -1, 0)}
 
 
-def increments(stat, rise):
-    """The increments of ``stat`` for a rise (or a fall or stay) to each
-    letter 0, 1, 2, ... in turn: the weights ``transfer`` takes, in order."""
+def increments(stat, n, unit=1):
+    """The weights ``transfer`` takes for ``stat``: the increments of a rise
+    and of a fall or stay to each letter 0..n-1, times ``unit``, as two
+    lists."""
     _start, slope, up, down = INCREMENTS[stat]
-    return count(up if rise else down, slope)
+    return [list(islice(count(first * unit, slope * unit), n)) for first in (up, down)]
 
 
 def transfer(max_n: int, word_class: WordClass, start, weigh, rise, fall) -> Iterator[tuple]:

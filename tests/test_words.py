@@ -262,7 +262,7 @@ def test_weighted_transfer_states_match_enumeration(stat):
                 side[w[-1]] = (count + 1, total + value(w))
             want.append((u, f, (sum(c for c, _ in u + f), sum(t for _, t in u + f))))
         for max_n in range(11):
-            rise, fall = (list(islice(increments(stat, up), max_n)) for up in (True, False))
+            rise, fall = increments(stat, max_n)
             states = transfer(max_n, cls, start, weigh, rise, fall)
             got = [(pairs(u), pairs(f), (total & low, total >> width)) for u, f, total in states]
             assert got == want[:max_n], (cls, max_n)
