@@ -31,10 +31,10 @@ continued fraction run on ``Series`` arithmetic.
 from fractions import Fraction
 from functools import partial
 from itertools import chain, count
-from operator import lshift
+from operator import lshift, neg
 
 from . import backend, closedforms
-from .backend import pack
+from .backend import PSHIFT, pack
 from .errors import InternalInconsistency
 from .mpoly import Caps, MPoly
 from .series import Series
@@ -131,10 +131,9 @@ def gf_p(order):
 #
 # Each master solves F = B + x S F(qv) + x^2 (P F(q) - M F(q^2 v)) / (1 - qv)
 # for monomials S, P, M in p, q, v and a base B of one monomial at x and one
-# at x^2.  The x^n coefficient is held as rows {a: [r_0, ..., r_V]}: r_v is
-# the q-polynomial that multiplies p^a v^v, evaluated at q = 2^w as one big
-# integer, with V = order internally.  Every step is then integer arithmetic
-# on rows:
+# at x^2.  The x^n coefficient is held as rows {a: [r_0, ..., r_(n-1)]}: r_v
+# is the q-polynomial that multiplies p^a v^v, evaluated at q = 2^w as one
+# big integer.  Every step is then integer arithmetic on rows:
 #   F(q^j v) times p^a q^b v^c  moves r_v to (p + a, v + c), shifted left by
 #                               (j v + b) slots;
 #   F(q) times p^a q^b          sums r_v shifted by (v + b) slots into (p + a, 0);
@@ -144,12 +143,15 @@ def gf_p(order):
 # row is the exact integer f(2^w) whatever the slot width: only the read-back
 # needs a bound on the slots, and ``_slot_bytes`` gives it.
 #
-# V = order keeps every term: v -> q moves high v into q, and the genuine
-# last letter of a length-n word is below n, so every row is exact and lies
-# within the default caps of the order.  Each nonzero (p, v) row is written
-# out from its lowest nonzero slot to its top one, with the keys of those
-# slots; the rows of a coefficient are joined, and ``_read_back`` decodes
-# the coefficients, a bounded batch per call.
+# The last letter of a length-n word is below n, so the rows v < n hold the
+# whole x^n coefficient.  The two substitutions at v move each row of
+# x^(n-1) and x^(n-2) onto its own row of x^n (one-to-one), so they set
+# fresh entries; and the running sum must be exactly 0 past v = n - 1,
+# which ``_master`` checks, so a wrong monomial fails loudly instead of
+# leaving terms with v >= n.  Each nonzero (p, v) row is written out from
+# its lowest nonzero slot to its top one, with the keys of those slots;
+# the rows of a coefficient are joined, and ``_read_back`` decodes the
+# coefficients, a bounded batch per call.
 
 
 def _solve_forward(order, contributions):
@@ -191,62 +193,75 @@ def _master(order, base, step, plus, minus):
     (dp, dq) at x^2), S = ``step`` and M = ``minus`` as (dp, dq, dv) and
     P = ``plus`` as (dp, dq).
 
-    The rows are exact integers at any slot width, so the slots are sized
-    from M(order - 1) by ``_slot_bytes``, the bound of the slots read back.
+    The x^n coefficient holds the rows v = 0 .. n - 1 of each p.  The step
+    (v -> v + sv) and the minus term (v -> v + mv) set the entries they
+    write, each once; the plus term and the base add at v = 0.  A step
+    outside v^0..v^1, or a minus term outside v^1..v^2, raises before any
+    work.  A 1/(1 - qv) sum that does not end at 0 by v = n - 1 would leave
+    terms with v >= n, and raises too.  The rows are exact integers at any
+    slot width, so the slots are sized from M(order - 1) by ``_slot_bytes``,
+    the bound of the slots read back.
     """
-    Caps.for_order(order)  # an order past the key fields raises before any work
-    nbytes = _slot_bytes(order)
-    w = 8 * nbytes
-    width = order + 1
     sp, sq, sv = step
     pp, pq = plus
     mp, mq, mv = minus
+    if not (0 <= sv <= 1 and 1 <= mv <= 2):
+        raise InternalInconsistency(
+            f"step v^{sv} or minus v^{mv} leaves the rows v < n of x^n "
+            "(the step needs v^0 or v^1, the minus term v^1 or v^2)"
+        )
+    Caps.for_order(order)  # an order past the key fields raises before any work
+    nbytes = _slot_bytes(order)
+    w = 8 * nbytes
 
-    def row(rows, p):
+    def row(rows, p, n):
         r = rows.get(p)
         if r is None:
-            r = rows[p] = [0] * width
+            r = rows[p] = [0] * n
         return r
 
     def contributions(prefix, n):
         out = {}
+        if n >= 1:
+            # each row of x^(n-1) moves to a row of its own, shifted by v + sq slots
+            for p, rs in prefix[n - 1].items():
+                dst = out[p + sp] = [0] * n
+                dst[sv : sv + n - 1] = map(lshift, rs, count(sq * w, w))
         if 1 <= n <= 2:
             bp, bq = base[n - 1]
-            row(out, bp)[0] = 1 << (bq * w)
-        if n >= 1:
-            for p, rs in prefix[n - 1].items():
-                dst = row(out, p + sp)
-                for v in range(width - sv):
-                    if rs[v]:
-                        dst[v + sv] += rs[v] << ((v + sq) * w)
+            row(out, bp, n)[0] += 1 << (bq * w)
         if n >= 2:
             geom = {}
             for p, rs in prefix[n - 2].items():
                 merged = 0
                 for r in reversed(rs):
                     merged = (merged << w) + r
-                row(geom, p + pp)[0] += merged << (pq * w)
-                dst = row(geom, p + mp)
-                for v in range(width - mv):
-                    if rs[v]:
-                        dst[v + mv] -= rs[v] << ((2 * v + mq) * w)
+                row(geom, p + pp, n)[0] += merged << (pq * w)
+                minus_rs = map(lshift, rs, count(mq * w, 2 * w))
+                row(geom, p + mp, n)[mv : mv + n - 2] = map(neg, minus_rs)
             for p, ins in geom.items():
-                dst = row(out, p)
+                dst = row(out, p, n)
                 run = 0
-                for v in range(width):
+                for v in range(n):
                     run = (run << w) + ins[v]
                     dst[v] += run
+                if run:
+                    raise InternalInconsistency(
+                        f"the 1/(1 - qv) sum of x^{n} p^{p} runs past v = {n - 1}"
+                    )
         return out
 
     def slots(rows):
         chunks, keys = [], []
         for p, rs in rows.items():
-            for r, base in zip(rs, count(pack(p, 0, 0), _VSTEP)):
+            key = p << PSHIFT
+            for r in rs:
                 if r:
                     first = ((r & -r).bit_length() - 1) // w
                     top = r.bit_length() // w + 1
                     chunks.append((r >> first * w).to_bytes(nbytes * (top - first), "little"))
-                    keys.append(range(base + first * _QSTEP, base + top * _QSTEP, _QSTEP))
+                    keys.append(range(key + first * _QSTEP, key + top * _QSTEP, _QSTEP))
+                key += _VSTEP
         return b"".join(chunks), chain.from_iterable(keys)
 
     rows = _solve_forward(order, contributions)
@@ -286,8 +301,8 @@ def master_pqv(order):
     Built by forward recurrence on packed q-rows from the self-substitution
     equation whose right side feeds the series back at v:=q, v:=qv and
     v:=q^2 v with the prefactors p^2 q x, p^3 q^2 x^2, p^3q^3x^2/(1-qv),
-    p^2q^2xv and -p^3q^5x^2v^2/(1-qv).  The last letter runs up to the
-    order internally, so no substitution loses a term.
+    p^2q^2xv and -p^3q^5x^2v^2/(1-qv).  The x^n coefficient keeps the
+    last letters v < n, the only ones a word of length n can end on.
     """
     return _master(order, ((2, 1), (3, 2)), (2, 2, 1), (3, 3), (3, 5, 2))
 

@@ -755,8 +755,41 @@ def test_forward_solver_rejects_reading_ahead():
     def contributions(prefix, n):
         return prefix[n]
 
-    with pytest.raises(InternalInconsistency):
+    read_ahead = r"^contribution to x\^0 read a coefficient of order >= 0$"
+    with pytest.raises(InternalInconsistency, match=read_ahead):
         gfs._solve_forward(4, contributions)
+
+
+# master_pqv's monomials with one exponent off: the minus term q^4 v^2 where
+# the equation has q^5 v^2, and v^3 where it has v^2
+_PQV = ((2, 1), (3, 2)), (2, 2, 1), (3, 3)
+
+
+def test_master_with_a_wrong_minus_term_raises():
+    # the 1/(1 - qv) sum leaves a remainder past the last letter n - 1;
+    # with every row kept to order + 1 entries, this master came back with
+    # 309 terms at v >= n and 551 negative coefficients
+    remainder = r"^the 1/\(1 - qv\) sum of x\^3 p\^5 runs past v = 2$"
+    with pytest.raises(InternalInconsistency, match=remainder):
+        gfs._master(8, *_PQV, (3, 4, 2))
+
+
+@pytest.mark.parametrize(
+    "step, minus",
+    [
+        ((2, 2, 1), (3, 5, 3)),
+        ((2, 2, 1), (3, 5, 0)),
+        ((2, 2, 2), (3, 5, 2)),
+        ((2, 2, -1), (3, 5, 2)),
+    ],
+    ids=["minus-v3", "minus-v0", "step-v2", "step-v-1"],
+)
+def test_master_refuses_steps_that_leave_the_rows(step, minus):
+    # a step past v^1 or a minus term past v^2 writes past the rows v < n
+    # of x^n, and a minus term at v^0 would overwrite the plus term
+    shape = rf"^step v\^{step[2]} or minus v\^{minus[2]} leaves the rows v < n of x\^n "
+    with pytest.raises(InternalInconsistency, match=shape):
+        gfs._master(8, _PQV[0], step, _PQV[2], minus)
 
 
 def _geom_oracle(dq, caps):

@@ -11,6 +11,8 @@ which solve different functional equations.
 
 from collections import Counter
 
+import pytest
+
 from catpoly import closedforms, gfs, words
 from catpoly.backend import pack, unpack
 from catpoly.mpoly import MPoly
@@ -35,10 +37,11 @@ def test_closed_totals_to_300():
         ), n
 
 
-def test_interior_master_is_the_substituted_pqv_master():
+# 28 is the order at which tests/test_gfs.py pins both masters' digests
+@pytest.mark.parametrize("order", [16, 28])
+def test_interior_master_is_the_substituted_pqv_master(order):
     # p^a q^b v^c -> q^(b - a + 1) v^c takes (sper, area, last) to
     # (interior points, last)
-    order = 16
     pqv, interior = gfs.master_pqv(order), gfs.master_interior_qv(order)
     for n in range(order):
         moved = Counter()
