@@ -30,7 +30,6 @@ _EXPORTS = {
         "u_closed",
     ),
     "errors": (
-        "BadSqrtConstantTerm",
         "CatpolyError",
         "EmptyWord",
         "InternalInconsistency",

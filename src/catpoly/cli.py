@@ -29,7 +29,8 @@ from .words import CatalanWord, WordClass
 _GF_BUILDERS = {
     # name -> (constructor in ``gfs``, first structural index, default order
     # limit): the largest round order whose ``catpoly gf`` process took
-    # under 1 s (2 cores, Python 3.11); 1000 is the last within the key fields
+    # under 1 s (2 cores, Python 3.11); the six scalar series take far less,
+    # and stop at 1000, the last round order whose ``Series`` caps fit the key fields
     "M": ("gf_motzkin", 0, 1000),
     "T": ("gf_trinomial", 0, 1000),
     "S": ("cf_S", 1, 200),
@@ -182,7 +183,7 @@ def _cmd_gf(args):
         raise ResourceLimit(f"series order {args.order} exceeds limit {limit}")
     try:
         series = getattr(gfs, builder)(args.order + start)
-    except ResourceLimit as exc:  # raised at the builder's padded order
+    except ResourceLimit as exc:  # raised at the builder's order, or a padded one
         raise ResourceLimit(
             f"series order {args.order} needs exponents above the key field maximum {MAXCAP}"
         ) from exc

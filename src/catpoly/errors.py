@@ -36,10 +36,6 @@ class NonUnitDivisor(CatpolyError):
     """Series division by a series whose constant term is not invertible."""
 
 
-class BadSqrtConstantTerm(CatpolyError):
-    """Series square root requires constant term exactly 1."""
-
-
 class InternalInconsistency(CatpolyError):
     """An exactness guard failed (inexact monomial division, nonvanishing
     low-order coefficients, ...).  Signals a transcription error rather

@@ -22,10 +22,11 @@ steps for 1/(1 - q^j) and big-integer products.  Every x^n coefficient of
 a packed series is read back at the end as one byte string and one run of
 slot keys, in batches of whole coefficients (``_read_back``); each slot is
 a count, so each packed value is written out as it is, its own two's
-complement.  The six scalar series are the rows of one table of algebraic
-forms, ``ALGEBRAIC_FORMS``, which ``trinomial_form`` also reads as the
-paper's trinomial forms; they, the kernel-method closed forms and the
-continued fraction run on ``Series`` arithmetic.
+complement.  The six scalar series, the rows of one table of algebraic
+forms ``ALGEBRAIC_FORMS`` that ``trinomial_form`` also reads as the paper's
+trinomial forms, are built on ints from the three-term recurrence of
+sqrt(Delta).  The kernel-method closed forms, on the root of their kernel
+by its own recurrence, and the continued fraction run on ``Series``.
 """
 
 from fractions import Fraction
@@ -56,17 +57,37 @@ ALGEBRAIC_FORMS = {
 }
 
 
+def _sqrt_delta(order):
+    """The x^0 .. x^(order-1) coefficients of sqrt(Delta), from its
+    recurrence n y_n = (2n - 3) y_(n-1) + 3(n - 3) y_(n-2), y_0 = 1 and
+    y_1 = -1; each division is exact or raises."""
+    y = [1, -1][:order]
+    for n in range(2, order):
+        q, r = divmod((2 * n - 3) * y[n - 1] + 3 * (n - 3) * y[n - 2], n)
+        if r:
+            raise InternalInconsistency(f"sqrt(Delta): x^{n} coefficient is not whole")
+        y.append(q)
+    return y
+
+
 def _algebraic_series(name, order):
-    """The series ``ALGEBRAIC_FORMS[name]``, built at order + k so that the
-    division by x^k loses nothing; all but the square root runs packed.
-    The division by c is exact, so a slip in the table fails loudly."""
+    """The series ``ALGEBRAIC_FORMS[name]`` on ints: Q sqrt(Delta) + P to
+    x^(order + k - 1), e passes of g_n += 2 g_(n-1) + 3 g_(n-2) (the division
+    by Delta), the k lowest coefficients checked to vanish and dropped, and
+    an exact division by c, so a slip in the table fails loudly."""
     c, P, Q, k, e = ALGEBRAIC_FORMS[name]
+    Caps.for_order(order)  # an order past the key fields raises before any work
     work = order + k
-    root = Series.from_x_polynomial(work, _DELTA).sqrt()
-    num = Series.from_x_polynomial(work, Q) * root + Series.from_x_polynomial(work, P)
-    if e:
-        num = num.div(Series.from_x_polynomial(work, _DELTA))
-    return num.divide_by_x_power(k).divide_coeffs_monomial(c)
+    y = _sqrt_delta(work)
+    g = [sum(qi * y[n - i] for i, qi in enumerate(Q[: n + 1])) for n in range(work)]
+    for n, pn in enumerate(P[:work]):
+        g[n] += pn
+    for _ in range(e):
+        for n in range(1, work):
+            g[n] += 2 * g[n - 1] + (3 * g[n - 2] if n > 1 else 0)
+    if any(g[:k]):
+        raise InternalInconsistency(f"{name}: x^0 .. x^{k - 1} coefficients {g[:k]} do not vanish")
+    return Series(order, [MPoly.scalar(gn).divide_monomial(c) for gn in g[k:]])
 
 
 def _whole(r):
@@ -321,9 +342,17 @@ def master_interior_qv(order):
 
 
 def _sqrt_sper_kernel(order):
-    """sqrt(1 - 2p^2 x + (p^4 - 4p^3) x^2)."""
-    x2 = MPoly.monomial(1, 4, 0, 0) + MPoly.monomial(-4, 3, 0, 0)
-    return Series.from_x_polynomial(order, [1, MPoly.monomial(-2, 2, 0, 0), x2]).sqrt()
+    """sqrt(1 - 2p^2 x + (p^4 - 4p^3) x^2), from its recurrence
+    n y_n = p^2 (2n - 3) y_(n-1) - (n - 3)(p^4 - 4p^3) y_(n-2) under the caps
+    of the order, with y_0 = 1 and y_1 = -p^2; each division is exact or
+    raises."""
+    capkey = Caps.for_order(order).key
+    y = [MPoly.scalar(1), MPoly.monomial(-1, 2, 0, 0)][:order]
+    for n in range(2, order):
+        a, b = y[n - 1], y[n - 2]
+        t = a.mul_monomial(2 * n - 3, 2, capkey=capkey) + b.mul_monomial(3 - n, 4, capkey=capkey)
+        y.append((t + b.mul_monomial(4 * (n - 3), 3, capkey=capkey)).divide_monomial(n))
+    return Series(order, y)
 
 
 def cf_S(order):

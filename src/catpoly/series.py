@@ -5,7 +5,7 @@ operations truncate at that order and at the per-variable caps of that
 order, ``Caps.for_order(N)``, both of which commute with ring arithmetic.
 Operands of binary operations must share their order.
 
-``*``, ``div`` and ``sqrt`` share one packed path (Kronecker substitution;
+``*`` and ``div`` share one packed path (Kronecker substitution;
 D. Harvey, J. Symbolic Comput. 44, 2009).  Each operand coefficient is
 packed once per operation into one big integer: its term p^a q^b v^c goes
 to slot (c * rp + a) * rq + b, with radices rq and rp past every degree
@@ -13,7 +13,7 @@ the operation reaches.  Each output order sums its big-integer
 products and is read back once, cut at the caps.  The w-bit slots widen,
 with a repack, whenever an order's bound passes them.  Coefficients are
 integers throughout: ``div`` takes only a divisor whose constant term has
-scalar part 1 or -1, and ``sqrt`` halves exactly or raises.
+scalar part 1 or -1.
 """
 
 from collections import namedtuple
@@ -23,11 +23,7 @@ from operator import mul, or_
 
 from . import backend, mpoly
 from .backend import GUARDS, MASK, PSHIFT, QSHIFT, VSHIFT, pack, unpack
-from .errors import (
-    BadSqrtConstantTerm,
-    InternalInconsistency,
-    OrderMismatch,
-)
+from .errors import InternalInconsistency, OrderMismatch
 from .mpoly import Caps, MPoly
 
 _ONE = MPoly.scalar(1)
@@ -136,10 +132,9 @@ class _Packing:
             self.fit(bound * factor)
         return sum(w * sum(map(mul, x.value[i], y.value[j][::-1])) for w, x, y, i, j in spans)
 
-    def read(self, value, seq=None, divisor=1):
-        """The MPoly packed in value, cut at the caps and divided exactly by
-        divisor; its slots join seq if given.  A slot that divisor does not
-        divide raises InternalInconsistency."""
+    def read(self, value, seq=None):
+        """The MPoly packed in value, cut at the caps; its slots join seq if
+        given."""
         sel, index, keys = self.live
         vals = [value]
         if not self.single:
@@ -147,11 +142,6 @@ class _Packing:
             n = min(self.nslots, abs(value).bit_length() // (8 * self.nbytes) + 1)
             vals = backend.read_signed(value, n, self.nbytes)
             vals = vals if sel is None else list(compress(vals, sel))
-        if divisor != 1:
-            bad = next((c for c in vals if c % divisor), 0)
-            if bad:
-                raise InternalInconsistency(f"coefficient {bad} is not divisible by {divisor}")
-            vals = [c // divisor for c in vals]
         if seq is not None:
             self.put(seq, dict(compress(zip(index, vals), vals)))
         return MPoly._raw(dict(compress(zip(keys, vals), vals)))
@@ -269,26 +259,6 @@ class Series:
         for k in range(n):
             parts = [(1, num, pk.one, k, k, k + 1), (-1, out, den, k, max(0, k - hb), k)]
             result.append(pk.read(pk.combine(parts, unit.size[0]) * unit.value[0], out))
-        return Series(n, result)
-
-    def sqrt(self):
-        """Square root of a series with constant term exactly 1.
-
-        out_k = (c_k - 2 sum_{0<i<k-i} out_i out_(k-i) - [k even] out_(k/2)^2) / 2,
-        which may fill the caps in each variable of c.  The root of a series
-        that is no square of an integer series leaves an odd numerator, and
-        the halving raises InternalInconsistency.
-        """
-        if self.coeffs[0] != _ONE:
-            raise BadSqrtConstantTerm(f"constant term is {self.coeffs[0]}, not 1")
-        caps, n = self.caps, self.order
-        pk = _Packing(caps, [2 * c if d else 0 for d, c in zip(_degrees(self.coeffs, caps), caps)])
-        c, out = pk.coeffs(self.coeffs), pk.coeffs([_ONE])
-        result = [_ONE]
-        for k in range(1, n):
-            parts = [(1, c, pk.one, k, k, k + 1), (-2, out, out, k, 1, (k + 1) // 2)]
-            parts.append((-1, out, out, k, k // 2, k // 2 + 1 - k % 2))
-            result.append(pk.read(pk.combine(parts), out, 2))
         return Series(n, result)
 
     # -- marker operations ----------------------------------------------------

@@ -282,7 +282,7 @@ def test_gf_default_limit_per_builder(capsys, which, limit):
 
 
 def test_gf_past_the_key_fields_names_the_order_asked_for(capsys):
-    # gf_h works at order + 5 internally; the error names the order given
+    # gf builds h at order + 1; the error names the order given
     code, out, err = run(capsys, "gf", "--which", "h", "--order", "1100", "--limit", "2000")
     assert (code, out) == (3, "")
     assert "series order 1100 needs exponents above the key field maximum 524287" in err
@@ -504,13 +504,13 @@ def test_verify_out_of_range_flag_exit2(capsys, flag, value):
 
 
 def test_verify_past_the_key_field_exits3(capsys):
-    # the series checks reach order 1025 + 2 = 1027, past the key field;
-    # that is a resource limit, not a failed check
+    # the first series built, gf_motzkin at order 1025, lies past the key
+    # field; that is a resource limit, not a failed check
     code, out, err = run(capsys, "verify", "--max-order", "1025")
     assert code == 3
     assert out == ""
     assert err == (
-        "error: order 1027 needs caps (2054, 527878, 1027) above the key field maximum 524287\n"
+        "error: order 1025 needs caps (2050, 525825, 1025) above the key field maximum 524287\n"
     )
 
 

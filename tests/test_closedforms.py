@@ -124,6 +124,14 @@ def test_closed_forms_match_series(closed, series):
         assert closed(n) == ser.coeff(n).as_scalar()
 
 
+@pytest.mark.parametrize("which, closed", [("M", cf.motzkin), ("T", cf.trinomial)])
+def test_motzkin_and_trinomial_match_series(which, closed):
+    # to the default limit of ``catpoly gf``: the numbers by their own
+    # P-recurrences, the series from the root of Delta
+    builder, _start, limit = _GF_BUILDERS[which]
+    assert getattr(gfs, builder)(limit).scalar_coeffs() == [closed(n) for n in range(limit)]
+
+
 def test_halving_guard_catches_a_slipped_row(monkeypatch):
     # 2 h(n) = T(n) would make h(1) = 1/2: the odd numerator fails loudly
     monkeypatch.setitem(cf.TRINOMIAL_FORMS, "h", ([1], 0))

@@ -380,6 +380,22 @@ ROUTE_DIGESTS = {
 }
 
 
+# recorded while the six scalar series and the semiperimeter kernel's root
+# were still built by ``Series.sqrt``, at the ``gf`` limits (the totals
+# print from x^1, so they are built one order higher) and at the order of
+# ``kernel_root_v0`` that the S limit reaches; slots pass 8 bytes here
+LIMIT_DIGESTS = {
+    ("gf_motzkin", 1000): "a11fa40dc63c05206cc8cf437d0ccfc2d0282042cf9e011b4d5dba03ea114c1e",
+    ("gf_trinomial", 1000): "e19a20b941e37a4385b5371012209a378cf8a37c893a0a862b17112bdbe53dad",
+    ("gf_h", 1001): "996652961b465cc45c550bee242184f35e877e24715a706e4236e89842ed0d58",
+    ("gf_s", 1001): "52601d0942d2d9ec9bb3e89974d1e4257878093ab0ac45e0b81e6e7035bc8ff0",
+    ("gf_u", 1001): "8e2aee43700ca33303fa5f2db5db64e10b38a19bcfd0b5a8e03e6e55e9f74983",
+    ("gf_p", 1001): "674794fafb3fbb5b33fdb65b734bbfcee7fb359cc94cb43b10ea2243c23c8e61",
+    ("cf_S", 201): "f17de9da909dfd22e49df0c72e956096e2e8a3b643eb23e0003dbbcc14c9bdd3",
+    ("kernel_root_v0", 100): "86fd13133a538cc2b7b677e8b70349b7cfd6f65e649e8e5d57b4ecf847c8fade",
+}
+
+
 #: Every public constructor of the library
 CONSTRUCTORS = [
     "gf_motzkin", "gf_trinomial", "gf_h", "gf_s", "gf_u", "gf_p",
@@ -418,6 +434,11 @@ def test_scalar_series_bit_identical_at_orders_1_to_60(name):
 @pytest.mark.parametrize("name", sorted(ROUTE_DIGESTS))
 def test_closed_forms_and_continued_fraction_bit_identical_at_orders_1_to_30(name):
     assert _orders_digest(name, range(1, 31)) == ROUTE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, order", sorted(LIMIT_DIGESTS))
+def test_square_root_series_bit_identical_at_the_cli_limits(name, order):
+    assert _digest(getattr(gfs, name)(order)) == LIMIT_DIGESTS[name, order]
 
 
 @pytest.mark.parametrize("name, printed", [

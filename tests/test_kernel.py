@@ -79,17 +79,19 @@ def test_caps_for_order_field_limit():
 def test_constructors_raise_past_the_key_fields_before_any_work(monkeypatch):
     # every constructor builds at the default caps of its order, so order
     # 1024 raises ResourceLimit before the DP, the recurrence, the paper's
-    # quotient or a continued-fraction level starts; gfs binds
-    # ``transfer`` by name, so it is refused there
+    # quotient, a continued-fraction level or the root of Delta starts; gfs
+    # binds ``transfer`` by name, so it is refused there
     def refuse(*args, **kwargs):
         raise AssertionError("work started past the key fields")
 
     monkeypatch.setattr(gfs, "transfer", refuse)
     monkeypatch.setattr(gfs, "_solve_forward", refuse)
     monkeypatch.setattr(gfs, "_ratio", refuse)
+    monkeypatch.setattr(gfs, "_sqrt_delta", refuse)
     monkeypatch.setattr(Series, "div", refuse)
     dense = ("sum_B", "sum_H", "prod_area", "prod_interior")
-    builders = [getattr(gfs, name) for name in dense + ("master_pqv", "master_interior_qv")]
+    scalar = ("gf_motzkin", "gf_trinomial", "gf_h", "gf_s", "gf_u", "gf_p")
+    builders = [getattr(gfs, name) for name in dense + scalar + ("master_pqv", "master_interior_qv")]
     builders += [partial(gfs.paper_form, name) for name in dense] + [gfs.cf_B_contfrac]
     for build in builders:
         with pytest.raises(ResourceLimit, match="order 1024 needs caps"):

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catpoly import backend, closedforms, mpoly, verify
+from catpoly import backend, closedforms, gfs, mpoly, verify
 from catpoly.backend import pack, unpack
 from catpoly.errors import (
-    BadSqrtConstantTerm,
     InternalInconsistency,
     NonUnitDivisor,
     OrderMismatch,
@@ -128,29 +127,19 @@ def test_div_roundtrip(a):
     assert not calls
 
 
-@settings(max_examples=25, deadline=None)
-@given(series_strategy)
-def test_sqrt_squares_back(a):
-    # s = (1 + x a)^2, so its root is 1 + x a, cut at the caps
-    one = series_from_terms([[(1, 0, 0, 0)]])
-    r = one + Series(a.order, [MPoly.zero()] + a.coeffs[:-1])
-    s = r * r
-    with kernel_calls() as calls:
-        root = s.sqrt()
-        assert root * root == s
-        assert root == r * one
-    assert not calls
-
-
-def test_sqrt_defining_identity():
-    s = Series.from_x_polynomial(8, [1, -2, -3])
-    root = s.sqrt()
-    assert root * root == s
-
-
-def test_sqrt_requires_unit_constant():
-    with pytest.raises(BadSqrtConstantTerm):
-        Series.from_x_polynomial(4, [2, 1]).sqrt()
+def test_square_roots_square_back():
+    # each root by its recurrence squares back: that of Delta = 1 - 2x - 3x^2
+    # on ints, and that of the semiperimeter kernel 1 - 2p^2 x + (p^4 - 4p^3) x^2,
+    # whose p-degrees pass the p cap 2 * order from x^order on, cut at the caps
+    x2 = MPoly.monomial(1, 4, 0, 0) + MPoly.monomial(-4, 3, 0, 0)
+    for order in range(2, 41):
+        delta = Series.from_x_polynomial(order, gfs._sqrt_delta(order))
+        root = gfs._sqrt_sper_kernel(order)
+        kernel = Series.from_x_polynomial(order, [1, MPoly.monomial(-2, 2, 0, 0), x2])
+        with kernel_calls() as calls:
+            assert delta * delta == Series.from_x_polynomial(order, [1, -2, -3])
+            assert root * root == kernel
+        assert not calls
 
 
 def test_div_requires_invertible_constant():
@@ -283,19 +272,6 @@ def naive_div(num, b, caps):
     return out
 
 
-def naive_sqrt(c, caps):
-    """Square root of a series with constant term 1, one order at a time."""
-    out = [{(0, 0, 0): 1}]
-    for k in range(1, len(c)):
-        acc = {e: v for e, v in c[k].items() if within(e, caps)}
-        for i in range(1, k):
-            for e, v in naive_mul([out[i]], [out[k - i]], caps)[0].items():
-                acc[e] = acc.get(e, 0) - v
-        assert all(v % 2 == 0 for v in acc.values()), "not the square of an integer series"
-        out.append({e: v // 2 for e, v in acc.items() if v})
-    return out
-
-
 def to_series(spec):
     return Series(len(spec), [MPoly({pack(*e): c for e, c in d.items()}) for d in spec])
 
@@ -306,8 +282,8 @@ def from_series(s):
 
 @contextmanager
 def kernel_calls():
-    """Calls of the per-pair term kernel made by ``Series`` products,
-    quotients and square roots inside the block, outside ``mpoly.invert``."""
+    """Calls of the per-pair term kernel made by ``Series`` products and
+    quotients inside the block, outside ``mpoly.invert``."""
     calls, inside = [], []
     real = backend.mul_into
 
@@ -326,7 +302,7 @@ def kernel_calls():
 
         return wrapper
 
-    saved = [(mpoly, "invert"), (Series, "__mul__"), (Series, "div"), (Series, "sqrt")]
+    saved = [(mpoly, "invert"), (Series, "__mul__"), (Series, "div")]
     saved = [(owner, name, vars(owner)[name]) for owner, name in saved]
     backend.mul_into = spy
     for owner, name, f in saved:
@@ -425,45 +401,6 @@ def test_packed_mul_and_div_match_oracle(case, unit):
     assert not calls
 
 
-@settings(max_examples=60, deadline=None)
-@given(series_pair())
-def test_packed_sqrt_matches_oracle(case):
-    # the square of r = 1 + a_1 x + ..., whose root is r cut at the caps
-    a, _ = case
-    r = [{(0, 0, 0): 1}] + a[1:]
-    caps = Caps.for_order(len(r))
-    c = naive_mul(r, r, caps)
-    with kernel_calls() as calls:
-        root = to_series(c).sqrt()
-    assert from_series(root) == naive_sqrt(c, caps)
-    assert from_series(root) == [{e: v for e, v in d.items() if within(e, caps)} for d in r]
-    assert not calls
-
-
-@pytest.mark.parametrize("c", [
-    [1, 1],  # sqrt(1 + x) = 1 + x/2 - ...
-    [1, 2, 2],  # 1 + x + x^2/2 + ...
-    [1, MPoly.monomial(-2, 3, 0, 0), MPoly.monomial(1, 6, 0, 0) + MPoly.monomial(-4, 5, 0, 0),
-     MPoly.monomial(1, 0, 0, 3)],  # ... + v^3 x^3 / 2 + ...
-], ids=["one_plus_x", "two_x", "p_and_v"])
-def test_sqrt_of_a_non_square_raises(c):
-    with pytest.raises(InternalInconsistency):
-        Series.from_x_polynomial(6, c).sqrt()
-
-
-def test_sqrt_with_p_and_v_matches_oracle():
-    # (1 - 2p^3 x + (p^6 - 4p^5) x^2) (1 + v^3 x^3)^2, whose root is an integer
-    # series; at order 8 its p-degrees pass the p cap 16 from x^6 on
-    caps = Caps.for_order(8)
-    kernel = [{(0, 0, 0): 1}, {(3, 0, 0): -2}, {(6, 0, 0): 1, (5, 0, 0): -4}] + [{}] * 5
-    square = [{(0, 0, 0): 1}, {}, {}, {(0, 0, 3): 2}, {}, {}, {(0, 0, 6): 1}, {}]
-    c = naive_mul(kernel, square, caps)
-    with kernel_calls() as calls:
-        root = to_series(c).sqrt()
-    assert from_series(root) == naive_sqrt(c, root.caps)
-    assert not calls
-
-
 def test_quotient_outgrowing_64_bits():
     # 1 / (1 - 3(1 + q^2 + ... + q^12) x - q^2 x^2): the slots widen and the
     # packed coefficients are repacked while the quotient grows past 2^64,
@@ -482,8 +419,8 @@ def test_quotient_outgrowing_64_bits():
 
 def test_trinomial_quotient_past_64_bits():
     # 1/sqrt(1 - 2x - 3x^2): integer scalar coefficients that pass 2^64
+    root = Series.from_x_polynomial(60, gfs._sqrt_delta(60))
     with kernel_calls() as calls:
-        root = Series.from_x_polynomial(60, [1, -2, -3]).sqrt()
         t = Series.from_x_polynomial(60, [1]).div(root)
     assert [c.as_scalar() for c in t.coeffs] == [closedforms.trinomial(n) for n in range(60)]
     assert t.coeff(59).as_scalar() > 2**64
@@ -522,7 +459,7 @@ def test_other_products_take_the_packed_path(coeff):
 
 
 def test_verify_makes_no_kernel_call_from_series():
-    # every Series product, quotient and square root of the default checks
+    # every Series product and quotient of the default checks
     # runs packed; the term kernel is left to MPoly.mul and mpoly.invert
     with kernel_calls() as calls:
         assert verify.run_verify().exit_code == 0

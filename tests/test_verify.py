@@ -213,7 +213,7 @@ def test_a_resource_limit_in_a_child_check_stops_the_run(monkeypatch, capsys):
 def test_a_resource_limit_in_a_parent_check_exits_3_on_both_paths(monkeypatch, capsys):
     split, alone = cli_runs_on_both_paths(monkeypatch, capsys, "--max-order", "1025")
     assert split == alone
-    assert split[:2] == (3, "") and split[2].startswith("error: order 1027 needs caps")
+    assert split[:2] == (3, "") and split[2].startswith("error: order 1025 needs caps")
 
 
 @two_processes
