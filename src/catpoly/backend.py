@@ -23,22 +23,17 @@ so the sum of two in-range keys never carries across fields.
 ``mul_into`` is the term kernel: a double loop over two term dicts that
 drops every product outside the caps, for ``MPoly.mul`` and
 ``mpoly.invert``; every ``MPoly`` product runs under caps.  The slot
-helpers serve ``series``, which packs each coefficient of an operand into
-one integer by mixed-radix Kronecker substitution over (p, q, v) once per
-product, quotient or square root (``to_slots``) and decodes each output
-coefficient in one call (``read_signed``), and ``gfs``, whose masters keep
-each (p, v) row of a coefficient as one integer in q and whose area and
-interior-point constructors keep each coefficient as one.  ``read_slots``
-is a pure decoder: it takes one byte string holding the slots of several
-coefficients in two's complement and, for each coefficient, the keys of
-its slots in order; the slots are cast to ints in bulk at their own width
-(``_signed_slots``), and one dict build per coefficient keeps its nonzero
-slots, with no Python-level step per slot (the inverse of Kronecker
-substitution; D. Harvey, J. Symbolic Comput. 44, 2009).  ``read_signed``
-encodes the signed slots of one ``series`` value with ``twos_complement``
-and casts them the same way; every ``gfs`` slot is a count, so each value
-is written out as it is, its own two's complement, and each ``gfs`` series
-is decoded in bounded batches of whole coefficients.
+helpers serve ``gfs``, whose masters keep each (p, v) row of a coefficient
+as one integer in q and whose area and interior-point constructors keep
+each coefficient as one.  ``read_slots`` is a pure decoder: it takes one
+byte string holding the slots of several coefficients in two's complement
+and, for each coefficient, the keys of its slots in order; the slots are
+cast to ints in bulk at their own width (``_signed_slots``), and one dict
+build per coefficient keeps its nonzero slots, with no Python-level step
+per slot (the inverse of Kronecker substitution; D. Harvey, J. Symbolic
+Comput. 44, 2009).  Every ``gfs`` slot is a count, so each value is
+written out as it is, its own two's complement, and each ``gfs`` series is
+decoded in bounded batches of whole coefficients.
 """
 
 import sys
@@ -116,38 +111,11 @@ def slot_bytes(bound):
     """Bytes per q-slot that hold any coefficient of magnitude <= bound.
 
     A slot of w bits, one more than the bound needs, holds the coefficient
-    with its sign: |c| <= bound < 2^(w-1), which is all ``twos_complement``
-    asks, and a slot in [0, bound] is its own two's complement.  Every
-    caller passes a bound on the magnitude, not a signed one.
+    with its sign: |c| <= bound < 2^(w-1), and a slot in [0, bound] is its
+    own two's complement.  Every caller passes a bound on the magnitude,
+    not a signed one.
     """
     return (bound.bit_length() + 1 + 7) // 8
-
-
-def to_slots(slots, nbytes):
-    """Pack a dict {slot index: int} into one integer, w = 8 * nbytes bits a slot."""
-    if not slots:
-        return 0
-    pos = bytearray(nbytes * (max(slots) + 1))
-    neg = bytearray(len(pos))
-    for i, c in slots.items():
-        i *= nbytes
-        if c > 0:
-            pos[i : i + nbytes] = c.to_bytes(nbytes, "little")
-        else:
-            neg[i : i + nbytes] = (-c).to_bytes(nbytes, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def twos_complement(value, nslots, nbytes):
-    """Slots 0..nslots-1 of ``value`` in two's complement, w = 8 * nbytes bits each.
-
-    ``value`` = sum_j c_j 2^(w j), any sum of products or shifts of packed
-    values, with |c_j| < 2^(w-1) below slot nslots.  Biased by 2^(w-1),
-    those slots are non-negative and carry no borrow; the mask drops what
-    lies above, however large, and the XOR takes the bias back off.
-    """
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * nslots, "little")
-    return ((value + bias) & ((1 << (8 * nbytes * nslots)) - 1)) ^ bias
 
 
 def read_slots(raw, nbytes, keys):
@@ -165,13 +133,6 @@ def read_slots(raw, nbytes, keys):
     # so both iterators stop at the first slot of the next coefficient
     data, selectors = iter(vals), iter(vals)
     return [dict(compress(zip(k, data), selectors)) for k in keys]
-
-
-def read_signed(value, nslots, nbytes):
-    """Slots 0..nslots-1 of value as ints: ``twos_complement``, then one
-    ``to_bytes`` and one bulk cast, however many rows they span."""
-    raw = twos_complement(value, nslots, nbytes).to_bytes(nslots * nbytes, "little")
-    return _signed_slots(raw, nbytes)
 
 
 def _signed_slots(raw, nbytes):

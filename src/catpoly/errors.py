@@ -33,7 +33,7 @@ class OrderMismatch(CatpolyError):
 
 
 class NonUnitDivisor(CatpolyError):
-    """Series division by a series whose constant term is not invertible."""
+    """``mpoly.invert`` of a polynomial whose scalar term is not 1 or -1."""
 
 
 class InternalInconsistency(CatpolyError):

@@ -25,8 +25,12 @@ a count, so each packed value is written out as it is, its own two's
 complement.  The six scalar series, the rows of one table of algebraic
 forms ``ALGEBRAIC_FORMS`` that ``trinomial_form`` also reads as the paper's
 trinomial forms, are built on ints from the three-term recurrence of
-sqrt(Delta).  The kernel-method closed forms, on the root of their kernel
-by its own recurrence, and the continued fraction run on ``Series``.
+sqrt(Delta).  The kernel-method closed forms run on ``Series``, on the
+root of their kernel by its own recurrence, and divide by their known
+divisors by the recurrence of each: 1 + p x for the root, and the bracket
+of the master's equation at q = 1 for the last-letter forms, each step an
+exact division by 1 - v.  The continued fraction runs on the packed
+q-integers of the paper's forms.
 """
 
 from fractions import Fraction
@@ -365,22 +369,39 @@ def cf_S(order):
     return num.divide_by_x_power(2).divide_coeffs_monomial(2, 3, 0, 0)
 
 
+#: The bracket (1 - v) + b_1 x + b_2 x^2 of the master's equation at q = 1,
+#: the divisor of the kernel-method forms: b_1 = p^2 v^2 - p^2 v and
+#: b_2 = p^3 v^2, each a tuple of monomials (c, dp, dv)
+_KERNEL_BRACKET = (((1, 2, 2), (-1, 2, 1)), ((1, 3, 2),))
+
+
+def _over_bracket(num, p=1):
+    """num / ``_KERNEL_BRACKET``, the bracket taken at p = 1 if p is 0, by
+    its recurrence out_k = (num_k - b_1 out_(k-1) - b_2 out_(k-2)) / (1 - v).
+
+    Each division by 1 - v is exact or raises, so a slip in the bracket or
+    in the numerator fails loudly instead of leaving a series in v.
+    """
+    capkey, out = num.caps.key, []
+    for k, c in enumerate(num.coeffs):
+        for back, b in enumerate(_KERNEL_BRACKET[:k], 1):
+            for m, dp, dv in b:
+                c = c - out[k - back].mul_monomial(m, p * dp, 0, dv, capkey=capkey)
+        out.append(c.divide_one_minus_v())
+    return Series(num.order, out)
+
+
 def cf_C_sper_v(order):
     """Length/semiperimeter/last-letter series in closed form: its even
-    numerator, halved, over a divisor with the unit 1 - v as constant term."""
+    numerator, halved, over the bracket of the master's equation at q = 1
+    (``_over_bracket``)."""
     p2 = MPoly.monomial(1, 2, 0, 0)
     p2v = MPoly.monomial(1, 2, 0, 1)
     p3v = MPoly.monomial(1, 3, 0, 1)
     num = Series.from_x_polynomial(
         order, [1, p2 - p2v.scale(2), p3v.scale(-2)]
     ) - _sqrt_sper_kernel(order)
-    # (1 - v) + (p^2 v^2 - p^2 v) x + p^3 v^2 x^2
-    den = Series.from_x_polynomial(order, [
-        MPoly.scalar(1) - MPoly.monomial(1, 0, 0, 1),
-        MPoly.monomial(1, 2, 0, 2) - p2v,
-        MPoly.monomial(1, 3, 0, 2),
-    ])
-    return num.divide_coeffs_monomial(2).div(den)
+    return _over_bracket(num.divide_coeffs_monomial(2))
 
 
 def cf_C_last(order):
@@ -389,29 +410,29 @@ def cf_C_last(order):
 
 
 def _last_letter_form(motz):
-    """``cf_C_last`` at the order of ``motz``, built on that Motzkin series."""
-    order = motz.order
+    """``cf_C_last`` at the order of ``motz``, built on that Motzkin series:
+    (1 - v) x - v x^2 + x^2 M(x) over the bracket at p = 1,
+    (1 - v) - v (1 - v) x + v^2 x^2."""
     v = MPoly.monomial(1, 0, 0, 1)
-    one_minus_v = MPoly.scalar(1) - v
-    num = Series.from_x_polynomial(order, [0, one_minus_v, -v])
-    num = num + motz.mul_monomial(1, x_shift=2)
-    # (1 - v) - v (1 - v) x + v^2 x^2
-    v2 = MPoly.monomial(1, 0, 0, 2)
-    den = Series.from_x_polynomial(order, [one_minus_v, v2 - v, v2])
-    return num.div(den)
+    num = Series.from_x_polynomial(motz.order, [0, MPoly.scalar(1) - v, -v])
+    return _over_bracket(num + motz.mul_monomial(1, x_shift=2), p=0)
 
 
 def kernel_root_v0(order):
     """Small root of the semiperimeter kernel, as a series in x.
 
-    Substituting it for v annihilates the kernel (checked via
-    kernel_residual, in denominator-cleared form).
+    The root times 1 + p x comes from the square root; the division by
+    1 + p x is its recurrence out_k = root_k - p out_(k-1).  Substituting
+    the root for v annihilates the kernel (checked via kernel_residual, in
+    denominator-cleared form).
     """
     work = order + 1
     num = Series.from_x_polynomial(work, [1, MPoly.monomial(1, 2, 0, 0)]) - _sqrt_sper_kernel(work)
     root = num.divide_by_x_power(1).divide_coeffs_monomial(2, 2, 0, 0)
-    unit = Series.from_x_polynomial(order, [1, MPoly.monomial(1, 1, 0, 0)])
-    return root.div(unit)
+    capkey, out = root.caps.key, []
+    for c in root.coeffs:
+        out.append(c - out[-1].mul_monomial(1, 1, capkey=capkey) if out else c)
+    return Series(order, out)
 
 
 def kernel_residual(order):
@@ -456,7 +477,8 @@ def _kernel_residual(v0):
 # The paper's forms stay as the second route (``paper_form``), on the same
 # packed q-integers reduced mod 2^(w N), N = slots(order - 1): B and H as the
 # ratio of two sums (``_ratio``), the product forms through the q-shift
-# equations of their telescoped sums.  q -> 2^w maps Z[q]/(q^N) onto
+# equations of their telescoped sums.  B's continued fraction
+# (``cf_B_contfrac``) runs there too.  q -> 2^w maps Z[q]/(q^N) onto
 # Z/2^(w N) as a ring map, so a multiply by q^k is a left shift by k slots,
 # +- is an integer add, a product an integer product, and
 #   1/(1 - q^d) = (1 + q^d)(1 + q^(2d))(1 + q^(4d)) ...   mod q^N
@@ -520,6 +542,17 @@ def _geom(r, d, w, mask):
     return r
 
 
+def _over_one_minus(num, den, w):
+    """Packed coefficients of num / (1 - sum_(j >= 1) den_j x^j), for
+    num_0 = 0 (den_0 is not read): out_k = num_k + sum_(1 <= j < k)
+    den_j out_(k-j), cut to slots(k), where the x^k coefficient is exact."""
+    out = [0] * len(num)
+    for k in range(1, len(num)):
+        cut = (1 << (w * _slots(k))) - 1
+        out[k] = (num[k] + sum((den[j] & cut) * out[k - j] for j in range(1, k))) & cut
+    return out
+
+
 def _ratio(order, w, step, term):
     """Packed coefficients of sum_j x^j t_j / (1 - sum_j x^j t_j / (1 - q^j)).
 
@@ -529,18 +562,15 @@ def _ratio(order, w, step, term):
     t_j / (1 - q^j) = term(P_j / (1 - q^j), j) and the next partial product.
     """
     mask = (1 << (w * _slots(order - 1))) - 1
+    num = [0] * order
     den = [0] * order
-    out = [0] * order
     prod = 1
     for k in range(1, order):
         quot = _geom(prod, k, w, mask)
-        num = term(prod, k) & mask
+        num[k] = term(prod, k) & mask
         den[k] = term(quot, k) & mask
-        # out = num / (1 - den): out[k] = num[k] + sum_j den[j] out[k - j]
-        cut = (1 << (w * _slots(k))) - 1
-        out[k] = (num + sum((den[j] & cut) * out[k - j] for j in range(1, k))) & cut
         prod = step(prod, quot, k) & mask
-    return out
+    return _over_one_minus(num, den, w)
 
 
 def _sum_B_packed(order, w):
@@ -637,15 +667,28 @@ def cf_B_contfrac(order):
     is 1 / (1 - q x / d_1) - 1.  Each d_j is kept as a fraction N / D by the
     Euler-Wallis recurrences N <- (1 + q^j x)(N - q^(j+1) x D), D <- N, so a
     level is two monomial shifts and adds, and the only quotient is the
-    last one, q x D / (N - q x D).
+    last one, q x D / (N - q x D) = t / (1 - (t - N + 1)) for t = q x D.
+    All of it runs on packed q-integers mod 2^(w N), as the paper forms do
+    (``_over_one_minus``), and is read back by ``_dense_series``.
     """
-    num = Series.from_x_polynomial(order, [1, MPoly.monomial(1, 0, order, 0)])
-    den = Series.from_x_polynomial(order, [1])
+    return _dense_series(order, _contfrac_packed)
+
+
+def _contfrac_packed(order, w):
+    """Packed x^n coefficients, n < order, of ``cf_B_contfrac``."""
+    mask = (1 << (w * _slots(order - 1))) - 1
+
+    def qx(s, j):
+        # s times q^j x, mod x^order
+        return [0] + [c << j * w for c in s[:-1]]
+
+    num = den = [1] + [0] * (order - 1)
+    num = [a + b for a, b in zip(num, qx(num, order))]
     for j in range(order - 1, 0, -1):
-        cut = num - den.mul_monomial(1, 0, j + 1, 0, x_shift=1)
-        num, den = cut + cut.mul_monomial(1, 0, j, 0, x_shift=1), num
-    top = den.mul_monomial(1, 0, 1, 0, x_shift=1)
-    return top.div(num - top)
+        cut = [(a - b) & mask for a, b in zip(num, qx(den, j + 1))]
+        num, den = [(a + b) & mask for a, b in zip(cut, qx(cut, j))], num
+    top = qx(den, 1)
+    return _over_one_minus(top, [t - n for t, n in zip(top, num)], w)
 
 
 def prod_area(order):

@@ -165,6 +165,30 @@ class MPoly:
             out[k - shift] = quot
         return MPoly._raw(out)
 
+    def divide_one_minus_v(self):
+        """Exact division by 1 - v: within each (p, q), the quotient's
+        coefficient of v^j is the running sum of this one's up to v^j.
+
+        Raises InternalInconsistency when a running sum does not end at 0,
+        a remainder, which would leave an infinite series in v.
+        """
+        rows = {}
+        for k, c in self.terms.items():
+            rows.setdefault(k & ~(MASK << VSHIFT), {})[(k >> VSHIFT) & MASK] = c
+        out = {}
+        for base, row in rows.items():
+            run = 0
+            for v in range(min(row), max(row) + 1):
+                run += row.get(v, 0)
+                if run:
+                    out[base | v << VSHIFT] = run
+            if run:
+                ep, eq, _ = unpack(base)
+                raise InternalInconsistency(
+                    f"the coefficients of p^{ep} q^{eq} v^j sum to {run}, not 0: not divisible by 1 - v"
+                )
+        return MPoly._raw(out)
+
     def eval_one(self, var):
         """Set the given marker to 1 (merging terms)."""
         keep = ~(MASK << _SHIFTS[var])

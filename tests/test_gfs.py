@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catpoly import backend, gfs
+from catpoly import backend, gfs, tables
 from catpoly.errors import InternalInconsistency
 from catpoly.backend import unpack
 from catpoly.mpoly import Caps, MPoly, pack
@@ -196,10 +196,73 @@ def test_kernel_root_at_p1():
     order = 12
     v0 = gfs.kernel_root_v0(order).eval_one("p")
     motz = gfs.gf_motzkin(order)
-    one_plus_x = Series.from_x_polynomial(order, [1, 1])
+    # v0 (1 + x) = 1 + x M(x)
     numerator = Series.from_x_polynomial(order, [1]) + motz.mul_monomial(1, x_shift=1)
-    assert v0 == numerator.div(one_plus_x)
+    assert v0 + v0.mul_monomial(1, x_shift=1) == numerator
     assert v0.coeff(0).as_scalar() == 1
+
+
+# the master's equation at q = 1: a second route at the Cpv and Clast limits ----------
+
+
+def master_residual_at_q1(f, p=1):
+    """The master's equation at q = 1 with all terms on one side,
+      [(1 - v) + (p^2 v^2 - p^2 v) x + p^3 v^2 x^2] f(v)
+          - (1 - v)(p^2 x + p^3 x^2) - p^3 x^2 f(1),
+    taken at p = 1 if p is 0.  Each x^n coefficient of the zero series fixes
+    (1 - v) f_n from earlier ones, so f is the only series that zeroes it."""
+    def term(g, c, dp, dv, x_shift):
+        return g.mul_monomial(c, p * dp, 0, dv, x_shift=x_shift)
+
+    one = Series.from_x_polynomial(f.order, [1])
+    left = term(f, 1, 0, 0, 0) - term(f, 1, 0, 1, 0) + term(f, 1, 2, 2, 1) - term(f, 1, 2, 1, 1)
+    left = left + term(f, 1, 3, 2, 2)
+    right = term(one, 1, 2, 0, 1) - term(one, 1, 2, 1, 1) + term(one, 1, 3, 0, 2) - term(one, 1, 3, 1, 2)
+    return left - right - term(f.eval_one("v"), 1, 3, 0, 2)
+
+
+def test_master_equation_at_q1_is_the_masters():
+    # the equation above, from master_pqv's arguments at q = 1
+    m = gfs.master_pqv(12).eval_one("q")
+    assert master_residual_at_q1(m).is_zero()
+    assert master_residual_at_q1(m.eval_one("p"), p=0).is_zero()
+
+
+@pytest.mark.parametrize("name, order, p", [("cf_C_sper_v", 61, 1), ("cf_C_last", 301, 0)])
+def test_master_equation_at_q1_holds_at_the_cli_limits(name, order, p):
+    assert master_residual_at_q1(getattr(gfs, name)(order), p).is_zero()
+
+
+def test_master_equation_at_q1_sees_one_added_term():
+    f = gfs.cf_C_sper_v(21)
+    f.coeffs[10] = f.coeffs[10] + mono(1, 0, 0, 1)
+    assert not master_residual_at_q1(f).is_zero()
+
+
+def test_cf_S_is_cf_C_sper_v_at_v1_at_the_cpv_limit():
+    assert gfs.cf_S(61) == gfs.cf_C_sper_v(61).eval_one("v")
+
+
+def test_cf_C_last_matches_table_c_at_the_clast_limit():
+    # kernel-method closed form against the two-step recurrences of the
+    # table, row by row: row n holds the counts by last letter 0 .. n - 1
+    c, table = gfs.cf_C_last(301), tables.table_c(300)
+    for n in range(1, 301):
+        assert c.coeff(n) == MPoly({pack(0, 0, k): e for k, e in enumerate(table.rows[n - 1])}), n
+
+
+@pytest.mark.parametrize("bracket", [
+    (((1, 2, 2), (-1, 2, 1)), ((1, 3, 1),)),  # p^3 v instead of p^3 v^2
+    (((1, 2, 2), (-2, 2, 1)), ((1, 3, 2),)),  # -2 p^2 v instead of -p^2 v
+    (((1, 2, 2), (-1, 1, 1)), ((1, 3, 2),)),  # -p v instead of -p^2 v
+    (((1, 2, 2),), ((1, 3, 2),)),  # -p^2 v dropped
+])
+def test_a_slip_in_the_kernel_bracket_fails_loudly(monkeypatch, bracket):
+    # the divisions by 1 - v are exact, so a wrong divisor leaves a
+    # remainder instead of a series in v cut at the caps
+    monkeypatch.setattr(gfs, "_KERNEL_BRACKET", bracket)
+    with pytest.raises(InternalInconsistency, match="not divisible by 1 - v"):
+        gfs.cf_C_sper_v(12)
 
 
 # rising-tail series (B and H flavours) ----------------------------------------------
@@ -219,21 +282,11 @@ def test_sum_B_matches_enumeration():
         assert b.coeff(n) == histogram_poly(n, WordClass.CLASS_B, stat_area)
 
 
-def test_contfrac_equals_sum(monkeypatch):
+def test_contfrac_equals_sum():
     # the convergents N/D carry every level, so one quotient ends the
     # evaluation at any order
-    divs = []
-    real = Series.div
-
-    def counted(self, other):
-        divs.append(self.order)
-        return real(self, other)
-
-    monkeypatch.setattr(Series, "div", counted)
     for order in range(1, 31):
-        del divs[:]
         assert gfs.cf_B_contfrac(order) == gfs.sum_B(order), order
-        assert divs == [order]
 
 
 def test_prod_area_series():
@@ -393,6 +446,10 @@ LIMIT_DIGESTS = {
     ("gf_p", 1001): "674794fafb3fbb5b33fdb65b734bbfcee7fb359cc94cb43b10ea2243c23c8e61",
     ("cf_S", 201): "f17de9da909dfd22e49df0c72e956096e2e8a3b643eb23e0003dbbcc14c9bdd3",
     ("kernel_root_v0", 100): "86fd13133a538cc2b7b677e8b70349b7cfd6f65e649e8e5d57b4ecf847c8fade",
+    # recorded while the two kernel-method quotients still ran through the
+    # packed ``Series.div``, at their ``gf`` limits (printed from x^1)
+    ("cf_C_sper_v", 61): "5048d1ec8123432ef49e89cfaf4b09cc1ffab1b89bae7584999220480d06571e",
+    ("cf_C_last", 301): "a41516ca3a4088702a34b94d44e0e9f39900010e47da9c81db9047e61106408e",
 }
 
 
@@ -531,9 +588,7 @@ def test_dense_constructors_make_no_mpoly_or_series_arithmetic(monkeypatch):
 
     for name in ("__add__", "__sub__", "mul_monomial"):
         monkeypatch.setattr(MPoly, name, refuse)
-    for name in ("__mul__", "div"):
-        monkeypatch.setattr(Series, name, refuse)
-    monkeypatch.setattr(backend, "to_slots", refuse)
+    monkeypatch.setattr(Series, "__mul__", refuse)
     for name in DENSE:
         getattr(gfs, name)(12)
 
@@ -828,6 +883,18 @@ def _naive_capped_product(a, b, caps):
     return MPoly({pack(*e): c for e, c in out.items()})
 
 
+def signed_slot_bytes(value, nslots, nbytes):
+    """Slots 0..nslots-1 of value in two's complement, w = 8 * nbytes bits
+    each: the signed w-bit digit peeled off the bottom, one at a time."""
+    w = 8 * nbytes
+    out = []
+    for _ in range(nslots):
+        c = int.from_bytes((value & ((1 << w) - 1)).to_bytes(nbytes, "little"), "little", signed=True)
+        out.append(c.to_bytes(nbytes, "little", signed=True))
+        value = (value - c) >> w
+    return b"".join(out)
+
+
 @st.composite
 def capped_q_poly(draw):
     """A q cap and a q-only integer MPoly whose exponents reach one past it."""
@@ -853,8 +920,7 @@ def test_packed_geom_matches_dense_product(case, dq):
     mask = (1 << (w * (caps.q + 1))) - 1
     packed = sum(c << (w * (k >> backend.QSHIFT)) for k, c in m.terms.items()) & mask
     nslots = caps.q + 1
-    value = backend.twos_complement(gfs._geom(packed, dq, w, mask), nslots, nbytes)
-    raw = value.to_bytes(nbytes * nslots, "little")
+    raw = signed_slot_bytes(gfs._geom(packed, dq, w, mask), nslots, nbytes)
     keys = range(0, nslots << backend.QSHIFT, 1 << backend.QSHIFT)
     got = MPoly(backend.read_slots(raw, nbytes, [keys])[0])
     assert got == _naive_capped_product(m, _geom_oracle(dq, caps), caps)

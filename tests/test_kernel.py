@@ -13,7 +13,6 @@ from catpoly import backend, gfs
 from catpoly.backend import GUARDS, MAXCAP, cap_key, pack, unpack
 from catpoly.errors import ResourceLimit
 from catpoly.mpoly import Caps, MPoly
-from catpoly.series import Series
 
 exponent = st.integers(min_value=0, max_value=MAXCAP)
 triple = st.tuples(exponent, exponent, exponent)
@@ -88,7 +87,7 @@ def test_constructors_raise_past_the_key_fields_before_any_work(monkeypatch):
     monkeypatch.setattr(gfs, "_solve_forward", refuse)
     monkeypatch.setattr(gfs, "_ratio", refuse)
     monkeypatch.setattr(gfs, "_sqrt_delta", refuse)
-    monkeypatch.setattr(Series, "div", refuse)
+    monkeypatch.setattr(gfs, "_contfrac_packed", refuse)
     dense = ("sum_B", "sum_H", "prod_area", "prod_interior")
     scalar = ("gf_motzkin", "gf_trinomial", "gf_h", "gf_s", "gf_u", "gf_p")
     builders = [getattr(gfs, name) for name in dense + scalar + ("master_pqv", "master_interior_qv")]
@@ -240,13 +239,14 @@ def decode_oracle(coeffs, nbytes):
 
 
 def decoded(coeffs, nbytes):
-    """``backend.read_slots`` of coeffs: each run ``(value, nslots, base)``
-    put through ``backend.twos_complement`` and written out as bytes, and
+    """``backend.read_slots`` of coeffs: the slots of each run ``(value,
+    nslots, base)`` written out one at a time in two's complement, and
     each coefficient's key runs chained."""
     raw = b"".join(
-        backend.twos_complement(value, n, nbytes).to_bytes(n * nbytes, "little")
+        c.to_bytes(nbytes, "little", signed=True)
         for runs in coeffs
         for value, n, _ in runs
+        for c in signed_slots_oracle(value, n, nbytes)
     )
     keys = [chain.from_iterable(run_keys(base, n) for _, n, base in runs) for runs in coeffs]
     return backend.read_slots(raw, nbytes, keys)
@@ -340,35 +340,3 @@ def test_read_slots_swaps_limbs_on_a_big_endian_host(monkeypatch, nbytes):
     # without the swap the slots read back in the wrong byte order
     monkeypatch.setattr(backend, "_BIG_ENDIAN", False)
     assert decoded(coeffs, nbytes) != want
-
-
-def _signed_value(nbytes):
-    """A packed value with slots at both edges, small ones of both signs,
-    zeros, and a large negative value above its 9 slots that must be
-    masked off."""
-    w = 8 * nbytes
-    edge = (1 << (w - 1)) - 1
-    slots = [0, edge, -edge, 1, -1, 0, -(edge // 3), edge // 5, -edge]
-    return sum(c << (w * j) for j, c in enumerate(slots)) - (7 << (w * (len(slots) + 2))), len(slots)
-
-
-@pytest.mark.parametrize("nbytes", range(1, 18))
-def test_read_signed_matches_per_slot_decode(nbytes):
-    # every width from 1 to 17 bytes: one, two and three 64-bit limbs, and
-    # each width that is not itself a cast width
-    value, nslots = _signed_value(nbytes)
-    want = signed_slots_oracle(value, nslots, nbytes)
-    assert any(c < 0 for c in want)
-    assert backend.read_signed(value, nslots, nbytes) == want
-    assert backend.read_signed(value, 3, nbytes) == want[:3]
-
-
-@pytest.mark.parametrize("nbytes", range(1, 18))
-def test_read_signed_swaps_on_a_big_endian_host(monkeypatch, nbytes):
-    # as in the read_slots swap test: the host's arrays read their bytes
-    # big-endian, and backend is told that it runs on such a host
-    value, nslots = _signed_value(nbytes)
-    want = signed_slots_oracle(value, nslots, nbytes)
-    monkeypatch.setattr(backend, "array", _as_big_endian_host)
-    monkeypatch.setattr(backend, "_BIG_ENDIAN", True)
-    assert backend.read_signed(value, nslots, nbytes) == want

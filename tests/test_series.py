@@ -1,4 +1,3 @@
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catpoly import backend, closedforms, gfs, mpoly, verify
+from catpoly import closedforms, gfs, mpoly
 from catpoly.backend import pack, unpack
 from catpoly.errors import (
     InternalInconsistency,
@@ -104,27 +103,23 @@ def test_mpoly_mul_monomial_normalises_once():
 @settings(max_examples=40, deadline=None)
 @given(series_strategy, series_strategy, series_strategy)
 def test_mul_associative_distributive(a, b, c):
-    with kernel_calls() as calls:
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-    assert not calls
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
 
 
 @settings(max_examples=40, deadline=None)
 @given(series_strategy, series_strategy)
 def test_mul_commutative(a, b):
-    with kernel_calls() as calls:
-        assert a * b == b * a
-    assert not calls
+    assert a * b == b * a
 
 
 @settings(max_examples=25, deadline=None)
 @given(series_strategy)
 def test_div_roundtrip(a):
-    b = series_from_terms([[(1, 0, 0, 0)], [(2, 1, 0, 0), (1, 0, 1, 1)]])
-    with kernel_calls() as calls:
-        assert (a * b).div(b) == a
-    assert not calls
+    # every coefficient times 1 - v divides back exactly
+    key = Caps(8, 8, 8).key
+    for c in a.coeffs:
+        assert (c - c.mul_monomial(1, dv=1, capkey=key)).divide_one_minus_v() == c
 
 
 def test_square_roots_square_back():
@@ -136,17 +131,8 @@ def test_square_roots_square_back():
         delta = Series.from_x_polynomial(order, gfs._sqrt_delta(order))
         root = gfs._sqrt_sper_kernel(order)
         kernel = Series.from_x_polynomial(order, [1, MPoly.monomial(-2, 2, 0, 0), x2])
-        with kernel_calls() as calls:
-            assert delta * delta == Series.from_x_polynomial(order, [1, -2, -3])
-            assert root * root == kernel
-        assert not calls
-
-
-def test_div_requires_invertible_constant():
-    num = Series.from_x_polynomial(4, [1])
-    den = Series.from_x_polynomial(4, [0, 1])
-    with pytest.raises(NonUnitDivisor):
-        num.div(den)
+        assert delta * delta == Series.from_x_polynomial(order, [1, -2, -3])
+        assert root * root == kernel
 
 
 @pytest.mark.parametrize("constant", [
@@ -154,25 +140,22 @@ def test_div_requires_invertible_constant():
     MPoly.scalar(3),
     MPoly.scalar(2) - MPoly.monomial(2, 0, 0, 1),  # 2 (1 - v)
 ])
-def test_div_refuses_a_constant_term_other_than_one_or_minus_one(constant):
+def test_invert_refuses_a_constant_term_other_than_one_or_minus_one(constant):
     # the inverse of any other scalar part is no integer series
-    num = Series.from_x_polynomial(4, [1, 1])
-    den = Series.from_x_polynomial(4, [constant, MPoly.monomial(1, 1, 0, 0)])
     with pytest.raises(NonUnitDivisor):
-        num.div(den)
-    with pytest.raises(NonUnitDivisor):
-        mpoly.invert(constant, den.caps.key)
+        mpoly.invert(constant, Caps.for_order(4).key)
 
 
 def test_div_by_nonscalar_unit():
-    # (1 - v) is invertible under the caps
+    # the division by 1 - v is exact or raises: 1 / (1 - v) is no
+    # polynomial, and a truncated geometric series would hide the remainder
     one_minus_v = MPoly.scalar(1) - MPoly.monomial(1, 0, 0, 1)
-    den = Series.from_x_polynomial(4, [one_minus_v])
-    num = Series.from_x_polynomial(4, [MPoly.scalar(1)])
-    q = num.div(den)
-    assert q * den == num
-    # the inverse of (1-v) is the truncated geometric series in v
-    assert q.coeff(0) == MPoly({pack(0, 0, k): 1 for k in range(q.caps.v + 1)})
+    with pytest.raises(InternalInconsistency):
+        MPoly.scalar(1).divide_one_minus_v()
+    with pytest.raises(InternalInconsistency):
+        (one_minus_v + MPoly.monomial(1, 2, 1, 3)).divide_one_minus_v()
+    assert one_minus_v.divide_one_minus_v() == MPoly.scalar(1)
+    assert MPoly.zero().divide_one_minus_v() == MPoly.zero()
 
 
 def test_order_mismatch_raises():
@@ -228,7 +211,7 @@ def test_monomial_divide_refuses_a_remainder():
             m.divide_monomial(c, 2, 0, 0)
 
 
-# the packed path: products, quotients and square roots ------------------------------
+# the product against a term-by-term oracle, and mpoly.invert -----------------------
 
 
 def within(e, caps):
@@ -259,60 +242,12 @@ def naive_inverse(u, caps):
     return {e: c * s for e, c in out.items() if c}
 
 
-def naive_div(num, b, caps):
-    """Quotient by a divisor whose constant term is a unit, scalar or not."""
-    inv = naive_inverse(b[0], caps)
-    out = []
-    for k, c in enumerate(num):
-        acc = {e: v for e, v in c.items() if within(e, caps)}
-        for i in range(k):
-            for e, v in naive_mul([out[i]], [b[k - i]], caps)[0].items():
-                acc[e] = acc.get(e, 0) - v
-        out.append(naive_mul([acc], [inv], caps)[0])
-    return out
-
-
 def to_series(spec):
     return Series(len(spec), [MPoly({pack(*e): c for e, c in d.items()}) for d in spec])
 
 
 def from_series(s):
     return [{unpack(k): c for k, c in c.terms.items()} for c in s.coeffs]
-
-
-@contextmanager
-def kernel_calls():
-    """Calls of the per-pair term kernel made by ``Series`` products and
-    quotients inside the block, outside ``mpoly.invert``."""
-    calls, inside = [], []
-    real = backend.mul_into
-
-    def spy(*args):
-        if inside and inside[-1]:
-            calls.append(args)
-        real(*args)
-
-    def marked(f, flag):
-        def wrapper(*args):
-            inside.append(flag)
-            try:
-                return f(*args)
-            finally:
-                inside.pop()
-
-        return wrapper
-
-    saved = [(mpoly, "invert"), (Series, "__mul__"), (Series, "div")]
-    saved = [(owner, name, vars(owner)[name]) for owner, name in saved]
-    backend.mul_into = spy
-    for owner, name, f in saved:
-        setattr(owner, name, marked(f, name != "invert"))
-    try:
-        yield calls
-    finally:
-        backend.mul_into = real
-        for owner, name, f in saved:
-            setattr(owner, name, f)
 
 
 big_or_zero = st.one_of(st.just(0), st.integers(min_value=-(2**100), max_value=2**100))
@@ -385,82 +320,20 @@ def series_pair(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(series_pair(), st.sampled_from(UNITS))
-@example(([{(0, 0, 0): 5}], [{}]), {(0, 0, 0): 1})
-@example(([{}, {(0, 4, 0): 2**100}], [{(0, 2, 0): -3}, {}]), {(0, 0, 0): -1})
-def test_packed_mul_and_div_match_oracle(case, unit):
+@given(series_pair())
+@example(([{(0, 0, 0): 5}], [{}]))
+@example(([{}, {(0, 4, 0): 2**100}], [{(0, 2, 0): -3}, {}]))
+def test_mul_matches_oracle(case):
     a, b = case
-    b = [unit] + b[1:]
-    sa, sb = to_series(a), to_series(b)
-    caps = sa.caps
-    with kernel_calls() as calls:
-        prod = sa * sb
-        quotient = sa.div(sb)
-    assert from_series(prod) == naive_mul(a, b, caps)
-    assert from_series(quotient) == naive_div(a, b, caps)
-    assert not calls
-
-
-def test_quotient_outgrowing_64_bits():
-    # 1 / (1 - 3(1 + q^2 + ... + q^12) x - q^2 x^2): the slots widen and the
-    # packed coefficients are repacked while the quotient grows past 2^64,
-    # and its q-degrees pass the q cap 171 of order 18
-    order = 18
-    b = [{(0, 0, 0): 1}, {(0, 2 * e, 0): -3 for e in range(7)}, {(0, 2, 0): -1}]
-    b += [{}] * (order - len(b))
-    num = [{(0, 0, 0): 1}] + [{}] * (order - 1)
-    with kernel_calls() as calls:
-        quotient = to_series(num).div(to_series(b))
-    got = from_series(quotient)
-    assert got == naive_div(num, b, quotient.caps)
-    assert max(abs(c) for d in got for c in d.values()) > 2**64
-    assert not calls
+    prod = to_series(a) * to_series(b)
+    assert from_series(prod) == naive_mul(a, b, prod.caps)
 
 
 def test_trinomial_quotient_past_64_bits():
-    # 1/sqrt(1 - 2x - 3x^2): integer scalar coefficients that pass 2^64
+    # 1/sqrt(1 - 2x - 3x^2), built as Q sqrt(Delta) over Delta: integer
+    # scalar coefficients that pass 2^64, which times sqrt(Delta) give 1
+    t = gfs.gf_trinomial(60)
     root = Series.from_x_polynomial(60, gfs._sqrt_delta(60))
-    with kernel_calls() as calls:
-        t = Series.from_x_polynomial(60, [1]).div(root)
     assert [c.as_scalar() for c in t.coeffs] == [closedforms.trinomial(n) for n in range(60)]
     assert t.coeff(59).as_scalar() > 2**64
-    assert not calls
-
-
-@pytest.mark.parametrize(
-    "constant",
-    [
-        MPoly.scalar(-1),  # the other scalar unit
-        MPoly.scalar(-1) + MPoly.monomial(1, 0, 0, 1),  # -1 + v
-        MPoly.scalar(1) + MPoly.monomial(1, 0, 1, 0),  # 1 + q
-        MPoly.scalar(1) + MPoly.monomial(1, 1, 0, 0),  # 1 + p
-    ],
-)
-def test_other_divisors_take_the_packed_path(constant):
-    b = Series.from_x_polynomial(4, [constant, MPoly.monomial(2, 0, 1, 0), 1])
-    num = Series.from_x_polynomial(4, [1, MPoly.monomial(-1, 0, 2, 0), 0, 5])
-    with kernel_calls() as calls:
-        quotient = num.div(b)
-    assert not calls
-    assert from_series(quotient) == naive_div(from_series(num), from_series(b), quotient.caps)
-
-
-@pytest.mark.parametrize(
-    "coeff",
-    [MPoly.scalar(-3), MPoly.monomial(1, 1, 0, 0), MPoly.monomial(1, 0, 0, 1)],
-)
-def test_other_products_take_the_packed_path(coeff):
-    a = Series.from_x_polynomial(3, [1, coeff])
-    b = Series.from_x_polynomial(3, [1, MPoly.monomial(3, 0, 1, 0)])
-    with kernel_calls() as calls:
-        got = a * b
-    assert not calls
-    assert from_series(got) == naive_mul(from_series(a), from_series(b), got.caps)
-
-
-def test_verify_makes_no_kernel_call_from_series():
-    # every Series product and quotient of the default checks
-    # runs packed; the term kernel is left to MPoly.mul and mpoly.invert
-    with kernel_calls() as calls:
-        assert verify.run_verify().exit_code == 0
-    assert not calls
+    assert t * root == Series.from_x_polynomial(60, [1])
