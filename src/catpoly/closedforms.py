@@ -8,7 +8,6 @@ that a transcription slip fails loudly instead of corrupting output.
 
 import math
 import sys
-from fractions import Fraction
 
 from .errors import InternalInconsistency, ResourceLimit
 
@@ -131,11 +130,15 @@ def asym_up(n: int) -> float:
     return _in_float_range("asym_up", n, lambda: 3.0 ** (n + 1) / 2.0)
 
 
-def expected_last(n: int) -> Fraction:
+def expected_last(n: int) -> "Fraction":
     """Mean last letter over the avoiding words of length n (exact)."""
+    from fractions import Fraction  # it loads decimal: only the exact means pay for it
+
     return Fraction(h_closed(n), motzkin(n))
 
 
-def expected_sper(n: int) -> Fraction:
+def expected_sper(n: int) -> "Fraction":
     """Mean semiperimeter over the avoiding words of length n (exact)."""
+    from fractions import Fraction
+
     return Fraction(s_closed(n), motzkin(n))

@@ -33,7 +33,6 @@ exact division by 1 - v.  The continued fraction runs on the packed
 q-integers of the paper's forms.
 """
 
-from fractions import Fraction
 from functools import partial
 from itertools import chain, count
 from operator import lshift, neg
@@ -106,6 +105,8 @@ def trinomial_form(name):
     1/sqrt(Delta) = sum T(n) x^n, T(n + k - j) carries R_j; for e = 1,
     [x^m] P/Delta = sum_j P_j (3^(m-j+1) + (-1)^(m-j)) / 4, also at m - j = -1.
     """
+    from fractions import Fraction  # it loads decimal: no series needs it
+
     c, P, Q, k, e = ALGEBRAIC_FORMS[name]
     R = Q
     if not e:

@@ -8,15 +8,16 @@ Operands of binary operations must share their order.
 The layer is linear operations, monomial shifts, the marker operations
 and exact divisions by x^k or by a monomial, each of which raises on a
 remainder.  Its one product, ``*``, is the schoolbook convolution over
-the capped ``MPoly.mul``.  There is no general quotient: each divisor the
-library meets is a known polynomial in x, and its constructor in ``gfs``
-divides by that divisor's recurrence.
+the capped term kernel ``backend.mul_into``.  There is no general
+quotient: each divisor the library meets is a known polynomial in x, and
+its constructor in ``gfs`` divides by that divisor's recurrence.
 """
 
 from functools import lru_cache
 
+from . import backend
 from .errors import InternalInconsistency, OrderMismatch
-from .mpoly import Caps, MPoly
+from .mpoly import Caps, MPoly, _cleaned
 
 #: ``Caps.for_order``, built once per order; it raises past the key fields
 _caps = lru_cache(maxsize=None)(Caps.for_order)
@@ -95,13 +96,18 @@ class Series:
     # -- multiplicative operations ------------------------------------------
 
     def __mul__(self, other):
-        """The product: each x^k coefficient sums the capped products
-        a_i b_(k-i) of ``MPoly.mul``."""
+        """The product: each x^k coefficient adds the capped products
+        a_i b_(k-i) into one term dict, cleaned of zeros once."""
         self._check_compatible(other)
-        a, b, capkey = self.coeffs, other.coeffs, self.caps.key
+        a = [c.terms for c in self.coeffs]
+        b = [c.terms for c in other.coeffs]
+        capkey = self.caps.key
         out = []
         for k in range(self.order):
-            out.append(sum((a[i].mul(b[k - i], capkey) for i in range(k + 1)), MPoly.zero()))
+            acc = {}
+            for i in range(k + 1):
+                backend.mul_into(acc, a[i], b[k - i], capkey)
+            out.append(MPoly._raw(_cleaned(acc)))
         return Series(self.order, out)
 
     def mul_monomial(self, c, dp=0, dq=0, dv=0, x_shift=0):

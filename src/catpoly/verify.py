@@ -20,20 +20,27 @@ from the lists that were compared.  The bijection check memoizes each
 bijection once for all lengths.  The statistic tables are built once, at
 the largest n any check reads.  Nothing outlives the run.
 
-The run builds the whole census and the tables first, then forks once.
-The child runs ``CHILD_CHECKS``: the checks of the words, the bijections,
-the tables and the closed forms.  They read no series, so each series is
-built in the parent alone, and their seconds are about half the checks'
-total (about 18 of 40 ms at the default flags; 2 cores, Python 3.11).  The
-child sends its ``CheckResult``s back over a pipe with ``marshal`` and
+The run builds what both processes read first, the words, their records
+and the tables, then forks once.  The child runs ``CHILD_CHECKS``: the
+checks of the counts, the Dyck paths, the tables and the bijections.
+They read no series, so each series is built in the parent alone.  What
+only one process reads is loaded by the checks that read it, after the
+fork: the series modules by the parent's series checks, ``fractions`` by
+its trinomial forms and exact means, and ``bijections`` and the
+unequal-adjacent words by the child's bijection check.  The child's
+share is set so that the two halves end together (about 40 ms each at
+the default flags; 2 cores, Python 3.11, no bytecode cache).  The child
+sends its ``CheckResult``s back over a pipe with ``marshal`` and
 leaves through ``os._exit``, flushing nothing it inherited.  The parent
 runs the other checks, reads the pipe, reaps the child before
 ``run_verify`` returns or raises, and merges the results in
 ``_build_checks`` order.  A child that dies fails each of its checks,
 with its exit status in the detail.  Without ``os.fork``, with one CPU to
 run on, or with another thread alive (a fork copies no thread but its
-own), every check runs in this process, in order.  Each check's
-``seconds`` is wall time in the process that ran it.
+own), every check runs in this process, in order, and imports what it
+reads as it comes.  Each check's ``seconds`` is wall time in the process
+that ran it, so the first check of a process to read a module also pays
+for importing it.
 
 A ``max_n`` above ``MAX_N_LIMIT`` is refused before any check runs.  A
 check that raises fails, except for ``ResourceLimit``: a run that asks
@@ -51,11 +58,8 @@ from operator import attrgetter, itemgetter, ne
 from time import perf_counter
 from typing import Callable, List, NamedTuple, Tuple
 
-from . import bijections, closedforms, gfs, tables, words
-from .backend import pack
+from . import closedforms, tables, words
 from .errors import ResourceLimit
-from .mpoly import MPoly
-from .series import Series
 from .words import StatRecord, WordClass, _word_text
 
 
@@ -68,9 +72,8 @@ TABLE_TOP = 30
 
 #: The checks the forked child runs, in check order (see the docstring)
 CHILD_CHECKS = (
-    "counts_match_closed_form", "enumeration_cardinalities", "dyck_roundtrip",
-    "trinomial_forms", "table_c_checks", "stat_tables", "recurrence_audit",
-    "bijection_checks", "asymptotic_diagnostics",
+    "counts_match_closed_form", "dyck_roundtrip", "table_c_checks", "stat_tables",
+    "recurrence_audit", "bijection_checks",
 )
 
 #: Largest ``max_n`` accepted: the largest whose whole ``catpoly verify
@@ -83,7 +86,7 @@ class CheckResult(NamedTuple):
     name: str
     status: str  # pass | fail | skipped
     detail: str = ""
-    seconds: float = 0.0  # wall time of the check
+    seconds: float = 0.0  # wall time of the check, with what it first imported
 
 
 class VerifyReport:
@@ -121,8 +124,11 @@ class _Context:
     words of one length are built together, by one map over each
     statistic's formula; the rising-tail words are avoiding words, so
     theirs are looked up.
-    ``build_census`` builds the whole census and the run's tables before
-    any check runs, so that both processes of a split run read them.
+    ``build_census`` builds what both processes of a split run read, the
+    avoiding and rising-tail words, their records and the run's tables,
+    before any check runs.  The rest is built on first read, in the
+    process that reads it: the series, and the unequal-adjacent words of
+    the bijection check.
     """
 
     def __init__(self, max_n, max_order):
@@ -139,6 +145,8 @@ class _Context:
 
     def series(self, name, order):
         """``gfs.<name>(order)``, read off the run's one build of it."""
+        from . import gfs
+
         top = self.orders[name]
         if name == "cf_C_last":  # built on the run's Motzkin series
             build = lambda: gfs._last_letter_form(self.series("gf_motzkin", top))
@@ -148,20 +156,20 @@ class _Context:
 
     def paper_form(self, name, order):
         """``gfs.paper_form(name, order)``, built at the order of its DP twin."""
+        from . import gfs
+
         build = partial(gfs.paper_form, name, self.orders[name])
         return _leading(self.get(("paper_form", name), build), order)
 
     def build_census(self):
-        """Build the words, records and unequal-adjacent sets the checks
-        read, and the run's tables (the length-4 words of a run below
-        max_n 4 are left to length4_catalog, their one reader)."""
+        """Build the words and records both processes read, and the run's
+        tables (the length-4 words of a run below max_n 4 are left to
+        length4_catalog, their one reader)."""
         for n in range(self.max_n + 1):
             self.words_of(n)
             self.words_of(n, WordClass.CLASS_B)
             if n:  # the empty word has no statistics
                 self.records_of(n, WordClass.CLASS_B)  # and the avoiding words' records
-        for n in range(min(self.max_n, ENUM_TOP) + 2):
-            self.unequal_adjacent(n)
         self.run_tables()
 
     def run_tables(self):
@@ -207,7 +215,7 @@ class _Context:
 
 def _leading(s, order):
     """The series s cut to its coefficients below x^order."""
-    return s if s.order == order else Series(order, s.coeffs[:order])
+    return s if s.order == order else type(s)(order, s.coeffs[:order])
 
 
 def _first_difference(xs, ys):
@@ -226,6 +234,9 @@ def _dyck_letters(path):
 
 def _q_histogram(records, stat):
     """``records`` counted by ``stat``, as a polynomial in q."""
+    from .backend import pack
+    from .mpoly import MPoly
+
     counts = Counter(map(attrgetter(stat), records))
     return MPoly({pack(0, value, 0): k for value, k in counts.items()})
 
@@ -445,6 +456,8 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         return "pass", f"four totals agree ({halves}, enumeration to n <= {enum_top})"
 
     def trinomial_forms():
+        from . import gfs
+
         # the printed rows and the derived ones share nothing but the
         # trinomials; the series route shares the table, so the DP and
         # enumeration halves of totals_series_match stay its independent check
@@ -461,6 +474,9 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
     def master_histograms():
         if max_n < 1:
             return "skipped", "needs max_n >= 1"
+        from .backend import pack
+        from .mpoly import MPoly
+
         master = ctx.series("master_pqv", max_n + 1)
         for n in range(1, max_n + 1):
             hist = Counter(map(attrgetter("sper", "area", "last"), ctx.records_of(n)))
@@ -471,6 +487,9 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
     def master_specializations():
         if max_order < 2:
             return "skipped", "needs max_order >= 2"
+        from .backend import pack
+        from .mpoly import MPoly
+
         order = low
         at_q1 = ctx.series("master_pqv", order).eval_one("q")
         if at_q1 != ctx.series("cf_C_sper_v", order):
@@ -579,6 +598,9 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
     def kernel_annihilation():
         if max_order < 2:
             return "skipped", "needs max_order >= 2"
+        from . import gfs
+        from .series import Series
+
         root = ctx.series("kernel_root_v0", max_order)
         if not gfs._kernel_residual(root).is_zero():
             return "fail", "kernel residual is not the zero series"
@@ -643,6 +665,8 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
         return "pass", "; ".join(rep.summary() for rep in reports)
 
     def bijection_checks():
+        from . import bijections
+
         # one memo per bijection for every length: length n reuses the
         # sub-word images built for the shorter ones
         maps = bijections.memoized_maps()

@@ -554,7 +554,8 @@ _COMMANDS_NOT_LOADING = [
     (("stats", "--word", "0123"), _COMMAND_MODULES),
     (("gf", "--which", "B", "--order", "4"),
      ("catpoly.verify", "catpoly.tables", "catpoly.bijections")),
-    (("table", "--which", "s", "--max-n", "4"), _SERIES + ("catpoly.verify", "catpoly.bijections")),
+    (("table", "--which", "s", "--max-n", "4"),
+     _SERIES + ("catpoly.verify", "catpoly.bijections", "fractions")),
 ]
 
 _RUN_COMMAND = (
@@ -594,6 +595,34 @@ def test_import_loads_no_command_module(statement):
 def test_command_loads_only_what_it_runs(argv, absent):
     loaded = _loaded_modules(_RUN_COMMAND, *argv)
     assert "catpoly.cli" in loaded
+    assert loaded.isdisjoint(absent), loaded & set(absent)
+
+
+# verify forks after its census: what both processes read is loaded before
+# the fork, and what one process reads is loaded by its own checks
+_VERIFY_CENSUS = (
+    "import sys\n"
+    "from catpoly import verify\n"
+    "ctx = verify._Context(10, 20)\n"
+    "checks = verify._build_checks(ctx)\n"
+    "ctx.build_census()\n"
+)
+_RUN_HALF = (
+    "results = verify._run_checks([c for c in checks if (c[0] in verify.CHILD_CHECKS) == {}])\n"
+    "assert [r.status for r in results] == ['pass'] * len(results), results\n"
+)
+_VERIFY_HALVES = {
+    "census": ("", _SERIES + ("catpoly.backend", "catpoly.bijections", "fractions")),
+    "child": (_RUN_HALF.format(True), _SERIES + ("catpoly.backend",)),
+    "parent": (_RUN_HALF.format(False), ("catpoly.bijections",)),
+}
+
+
+@pytest.mark.parametrize("half", sorted(_VERIFY_HALVES))
+def test_verify_loads_in_each_process_only_what_its_checks_read(half):
+    run, absent = _VERIFY_HALVES[half]
+    loaded = _loaded_modules(_VERIFY_CENSUS + run)
+    assert {"catpoly.verify", "catpoly.tables", "catpoly.closedforms"} <= loaded
     assert loaded.isdisjoint(absent), loaded & set(absent)
 
 

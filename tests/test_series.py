@@ -113,6 +113,27 @@ def test_mul_commutative(a, b):
     assert a * b == b * a
 
 
+def pairwise_product(a, b):
+    """a * b, each x^k coefficient the sum of the capped MPoly products."""
+    capkey = a.caps.key
+    return [
+        sum((a.coeff(i).mul(b.coeff(k - i), capkey) for i in range(k + 1)), MPoly.zero())
+        for k in range(a.order)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_strategy, series_strategy)
+@example(  # (1 + p x)(1 - p x): the x^1 products cancel
+    series_from_terms([[(1, 0, 0, 0)], [(1, 1, 0, 0)]]),
+    series_from_terms([[(1, 0, 0, 0)], [(-1, 1, 0, 0)]]),
+)
+def test_mul_is_the_sum_of_the_pairwise_products(a, b):
+    out = a * b
+    assert out.coeffs == pairwise_product(a, b)
+    assert all(all(c.terms.values()) for c in out.coeffs)  # no zero coefficient kept
+
+
 @settings(max_examples=25, deadline=None)
 @given(series_strategy)
 def test_div_roundtrip(a):

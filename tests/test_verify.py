@@ -166,18 +166,19 @@ def check_names():
 
 @two_processes
 def test_a_child_check_that_raises_fails_as_it_does_in_one_process(monkeypatch, call_log):
-    def broken(n):
+    def broken(top, which, built):
         call_log.add(os.getpid())
-        raise ValueError(f"no estimate at {n}")
+        raise ValueError(f"no recurrence to {top}")
 
-    monkeypatch.setattr(closedforms, "asym_h", broken)
-    split = run_checks()["asymptotic_diagnostics"]
+    assert "recurrence_audit" in verify.CHILD_CHECKS
+    monkeypatch.setattr(tables, "check_recurrences", broken)
+    split = run_checks()["recurrence_audit"]
     assert_no_child_left()
     assert os.getpid() not in call_log.keys()  # the check ran in the child
     in_one_process(monkeypatch)
-    alone = run_checks()["asymptotic_diagnostics"]
+    alone = run_checks()["recurrence_audit"]
     assert (split.status, split.detail) == (alone.status, alone.detail) == (
-        "fail", "exception: ValueError: no estimate at 300",
+        "fail", f"exception: ValueError: no recurrence to {MAX_N}",
     )
 
 
@@ -257,6 +258,31 @@ def test_a_census_that_raises_fails_each_check_that_reads_it(monkeypatch):
     assert {"statistic_oracles", "master_histograms", "table_c_checks", "bijection_checks"} <= failed
     assert {checks[name].detail for name in failed} == {"exception: ValueError: no interior points"}
     assert checks["length4_catalog"].status == "pass"
+
+
+@two_processes
+def test_unequal_adjacent_words_that_raise_fail_the_bijection_check_alone(monkeypatch):
+    # the unequal-adjacent words are enumerated by their one reader, the
+    # bijection check, after the census: its fault fails that check alone,
+    # split or not
+    real = words.enumerate_words
+
+    def broken(n, word_class=WordClass.AVOID_GEQ_GEQ, limit=words.DEFAULT_ENUM_LIMIT):
+        if word_class is WordClass.AVOID_NEQ_ADJACENT:
+            raise ValueError(f"no unequal-adjacent words of length {n}")
+        return real(n, word_class, limit)
+
+    monkeypatch.setattr(words, "enumerate_words", broken)
+    failed = []
+    for split in (True, False):
+        if not split:
+            in_one_process(monkeypatch)
+        checks = run_checks()
+        assert_no_child_left()
+        failed.append({name: (c.status, c.detail) for name, c in checks.items() if c.status != "pass"})
+    assert failed[0] == failed[1] == {
+        "bijection_checks": ("fail", "exception: ValueError: no unequal-adjacent words of length 0"),
+    }
 
 
 @pytest.mark.parametrize("cause", ["no fork", "one CPU", "another thread"])
