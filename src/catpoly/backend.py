@@ -21,8 +21,8 @@ its cap.  Exponents and caps are at most ``MAXCAP``, below half the field,
 so the sum of two in-range keys never carries across fields.
 
 ``mul_into`` is the term kernel: a double loop over two term dicts that
-drops every product outside the caps, for ``MPoly.mul`` and
-``mpoly.invert``; every ``MPoly`` product runs under caps.  The slot
+drops every product outside the caps of its key, for ``MPoly.mul``,
+``mpoly.invert`` and the series product, under ``FIELD_KEY``.  The slot
 helpers serve ``gfs``, whose masters keep each (p, v) row of a coefficient
 as one integer in q and whose area and interior-point constructors keep
 each coefficient as one.  ``read_slots`` is a pure decoder: it takes one
@@ -51,6 +51,9 @@ MASK = (1 << FIELD) - 1
 GUARDS = (1 << (VSHIFT + FIELD)) | (1 << (QSHIFT + FIELD)) | (1 << (PSHIFT + FIELD))
 
 MAXCAP = (1 << FIELD) // 2 - 1
+
+#: The cap key of the whole fields: a key past it has an exponent above MAXCAP
+FIELD_KEY = GUARDS | (MAXCAP << PSHIFT) | (MAXCAP << VSHIFT) | MAXCAP
 
 BACKEND = "python"
 

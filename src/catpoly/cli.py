@@ -29,10 +29,9 @@ from .words import CatalanWord, WordClass
 _GF_BUILDERS = {
     # name -> (constructor in ``gfs``, first structural index, default order
     # limit): the largest round order whose ``catpoly gf`` process took
-    # under 1 s (2 cores, Python 3.11); the six scalar series take far less,
-    # and stop at 1000, the last round order whose ``Series`` caps fit the key fields
-    "M": ("gf_motzkin", 0, 1000),
-    "T": ("gf_trinomial", 0, 1000),
+    # under 1 s (2 cores, Python 3.11)
+    "M": ("gf_motzkin", 0, 8000),
+    "T": ("gf_trinomial", 0, 8000),
     "S": ("cf_S", 1, 200),
     "Clast": ("cf_C_last", 1, 300),
     "Cpv": ("cf_C_sper_v", 1, 60),
@@ -40,10 +39,10 @@ _GF_BUILDERS = {
     "H": ("sum_H", 1, 100),
     "area": ("prod_area", 1, 100),
     "inter": ("prod_interior", 1, 100),
-    "h": ("gf_h", 1, 1000),
-    "s": ("gf_s", 1, 1000),
-    "u": ("gf_u", 1, 1000),
-    "p": ("gf_p", 1, 1000),
+    "h": ("gf_h", 1, 8000),
+    "s": ("gf_s", 1, 8000),
+    "u": ("gf_u", 1, 8000),
+    "p": ("gf_p", 1, 8000),
 }
 
 
@@ -181,6 +180,12 @@ def _cmd_gf(args):
     _require_at_least(limit, 0, "--limit")
     if args.order > limit:
         raise ResourceLimit(f"series order {args.order} exceeds limit {limit}")
+    # a coefficient of x^n counts words of length n, at most 3^n, or totals a
+    # statistic of at most n^2 over them; str() refuses more digits (0: none)
+    top = args.order + start - 1
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    if digits and top * top * 3**top >= 10**digits:
+        raise ResourceLimit(f"series order {args.order} may print integers past {digits} digits")
     try:
         series = getattr(gfs, builder)(args.order + start)
     except ResourceLimit as exc:  # raised at the builder's order, or a padded one

@@ -4,8 +4,8 @@ Conventions: x marks the length, p the semiperimeter, v the last letter;
 q marks the area in the area-flavoured series and the number of interior
 points in the interior-flavoured ones (the two families never mix).
 Every constructor takes only its order.  Internally it may work at a padded
-order so that guarded divisions by powers of x lose nothing.  Every series
-carries the caps of its order (``Caps.for_order``), which cut no term.
+order so that guarded divisions by powers of x lose nothing; no step cuts a
+term, and the constructors that carry q refuse orders past the key fields.
 
 The two masters are built by forward recurrence on packed q-rows: each
 (p, v) row of an x^n coefficient is one big integer, the row's
@@ -79,7 +79,6 @@ def _algebraic_series(name, order):
     by Delta), the k lowest coefficients checked to vanish and dropped, and
     an exact division by c, so a slip in the table fails loudly."""
     c, P, Q, k, e = ALGEBRAIC_FORMS[name]
-    Caps.for_order(order)  # an order past the key fields raises before any work
     work = order + k
     y = _sqrt_delta(work)
     g = [sum(qi * y[n - i] for i, qi in enumerate(Q[: n + 1])) for n in range(work)]
@@ -93,11 +92,6 @@ def _algebraic_series(name, order):
     return Series(order, [MPoly.scalar(gn).divide_monomial(c) for gn in g[k:]])
 
 
-def _whole(r):
-    """A rational of a trinomial row, as an int when it is one."""
-    return r.numerator if r.denominator == 1 else r
-
-
 def trinomial_form(name):
     """The exact row (a, b, d) of ``ALGEBRAIC_FORMS[name]``: its x^n coefficient
     t(n) has 2 t(n) = sum_i a_i T(n + i) + b 3^(n+1) + d (-1)^n for
@@ -105,21 +99,27 @@ def trinomial_form(name):
     1/sqrt(Delta) = sum T(n) x^n, T(n + k - j) carries R_j; for e = 1,
     [x^m] P/Delta = sum_j P_j (3^(m-j+1) + (-1)^(m-j)) / 4, also at m - j = -1.
     """
-    from fractions import Fraction  # it loads decimal: no series needs it
-
     c, P, Q, k, e = ALGEBRAIC_FORMS[name]
+
+    def exact(num, den):  # a remainder is a slip in the table
+        quot, rem = divmod(num, den)
+        if rem:
+            raise InternalInconsistency(f"{name}: the row entry {num}/{den} is not whole")
+        return quot
+
     R = Q
     if not e:
         R = [sum(q * _DELTA[m - i] for i, q in enumerate(Q) if 0 <= m - i < 3)
              for m in range(len(Q) + 2)]
     if len(R) > k + 1:
         raise InternalInconsistency(f"{name}: deg R = {len(R) - 1} > k, so T(n - 1) enters")
-    a = [_whole(Fraction(2 * r, c)) for r in reversed(R + [0] * (k + 1 - len(R)))]
-    # for e = 0, P / x^k is a polynomial: no 3^n or (-1)^n part
-    quarter = Fraction(e, 2 * c)
-    b = _whole(quarter * sum(pj * Fraction(3) ** (k - j) for j, pj in enumerate(P)))
+    a = [exact(2 * r, c) for r in reversed(R + [0] * (k + 1 - len(R)))]
+    # for e = 0, P / x^k is a polynomial: no 3^n or (-1)^n part; 3^(k - j)
+    # is taken over 3^t, so that it is whole for j > k too
+    t = max(len(P) - 1 - k, 0)
+    b = exact(e * sum(pj * 3 ** (k - j + t) for j, pj in enumerate(P)), 2 * c * 3**t)
     # by parity, since (-1) ** -1 is a float
-    d = _whole(quarter * sum(pj if (k - j) % 2 == 0 else -pj for j, pj in enumerate(P)))
+    d = exact(e * sum(pj if (k - j) % 2 == 0 else -pj for j, pj in enumerate(P)), 2 * c)
     return a, b, d
 
 
@@ -348,15 +348,13 @@ def master_interior_qv(order):
 
 def _sqrt_sper_kernel(order):
     """sqrt(1 - 2p^2 x + (p^4 - 4p^3) x^2), from its recurrence
-    n y_n = p^2 (2n - 3) y_(n-1) - (n - 3)(p^4 - 4p^3) y_(n-2) under the caps
-    of the order, with y_0 = 1 and y_1 = -p^2; each division is exact or
-    raises."""
-    capkey = Caps.for_order(order).key
+    n y_n = p^2 (2n - 3) y_(n-1) - (n - 3)(p^4 - 4p^3) y_(n-2), with y_0 = 1
+    and y_1 = -p^2; each division is exact or raises."""
     y = [MPoly.scalar(1), MPoly.monomial(-1, 2, 0, 0)][:order]
     for n in range(2, order):
         a, b = y[n - 1], y[n - 2]
-        t = a.mul_monomial(2 * n - 3, 2, capkey=capkey) + b.mul_monomial(3 - n, 4, capkey=capkey)
-        y.append((t + b.mul_monomial(4 * (n - 3), 3, capkey=capkey)).divide_monomial(n))
+        t = a.mul_monomial(2 * n - 3, 2) + b.mul_monomial(3 - n, 4)
+        y.append((t + b.mul_monomial(4 * (n - 3), 3)).divide_monomial(n))
     return Series(order, y)
 
 
@@ -383,11 +381,11 @@ def _over_bracket(num, p=1):
     Each division by 1 - v is exact or raises, so a slip in the bracket or
     in the numerator fails loudly instead of leaving a series in v.
     """
-    capkey, out = num.caps.key, []
+    out = []
     for k, c in enumerate(num.coeffs):
         for back, b in enumerate(_KERNEL_BRACKET[:k], 1):
             for m, dp, dv in b:
-                c = c - out[k - back].mul_monomial(m, p * dp, 0, dv, capkey=capkey)
+                c = c - out[k - back].mul_monomial(m, p * dp, 0, dv)
         out.append(c.divide_one_minus_v())
     return Series(num.order, out)
 
@@ -430,9 +428,9 @@ def kernel_root_v0(order):
     work = order + 1
     num = Series.from_x_polynomial(work, [1, MPoly.monomial(1, 2, 0, 0)]) - _sqrt_sper_kernel(work)
     root = num.divide_by_x_power(1).divide_coeffs_monomial(2, 2, 0, 0)
-    capkey, out = root.caps.key, []
+    out = []
     for c in root.coeffs:
-        out.append(c - out[-1].mul_monomial(1, 1, capkey=capkey) if out else c)
+        out.append(c - out[-1].mul_monomial(1, 1) if out else c)
     return Series(order, out)
 
 

@@ -5,32 +5,31 @@ on the series being built) and v the value of the last letter.  Terms are
 stored as a dict from a packed exponent key (see ``backend`` for the
 layout) to a nonzero int coefficient, so equality is plain dict equality
 and the multiply kernel tests all three caps with one integer subtraction
-per product.  Every product and shift runs under the caps of its series
-(``Caps.key``); there is no uncapped product.  Every coefficient counts
-polyominoes, so the entry points refuse anything but an int (TypeError),
-and every division is exact or raises: a remainder is a transcription
-slip, not a rational.
+per product.  ``MPoly.mul`` runs under the caps of a key; a shift past the
+key fields raises ResourceLimit.  Every coefficient counts polyominoes,
+so the entry points refuse anything but an int (TypeError), and every
+division is exact or raises: a remainder is a transcription slip, not a
+rational.
 """
 
 from operator import index
 from typing import NamedTuple
 
 from . import backend
-from .backend import GUARDS, MASK, MAXCAP, PSHIFT, QSHIFT, VSHIFT, cap_key, pack, unpack
+from .backend import FIELD_KEY, GUARDS, MASK, MAXCAP, PSHIFT, QSHIFT, VSHIFT, pack, unpack
 from .errors import InternalInconsistency, NonUnitDivisor, ResourceLimit
 
 _SHIFTS = {"p": PSHIFT, "q": QSHIFT, "v": VSHIFT}
 
 
 class Caps(NamedTuple):
-    """Per-variable degree bounds under which all series arithmetic runs.
+    """Per-variable degree bounds, the caps of a product (``backend.cap_key``).
 
     Truncating every exponent above its cap is a quotient-ring map, so it
-    commutes with ring operations; the defaults below are the exact maxima
-    the statistics can reach at length N (semiperimeter 2N, area N(N+1)/2,
-    last letter N-1), so no genuine term is ever dropped.  An order whose
-    caps do not fit the key fields raises ResourceLimit; the area cap
-    binds first, above order 1023.
+    commutes with ring operations.  ``for_order`` gives the bounds of the
+    statistics below length N (semiperimeter 2N, area N(N+1)/2, last letter
+    N); the constructors that carry q call it to refuse, before any work, an
+    order whose area cap passes the key fields (above 1023).
     """
 
     p: int
@@ -45,10 +44,6 @@ class Caps(NamedTuple):
                 f"order {order} needs caps {tuple(caps)} above the key field maximum {MAXCAP}"
             )
         return caps
-
-    @property
-    def key(self):
-        return cap_key(self.p, self.q, self.v)
 
 
 def _degree(terms, shift):
@@ -132,8 +127,8 @@ class MPoly:
             return self
         return MPoly._raw({k: v * c for k, v in self.terms.items()})
 
-    def mul_monomial(self, c, dp=0, dq=0, dv=0, *, capkey):
-        """Multiply by c * p^dp q^dq v^dv, dropping terms beyond the caps."""
+    def mul_monomial(self, c, dp=0, dq=0, dv=0):
+        """Multiply by c * p^dp q^dq v^dv, raising ResourceLimit past the key fields."""
         c = index(c)
         if c == 0:
             return MPoly.zero()
@@ -141,8 +136,8 @@ class MPoly:
         out = {}
         for k, v in self.terms.items():
             nk = k + shift
-            if (capkey - nk) & GUARDS != GUARDS:
-                continue
+            if (FIELD_KEY - nk) & GUARDS != GUARDS:
+                raise ResourceLimit(f"the term {MPoly._raw({nk: v})} passes the key fields")
             out[nk] = v * c
         return MPoly._raw(out)
 

@@ -1,42 +1,36 @@
 """Power series in x truncated at a fixed order, with MPoly coefficients.
 
-A series of order N carries the coefficients of x^0 .. x^(N-1).  All
-operations truncate at that order and at the per-variable caps of that
-order, ``Caps.for_order(N)``, both of which commute with ring arithmetic.
-Operands of binary operations must share their order.
+A series of order N is its order and the coefficients of x^0 .. x^(N-1).
+Operations truncate at that order and cut nothing else: an exponent past
+the key fields (``backend.MAXCAP``) raises ResourceLimit where it is
+formed.  Operands of binary operations must share their order.
 
 The layer is linear operations, monomial shifts, the marker operations
 and exact divisions by x^k or by a monomial, each of which raises on a
 remainder.  Its one product, ``*``, is the schoolbook convolution over
-the capped term kernel ``backend.mul_into``.  There is no general
-quotient: each divisor the library meets is a known polynomial in x, and
-its constructor in ``gfs`` divides by that divisor's recurrence.
+the term kernel ``backend.mul_into``.  There is no general quotient: each
+divisor the library meets is a known polynomial in x, and its constructor
+in ``gfs`` divides by that divisor's recurrence.
 """
 
-from functools import lru_cache
-
 from . import backend
-from .errors import InternalInconsistency, OrderMismatch
-from .mpoly import Caps, MPoly, _cleaned
-
-#: ``Caps.for_order``, built once per order; it raises past the key fields
-_caps = lru_cache(maxsize=None)(Caps.for_order)
+from .backend import FIELD_KEY, MAXCAP
+from .errors import InternalInconsistency, OrderMismatch, ResourceLimit
+from .mpoly import MPoly, _cleaned
 
 
 class Series:
-    __slots__ = ("order", "coeffs", "caps")
+    __slots__ = ("order", "coeffs")
 
     def __init__(self, order, coeffs=None):
         if order < 1:
             raise ValueError("series order must be >= 1")
         self.order = order
-        self.caps = _caps(order)
         if coeffs is None:
-            self.coeffs = [MPoly.zero() for _ in range(order)]
-        else:
-            if len(coeffs) != order:
-                raise ValueError("coefficient count must equal order")
-            self.coeffs = list(coeffs)
+            coeffs = [MPoly.zero()] * order
+        elif len(coeffs) != order:
+            raise ValueError("coefficient count must equal order")
+        self.coeffs = list(coeffs)
 
     # -- constructors ---------------------------------------------------
 
@@ -44,9 +38,7 @@ class Series:
     def from_x_polynomial(cls, order, poly_coeffs):
         """Series whose x^n coefficient is poly_coeffs[n] (scalar or MPoly)."""
         s = cls(order)
-        for n, c in enumerate(poly_coeffs):
-            if n >= order:
-                break
+        for n, c in enumerate(poly_coeffs[:order]):
             s.coeffs[n] = c if isinstance(c, MPoly) else MPoly.scalar(c)
         return s
 
@@ -96,26 +88,29 @@ class Series:
     # -- multiplicative operations ------------------------------------------
 
     def __mul__(self, other):
-        """The product: each x^k coefficient adds the capped products
-        a_i b_(k-i) into one term dict, cleaned of zeros once."""
+        """The product: each x^k coefficient adds the products a_i b_(k-i)
+        into one term dict, cleaned of zeros once.  Degrees that add up past
+        the key fields raise first, so the kernel drops nothing."""
         self._check_compatible(other)
+        for var in "pqv":
+            degree = sum(max(c.degree(var) for c in s.coeffs) for s in (self, other))
+            if degree > MAXCAP:
+                raise ResourceLimit(f"a product of {var}-degree {degree} passes the key fields")
         a = [c.terms for c in self.coeffs]
         b = [c.terms for c in other.coeffs]
-        capkey = self.caps.key
         out = []
         for k in range(self.order):
             acc = {}
             for i in range(k + 1):
-                backend.mul_into(acc, a[i], b[k - i], capkey)
+                backend.mul_into(acc, a[i], b[k - i], FIELD_KEY)
             out.append(MPoly._raw(_cleaned(acc)))
         return Series(self.order, out)
 
     def mul_monomial(self, c, dp=0, dq=0, dv=0, x_shift=0):
         """Multiply by c * x^x_shift * p^dp q^dq v^dv."""
-        capkey = self.caps.key
         out = [MPoly.zero()] * min(x_shift, self.order)
         for n in range(self.order - x_shift):
-            out.append(self.coeffs[n].mul_monomial(c, dp, dq, dv, capkey=capkey))
+            out.append(self.coeffs[n].mul_monomial(c, dp, dq, dv))
         return Series(self.order, out)
 
     # -- marker operations ----------------------------------------------------

@@ -42,8 +42,9 @@ reads as it comes.  Each check's ``seconds`` is wall time in the process
 that ran it, so the first check of a process to read a module also pays
 for importing it.
 
-A ``max_n`` above ``MAX_N_LIMIT`` is refused before any check runs.  A
-check that raises fails, except for ``ResourceLimit``: a run that asks
+A ``max_n`` above ``MAX_N_LIMIT`` is refused before any check runs, and a
+``max_order`` past the key fields (1024 and up) at the first series read.
+A check that raises fails, except for ``ResourceLimit``: a run that asks
 for more than a limit allows stops there, and ``run_verify`` raises it,
 the first in check order if both processes hit one.
 """
@@ -146,7 +147,9 @@ class _Context:
     def series(self, name, order):
         """``gfs.<name>(order)``, read off the run's one build of it."""
         from . import gfs
+        from .mpoly import Caps
 
+        Caps.for_order(self.max_order)  # refuses a max_order past the key fields
         top = self.orders[name]
         if name == "cf_C_last":  # built on the run's Motzkin series
             build = lambda: gfs._last_letter_form(self.series("gf_motzkin", top))

@@ -256,20 +256,24 @@ def test_gf_json(capsys):
 
 
 def test_gf_order_limit_exit3(capsys):
-    code, _, _ = run(capsys, "gf", "--which", "M", "--order", "1001")
+    code, _, _ = run(capsys, "gf", "--which", "M", "--order", "8001")
     assert code == 3
 
 
 # Each builder's default --limit admits order `limit` and refuses the first order past
-# the default. The cases are the defaults themselves and the lower defaults that S,
-# Clast and Cpv had before their `Series` products, quotients and square roots took
-# the packed path; an order admitted then stays admitted.
-GF_DEFAULT_LIMITS = {"M": 1000, "S": 200, "Clast": 300, "Cpv": 60, "area": 100}
+# the default. The cases are the defaults themselves and the lower defaults that M had
+# while every series carried caps, and S, Clast and Cpv had before their `Series`
+# products, quotients and square roots took the packed path; an order admitted then
+# stays admitted.
+GF_DEFAULT_LIMITS = {"M": 8000, "S": 200, "Clast": 300, "Cpv": 60, "area": 100}
 
 
 @pytest.mark.parametrize(
     "which, limit",
-    [("M", 1000), ("S", 100), ("S", 200), ("Clast", 200), ("Clast", 300), ("Cpv", 40), ("Cpv", 60), ("area", 100)],
+    [
+        ("M", 1000), ("M", 8000), ("S", 100), ("S", 200), ("Clast", 200), ("Clast", 300),
+        ("Cpv", 40), ("Cpv", 60), ("area", 100),
+    ],
 )
 def test_gf_default_limit_per_builder(capsys, which, limit):
     default = GF_DEFAULT_LIMITS[which]
@@ -282,11 +286,24 @@ def test_gf_default_limit_per_builder(capsys, which, limit):
 
 
 def test_gf_past_the_key_fields_names_the_order_asked_for(capsys):
-    # gf builds h at order + 1; the error names the order given
-    code, out, err = run(capsys, "gf", "--which", "h", "--order", "1100", "--limit", "2000")
+    # gf builds area at order + 1, whose area cap passes the key field; the
+    # error names the order given
+    code, out, err = run(capsys, "gf", "--which", "area", "--order", "1100", "--limit", "2000")
     assert (code, out) == (3, "")
     assert "series order 1100 needs exponents above the key field maximum 524287" in err
-    assert "1105" not in err
+    assert "1101" not in err
+
+
+def test_gf_past_the_int_to_str_limit_exits3_before_building(capsys, monkeypatch):
+    # M(9000) has 4289 digits and str() refuses more than 4300; an order
+    # whose coefficients may pass that is refused before the series is built
+    def refuse(*args):
+        raise AssertionError("built past the int-to-str limit")
+
+    monkeypatch.setattr(gfs, "_sqrt_delta", refuse)
+    code, out, err = run(capsys, "gf", "--which", "M", "--order", "9500", "--limit", "10000")
+    assert (code, out) == (3, "")
+    assert err == "error: series order 9500 may print integers past 4300 digits\n"
 
 
 def test_gf_with_a_slip_in_the_algebraic_table_exits_1(capsys, monkeypatch):
@@ -504,8 +521,8 @@ def test_verify_out_of_range_flag_exit2(capsys, flag, value):
 
 
 def test_verify_past_the_key_field_exits3(capsys):
-    # the first series built, gf_motzkin at order 1025, lies past the key
-    # field; that is a resource limit, not a failed check
+    # a max_order whose caps pass the key field is refused at the first
+    # series read; that is a resource limit, not a failed check
     code, out, err = run(capsys, "verify", "--max-order", "1025")
     assert code == 3
     assert out == ""

@@ -47,7 +47,7 @@ def test_cap_filtering_drops_out_of_range_products():
     a = {pack(2, 0, 0): 1}
     b = {pack(1, 0, 0): 1, pack(0, 1, 0): 1}
     acc = {}
-    backend.mul_into(acc, a, b, caps.key)
+    backend.mul_into(acc, a, b, cap_key(*caps))
     # p^3 exceeds the cap; p^2 q survives
     assert acc == {pack(2, 1, 0): 1}
 
@@ -58,15 +58,14 @@ def test_cap_filtering_keeps_products_on_the_cap():
     on_cap = pack(2, 2, 2)
     past_cap = [pack(3, 2, 2), pack(2, 3, 2), pack(2, 2, 3)]
     acc = {}
-    backend.mul_into(acc, a, {k: 1 for k in [on_cap, *past_cap]}, caps.key)
+    backend.mul_into(acc, a, {k: 1 for k in [on_cap, *past_cap]}, cap_key(*caps))
     assert acc == {pack(3, 4, 5): 1}
 
 
 def test_capped_product_still_truncates():
     caps = Caps(2, 2, 2)
     p2 = MPoly.monomial(1, dp=2)
-    assert p2.mul(p2, caps.key) == MPoly.zero()
-    assert p2.mul_monomial(1, dp=1, capkey=caps.key) == MPoly.zero()
+    assert p2.mul(p2, cap_key(*caps)) == MPoly.zero()
 
 
 def test_caps_for_order_field_limit():
@@ -76,21 +75,19 @@ def test_caps_for_order_field_limit():
 
 
 def test_constructors_raise_past_the_key_fields_before_any_work(monkeypatch):
-    # every constructor builds at the default caps of its order, so order
-    # 1024 raises ResourceLimit before the DP, the recurrence, the paper's
-    # quotient, a continued-fraction level or the root of Delta starts; gfs
-    # binds ``transfer`` by name, so it is refused there
+    # a constructor that carries q reaches the area order(order + 1)/2, so
+    # order 1024 raises ResourceLimit before the DP, the recurrence, the
+    # paper's quotient or a continued-fraction level starts; gfs binds
+    # ``transfer`` by name, so it is refused there
     def refuse(*args, **kwargs):
         raise AssertionError("work started past the key fields")
 
     monkeypatch.setattr(gfs, "transfer", refuse)
     monkeypatch.setattr(gfs, "_solve_forward", refuse)
     monkeypatch.setattr(gfs, "_ratio", refuse)
-    monkeypatch.setattr(gfs, "_sqrt_delta", refuse)
     monkeypatch.setattr(gfs, "_contfrac_packed", refuse)
     dense = ("sum_B", "sum_H", "prod_area", "prod_interior")
-    scalar = ("gf_motzkin", "gf_trinomial", "gf_h", "gf_s", "gf_u", "gf_p")
-    builders = [getattr(gfs, name) for name in dense + scalar + ("master_pqv", "master_interior_qv")]
+    builders = [getattr(gfs, name) for name in dense + ("master_pqv", "master_interior_qv")]
     builders += [partial(gfs.paper_form, name) for name in dense] + [gfs.cf_B_contfrac]
     for build in builders:
         with pytest.raises(ResourceLimit, match="order 1024 needs caps"):

@@ -6,11 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catpoly import closedforms, gfs, mpoly
-from catpoly.backend import pack, unpack
+from catpoly.backend import FIELD_KEY, MAXCAP, cap_key, pack, unpack
 from catpoly.errors import (
     InternalInconsistency,
     NonUnitDivisor,
     OrderMismatch,
+    ResourceLimit,
 )
 from catpoly.mpoly import Caps, MPoly
 from catpoly.series import Series
@@ -67,9 +68,9 @@ def test_mpoly_addition_cancels():
 def test_mpoly_mul_and_str():
     a = MPoly.monomial(1, 0, 1, 0) + MPoly.scalar(1)  # 1 + q
     b = MPoly.monomial(1, 0, 0, 1)  # v
-    assert str(a.mul(b, Caps(1, 1, 1).key)) == "v+qv"
+    assert str(a.mul(b, cap_key(1, 1, 1))) == "v+qv"
     # the caps cut the product: q^1 v^1 passes a q cap of 0
-    assert str(a.mul(b, Caps(1, 0, 1).key)) == "v"
+    assert str(a.mul(b, cap_key(1, 0, 1))) == "v"
 
 
 def test_mpoly_derivative():
@@ -87,12 +88,11 @@ def test_mpoly_mul_monomial_normalises_once():
     # an int multiplier keeps int coefficients and a zero one gives zero;
     # scale and mul_monomial refuse a Fraction, even a whole one, and a float
     m = MPoly.monomial(3, 1, 0, 0)
-    key = Caps(2, 2, 2).key
-    c = m.mul_monomial(2, 0, 1, 0, capkey=key).coefficient(1, 1, 0)
+    c = m.mul_monomial(2, 0, 1, 0).coefficient(1, 1, 0)
     assert c == 6 and type(c) is int
-    assert not m.mul_monomial(0, 0, 1, 0, capkey=key) and not m.scale(0)
+    assert not m.mul_monomial(0, 0, 1, 0) and not m.scale(0)
     for c in (Fraction(6, 3), Fraction(1, 2), 2.0):
-        for make in (lambda: m.scale(c), lambda: m.mul_monomial(c, 0, 1, 0, capkey=key)):
+        for make in (lambda: m.scale(c), lambda: m.mul_monomial(c, 0, 1, 0)):
             with pytest.raises(TypeError):
                 make()
 
@@ -114,10 +114,10 @@ def test_mul_commutative(a, b):
 
 
 def pairwise_product(a, b):
-    """a * b, each x^k coefficient the sum of the capped MPoly products."""
-    capkey = a.caps.key
+    """a * b, each x^k coefficient the sum of the MPoly products under the
+    key of the whole fields, which cuts none of them."""
     return [
-        sum((a.coeff(i).mul(b.coeff(k - i), capkey) for i in range(k + 1)), MPoly.zero())
+        sum((a.coeff(i).mul(b.coeff(k - i), FIELD_KEY) for i in range(k + 1)), MPoly.zero())
         for k in range(a.order)
     ]
 
@@ -138,15 +138,13 @@ def test_mul_is_the_sum_of_the_pairwise_products(a, b):
 @given(series_strategy)
 def test_div_roundtrip(a):
     # every coefficient times 1 - v divides back exactly
-    key = Caps(8, 8, 8).key
     for c in a.coeffs:
-        assert (c - c.mul_monomial(1, dv=1, capkey=key)).divide_one_minus_v() == c
+        assert (c - c.mul_monomial(1, dv=1)).divide_one_minus_v() == c
 
 
 def test_square_roots_square_back():
     # each root by its recurrence squares back: that of Delta = 1 - 2x - 3x^2
-    # on ints, and that of the semiperimeter kernel 1 - 2p^2 x + (p^4 - 4p^3) x^2,
-    # whose p-degrees pass the p cap 2 * order from x^order on, cut at the caps
+    # on ints, and that of the semiperimeter kernel 1 - 2p^2 x + (p^4 - 4p^3) x^2
     x2 = MPoly.monomial(1, 4, 0, 0) + MPoly.monomial(-4, 3, 0, 0)
     for order in range(2, 41):
         delta = Series.from_x_polynomial(order, gfs._sqrt_delta(order))
@@ -164,7 +162,44 @@ def test_square_roots_square_back():
 def test_invert_refuses_a_constant_term_other_than_one_or_minus_one(constant):
     # the inverse of any other scalar part is no integer series
     with pytest.raises(NonUnitDivisor):
-        mpoly.invert(constant, Caps.for_order(4).key)
+        mpoly.invert(constant, cap_key(*Caps.for_order(4)))
+
+
+# exact exponents ----------------------------------------------------------------
+
+
+def test_a_term_past_the_caps_of_the_order_is_kept():
+    # q^9 lies past the area cap 3 of order 2; * and mul_monomial keep it,
+    # as +, - and == do
+    a = Series(2, [MPoly.monomial(1, 0, 9, 0), MPoly.scalar(1)])
+    assert a == a * Series.from_x_polynomial(2, [1])
+    assert a == a.mul_monomial(1)
+    assert a * a == Series(2, [MPoly.monomial(1, 0, 18, 0), MPoly.monomial(2, 0, 9, 0)])
+
+
+@pytest.mark.parametrize("dp, dq, dv", [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+def test_an_exponent_past_the_key_fields_raises_where_it_is_formed(dp, dq, dv):
+    top = MPoly.monomial(1, MAXCAP * dp, MAXCAP * dq, MAXCAP * dv)
+    one_up = MPoly.monomial(1, dp, dq, dv)
+    below = MPoly.monomial(1, (MAXCAP - 1) * dp, (MAXCAP - 1) * dq, (MAXCAP - 1) * dv)
+    assert below.mul_monomial(1, dp, dq, dv) == top
+    with pytest.raises(ResourceLimit, match="passes the key fields"):
+        top.mul_monomial(1, dp, dq, dv)
+    s = Series.from_x_polynomial(2, [top])
+    with pytest.raises(ResourceLimit, match="passes the key fields"):
+        s.mul_monomial(1, dp, dq, dv)
+    assert Series.from_x_polynomial(2, [below]) * Series.from_x_polynomial(2, [one_up]) == s
+    with pytest.raises(ResourceLimit, match="passes the key fields"):
+        s * Series.from_x_polynomial(2, [one_up])
+
+
+def test_a_series_past_order_1023_takes_monomial_shifts():
+    # no order refuses a series: only the key fields bound an exponent
+    m = gfs.gf_motzkin(2000)
+    shifted = m.mul_monomial(1, x_shift=2)
+    assert shifted.coeffs == [MPoly.zero()] * 2 + m.coeffs[:-2]
+    counts = m.scalar_coeffs()
+    assert [c.coefficient(dv=2) for c in m.mul_monomial(1, dv=2).coeffs] == counts
 
 
 def test_div_by_nonscalar_unit():
@@ -303,7 +338,7 @@ UNITS = [
 def inverse_terms(unit, caps):
     """``mpoly.invert`` of a unit given as {(p, q, v): c}, back on exponent
     triples."""
-    inv = mpoly.invert(to_series([unit]).coeffs[0], caps.key)
+    inv = mpoly.invert(to_series([unit]).coeffs[0], cap_key(*caps))
     return {unpack(k): c for k, c in inv.terms.items()}
 
 
@@ -345,9 +380,10 @@ def series_pair(draw):
 @example(([{(0, 0, 0): 5}], [{}]))
 @example(([{}, {(0, 4, 0): 2**100}], [{(0, 2, 0): -3}, {}]))
 def test_mul_matches_oracle(case):
+    # the draws pass the caps of the order, and the product keeps every term
     a, b = case
     prod = to_series(a) * to_series(b)
-    assert from_series(prod) == naive_mul(a, b, prod.caps)
+    assert from_series(prod) == naive_mul(a, b, (MAXCAP,) * 3)
 
 
 def test_trinomial_quotient_past_64_bits():
