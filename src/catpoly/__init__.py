@@ -38,6 +38,7 @@ _EXPORTS = {
         "NotInDomain",
         "OrderMismatch",
         "ResourceLimit",
+        "UsageError",
     ),
     "gfs": (
         "cf_B_contfrac",

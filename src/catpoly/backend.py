@@ -26,14 +26,14 @@ drops every product outside the caps of its key, for ``MPoly.mul``,
 helpers serve ``gfs``, whose masters keep each (p, v) row of a coefficient
 as one integer in q and whose area and interior-point constructors keep
 each coefficient as one.  ``read_slots`` is a pure decoder: it takes one
-byte string holding the slots of several coefficients in two's complement
-and, for each coefficient, the keys of its slots in order; the slots are
-cast to ints in bulk at their own width (``_signed_slots``), and one dict
-build per coefficient keeps its nonzero slots, with no Python-level step
-per slot (the inverse of Kronecker substitution; D. Harvey, J. Symbolic
-Comput. 44, 2009).  Every ``gfs`` slot is a count, so each value is
-written out as it is, its own two's complement, and each ``gfs`` series is
-decoded in bounded batches of whole coefficients.
+byte string holding the unsigned slots of several coefficients and, for
+each coefficient, the keys of its slots in order; the slots are cast to
+ints in bulk at their own width (``_unsigned_slots``), and one dict build
+per coefficient keeps its nonzero slots, with no Python-level step per
+slot (the inverse of Kronecker substitution; D. Harvey, J. Symbolic
+Comput. 44, 2009).  Every ``gfs`` slot is a count, so each packed value
+is written out as it is, and each ``gfs`` series is decoded in bounded
+batches of whole coefficients.
 """
 
 import sys
@@ -59,12 +59,9 @@ BACKEND = "python"
 
 _BIG_ENDIAN = sys.byteorder == "big"
 
-#: the signed array typecode of each item size among 1, 2, 4 and 8 bytes,
+#: the unsigned array typecode of each item size among 1, 2, 4 and 8 bytes,
 #: found by size, since the size of a typecode varies by host
-_SIGNED = {array(code).itemsize: code for code in "bhilq"}
-
-# byte -> the byte that extends its sign: 0xFF when its top bit is set
-_SIGN_BYTE = bytes(0xFF if b & 0x80 else 0 for b in range(256))
+_UNSIGNED = {array(code).itemsize: code for code in "BHILQ"}
 
 
 def pack(dp=0, dq=0, dv=0):
@@ -110,44 +107,31 @@ def mul_into(acc, a, b, capkey):
                 acc[k] = cur + c1 * c2
 
 
-def slot_bytes(bound):
-    """Bytes per q-slot that hold any coefficient of magnitude <= bound.
-
-    A slot of w bits, one more than the bound needs, holds the coefficient
-    with its sign: |c| <= bound < 2^(w-1), and a slot in [0, bound] is its
-    own two's complement.  Every caller passes a bound on the magnitude,
-    not a signed one.
-    """
-    return (bound.bit_length() + 1 + 7) // 8
-
-
 def read_slots(raw, nbytes, keys):
     """One term dict for each coefficient whose slots ``raw`` holds.
 
-    ``raw`` is the little-endian bytes of every coefficient's slots in
-    turn, nbytes each, in two's complement.  ``keys`` gives, for each
-    coefficient, the keys of its slots in order, as many as it has bytes
-    in ``raw`` over nbytes.  The slots are cast to ints in bulk by
-    ``_signed_slots``, and one dict build per coefficient keeps its
-    nonzero slots, with no Python-level step per slot.
+    ``raw`` is the little-endian unsigned slots of every coefficient in
+    turn, nbytes each.  ``keys`` gives, for each coefficient, the keys of
+    its slots in order, as many as it has bytes in ``raw`` over nbytes.
+    The slots are cast to ints in bulk by ``_unsigned_slots``, and one
+    dict build per coefficient keeps its nonzero slots, with no
+    Python-level step per slot.
     """
-    vals = _signed_slots(raw, nbytes)
+    vals = _unsigned_slots(raw, nbytes)
     # zip stops on its exhausted keys and compress on its exhausted data,
     # so both iterators stop at the first slot of the next coefficient
     data, selectors = iter(vals), iter(vals)
     return [dict(compress(zip(k, data), selectors)) for k in keys]
 
 
-def _signed_slots(raw, nbytes):
-    """The ints held in two's complement by the little-endian slots of raw,
-    nbytes each.
+def _unsigned_slots(raw, nbytes):
+    """The ints held by the little-endian unsigned slots of raw, nbytes each.
 
-    A slot of 1, 2, 4 or 8 bytes is cast as it is, by the signed array
+    A slot of 1, 2, 4 or 8 bytes is cast as it is, by the unsigned array
     typecode of its size.  A slot of 3, 5, 6 or 7 bytes is widened to the
     next of those sizes, and a wider one to m = ceil(nbytes / 8) limbs of
-    64 bits: byte b of every slot moves by one strided copy, and the sign
-    byte that fills each slot's upper bytes comes from one ``translate``.
-    For m >= 2 each slot's signed top limb and unsigned lower limbs are
+    64 bits: byte b of every slot moves by one strided copy into a zeroed
+    buffer, whose upper bytes stay zero.  For m >= 2 each slot's limbs are
     combined with ``map``.
     """
     size = _cast_size(nbytes)
@@ -155,20 +139,16 @@ def _signed_slots(raw, nbytes):
         wide = bytearray(len(raw) // nbytes * size)
         for b in range(nbytes):
             wide[b::size] = raw[b::nbytes]
-        sign = raw[nbytes - 1 :: nbytes].translate(_SIGN_BYTE)
-        for b in range(nbytes, size):
-            wide[b::size] = sign
         raw = wide
-    limbs = array(_SIGNED[min(size, 8)], raw)
+    limbs = array(_UNSIGNED[min(size, 8)], raw)
     if _BIG_ENDIAN:
         limbs.byteswap()
     if size <= 8:
         return limbs.tolist()
     m = size // 8
-    unsigned = memoryview(limbs).cast("B").cast("Q")
     vals = limbs[m - 1 :: m]
     for i in range(m - 2, -1, -1):
-        vals = map(add, map(lshift, vals, repeat(64)), unsigned[i::m])
+        vals = map(add, map(lshift, vals, repeat(64)), limbs[i::m])
     return list(vals)
 
 
@@ -177,4 +157,4 @@ def _cast_size(nbytes):
     or whole 64-bit limbs past 8 bytes."""
     if nbytes > 8:
         return 8 * -(-nbytes // 8)
-    return min(size for size in _SIGNED if size >= nbytes)
+    return min(size for size in _UNSIGNED if size >= nbytes)

@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import words
-from .errors import CatpolyError, NotCatalan, NotInDomain, ResourceLimit
+from .errors import CatpolyError, NotCatalan, NotInDomain, ResourceLimit, UsageError
 from .words import CatalanWord, WordClass
 
 # Each command imports the modules it runs, so ``enumerate`` or ``stats``
@@ -33,8 +33,8 @@ _GF_BUILDERS = {
     "M": ("gf_motzkin", 0, 8000),
     "T": ("gf_trinomial", 0, 8000),
     "S": ("cf_S", 1, 200),
-    "Clast": ("cf_C_last", 1, 300),
-    "Cpv": ("cf_C_sper_v", 1, 60),
+    "Clast": ("cf_C_last", 1, 500),
+    "Cpv": ("cf_C_sper_v", 1, 100),
     "B": ("sum_B", 1, 100),
     "H": ("sum_H", 1, 100),
     "area": ("prod_area", 1, 100),
@@ -49,7 +49,7 @@ _GF_BUILDERS = {
 def _require_at_least(value, low, flag):
     """Reject a numeric flag below its minimum as a usage error (exit 2)."""
     if value < low:
-        raise ValueError(f"{flag} must be >= {low}, got {value}")
+        raise UsageError(f"{flag} must be >= {low}, got {value}")
 
 
 def _dump(obj):
@@ -165,7 +165,7 @@ def _parse_at(spec):
             continue
         var, _, value = part.partition("=")
         if var not in ("p", "q", "v") or value != "1":
-            raise ValueError(f"--at accepts p=1, q=1, v=1; got {part!r}")
+            raise UsageError(f"--at accepts p=1, q=1, v=1; got {part!r}")
         evals.append(var)
     return evals
 
@@ -343,7 +343,7 @@ def main(argv=None):
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (NotCatalan, NotInDomain, ValueError) as exc:
+    except (NotCatalan, NotInDomain, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CatpolyError as exc:

@@ -16,6 +16,10 @@ class NotCatalan(CatpolyError):
         super().__init__(message or f"not a Catalan word (violation at index {position})")
 
 
+class UsageError(CatpolyError, ValueError):
+    """A flag or argument outside its range: the CLI's usage error (exit 2)."""
+
+
 class EmptyWord(CatpolyError):
     """Statistic requested on the empty word."""
 

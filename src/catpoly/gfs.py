@@ -21,9 +21,9 @@ equations those sums satisfy (x -> x q), all mod 2^(w N) with doubling
 steps for 1/(1 - q^j) and big-integer products.  Every x^n coefficient of
 a packed series is read back at the end as one byte string and one run of
 slot keys, in batches of whole coefficients (``_read_back``); each slot is
-a count, so each packed value is written out as it is, its own two's
-complement.  The six scalar series, the rows of one table of algebraic
-forms ``ALGEBRAIC_FORMS`` that ``trinomial_form`` also reads as the paper's
+a count, so each packed value is written out as it is, in unsigned slots.
+The six scalar series, the rows of one table of algebraic forms
+``ALGEBRAIC_FORMS`` that ``trinomial_form`` also reads as the paper's
 trinomial forms, are built on ints from the three-term recurrence of
 sqrt(Delta).  The kernel-method closed forms run on ``Series``, on the
 root of their kernel by its own recurrence, and divide by their known
@@ -205,13 +205,13 @@ def _slot_bytes(order):
     """Bytes per q-slot of a packed series with coefficients x^0 .. x^(order-1).
 
     Every stored slot counts avoiding words of one length n < order, so it
-    lies in [0, M(n)] with M(n) <= M(order - 1) (M = Motzkin).  A slot sized
-    for that bound keeps its top bit clear, so every packed value is its
-    own two's complement, as ``backend.read_slots`` takes it.
+    lies in [0, M(n)] with M(n) <= M(order - 1) (M = Motzkin): the slot is
+    the least number of bytes that holds M(order - 1), unsigned, as
+    ``backend.read_slots`` takes it.
     """
     if order < 1:
         raise ValueError("series order must be >= 1")
-    return backend.slot_bytes(closedforms.motzkin(order - 1))
+    return (closedforms.motzkin(order - 1).bit_length() + 7) // 8
 
 
 def _master(order, base, step, plus, minus):
@@ -462,11 +462,11 @@ def _kernel_residual(v0):
 #   slots(n) = n (n + 1) / 2 + 1,
 # and its slots lie in [0, M(n)], which ``_slot_bytes`` sizes the slots for.
 # The x^n coefficients of a dense series are read back by ``_read_back`` as
-# they are, each its own two's complement, every slot up to the top one
-# written out; the decode drops the few zero slots among them.  The key of
-# slot k is that of q^k, which is k itself, since q has the low field of the
-# key (``backend``): the keys are the slot indices, small ints that spread
-# over the table of each coefficient's dict.
+# they are, in unsigned slots, every slot up to the top one written out;
+# the decode drops the few zero slots among them.  The key of slot k is that
+# of q^k, which is k itself, since q has the low field of the key
+# (``backend``): the keys are the slot indices, small ints that spread over
+# the table of each coefficient's dict.
 #
 # The constructors count the words directly, by the transfer DP over the
 # word automaton, ``words.transfer`` (see ``_transfer_packed``): each step is

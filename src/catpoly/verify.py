@@ -42,8 +42,8 @@ reads as it comes.  Each check's ``seconds`` is wall time in the process
 that ran it, so the first check of a process to read a module also pays
 for importing it.
 
-A ``max_n`` above ``MAX_N_LIMIT`` is refused before any check runs, and a
-``max_order`` past the key fields (1024 and up) at the first series read.
+A ``max_n`` above ``MAX_N_LIMIT`` or a ``max_order`` above
+``MAX_ORDER_LIMIT`` is refused before any check runs.
 A check that raises fails, except for ``ResourceLimit``: a run that asks
 for more than a limit allows stops there, and ``run_verify`` raises it,
 the first in check order if both processes hit one.
@@ -60,7 +60,7 @@ from time import perf_counter
 from typing import Callable, List, NamedTuple, Tuple
 
 from . import closedforms, tables, words
-from .errors import ResourceLimit
+from .errors import ResourceLimit, UsageError
 from .words import StatRecord, WordClass, _word_text
 
 
@@ -81,6 +81,11 @@ CHILD_CHECKS = (
 #: --max-n N`` process, at the default order, took under 1 s (0.68 s at 13,
 #: 1.65 s at 14; 2 cores, Python 3.11)
 MAX_N_LIMIT = 13
+
+#: Largest ``max_order`` accepted: the largest round order whose whole
+#: ``catpoly verify --max-order N`` process, at the default max_n, took
+#: under 1 s (0.56-0.92 s at 90, 1.42 s at 100; 2 cores, Python 3.11)
+MAX_ORDER_LIMIT = 90
 
 
 class CheckResult(NamedTuple):
@@ -147,9 +152,7 @@ class _Context:
     def series(self, name, order):
         """``gfs.<name>(order)``, read off the run's one build of it."""
         from . import gfs
-        from .mpoly import Caps
 
-        Caps.for_order(self.max_order)  # refuses a max_order past the key fields
         top = self.orders[name]
         if name == "cf_C_last":  # built on the run's Motzkin series
             build = lambda: gfs._last_letter_form(self.series("gf_motzkin", top))
@@ -246,11 +249,15 @@ def _q_histogram(records, stat):
 
 def run_verify(max_n: int = 10, max_order: int = 20) -> VerifyReport:
     if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
+        raise UsageError(f"max_n must be >= 0, got {max_n}")
     if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
+        raise UsageError(f"max_order must be >= 1, got {max_order}")
     if max_n > MAX_N_LIMIT:
         raise ResourceLimit(f"max_n {max_n} exceeds the verify limit {MAX_N_LIMIT} (about 1 s of work)")
+    if max_order > MAX_ORDER_LIMIT:
+        raise ResourceLimit(
+            f"max_order {max_order} exceeds the verify limit {MAX_ORDER_LIMIT} (about 1 s of work)"
+        )
     ctx = _Context(max_n, max_order)
     checks = _build_checks(ctx)
     try:

@@ -262,17 +262,18 @@ def test_gf_order_limit_exit3(capsys):
 
 # Each builder's default --limit admits order `limit` and refuses the first order past
 # the default. The cases are the defaults themselves and the lower defaults that M had
-# while every series carried caps, and S, Clast and Cpv had before their `Series`
-# products, quotients and square roots took the packed path; an order admitted then
+# while every series carried caps, S, Clast and Cpv had before their `Series`
+# products, quotients and square roots took the packed path, and Clast and Cpv had
+# before their recurrences were timed against the 1 s rule; an order admitted then
 # stays admitted.
-GF_DEFAULT_LIMITS = {"M": 8000, "S": 200, "Clast": 300, "Cpv": 60, "area": 100}
+GF_DEFAULT_LIMITS = {"M": 8000, "S": 200, "Clast": 500, "Cpv": 100, "area": 100}
 
 
 @pytest.mark.parametrize(
     "which, limit",
     [
         ("M", 1000), ("M", 8000), ("S", 100), ("S", 200), ("Clast", 200), ("Clast", 300),
-        ("Cpv", 40), ("Cpv", 60), ("area", 100),
+        ("Clast", 500), ("Cpv", 40), ("Cpv", 60), ("Cpv", 100), ("area", 100),
     ],
 )
 def test_gf_default_limit_per_builder(capsys, which, limit):
@@ -314,6 +315,17 @@ def test_gf_with_a_slip_in_the_algebraic_table_exits_1(capsys, monkeypatch):
     code, out, err = run(capsys, "gf", "--which", "u", "--order", "5")
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_gf_value_error_of_a_builder_is_not_a_usage_error(capsys, monkeypatch):
+    # only the flag checks exit 2; a ValueError raised by a command's work
+    # leaves main as an unexpected exception
+    def broken(order):
+        raise ValueError("broken builder")
+
+    monkeypatch.setattr(gfs, "sum_B", broken)
+    with pytest.raises(ValueError, match="^broken builder$"):
+        main(["gf", "--which", "B", "--order", "5"])
 
 
 def test_gf_nonpositive_order_exit2(capsys):
@@ -520,15 +532,21 @@ def test_verify_out_of_range_flag_exit2(capsys, flag, value):
     assert flag.lstrip("-").replace("-", "_") in err
 
 
-def test_verify_past_the_key_field_exits3(capsys):
-    # a max_order whose caps pass the key field is refused at the first
-    # series read; that is a resource limit, not a failed check
-    code, out, err = run(capsys, "verify", "--max-order", "1025")
-    assert code == 3
-    assert out == ""
-    assert err == (
-        "error: order 1025 needs caps (2050, 525825, 1025) above the key field maximum 524287\n"
-    )
+def test_verify_past_the_key_field_exits3(capsys, monkeypatch):
+    # one past the verify limit, and an order whose caps would pass the key
+    # field, are refused before the census; that is a resource limit, not
+    # a failed check
+    def refuse(*args):
+        raise AssertionError("the census ran past the order limit")
+
+    monkeypatch.setattr(words, "enumerate_words", refuse)
+    for max_order in (verify.MAX_ORDER_LIMIT + 1, 1025):
+        code, out, err = run(capsys, "verify", "--max-order", str(max_order))
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: max_order {max_order} exceeds the verify limit "
+            f"{verify.MAX_ORDER_LIMIT} (about 1 s of work)\n"
+        )
 
 
 def test_verify_past_the_enumeration_limit_exits3_at_once(capsys):

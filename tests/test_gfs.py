@@ -228,7 +228,7 @@ def test_master_equation_at_q1_is_the_masters():
     assert master_residual_at_q1(m.eval_one("p"), p=0).is_zero()
 
 
-@pytest.mark.parametrize("name, order, p", [("cf_C_sper_v", 61, 1), ("cf_C_last", 301, 0)])
+@pytest.mark.parametrize("name, order, p", [("cf_C_sper_v", 101, 1), ("cf_C_last", 501, 0)])
 def test_master_equation_at_q1_holds_at_the_cli_limits(name, order, p):
     assert master_residual_at_q1(getattr(gfs, name)(order), p).is_zero()
 
@@ -240,7 +240,7 @@ def test_master_equation_at_q1_sees_one_added_term():
 
 
 def test_cf_S_is_cf_C_sper_v_at_v1_at_the_cpv_limit():
-    assert gfs.cf_S(61) == gfs.cf_C_sper_v(61).eval_one("v")
+    assert gfs.cf_S(101) == gfs.cf_C_sper_v(101).eval_one("v")
 
 
 def test_cf_C_last_matches_table_c_at_the_clast_limit():
@@ -392,9 +392,13 @@ LIMB_BOUNDARY_DIGESTS = {
     ("master_interior_qv", 44): "08eeccce6bb99e317873a4600c5e415f0ed478e37cba8def38de5d8d0fb0722f",
     ("master_interior_qv", 45): "7ff9d037283cdfa0280dc5eb2f001e8e99f2d72a2ef8b9ac4b20805235ec8d86",
     # recorded while the slots still kept two spare bits; with one, order 45
-    # is the last with 8-byte slots and order 46 the first with 9-byte slots
+    # was the last with 8-byte slots and order 46 the first with 9-byte slots
     ("sum_H", 46): "c43224c165df325aef8aef6fed1aa7c5d266736f7964662db4bac141d2a7bb41",
     ("master_interior_qv", 46): "d1cebdf77d6b6d9a3ae5c7ed3bb021bf91103ead0ce02fb0de4ec748f868c7a2",
+    # recorded while the slots still kept a sign bit; with unsigned slots,
+    # order 46 is the last with 8-byte slots and order 47 the first with 9
+    ("sum_H", 47): "c148c2756b10ef7ccae258e8adc110e08269df7bba9f63b0c155f5fe25c91896",
+    ("master_interior_qv", 47): "5167c211bcfd767cec0b373c73aab381946e482b6218f29d079dfbdd33e32dc6",
 }
 
 
@@ -568,7 +572,7 @@ def test_masters_bit_identical(name, order):
 
 @pytest.mark.parametrize("name, order", sorted(LIMB_BOUNDARY_DIGESTS))
 def test_two_limb_readback_boundary_bit_identical(name, order):
-    assert gfs._slot_bytes(order) == (9 if order == 46 else 8)
+    assert gfs._slot_bytes(order) == (9 if order == 47 else 8)
     assert _digest(getattr(gfs, name)(order)) == LIMB_BOUNDARY_DIGESTS[name, order]
 
 
@@ -778,8 +782,13 @@ def test_packed_slots_lie_within_motzkin(name):
     assert_slots_within_motzkin(getattr(gfs, name)(40 if name in DENSE else 24))
 
 
+def test_slot_width_holds_motzkin_unsigned():
+    # M(13) = 41835 takes 16 bits: 2 bytes unsigned, where a sign bit took 3
+    assert gfs._slot_bytes(14) == 2
+
+
 def test_packed_slots_sized_from_motzkin(monkeypatch):
-    # M(11) = 8603 needs 2 bytes with the sign bit; 3^12 would need 3
+    # M(11) = 5798 needs 2 bytes; 3^12 would need 3
     widths = []
     real = backend.read_slots
 
@@ -888,16 +897,16 @@ def _naive_capped_product(a, b, caps):
     return MPoly({pack(*e): c for e, c in out.items()})
 
 
-def signed_slot_bytes(value, nslots, nbytes):
+def signed_slots(value, nslots, nbytes):
     """Slots 0..nslots-1 of value in two's complement, w = 8 * nbytes bits
     each: the signed w-bit digit peeled off the bottom, one at a time."""
     w = 8 * nbytes
     out = []
     for _ in range(nslots):
         c = int.from_bytes((value & ((1 << w) - 1)).to_bytes(nbytes, "little"), "little", signed=True)
-        out.append(c.to_bytes(nbytes, "little", signed=True))
+        out.append(c)
         value = (value - c) >> w
-    return b"".join(out)
+    return out
 
 
 @st.composite
@@ -924,10 +933,8 @@ def test_packed_geom_matches_dense_product(case, dq):
     w = 8 * nbytes
     mask = (1 << (w * (caps.q + 1))) - 1
     packed = sum(c << (w * (k >> backend.QSHIFT)) for k, c in m.terms.items()) & mask
-    nslots = caps.q + 1
-    raw = signed_slot_bytes(gfs._geom(packed, dq, w, mask), nslots, nbytes)
-    keys = range(0, nslots << backend.QSHIFT, 1 << backend.QSHIFT)
-    got = MPoly(backend.read_slots(raw, nbytes, [keys])[0])
+    slots = signed_slots(gfs._geom(packed, dq, w, mask), caps.q + 1, nbytes)
+    got = MPoly({pack(0, k, 0): c for k, c in enumerate(slots) if c})
     assert got == _naive_capped_product(m, _geom_oracle(dq, caps), caps)
 
 

@@ -203,15 +203,14 @@ def test_trivariate_product_matches_oracle(a, b, caps):
     assert kernel_product({}, a, b, caps) == naive_product({}, a, b, caps)
 
 
-def signed_slots_oracle(value, nslots, nbytes):
-    """Slots 0..nslots-1 of value, one at a time: peel the signed w-bit
-    digit off the bottom with ``int.from_bytes``."""
+def unsigned_slots_oracle(value, nslots, nbytes):
+    """Slots 0..nslots-1 of value, one at a time: peel the unsigned w-bit
+    digit off the bottom."""
     w = 8 * nbytes
     out = []
     for _ in range(nslots):
-        c = int.from_bytes((value & ((1 << w) - 1)).to_bytes(nbytes, "little"), "little", signed=True)
-        out.append(c)
-        value = (value - c) >> w
+        out.append(value & ((1 << w) - 1))
+        value >>= w
     return out
 
 
@@ -223,12 +222,12 @@ def run_keys(base, nslots):
 
 def decode_oracle(coeffs, nbytes):
     """Each coefficient of ``backend.read_slots``, one slot at a time with
-    ``signed_slots_oracle``: the nonzero slots of its runs by their keys."""
+    ``unsigned_slots_oracle``: the nonzero slots of its runs by their keys."""
     return [
         {
             key: c
             for value, nslots, base in runs
-            for key, c in zip(run_keys(base, nslots), signed_slots_oracle(value, nslots, nbytes))
+            for key, c in zip(run_keys(base, nslots), unsigned_slots_oracle(value, nslots, nbytes))
             if c
         }
         for runs in coeffs
@@ -237,13 +236,13 @@ def decode_oracle(coeffs, nbytes):
 
 def decoded(coeffs, nbytes):
     """``backend.read_slots`` of coeffs: the slots of each run ``(value,
-    nslots, base)`` written out one at a time in two's complement, and
-    each coefficient's key runs chained."""
+    nslots, base)`` written out one at a time, unsigned, and each
+    coefficient's key runs chained."""
     raw = b"".join(
-        c.to_bytes(nbytes, "little", signed=True)
+        c.to_bytes(nbytes, "little")
         for runs in coeffs
         for value, n, _ in runs
-        for c in signed_slots_oracle(value, n, nbytes)
+        for c in unsigned_slots_oracle(value, n, nbytes)
     )
     keys = [chain.from_iterable(run_keys(base, n) for _, n, base in runs) for runs in coeffs]
     return backend.read_slots(raw, nbytes, keys)
@@ -252,12 +251,11 @@ def decoded(coeffs, nbytes):
 @st.composite
 def slot_coeffs(draw):
     """A slot width and up to four coefficients, each up to four runs of
-    signed slots at most 2^(w-1) - 1 in magnitude, with arbitrary slots
-    above the run."""
+    slots in [0, 2^w), with arbitrary slots above the run."""
     nbytes = draw(st.integers(min_value=1, max_value=17))
     w = 8 * nbytes
-    edge = (1 << (w - 1)) - 1
-    slot = st.one_of(st.sampled_from([0, edge, -edge]), st.integers(min_value=-edge, max_value=edge))
+    edge = (1 << w) - 1
+    slot = st.one_of(st.sampled_from([0, edge]), st.integers(min_value=0, max_value=edge))
     coeffs = []
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         runs = []
@@ -271,19 +269,19 @@ def slot_coeffs(draw):
 
 
 def _edge_run(nbytes):
-    # slots 0, 1 and 2 hold -edge, +edge and -edge, and a large negative
+    # slots 0, 1 and 2 hold 2^w - 1, 0 and 2^w - 1, and a large negative
     # value above them must be masked off
     w = 8 * nbytes
-    edge = (1 << (w - 1)) - 1
-    value = -edge + (edge << w) - (edge << 2 * w) - (7 << 6 * w)
+    edge = (1 << w) - 1
+    value = edge + (edge << 2 * w) - (7 << 6 * w)
     return (value, 3, pack(0, 0, 1))
 
 
 def _mixed_coeffs(nbytes):
     """Several coefficients in one call: the edge run beside a second row,
     no run at all, a value that is zero in its run, a value whose lowest
-    nonzero slot lies above the run (above the q cap), and a single
-    negative slot."""
+    nonzero slot lies above the run (above the q cap), and a single slot
+    with every bit set."""
     w = 8 * nbytes
     return [
         [_edge_run(nbytes), (12345, 3, pack(1, 0, 0))],
@@ -298,7 +296,7 @@ def _mixed_coeffs(nbytes):
 @given(slot_coeffs())
 @example((1, [[_edge_run(1), (-1, 5, pack(1, 0, 0))]]))
 @example((8, [[_edge_run(8), (3 << 64, 2, pack(1, 0, 0))]]))
-@example((9, [[_edge_run(9), (-(1 << 71) + 1, 1, pack(1, 0, 0))]]))
+@example((9, [[_edge_run(9), ((1 << 71) + 1, 1, pack(1, 0, 0))]]))
 @example((16, [[_edge_run(16)]]))
 @example((17, [[_edge_run(17), ((1 << 135) - 1, 4, pack(2, 0, 0))]]))
 @example((1, _mixed_coeffs(1)))

@@ -212,9 +212,14 @@ def test_a_resource_limit_in_a_child_check_stops_the_run(monkeypatch, capsys):
 
 @two_processes
 def test_a_resource_limit_in_a_parent_check_exits_3_on_both_paths(monkeypatch, capsys):
-    split, alone = cli_runs_on_both_paths(monkeypatch, capsys, "--max-order", "1025")
-    assert split == alone
-    assert split[:2] == (3, "") and split[2].startswith("error: order 1025 needs caps")
+    message = "master series exceeds limit"
+
+    def too_big(order):
+        raise ResourceLimit(message)
+
+    monkeypatch.setattr(gfs, "master_pqv", too_big)
+    split, alone = cli_runs_on_both_paths(monkeypatch, capsys)
+    assert split == alone == (3, "", f"error: {message}\n")
 
 
 @two_processes
