@@ -51,7 +51,7 @@ _EXPORTS = {
         "gf_s",
         "gf_trinomial",
         "gf_u",
-        "kernel_residual",
+        "kernel_root_annihilates",
         "kernel_root_v0",
         "master_interior_qv",
         "master_pqv",

@@ -29,8 +29,9 @@ sqrt(Delta).  The kernel-method closed forms run on ``Series``, on the
 root of their kernel by its own recurrence, and divide by their known
 divisors by the recurrence of each: 1 + p x for the root, and the bracket
 of the master's equation at q = 1 for the last-letter forms, each step an
-exact division by 1 - v.  The continued fraction runs on the packed
-q-integers of the paper's forms.
+exact division by 1 - v; ``kernel_root_annihilates`` checks the root on
+ints.  The continued fraction runs on the packed q-integers of the paper's
+forms.
 """
 
 from functools import partial
@@ -38,7 +39,7 @@ from itertools import chain, count
 from operator import lshift, neg
 
 from . import backend, closedforms
-from .backend import PSHIFT, pack
+from .backend import PSHIFT, pack, unpack
 from .errors import InternalInconsistency
 from .mpoly import Caps, MPoly
 from .series import Series
@@ -422,8 +423,8 @@ def kernel_root_v0(order):
 
     The root times 1 + p x comes from the square root; the division by
     1 + p x is its recurrence out_k = root_k - p out_(k-1).  Substituting
-    the root for v annihilates the kernel (checked via kernel_residual, in
-    denominator-cleared form).
+    the root for v annihilates the kernel (checked by
+    ``kernel_root_annihilates``).
     """
     work = order + 1
     num = Series.from_x_polynomial(work, [1, MPoly.monomial(1, 2, 0, 0)]) - _sqrt_sper_kernel(work)
@@ -434,22 +435,38 @@ def kernel_root_v0(order):
     return Series(order, out)
 
 
-def kernel_residual(order):
-    """(1 - v0)(1 - p^2 x v0) + p^3 x^2 v0^2, which must vanish mod x^order.
+def kernel_root_annihilates(v0):
+    """Whether v0 + p^2 x v0 = 1 + p^2 x v0^2 + p^3 x^2 v0^2 mod x^order: the
+    kernel 1 - p^2 x v + p^3 x^2 v^2 / (1 - v) times 1 - v at v = v0, its
+    negative terms moved across (v0 has constant term 1, so 1/(1 - v0) is
+    no power series).
 
-    This is the kernel 1 - p^2 x v + p^3 x^2 v^2/(1-v) multiplied through
-    by (1 - v): the root has constant term 1, so 1/(1 - v0) is not itself
-    a power series and the cleared form is the faithful annihilation test.
+    Each x^n coefficient of the root, a polynomial in p with nonnegative
+    coefficients, is packed at p = 2^w as one int, and the square is a
+    convolution of ints (D. Harvey, J. Symbolic Comput. 44, 2009).  No slot
+    of either side passes its value at p = 1, so for w the bit length of the
+    largest such value no slot carries, and the sides are equal exactly when
+    their ints are.  A root term that is negative or carries q or v has no
+    such packing and raises.
     """
-    return _kernel_residual(kernel_root_v0(order))
+    for n, c in enumerate(v0.coeffs):
+        for key, m in c.terms.items():
+            dp, dq, dv = unpack(key)
+            if m < 0 or dq or dv:
+                raise InternalInconsistency(f"root term {m} p^{dp} q^{dq} v^{dv} at x^{n} not in N[p]")
+    order = v0.order
 
+    def sides(w):  # the x^n coefficients of both sides at p = 2^w (at p = 1 for w = 0)
+        v = [sum(m << (key >> PSHIFT) * w for key, m in c.terms.items()) for c in v0.coeffs]
+        sq = [0]  # sq[k + 1] is the x^k coefficient of v^2
+        for k in range(order - 1):
+            pairs = sum(v[i] * v[k - i] for i in range((k + 1) // 2))  # each i < j once
+            sq.append(2 * pairs + (0 if k % 2 else v[k // 2] ** 2))
+        left = [v[0]] + [v[n] + (v[n - 1] << 2 * w) for n in range(1, order)]
+        return left, [1] + [(sq[n] << 2 * w) + (sq[n - 1] << 3 * w) for n in range(1, order)]
 
-def _kernel_residual(v0):
-    """``kernel_residual`` of a root ``v0`` already built, at its order."""
-    one = Series.from_x_polynomial(v0.order, [1])
-    p2xv0 = v0.mul_monomial(1, 2, 0, 0, x_shift=1)
-    p3x2v0sq = (v0 * v0).mul_monomial(1, 3, 0, 0, x_shift=2)
-    return (one - v0) * (one - p2xv0) + p3x2v0sq
+    left, right = sides(max(chain(*sides(0))).bit_length())
+    return left == right
 
 
 # -- area and interior-point flavours (packed q-integers) ------------------------

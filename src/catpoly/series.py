@@ -7,16 +7,14 @@ formed.  Operands of binary operations must share their order.
 
 The layer is linear operations, monomial shifts, the marker operations
 and exact divisions by x^k or by a monomial, each of which raises on a
-remainder.  Its one product, ``*``, is the schoolbook convolution over
-the term kernel ``backend.mul_into``.  There is no general quotient: each
-divisor the library meets is a known polynomial in x, and its constructor
-in ``gfs`` divides by that divisor's recurrence.
+remainder.  It has no product and no general quotient: each divisor the
+library meets is a known polynomial in x, and its constructor in ``gfs``
+divides by that divisor's recurrence; the one square, that of the kernel
+root, is formed on packed ints by ``gfs.kernel_root_annihilates``.
 """
 
-from . import backend
-from .backend import FIELD_KEY, MAXCAP
-from .errors import InternalInconsistency, OrderMismatch, ResourceLimit
-from .mpoly import MPoly, _cleaned
+from .errors import InternalInconsistency, OrderMismatch
+from .mpoly import MPoly
 
 
 class Series:
@@ -85,26 +83,7 @@ class Series:
     def __neg__(self):
         return Series(self.order, [-c for c in self.coeffs])
 
-    # -- multiplicative operations ------------------------------------------
-
-    def __mul__(self, other):
-        """The product: each x^k coefficient adds the products a_i b_(k-i)
-        into one term dict, cleaned of zeros once.  Degrees that add up past
-        the key fields raise first, so the kernel drops nothing."""
-        self._check_compatible(other)
-        for var in "pqv":
-            degree = sum(max(c.degree(var) for c in s.coeffs) for s in (self, other))
-            if degree > MAXCAP:
-                raise ResourceLimit(f"a product of {var}-degree {degree} passes the key fields")
-        a = [c.terms for c in self.coeffs]
-        b = [c.terms for c in other.coeffs]
-        out = []
-        for k in range(self.order):
-            acc = {}
-            for i in range(k + 1):
-                backend.mul_into(acc, a[i], b[k - i], FIELD_KEY)
-            out.append(MPoly._raw(_cleaned(acc)))
-        return Series(self.order, out)
+    # -- monomial shifts ------------------------------------------------------
 
     def mul_monomial(self, c, dp=0, dq=0, dv=0, x_shift=0):
         """Multiply by c * x^x_shift * p^dp q^dq v^dv."""

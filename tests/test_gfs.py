@@ -1,22 +1,26 @@
 import hashlib
 from itertools import groupby, product
+from operator import add, lshift
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catpoly import backend, closedforms, gfs, tables
+from catpoly import backend, closedforms, gfs, tables, verify
 from catpoly.errors import InternalInconsistency
 from catpoly.backend import unpack
 from catpoly.mpoly import Caps, MPoly, pack
 from catpoly.series import Series
 from catpoly.words import (
+    INCREMENTS,
     WordClass,
     enumerate_words,
+    increments,
     stat_area,
     stat_inter,
     stat_last,
     stat_sper,
+    transfer,
 )
 
 # independent oracles ----------------------------------------------------------
@@ -189,7 +193,41 @@ def test_cf_C_last_histogram():
 
 
 def test_kernel_root_annihilates():
-    assert gfs.kernel_residual(14).is_zero()
+    assert gfs.kernel_root_annihilates(gfs.kernel_root_v0(14))
+
+
+def test_kernel_root_annihilates_at_every_order_2_to_30():
+    for order in range(2, 31):
+        assert gfs.kernel_root_annihilates(gfs.kernel_root_v0(order)), order
+
+
+def test_kernel_root_annihilates_at_order_120():
+    # the root's slots are about 180 bits wide here
+    assert gfs.kernel_root_annihilates(gfs.kernel_root_v0(120))
+
+
+@pytest.mark.parametrize("order, n, term", [
+    (21, 10, mono(1, 1)),  # p added to the middle coefficient, 42p^15 + ... + p^19
+    (3, 2, mono(-1, 3)),  # p^3 taken from the last one, p^3
+    (21, 20, mono(-1, 30)),  # one taken from the last one's lowest term, 16796p^30
+])
+def test_kernel_check_sees_one_changed_term(monkeypatch, order, n, term):
+    root = gfs.kernel_root_v0(order)
+    root.coeffs[n] = root.coeffs[n] + term
+    assert not gfs.kernel_root_annihilates(root)
+    # and the verify check that reads it fails
+    monkeypatch.setattr(gfs, "kernel_root_v0", lambda _order: root)
+    [check] = [c for c in verify.run_verify(0, order).checks if c.name == "kernel_annihilation"]
+    assert (check.status, check.detail) == ("fail", "kernel root does not annihilate the kernel")
+
+
+@pytest.mark.parametrize("term", [mono(-1, 3), mono(1, 3, 0, 1), mono(1, 3, 1)])
+def test_kernel_check_refuses_a_term_it_cannot_pack(term):
+    # a negative term, or one in v or q, has no faithful packing in p alone
+    root = gfs.kernel_root_v0(12)
+    root.coeffs[5] = root.coeffs[5] + term
+    with pytest.raises(InternalInconsistency, match=r"not in N\[p\]"):
+        gfs.kernel_root_annihilates(root)
 
 
 def test_kernel_root_at_p1():
@@ -241,6 +279,72 @@ def test_master_equation_at_q1_sees_one_added_term():
 
 def test_cf_S_is_cf_C_sper_v_at_v1_at_the_cpv_limit():
     assert gfs.cf_S(101) == gfs.cf_C_sper_v(101).eval_one("v")
+
+
+# the transfer DP of the words: a second route at the S and Cpv limits -------------
+#
+# It shares nothing with the square root or the bracket of the closed forms.
+
+
+def rows_in_p(c, n, w):
+    """The v^0 .. v^(n-1) rows of the x^n coefficient c, each packed at
+    p = 2^w; every term must lie in a row, carry no q and fit its slot."""
+    rows = [0] * n
+    for key, m in c.terms.items():
+        dp, dq, dv = unpack(key)
+        assert dq == 0 and dv < n and 0 < m < 1 << w, (n, dp, dq, dv, m)
+        rows[dv] += m << dp * w
+    return rows
+
+
+def assert_cf_S_is_the_transfer_dp(order):
+    # each slot counts words of one length n < order, so at most M(order - 1)
+    w = closedforms.motzkin(order - 1).bit_length()
+    packed = [sum(rows_in_p(c, n, w)) for n, c in enumerate(gfs.cf_S(order).coeffs)]
+    assert packed == gfs._transfer_packed("sper", WordClass.AVOID_GEQ_GEQ, order, w)
+
+
+def assert_cf_C_sper_v_rows_are_the_transfer_states(order):
+    # the words of length n ending in c are U[c] + F[c] of the DP's states
+    w = closedforms.motzkin(order - 1).bit_length()
+    rise, fall = increments("sper", order, w)
+    start = 1 << INCREMENTS["sper"][0] * w
+    states = transfer(order - 1, WordClass.AVOID_GEQ_GEQ, start, lshift, rise, fall)
+    cpv = gfs.cf_C_sper_v(order)
+    assert not cpv.coeff(0)
+    for n, (u, f, _total) in enumerate(states, 1):
+        assert rows_in_p(cpv.coeff(n), n, w) == list(map(add, u, f)), n
+
+
+def test_cf_S_is_the_transfer_dp_at_the_s_limit():
+    # gf --which S --order 200 prints x^1 .. x^200
+    assert_cf_S_is_the_transfer_dp(201)
+
+
+def test_cf_C_sper_v_rows_are_the_transfer_states_at_the_cpv_limit():
+    assert_cf_C_sper_v_rows_are_the_transfer_states(101)
+
+
+def test_a_slip_in_the_kernel_bracket_fails_the_transfer_route(monkeypatch):
+    monkeypatch.setattr(gfs, "_KERNEL_BRACKET", (((1, 2, 2), (-1, 2, 1)), ((1, 3, 1),)))
+    with pytest.raises((AssertionError, InternalInconsistency)):
+        assert_cf_C_sper_v_rows_are_the_transfer_states(30)
+
+
+def test_a_slip_in_the_square_root_recurrence_fails_the_transfer_route(monkeypatch):
+    # the recurrence of gfs._sqrt_sper_kernel with 8 (n - 3) for 4 (n - 3):
+    # every division by n stays exact, so only a second route sees it
+    def slipped(order):
+        y = [MPoly.scalar(1), MPoly.monomial(-1, 2, 0, 0)][:order]
+        for n in range(2, order):
+            a, b = y[n - 1], y[n - 2]
+            t = a.mul_monomial(2 * n - 3, 2) + b.mul_monomial(3 - n, 4)
+            y.append((t + b.mul_monomial(8 * (n - 3), 3)).divide_monomial(n))
+        return Series(order, y)
+
+    monkeypatch.setattr(gfs, "_sqrt_sper_kernel", slipped)
+    with pytest.raises(AssertionError):
+        assert_cf_S_is_the_transfer_dp(30)
 
 
 def test_cf_C_last_matches_table_c_at_the_clast_limit():
@@ -432,7 +536,6 @@ ROUTE_DIGESTS = {
     "cf_C_sper_v": "f4ee6bb8ca5e8f14b573abca26f255fb7e4627076d2bd5ed5a908c9197e2d2fd",
     "cf_C_last": "a129f368ad1125441e0704e5501bf8f791ea99e1e67d09c046eb9fe24cd3c330",
     "kernel_root_v0": "c360edc53901edafcf0323fd7f57189e66a537aed422a8b9473974c77bf95887",
-    "kernel_residual": "1520edd3491ce71ffe6cf779fbfee19f120654e74c238c2c793088401133518a",
     "cf_B_contfrac": "7936e98829408c6a0f52f7b2764ec90859d633ca3e5dbd13098bbe755ed86373",
 }
 
@@ -461,7 +564,7 @@ LIMIT_DIGESTS = {
 CONSTRUCTORS = [
     "gf_motzkin", "gf_trinomial", "gf_h", "gf_s", "gf_u", "gf_p",
     "master_pqv", "master_interior_qv",
-    "cf_S", "cf_C_sper_v", "cf_C_last", "kernel_root_v0", "kernel_residual",
+    "cf_S", "cf_C_sper_v", "cf_C_last", "kernel_root_v0",
     "sum_B", "cf_B_contfrac", "sum_H", "prod_area", "prod_interior",
 ]
 
@@ -598,7 +701,6 @@ def test_dense_constructors_make_no_mpoly_or_series_arithmetic(monkeypatch):
 
     for name in ("__add__", "__sub__", "mul_monomial"):
         monkeypatch.setattr(MPoly, name, refuse)
-    monkeypatch.setattr(Series, "__mul__", refuse)
     for name in DENSE:
         getattr(gfs, name)(12)
 

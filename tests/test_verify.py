@@ -107,8 +107,9 @@ def test_census_holds_one_record_per_avoiding_word(monkeypatch, call_log):
 
 def test_run_builds_each_series_once(monkeypatch, call_log):
     # every public constructor is spied on, nested calls included: the
-    # closed last-letter form and the kernel residual are built on the
-    # run's own Motzkin series and kernel root, through private helpers
+    # closed last-letter form is built on the run's own Motzkin series,
+    # through a private helper, and the kernel check reads the run's own
+    # kernel root; both are logged by the order of the series they take
     def spy(name, real, order_of=None):
         def wrapped(*args):
             call_log.add((name, order_of(*args) if order_of else args))
@@ -116,16 +117,22 @@ def test_run_builds_each_series_once(monkeypatch, call_log):
 
         return wrapped
 
+    def order_of(s):
+        return (s.order,)
+
     for name, fn in list(vars(gfs).items()):
         if callable(fn) and not name.startswith("_") and getattr(fn, "__module__", None) == gfs.__name__:
-            monkeypatch.setattr(gfs, name, spy(name, fn))
-    for name, helper in (("cf_C_last", "_last_letter_form"), ("kernel_residual", "_kernel_residual")):
-        monkeypatch.setattr(gfs, helper, spy(name, getattr(gfs, helper), lambda s: (s.order,)))
+            monkeypatch.setattr(
+                gfs, name, spy(name, fn, order_of if name == "kernel_root_annihilates" else None)
+            )
+    monkeypatch.setattr(gfs, "_last_letter_form", spy("cf_C_last", gfs._last_letter_form, order_of))
     assert verify.run_verify().exit_code == 0
     calls = Counter(call_log.keys())
     assert [key for key, k in calls.items() if k > 1] == []
     for name in ("cf_S", "cf_C_last", "master_pqv", "gf_motzkin"):
         assert len([args for called, args in calls if called == name]) == 1, name
+    # the kernel check reads the run's one kernel root
+    assert [args for name, args in calls if name == "kernel_root_annihilates"] == [(20,)]
     # one build of each paper form, at the order of its DP twin
     assert sorted(args for name, args in calls if name == "paper_form") == [
         ("prod_area", 13), ("prod_interior", 13), ("sum_B", 13), ("sum_H", 13),
