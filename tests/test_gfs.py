@@ -537,6 +537,7 @@ ROUTE_DIGESTS = {
     "cf_C_last": "a129f368ad1125441e0704e5501bf8f791ea99e1e67d09c046eb9fe24cd3c330",
     "kernel_root_v0": "c360edc53901edafcf0323fd7f57189e66a537aed422a8b9473974c77bf95887",
     "cf_B_contfrac": "7936e98829408c6a0f52f7b2764ec90859d633ca3e5dbd13098bbe755ed86373",
+    "kernel_residual": "1520edd3491ce71ffe6cf779fbfee19f120654e74c238c2c793088401133518a",
 }
 
 
@@ -560,11 +561,35 @@ LIMIT_DIGESTS = {
 }
 
 
-#: Every public constructor of the library
+def series_product(a, b):
+    """The product of the series a and b, each x^k coefficient the sum of
+    the MPoly products under the key of the whole fields."""
+    return Series(a.order, [
+        sum((a.coeff(i).mul(b.coeff(k - i), backend.FIELD_KEY) for i in range(k + 1)), MPoly.zero())
+        for k in range(a.order)
+    ])
+
+
+def kernel_residual(order):
+    """(1 - v0)(1 - p^2 x v0) + p^3 x^2 v0^2 of the kernel's root, which
+    must vanish mod x^order: the series form of what
+    ``gfs.kernel_root_annihilates`` checks on packed ints."""
+    v0 = gfs.kernel_root_v0(order)
+    one = Series.from_x_polynomial(order, [1])
+    p2xv0 = v0.mul_monomial(1, 2, 0, 0, x_shift=1)
+    return series_product(one - v0, one - p2xv0) + series_product(v0, v0).mul_monomial(1, 3, 0, 0, x_shift=2)
+
+
+def constructor(name):
+    """The library constructor ``name``, or the residual built above."""
+    return kernel_residual if name == "kernel_residual" else getattr(gfs, name)
+
+
+#: Every public constructor of the library, and the kernel residual
 CONSTRUCTORS = [
     "gf_motzkin", "gf_trinomial", "gf_h", "gf_s", "gf_u", "gf_p",
     "master_pqv", "master_interior_qv",
-    "cf_S", "cf_C_sper_v", "cf_C_last", "kernel_root_v0",
+    "cf_S", "cf_C_sper_v", "cf_C_last", "kernel_root_v0", "kernel_residual",
     "sum_B", "cf_B_contfrac", "sum_H", "prod_area", "prod_interior",
 ]
 
@@ -575,7 +600,7 @@ def test_every_constructor_lies_within_the_caps_of_its_order(name):
     # order, so no constructor holds a term past them, padded orders and
     # divisions by x^k included
     for order in range(1, 25):
-        s = getattr(gfs, name)(order)
+        s = constructor(name)(order)
         caps = Caps.for_order(order)
         assert s.order == order
         for c in s.coeffs:
@@ -587,7 +612,7 @@ def _orders_digest(name, orders):
     """SHA-256 over the digest of the constructor ``name`` at each order."""
     h = hashlib.sha256()
     for order in orders:
-        h.update(f"{_digest(getattr(gfs, name)(order))}\n".encode())
+        h.update(f"{_digest(constructor(name)(order))}\n".encode())
     return h.hexdigest()
 
 
