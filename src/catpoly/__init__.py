@@ -60,7 +60,7 @@ _EXPORTS = {
         "sum_B",
         "sum_H",
     ),
-    "mpoly": ("Caps", "MPoly"),
+    "mpoly": ("MPoly",),
     "render": (),
     "series": ("Series",),
     "tables": (

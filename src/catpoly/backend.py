@@ -22,8 +22,8 @@ so the sum of two in-range keys never carries across fields.
 
 ``mul_into`` is the term kernel: a double loop over two term dicts that
 drops every product outside the caps of its key.  Its one library caller
-is ``MPoly.mul``, which only ``mpoly.invert`` calls; ``MPoly.mul_monomial``
-tests its shifted keys against ``FIELD_KEY``.  The slot
+is ``mpoly.invert``; ``MPoly.mul_monomial`` tests its shifted keys against
+``FIELD_KEY``.  The slot
 helpers serve ``gfs``, whose masters keep each (p, v) row of a coefficient
 as one integer in q and whose area and interior-point constructors keep
 each coefficient as one.  ``read_slots`` is a pure decoder: it takes one

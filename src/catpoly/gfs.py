@@ -35,13 +35,13 @@ forms.
 """
 
 from functools import partial
-from itertools import chain, count
-from operator import lshift, neg
+from itertools import chain, count, repeat
+from operator import add, lshift, mul, neg, sub
 
 from . import backend, closedforms
-from .backend import PSHIFT, pack, unpack
-from .errors import InternalInconsistency
-from .mpoly import Caps, MPoly
+from .backend import MAXCAP, PSHIFT, pack
+from .errors import InternalInconsistency, ResourceLimit
+from .mpoly import MPoly
 from .series import Series
 from .words import INCREMENTS, WordClass, increments, transfer
 
@@ -202,6 +202,14 @@ def _solve_forward(order, contributions):
     return coeffs
 
 
+def _refuse_past_the_key_fields(order):
+    """Raise ResourceLimit, before any work, for an order whose area N (N + 1) / 2
+    passes ``MAXCAP`` (N >= 1024); the semiperimeter's 2N and v's N pass it later."""
+    top = order * (order + 1) // 2
+    if top > MAXCAP:
+        raise ResourceLimit(f"order {order} needs q^{top}, above the key field maximum {MAXCAP}")
+
+
 def _slot_bytes(order):
     """Bytes per q-slot of a packed series with coefficients x^0 .. x^(order-1).
 
@@ -237,7 +245,7 @@ def _master(order, base, step, plus, minus):
             f"step v^{sv} or minus v^{mv} leaves the rows v < n of x^n "
             "(the step needs v^0 or v^1, the minus term v^1 or v^2)"
         )
-    Caps.for_order(order)  # an order past the key fields raises before any work
+    _refuse_past_the_key_fields(order)
     nbytes = _slot_bytes(order)
     w = 8 * nbytes
 
@@ -442,31 +450,50 @@ def kernel_root_annihilates(v0):
     no power series).
 
     Each x^n coefficient of the root, a polynomial in p with nonnegative
-    coefficients, is packed at p = 2^w as one int, and the square is a
-    convolution of ints (D. Harvey, J. Symbolic Comput. 44, 2009).  No slot
-    of either side passes its value at p = 1, so for w the bit length of the
-    largest such value no slot carries, and the sides are equal exactly when
-    their ints are.  A root term that is negative or carries q or v has no
-    such packing and raises.
+    coefficients, spans only about p^(3n/2) .. p^(2n - 1): it is packed at
+    p = 2^w as one int from its lowest power, its base.  The square is a
+    convolution of ints (D. Harvey, J. Symbolic Comput. 44, 2009), each
+    product shifted by its base over the least one of its x^k, and the
+    sides of each x^n are compared at their least base.  No slot passes the
+    value of its side at p = 1, at most twice the largest value at p = 1 of
+    a coefficient of the root or of its square, so for w the bit length of
+    that bound no slot carries, and the sides are equal exactly when their
+    ints are.  A root term that is negative or carries q or v has no such
+    packing and raises.
     """
-    for n, c in enumerate(v0.coeffs):
-        for key, m in c.terms.items():
-            dp, dq, dv = unpack(key)
-            if m < 0 or dq or dv:
-                raise InternalInconsistency(f"root term {m} p^{dp} q^{dq} v^{dv} at x^{n} not in N[p]")
     order = v0.order
-
-    def sides(w):  # the x^n coefficients of both sides at p = 2^w (at p = 1 for w = 0)
-        v = [sum(m << (key >> PSHIFT) * w for key, m in c.terms.items()) for c in v0.coeffs]
-        sq = [0]  # sq[k + 1] is the x^k coefficient of v^2
-        for k in range(order - 1):
-            pairs = sum(v[i] * v[k - i] for i in range((k + 1) // 2))  # each i < j once
-            sq.append(2 * pairs + (0 if k % 2 else v[k // 2] ** 2))
-        left = [v[0]] + [v[n] + (v[n - 1] << 2 * w) for n in range(1, order)]
-        return left, [1] + [(sq[n] << 2 * w) + (sq[n - 1] << 3 * w) for n in range(1, order)]
-
-    left, right = sides(max(chain(*sides(0))).bit_length())
-    return left == right
+    ones = [sum(c.terms.values()) for c in v0.coeffs]  # the root at p = 1
+    squares = (sum(map(mul, ones[: k + 1], ones[k::-1])) for k in range(order - 1))
+    w = (2 * max(chain([1], ones, squares))).bit_length()
+    vx, vs = [], []  # each coefficient's int and its base, in bits
+    for n, c in enumerate(v0.coeffs):
+        x, base = 0, (min(c.terms, default=0) >> PSHIFT) * w
+        for key, m in c.terms.items():
+            e = key >> PSHIFT
+            if m < 0 or key != e << PSHIFT:
+                raise InternalInconsistency(f"root term {MPoly._raw({key: m})} at x^{n} not in N[p]")
+            x += m << e * w - base
+        vx.append(x)
+        vs.append(base)
+    if (vx[0], vs[0]) != (1, 0):
+        return False
+    rx, rs = vx[::-1], vs[::-1]
+    y, t = 0, 0  # the x^(k-1) coefficient of v0^2 and its base
+    for k in range(order - 1):
+        # x^k of v0^2: v_i v_(k-i) for i <= k/2, doubled, less the middle square once for even k
+        h, j = k // 2 + 1, order - 1 - k
+        shifts = list(map(add, vs[:h], rs[j : j + h]))
+        low = min(shifts)
+        x = sum(map(lshift, map(mul, vx[:h], rx[j : j + h]), map(sub, shifts, repeat(low)))) << 1
+        if k % 2 == 0:
+            x -= vx[h - 1] ** 2 << shifts[-1] - low
+        # x^(k+1): v_(k+1) + p^2 v_k against p^2 x^k + p^3 x^(k-1) of v0^2, at their least base
+        s1, s2, s3, s4 = vs[k + 1], vs[k] + 2 * w, low + 2 * w, t + 3 * w
+        least = min(s1, s2, s3, s4)
+        if (vx[k + 1] << s1 - least) + (vx[k] << s2 - least) != (x << s3 - least) + (y << s4 - least):
+            return False
+        y, t = x, low
+    return True
 
 
 # -- area and interior-point flavours (packed q-integers) ------------------------
@@ -521,7 +548,7 @@ def _dense_series(order, packed):
     The slots are sized from M(order - 1) by ``_slot_bytes``, the bound of
     every slot read back and of every slot of the transfer DP's states.
     """
-    Caps.for_order(order)  # an order past the key fields raises before any work
+    _refuse_past_the_key_fields(order)
     nbytes = _slot_bytes(order)
     w = 8 * nbytes
 

@@ -3,47 +3,21 @@
 p marks the semiperimeter, q the area (or the interior points, depending
 on the series being built) and v the value of the last letter.  Terms are
 stored as a dict from a packed exponent key (see ``backend`` for the
-layout) to a nonzero int coefficient, so equality is plain dict equality
-and the multiply kernel tests all three caps with one integer subtraction
-per product.  ``MPoly.mul`` runs under the caps of a key; a shift past the
-key fields raises ResourceLimit.  Every coefficient counts polyominoes,
-so the entry points refuse anything but an int (TypeError), and every
-division is exact or raises: a remainder is a transcription slip, not a
-rational.
+layout) to a nonzero int coefficient, so equality is plain dict equality.
+``invert`` runs under the caps of a key through the kernel
+``backend.mul_into``, its one caller; a monomial shift past the key fields
+raises ResourceLimit.  Every coefficient counts polyominoes, so the entry
+points refuse anything but an int (TypeError), and every division is
+exact or raises: a remainder is a transcription slip, not a rational.
 """
 
 from operator import index
-from typing import NamedTuple
 
 from . import backend
-from .backend import FIELD_KEY, GUARDS, MASK, MAXCAP, PSHIFT, QSHIFT, VSHIFT, pack, unpack
+from .backend import FIELD_KEY, GUARDS, MASK, PSHIFT, QSHIFT, VSHIFT, pack, unpack
 from .errors import InternalInconsistency, NonUnitDivisor, ResourceLimit
 
 _SHIFTS = {"p": PSHIFT, "q": QSHIFT, "v": VSHIFT}
-
-
-class Caps(NamedTuple):
-    """Per-variable degree bounds, the caps of a product (``backend.cap_key``).
-
-    Truncating every exponent above its cap is a quotient-ring map, so it
-    commutes with ring operations.  ``for_order`` gives the bounds of the
-    statistics below length N (semiperimeter 2N, area N(N+1)/2, last letter
-    N); the constructors that carry q call it to refuse, before any work, an
-    order whose area cap passes the key fields (above 1023).
-    """
-
-    p: int
-    q: int
-    v: int
-
-    @classmethod
-    def for_order(cls, order):
-        caps = cls(p=2 * order, q=order * (order + 1) // 2, v=order)
-        if max(caps) > MAXCAP:
-            raise ResourceLimit(
-                f"order {order} needs caps {tuple(caps)} above the key field maximum {MAXCAP}"
-            )
-        return caps
 
 
 def _degree(terms, shift):
@@ -112,12 +86,6 @@ class MPoly:
 
     def __neg__(self):
         return MPoly._raw({k: -c for k, c in self.terms.items()})
-
-    def mul(self, other, capkey):
-        """Product, dropping terms beyond the caps."""
-        acc = {}
-        backend.mul_into(acc, self.terms, other.terms, capkey)
-        return MPoly._raw(_cleaned(acc))
 
     def scale(self, c):
         c = index(c)
@@ -265,7 +233,9 @@ def invert(m, capkey):
     result = MPoly.scalar(1)
     power = MPoly.scalar(1)
     for _ in range(sum(unpack(capkey)) + 1):
-        power = power.mul(t, capkey)
+        acc = {}
+        backend.mul_into(acc, power.terms, t.terms, capkey)
+        power = MPoly._raw(_cleaned(acc))
         if not power:
             return result.scale(s)
         result = result + power

@@ -25,13 +25,13 @@ and the tables, then forks once.  The child runs ``CHILD_CHECKS``: the
 checks of the counts, the Dyck paths, the tables and the bijections.
 They read no series, so each series is built in the parent alone.  What
 only one process reads is loaded by the checks that read it, after the
-fork: the series modules by the parent's series checks, ``fractions`` by
-its trinomial forms and exact means, and ``bijections`` and the
-unequal-adjacent words by the child's bijection check.  The child's
-share is set so that the two halves end together (about 40 ms each at
-the default flags; 2 cores, Python 3.11, no bytecode cache).  The child
-sends its ``CheckResult``s back over a pipe with ``marshal`` and
-leaves through ``os._exit``, flushing nothing it inherited.  The parent
+fork: the series modules by the parent's series checks, and
+``bijections`` and the unequal-adjacent words by the child's bijection
+check.  The child's share is set so that the two halves end together
+(about 40 ms each at the default flags; 2 cores, Python 3.11, no
+bytecode cache).  The child sends its ``CheckResult``s back over a pipe
+with ``marshal`` and leaves through ``os._exit``, flushing nothing it
+inherited.  The parent
 runs the other checks, reads the pipe, reaps the child before
 ``run_verify`` returns or raises, and merges the results in
 ``_build_checks`` order.  A child that dies fails each of its checks,
@@ -84,9 +84,9 @@ MAX_N_LIMIT = 13
 
 #: Largest ``max_order`` accepted: the largest round order whose whole
 #: ``catpoly verify --max-order N`` process, at the default max_n, took
-#: under 1 s (medians of 7 fresh processes: 0.75 s at 170, 0.92 s at 180,
-#: 1.19 s at 190; 2 cores, Python 3.11); past it the kernel check leads
-MAX_ORDER_LIMIT = 180
+#: under 1 s (medians of 9 fresh processes: 0.69 s at 200, 0.81 s at 210,
+#: 1.07 s at 220; 2 cores, Python 3.11); past it the kernel check leads
+MAX_ORDER_LIMIT = 210
 
 
 class CheckResult(NamedTuple):
@@ -719,12 +719,13 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
                 return "fail", f"{name} ratio at n=300 is {near:.4f}"
             if abs(near - 1) >= abs(far - 1):
                 return "fail", f"{name} ratio not improving ({far:.4f} -> {near:.4f})"
-        e200 = float(closedforms.expected_last(200))
-        if not 3.8 <= e200 <= 4.0:
-            return "fail", f"expected last letter at n=200 is {e200:.4f}"
-        ratio = float(closedforms.expected_sper(300)) / (5 * 300 / 3)
-        if not 0.95 <= ratio <= 1.05:
-            return "fail", f"expected semiperimeter ratio {ratio:.4f}"
+        # on ints: the mean last letter at 200 in [3.8, 4.0], the mean sper at 300 within 5% of 500
+        h, m = closedforms.h_closed(200), closedforms.motzkin(200)
+        if not 38 * m <= 10 * h <= 40 * m:
+            return "fail", f"expected last letter at n=200 is {h / m:.4f}"
+        s, m = closedforms.s_closed(300), 500 * closedforms.motzkin(300)
+        if not 95 * m <= 100 * s <= 105 * m:
+            return "fail", f"expected semiperimeter ratio {s / m:.4f}"
         return "pass", "asymptotic and expected-value diagnostics within tolerance"
 
     return [

@@ -533,9 +533,9 @@ def test_verify_out_of_range_flag_exit2(capsys, flag, value):
 
 
 def test_verify_past_the_key_field_exits3(capsys, monkeypatch):
-    # one past the verify limit, and an order whose caps would pass the key
-    # field, are refused before the census; that is a resource limit, not
-    # a failed check
+    # one past the verify limit, and an order whose q exponents would pass
+    # the key field, are refused before the census; that is a resource
+    # limit, not a failed check
     def refuse(*args):
         raise AssertionError("the census ran past the order limit")
 
@@ -659,6 +659,13 @@ def test_verify_loads_in_each_process_only_what_its_checks_read(half):
     loaded = _loaded_modules(_VERIFY_CENSUS + run)
     assert {"catpoly.verify", "catpoly.tables", "catpoly.closedforms"} <= loaded
     assert loaded.isdisjoint(absent), loaded & set(absent)
+
+
+def test_default_verify_loads_neither_fractions_nor_decimal():
+    # asymptotic_diagnostics decides its expected-value bounds on ints
+    loaded = _loaded_modules("import sys\nfrom catpoly import verify\nverify.run_verify()\n")
+    assert "catpoly.gfs" in loaded
+    assert loaded.isdisjoint({"fractions", "decimal"}), loaded & {"fractions", "decimal"}
 
 
 def test_text_verify_leaves_out_the_output_formats():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from catpoly import backend, closedforms, gfs, tables, verify
 from catpoly.errors import InternalInconsistency
 from catpoly.backend import unpack
-from catpoly.mpoly import Caps, MPoly, pack
+from catpoly.mpoly import MPoly, pack
 from catpoly.series import Series
 from catpoly.words import (
     INCREMENTS,
@@ -206,10 +206,16 @@ def test_kernel_root_annihilates_at_order_120():
     assert gfs.kernel_root_annihilates(gfs.kernel_root_v0(120))
 
 
+def test_kernel_root_annihilates_at_the_verify_limit():
+    assert gfs.kernel_root_annihilates(gfs.kernel_root_v0(verify.MAX_ORDER_LIMIT))
+
+
 @pytest.mark.parametrize("order, n, term", [
     (21, 10, mono(1, 1)),  # p added to the middle coefficient, 42p^15 + ... + p^19
     (3, 2, mono(-1, 3)),  # p^3 taken from the last one, p^3
     (21, 20, mono(-1, 30)),  # one taken from the last one's lowest term, 16796p^30
+    (120, 119, mono(-1, 179)),  # the same at order 120, from 46723...p^179
+    (120, 60, mono(1, 89)),  # p^89 added below the middle one's lowest term, 38149...p^90
 ])
 def test_kernel_check_sees_one_changed_term(monkeypatch, order, n, term):
     root = gfs.kernel_root_v0(order)
@@ -561,11 +567,19 @@ LIMIT_DIGESTS = {
 }
 
 
+def mpoly_product(a, b):
+    """a * b through the term kernel, under the key of the whole fields,
+    which cuts no term."""
+    acc = {}
+    backend.mul_into(acc, a.terms, b.terms, backend.FIELD_KEY)
+    return MPoly(acc)
+
+
 def series_product(a, b):
     """The product of the series a and b, each x^k coefficient the sum of
-    the MPoly products under the key of the whole fields."""
+    the MPoly products."""
     return Series(a.order, [
-        sum((a.coeff(i).mul(b.coeff(k - i), backend.FIELD_KEY) for i in range(k + 1)), MPoly.zero())
+        sum((mpoly_product(a.coeff(i), b.coeff(k - i)) for i in range(k + 1)), MPoly.zero())
         for k in range(a.order)
     ])
 
@@ -597,11 +611,12 @@ CONSTRUCTORS = [
 @pytest.mark.parametrize("name", CONSTRUCTORS)
 def test_every_constructor_lies_within_the_caps_of_its_order(name):
     # no statistic of a word shorter than the order passes the caps of that
-    # order, so no constructor holds a term past them, padded orders and
-    # divisions by x^k included
+    # order (semiperimeter 2N, area N(N + 1)/2, last letter N), so no
+    # constructor holds a term past them, padded orders and divisions by x^k
+    # included
     for order in range(1, 25):
         s = constructor(name)(order)
-        caps = Caps.for_order(order)
+        caps = (2 * order, order * (order + 1) // 2, order)
         assert s.order == order
         for c in s.coeffs:
             assert all(all(e <= cap for e, cap in zip(unpack(k), caps)) for k in c.terms)
@@ -1011,7 +1026,7 @@ def test_master_refuses_steps_that_leave_the_rows(step, minus):
 
 def _geom_oracle(dq, caps):
     """The truncated 1/(1 - q^dq) as an explicit MPoly, for the dense product."""
-    return MPoly({pack(0, t * dq, 0): 1 for t in range(caps.q // dq + 1)})
+    return MPoly({pack(0, t * dq, 0): 1 for t in range(caps[1] // dq + 1)})
 
 
 def _naive_capped_product(a, b, caps):
@@ -1044,23 +1059,24 @@ def capped_q_poly(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=8))):
         c = draw(st.integers(min_value=-3, max_value=3).filter(bool))
         m = m + MPoly.monomial(c, 0, draw(st.integers(min_value=0, max_value=cap_q + 1)), 0)
-    return Caps(0, cap_q, 0), m
+    return (0, cap_q, 0), m
 
 
 @settings(max_examples=300, deadline=None)
 @given(capped_q_poly(), st.integers(min_value=1, max_value=4))
-@example((Caps(0, 0, 0), MPoly.monomial(-2, 0, 0, 0)), 1)
-@example((Caps(0, 8, 0), MPoly.monomial(1, 0, 7, 0) + MPoly.monomial(-1, 0, 1, 0)), 3)
-@example((Caps(0, 5, 0), MPoly.monomial(3, 0, 5, 0) + MPoly.monomial(-3, 0, 0, 0)), 6)
+@example(((0, 0, 0), MPoly.monomial(-2, 0, 0, 0)), 1)
+@example(((0, 8, 0), MPoly.monomial(1, 0, 7, 0) + MPoly.monomial(-1, 0, 1, 0)), 3)
+@example(((0, 5, 0), MPoly.monomial(3, 0, 5, 0) + MPoly.monomial(-3, 0, 0, 0)), 6)
 def test_packed_geom_matches_dense_product(case, dq):
     # the doubling steps of gfs._geom against a naive capped product,
     # signed slots included
     caps, m = case
+    cap_q = caps[1]
     nbytes = 8
     w = 8 * nbytes
-    mask = (1 << (w * (caps.q + 1))) - 1
+    mask = (1 << (w * (cap_q + 1))) - 1
     packed = sum(c << (w * (k >> backend.QSHIFT)) for k, c in m.terms.items()) & mask
-    slots = signed_slots(gfs._geom(packed, dq, w, mask), caps.q + 1, nbytes)
+    slots = signed_slots(gfs._geom(packed, dq, w, mask), cap_q + 1, nbytes)
     got = MPoly({pack(0, k, 0): c for k, c in enumerate(slots) if c})
     assert got == _naive_capped_product(m, _geom_oracle(dq, caps), caps)
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from catpoly import backend, gfs
 from catpoly.backend import GUARDS, MAXCAP, cap_key, pack, unpack
 from catpoly.errors import ResourceLimit
-from catpoly.mpoly import Caps, MPoly
 
 exponent = st.integers(min_value=0, max_value=MAXCAP)
 triple = st.tuples(exponent, exponent, exponent)
@@ -43,44 +42,48 @@ def test_guard_test_matches_per_field_comparison(a, b, caps):
 
 
 def test_cap_filtering_drops_out_of_range_products():
-    caps = Caps(2, 2, 2)
     a = {pack(2, 0, 0): 1}
     b = {pack(1, 0, 0): 1, pack(0, 1, 0): 1}
     acc = {}
-    backend.mul_into(acc, a, b, cap_key(*caps))
+    backend.mul_into(acc, a, b, cap_key(2, 2, 2))
     # p^3 exceeds the cap; p^2 q survives
     assert acc == {pack(2, 1, 0): 1}
 
 
 def test_cap_filtering_keeps_products_on_the_cap():
-    caps = Caps(3, 4, 5)
     a = {pack(1, 2, 3): 1}
     on_cap = pack(2, 2, 2)
     past_cap = [pack(3, 2, 2), pack(2, 3, 2), pack(2, 2, 3)]
     acc = {}
-    backend.mul_into(acc, a, {k: 1 for k in [on_cap, *past_cap]}, cap_key(*caps))
+    backend.mul_into(acc, a, {k: 1 for k in [on_cap, *past_cap]}, cap_key(3, 4, 5))
     assert acc == {pack(3, 4, 5): 1}
 
 
 def test_capped_product_still_truncates():
-    caps = Caps(2, 2, 2)
-    p2 = MPoly.monomial(1, dp=2)
-    assert p2.mul(p2, cap_key(*caps)) == MPoly.zero()
+    # p^2 times p^2 lies past a p cap of 2, so nothing is left
+    p2 = {pack(2, 0, 0): 1}
+    acc = {}
+    backend.mul_into(acc, p2, p2, cap_key(2, 2, 2))
+    assert acc == {}
 
 
-def test_caps_for_order_field_limit():
-    assert Caps.for_order(1023) == Caps(2046, 1023 * 1024 // 2, 1023)
-    with pytest.raises(ResourceLimit):
-        Caps.for_order(1024)
+def test_key_field_refusal_at_order_1024():
+    # the area of order 1023 reaches 1023 * 1024 / 2 = 523776 <= MAXCAP, and
+    # that of order 1024, 524800, passes it
+    gfs._refuse_past_the_key_fields(1023)
+    message = rf"order 1024 needs q\^524800, above the key field maximum {MAXCAP}"
+    with pytest.raises(ResourceLimit, match=message):
+        gfs._refuse_past_the_key_fields(1024)
 
 
 def test_constructors_raise_past_the_key_fields_before_any_work(monkeypatch):
     # a constructor that carries q reaches the area order(order + 1)/2, so
     # order 1024 raises ResourceLimit before the DP, the recurrence, the
-    # paper's quotient or a continued-fraction level starts; gfs binds
-    # ``transfer`` by name, so it is refused there
+    # paper's quotient or a continued-fraction level starts, and order 1023
+    # passes the refusal and starts that work; gfs binds ``transfer`` by
+    # name, so it is refused there
     def refuse(*args, **kwargs):
-        raise AssertionError("work started past the key fields")
+        raise AssertionError("work started")
 
     monkeypatch.setattr(gfs, "transfer", refuse)
     monkeypatch.setattr(gfs, "_solve_forward", refuse)
@@ -90,7 +93,9 @@ def test_constructors_raise_past_the_key_fields_before_any_work(monkeypatch):
     builders = [getattr(gfs, name) for name in dense + ("master_pqv", "master_interior_qv")]
     builders += [partial(gfs.paper_form, name) for name in dense] + [gfs.cf_B_contfrac]
     for build in builders:
-        with pytest.raises(ResourceLimit, match="order 1024 needs caps"):
+        with pytest.raises(AssertionError, match="work started"):
+            build(1023)
+        with pytest.raises(ResourceLimit, match=r"order 1024 needs q\^524800"):
             build(1024)
 
 
