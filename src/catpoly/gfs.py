@@ -181,35 +181,6 @@ def gf_p(order):
 # coefficients, a bounded batch per call.
 
 
-def _solve_forward(order, contributions):
-    """Build the coefficients of x^0 .. x^(order-1) from their recurrence.
-
-    ``contributions(prefix, n)`` returns the x^n coefficient, where
-    ``prefix`` holds the coefficients of x^0 .. x^(n-1) only.  The masters'
-    right-hand sides read orders n-1 and n-2, so each coefficient is final
-    as soon as it is built and one evaluation per order yields the fixed
-    point.  A contribution that reads order n or later finds no such entry
-    and fails loudly.
-    """
-    coeffs = []
-    for n in range(order):
-        try:
-            coeffs.append(contributions(coeffs, n))
-        except IndexError as exc:
-            raise InternalInconsistency(
-                f"contribution to x^{n} read a coefficient of order >= {n}"
-            ) from exc
-    return coeffs
-
-
-def _refuse_past_the_key_fields(order):
-    """Raise ResourceLimit, before any work, for an order whose area N (N + 1) / 2
-    passes ``MAXCAP`` (N >= 1024); the semiperimeter's 2N and v's N pass it later."""
-    top = order * (order + 1) // 2
-    if top > MAXCAP:
-        raise ResourceLimit(f"order {order} needs q^{top}, above the key field maximum {MAXCAP}")
-
-
 def _slot_bytes(order):
     """Bytes per q-slot of a packed series with coefficients x^0 .. x^(order-1).
 
@@ -217,7 +188,15 @@ def _slot_bytes(order):
     lies in [0, M(n)] with M(n) <= M(order - 1) (M = Motzkin): the slot is
     the least number of bytes that holds M(order - 1), unsigned, as
     ``backend.read_slots`` takes it.
+
+    It is the one opening call of each constructor that carries q, so it
+    first raises ResourceLimit, before any work, for an order whose area
+    N (N + 1) / 2 passes ``MAXCAP`` (N >= 1024); the semiperimeter's 2N and
+    v's N pass it later.
     """
+    top = order * (order + 1) // 2
+    if top > MAXCAP:
+        raise ResourceLimit(f"order {order} needs q^{top}, above the key field maximum {MAXCAP}")
     if order < 1:
         raise ValueError("series order must be >= 1")
     return (closedforms.motzkin(order - 1).bit_length() + 7) // 8
@@ -235,7 +214,8 @@ def _master(order, base, step, plus, minus):
     work.  A 1/(1 - qv) sum that does not end at 0 by v = n - 1 would leave
     terms with v >= n, and raises too.  The rows are exact integers at any
     slot width, so the slots are sized from M(order - 1) by ``_slot_bytes``,
-    the bound of the slots read back.
+    the bound of the slots read back; that call also refuses, before any
+    work, an order past the key fields.
     """
     sp, sq, sv = step
     pp, pq = plus
@@ -245,7 +225,6 @@ def _master(order, base, step, plus, minus):
             f"step v^{sv} or minus v^{mv} leaves the rows v < n of x^n "
             "(the step needs v^0 or v^1, the minus term v^1 or v^2)"
         )
-    _refuse_past_the_key_fields(order)
     nbytes = _slot_bytes(order)
     w = 8 * nbytes
 
@@ -255,11 +234,14 @@ def _master(order, base, step, plus, minus):
             r = rows[p] = [0] * n
         return r
 
-    def contributions(prefix, n):
+    # the x^n coefficient reads only x^(n-1) and x^(n-2), so each coefficient
+    # is final once built and one pass in n is the fixed point
+    coeffs = []
+    for n in range(order):
         out = {}
         if n >= 1:
             # each row of x^(n-1) moves to a row of its own, shifted by v + sq slots
-            for p, rs in prefix[n - 1].items():
+            for p, rs in coeffs[n - 1].items():
                 dst = out[p + sp] = [0] * n
                 dst[sv : sv + n - 1] = map(lshift, rs, count(sq * w, w))
         if 1 <= n <= 2:
@@ -267,7 +249,7 @@ def _master(order, base, step, plus, minus):
             row(out, bp, n)[0] += 1 << (bq * w)
         if n >= 2:
             geom = {}
-            for p, rs in prefix[n - 2].items():
+            for p, rs in coeffs[n - 2].items():
                 merged = 0
                 for r in reversed(rs):
                     merged = (merged << w) + r
@@ -284,7 +266,7 @@ def _master(order, base, step, plus, minus):
                     raise InternalInconsistency(
                         f"the 1/(1 - qv) sum of x^{n} p^{p} runs past v = {n - 1}"
                     )
-        return out
+        coeffs.append(out)
 
     def slots(rows):
         chunks, keys = [], []
@@ -299,8 +281,7 @@ def _master(order, base, step, plus, minus):
                 key += _VSTEP
         return b"".join(chunks), chain.from_iterable(keys)
 
-    rows = _solve_forward(order, contributions)
-    return _read_back(order, nbytes, map(slots, rows))
+    return _read_back(order, nbytes, map(slots, coeffs))
 
 
 #: The key of q, the step between the keys of consecutive q-slots
@@ -546,9 +527,9 @@ def _dense_series(order, packed):
     ``packed(order, w)`` returns, read back by ``_read_back``.
 
     The slots are sized from M(order - 1) by ``_slot_bytes``, the bound of
-    every slot read back and of every slot of the transfer DP's states.
+    every slot read back and of every slot of the transfer DP's states; that
+    call also refuses, before any work, an order past the key fields.
     """
-    _refuse_past_the_key_fields(order)
     nbytes = _slot_bytes(order)
     w = 8 * nbytes
 

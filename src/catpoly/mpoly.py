@@ -20,10 +20,6 @@ from .errors import InternalInconsistency, NonUnitDivisor, ResourceLimit
 _SHIFTS = {"p": PSHIFT, "q": QSHIFT, "v": VSHIFT}
 
 
-def _degree(terms, shift):
-    return max(((k >> shift) & MASK for k in terms), default=0)
-
-
 def _cleaned(d):
     return {k: c for k, c in d.items() if c}
 
@@ -159,20 +155,15 @@ class MPoly:
 
     def derivative(self, var):
         """Formal derivative with respect to one marker."""
+        # k -> k - (1 << shift) is one-to-one and every stored c is nonzero,
+        # so no two terms merge and no product c e with e > 0 vanishes
         shift = _SHIFTS[var]
-        out = {}
-        get = out.get
-        for k, c in self.terms.items():
-            e = (k >> shift) & MASK
-            if e == 0:
-                continue
-            nk = k - (1 << shift)
-            cur = get(nk)
-            out[nk] = c * e if cur is None else cur + c * e
-        return MPoly._raw(_cleaned(out))
+        return MPoly._raw({k - (1 << shift): c * e for k, c in self.terms.items()
+                           if (e := (k >> shift) & MASK)})
 
     def degree(self, var):
-        return _degree(self.terms, _SHIFTS[var])
+        shift = _SHIFTS[var]
+        return max(((k >> shift) & MASK for k in self.terms), default=0)
 
     def is_scalar(self):
         return not self.terms or (len(self.terms) == 1 and 0 in self.terms)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -695,6 +696,18 @@ def test_verify_passes_with_asserts_stripped():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "19 passed, 0 failed, 0 skipped"
+
+
+def test_no_assert_statement_in_the_library():
+    # -O strips every assert, so no check of the library may be one
+    src = Path(__file__).resolve().parent.parent / "src" / "catpoly"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("argv", [

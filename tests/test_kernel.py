@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catpoly import backend, gfs
+from catpoly import backend, closedforms, gfs
 from catpoly.backend import GUARDS, MAXCAP, cap_key, pack, unpack
 from catpoly.errors import ResourceLimit
 
@@ -70,23 +70,24 @@ def test_capped_product_still_truncates():
 def test_key_field_refusal_at_order_1024():
     # the area of order 1023 reaches 1023 * 1024 / 2 = 523776 <= MAXCAP, and
     # that of order 1024, 524800, passes it
-    gfs._refuse_past_the_key_fields(1023)
+    gfs._slot_bytes(1023)
     message = rf"order 1024 needs q\^524800, above the key field maximum {MAXCAP}"
     with pytest.raises(ResourceLimit, match=message):
-        gfs._refuse_past_the_key_fields(1024)
+        gfs._slot_bytes(1024)
 
 
 def test_constructors_raise_past_the_key_fields_before_any_work(monkeypatch):
     # a constructor that carries q reaches the area order(order + 1)/2, so
-    # order 1024 raises ResourceLimit before the DP, the recurrence, the
+    # order 1024 raises ResourceLimit before the slot sizing, the DP, the
     # paper's quotient or a continued-fraction level starts, and order 1023
-    # passes the refusal and starts that work; gfs binds ``transfer`` by
-    # name, so it is refused there
+    # passes the refusal and starts that work, first the slot sizing by
+    # ``closedforms.motzkin``; gfs binds ``transfer`` by name, so it is
+    # refused there
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
     monkeypatch.setattr(gfs, "transfer", refuse)
-    monkeypatch.setattr(gfs, "_solve_forward", refuse)
+    monkeypatch.setattr(closedforms, "motzkin", refuse)
     monkeypatch.setattr(gfs, "_ratio", refuse)
     monkeypatch.setattr(gfs, "_contfrac_packed", refuse)
     dense = ("sum_B", "sum_H", "prod_area", "prod_interior")

@@ -120,7 +120,7 @@ def pairwise_product(a, b):
 
 @settings(max_examples=25, deadline=None)
 @given(series_strategy)
-def test_div_roundtrip(a):
+def test_divide_one_minus_v_roundtrip(a):
     # every coefficient times 1 - v divides back exactly
     for c in a.coeffs:
         assert (c - c.mul_monomial(1, dv=1)).divide_one_minus_v() == c
@@ -180,7 +180,7 @@ def test_a_series_past_order_1023_takes_monomial_shifts():
     assert [c.coefficient(dv=2) for c in m.mul_monomial(1, dv=2).coeffs] == counts
 
 
-def test_div_by_nonscalar_unit():
+def test_divide_one_minus_v_is_exact_or_raises():
     # the division by 1 - v is exact or raises: 1 / (1 - v) is no
     # polynomial, and a truncated geometric series would hide the remainder
     one_minus_v = MPoly.scalar(1) - MPoly.monomial(1, 0, 0, 1)
