@@ -394,16 +394,12 @@ def cf_C_sper_v(order):
 
 
 def cf_C_last(order):
-    """Length/last-letter series in closed form (built on the Motzkin series)."""
-    return _last_letter_form(gf_motzkin(order))
-
-
-def _last_letter_form(motz):
-    """``cf_C_last`` at the order of ``motz``, built on that Motzkin series:
+    """Length/last-letter series in closed form, built on the Motzkin series:
     (1 - v) x - v x^2 + x^2 M(x) over the bracket at p = 1,
     (1 - v) - v (1 - v) x + v^2 x^2."""
+    motz = gf_motzkin(order)
     v = MPoly.monomial(1, 0, 0, 1)
-    num = Series.from_x_polynomial(motz.order, [0, MPoly.scalar(1) - v, -v])
+    num = Series.from_x_polynomial(order, [0, MPoly.scalar(1) - v, -v])
     return _over_bracket(num + motz.mul_monomial(1, x_shift=2), p=0)
 
 

@@ -162,9 +162,19 @@ def totals(max_n: int, built: Optional[Mapping[str, TriTable]] = None) -> Totals
     """
     if built is None:
         built = {"c": table_c(max_n), **{stat: table_stat(max_n, stat) for stat in STATS}}
+    _refuse_short(built, ("c", *STATS), max_n)
     h = [0] + [sum(k * v for k, v in enumerate(row)) for row in built["c"].rows[:max_n]]
     sums = {key: [0] + built[stat].row_sums()[:max_n] for key, stat in STAT_OF.items() if stat in STATS}
     return Totals(h=h, **sums)
+
+
+def _refuse_short(built, names, max_n):
+    """Raise ValueError if a table of ``built`` named in names has fewer
+    than max_n rows: its missing rows would read as sums and cells of 0."""
+    for name in names:
+        rows = len(built[name].rows)
+        if rows < max_n:
+            raise ValueError(f"the built {name!r} table has {rows} rows, fewer than max_n {max_n}")
 
 
 # -- verbatim evaluation of the published recurrences ---------------------------
@@ -265,6 +275,7 @@ def check_recurrences(
     stat = STAT_OF[which[0]]
     if built is None:
         built = {"c": table_c(max_n), stat: table_stat(max_n, stat)}
+    _refuse_short(built, ("c", stat), max_n)
     C, T = built["c"].entry, built[stat].entry
     first_n, first_i, i_stop, formula = _PRINTED[which]
     mismatches = []

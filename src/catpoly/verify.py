@@ -8,17 +8,18 @@ The suite is deterministic: same flags, same statuses and details; only
 each check's wall time (``CheckResult.seconds``) varies.
 
 Every check reads its series and its words from one ``_Context`` per run.
-Each series is built once, at the largest order any check reads it, and a
-check that needs a lower order reads its leading coefficients.  The word
-census holds each (length, class) of one ``enumerate_words`` call as
-letter tuples, and the ``StatRecord``s of one length come from one map
-over each statistic's formula.  The census is checked a whole length at a
-time, each law once: the grid oracles and the Dyck roundtrip as one list
-compared with the formulas' or the words', each bijection law as one list
-of flags, and histograms counted by statistic value.  A failure is named
-from the lists that were compared.  The bijection check memoizes each
-bijection once for all lengths.  The statistic tables are built once, at
-the largest n any check reads.  Nothing outlives the run.
+Each series is built once, by its own constructor, at the largest order
+any check reads it, and a check that needs a lower order reads its
+leading coefficients.  The word census holds each (length, class) of one
+``enumerate_words`` call as letter tuples, and the ``StatRecord``s of one
+length come from one map over each statistic's formula.  The census is
+checked a whole length at a time, each law once: the grid oracles and the
+Dyck roundtrip as one list compared with the formulas' or the words', each
+bijection law as one list of flags, and histograms counted by statistic
+value.  A failure is named from the lists that were compared.  The
+bijection check memoizes each bijection once for all lengths.  The
+statistic tables are built once, at the largest n any check reads.
+Nothing outlives the run.
 
 The run builds what both processes read first, the words, their records
 and the tables, then forks once.  The child runs ``CHILD_CHECKS``: the
@@ -43,10 +44,8 @@ that ran it, so the first check of a process to read a module also pays
 for importing it.
 
 A ``max_n`` above ``MAX_N_LIMIT`` or a ``max_order`` above
-``MAX_ORDER_LIMIT`` is refused before any check runs.
-A check that raises fails, except for ``ResourceLimit``: a run that asks
-for more than a limit allows stops there, and ``run_verify`` raises it,
-the first in check order if both processes hit one.
+``MAX_ORDER_LIMIT`` is refused before the census.  A check that raises,
+``ResourceLimit`` included, fails.
 """
 
 import marshal
@@ -96,15 +95,12 @@ class CheckResult(NamedTuple):
     seconds: float = 0.0  # wall time of the check, with what it first imported
 
 
-class VerifyReport:
-    """The flags of one run and its checks, appended as they finish."""
+class VerifyReport(NamedTuple):
+    """The flags of one run and its checks, in check order."""
 
-    __slots__ = ("max_n", "max_order", "checks")
-
-    def __init__(self, max_n: int, max_order: int):
-        self.max_n = max_n
-        self.max_order = max_order
-        self.checks: List[CheckResult] = []
+    max_n: int
+    max_order: int
+    checks: Tuple[CheckResult, ...]
 
     @property
     def exit_code(self):
@@ -121,10 +117,11 @@ class _Context:
     """One run's shared state: its series, its word census and its tables,
     each built once.
 
-    ``series`` builds every series once, at the largest order any check of
-    the run reads it (``orders``, set by ``_build_checks``); a check that
-    needs a lower order reads a slice of its leading coefficients, which
-    equals the series built at its own order.
+    ``series`` builds every series once, by its ``gfs`` constructor, at the
+    largest order any check of the run reads it (``orders``, set by
+    ``_build_checks``); a check that needs a lower order reads a slice of
+    its leading coefficients, which equals the series built at its own
+    order.
 
     The census holds the words of each (length, class) as letter tuples,
     from one ``enumerate_words`` call.  The ``StatRecord``s of the avoiding
@@ -154,11 +151,7 @@ class _Context:
         """``gfs.<name>(order)``, read off the run's one build of it."""
         from . import gfs
 
-        top = self.orders[name]
-        if name == "cf_C_last":  # built on the run's Motzkin series
-            build = lambda: gfs._last_letter_form(self.series("gf_motzkin", top))
-        else:
-            build = partial(getattr(gfs, name), top)
+        build = partial(getattr(gfs, name), self.orders[name])
         return _leading(self.get(name, build), order)
 
     def paper_form(self, name, order):
@@ -263,33 +256,20 @@ def run_verify(max_n: int = 10, max_order: int = 20) -> VerifyReport:
     checks = _build_checks(ctx)
     try:
         ctx.build_census()
-    except ResourceLimit:
-        raise
     except Exception:  # a broken census fails, below, each check that reads it
         pass
     results = _run_split(checks) if _can_split() else _run_checks(checks)
-    report = VerifyReport(max_n, max_order)
-    by_name = {r[0]: r for r in results}
-    for name, _fn in checks:
-        # a check missing from the results comes after a limit in its process
-        result = by_name[name]
-        if len(result) == 2:
-            raise ResourceLimit(result[1])
-        report.checks.append(CheckResult(*result))
-    return report
+    by_name = {r[0]: CheckResult(*r) for r in results}
+    return VerifyReport(max_n, max_order, tuple(by_name[name] for name, _fn in checks))
 
 
 def _run_checks(checks):
-    """The results of the checks, in order.  A ``ResourceLimit`` ends the
-    list with (name, message) of the check that raised it."""
+    """The results of the checks, in order."""
     out = []
     for name, fn in checks:
         start = perf_counter()
         try:
             status, detail = fn()
-        except ResourceLimit as exc:
-            out.append((name, str(exc)))
-            break
         except Exception as exc:  # a crashed check is a failed check
             status, detail = "fail", f"exception: {type(exc).__name__}: {exc}"
         out.append(CheckResult(name, status, detail, perf_counter() - start))
@@ -351,7 +331,7 @@ def _build_checks(ctx) -> List[Tuple[str, Callable]]:
     low = min(max_order, 12)  # the closed forms against the masters
     enum_top = min(max_n, ENUM_TOP)
     ctx.orders = {
-        "gf_motzkin": max(max_order, top + 1),
+        "gf_motzkin": max_order,
         "gf_trinomial": max_order,
         **dict.fromkeys(("gf_h", "gf_s", "gf_u", "gf_p", "cf_S", "cf_C_last"), top + 1),
         **dict.fromkeys(("sum_B", "sum_H", "prod_area", "prod_interior"), dense),

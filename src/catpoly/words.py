@@ -81,7 +81,7 @@ class CatalanWord:
                 return cls(int(part) for part in text.split(","))
             except ValueError:
                 raise NotCatalan(0, f"cannot parse word {text!r}") from None
-        if not text.isdigit():
+        if not text.isdecimal():  # exactly the digits int reads; isdigit takes "²"
             raise NotCatalan(0, f"cannot parse word {text!r}")
         return cls(int(ch) for ch in text)
 

@@ -118,6 +118,12 @@ def test_stats_bad_word_exit2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["stats", "render", "bijection --which chi"])
+def test_superscript_digit_word_exit2(capsys, command):
+    err = assert_usage_error(capsys, *command.split(), "--word", "0²")
+    assert err == "error: cannot parse word '0²'\n"
+
+
 # render ---------------------------------------------------------------------------
 
 

@@ -163,6 +163,22 @@ def test_larger_built_tables_give_the_same_reports_and_totals():
     assert tables.totals(20, built) == tables.totals(20)
 
 
+def test_undersized_built_tables_are_refused():
+    # a row past a short table would read as sums and cells of 0
+    built = {"c": tables.table_c(8), **{stat: tables.table_stat(8, stat) for stat in tables.STATS}}
+    for name in ("c", *tables.STATS):
+        short = dict(built)
+        short[name] = tables.TriTable(name, built[name].first_index, built[name].rows[:4])
+        with pytest.raises(ValueError, match=f"the built '{name}' table has 4 rows, fewer than max_n 8"):
+            tables.totals(8, short)
+        for which in tables.RECURRENCES:
+            if name in ("c", tables.STAT_OF[which[0]]):
+                with pytest.raises(ValueError, match=f"'{name}' table has 4 rows"):
+                    tables.check_recurrences(8, which, short)
+    assert tables.totals(4, {name: tables.TriTable(name, t.first_index, t.rows[:4])
+                             for name, t in built.items()}) == tables.totals(4)
+
+
 def test_check_recurrences_documents_discrepancies():
     # the printed s-recurrence excludes the k = i term of its sum; the first
     # cell where that term is nonzero must therefore be reported

@@ -35,6 +35,13 @@ def test_unmodified_run_passes():
     assert [c.name for c in checks.values() if c.status != "pass"] == []
 
 
+def test_largest_accepted_run_fails_no_check():
+    # every limit is refused before the census, so the largest run the
+    # flags accept must stay inside every limit a check can reach
+    report = verify.run_verify(verify.MAX_N_LIMIT, verify.MAX_ORDER_LIMIT)
+    assert [c.name for c in report.checks if c.status == "fail"] == []
+
+
 class CallLog:
     """Calls counted in every process of a run: each call appends one line,
     the repr of its key, to a file, so the calls of a forked child count."""
@@ -106,10 +113,9 @@ def test_census_holds_one_record_per_avoiding_word(monkeypatch, call_log):
 
 
 def test_run_builds_each_series_once(monkeypatch, call_log):
-    # every public constructor is spied on, nested calls included: the
-    # closed last-letter form is built on the run's own Motzkin series,
-    # through a private helper, and the kernel check reads the run's own
-    # kernel root; both are logged by the order of the series they take
+    # every public constructor is spied on, nested calls included, and the
+    # kernel check's reading of the run's own kernel root is logged by the
+    # order of the root it takes
     def spy(name, real, order_of=None):
         def wrapped(*args):
             call_log.add((name, order_of(*args) if order_of else args))
@@ -125,12 +131,14 @@ def test_run_builds_each_series_once(monkeypatch, call_log):
             monkeypatch.setattr(
                 gfs, name, spy(name, fn, order_of if name == "kernel_root_annihilates" else None)
             )
-    monkeypatch.setattr(gfs, "_last_letter_form", spy("cf_C_last", gfs._last_letter_form, order_of))
     assert verify.run_verify().exit_code == 0
     calls = Counter(call_log.keys())
     assert [key for key, k in calls.items() if k > 1] == []
-    for name in ("cf_S", "cf_C_last", "master_pqv", "gf_motzkin"):
+    for name in ("cf_S", "cf_C_last", "master_pqv"):
         assert len([args for called, args in calls if called == name]) == 1, name
+    # Motzkin is built by the run at max_order and inside the closed
+    # last-letter form at the order that form is read at
+    assert sorted(args for name, args in calls if name == "gf_motzkin") == [(20,), (21,)]
     # the kernel check reads the run's one kernel root
     assert [args for name, args in calls if name == "kernel_root_annihilates"] == [(20,)]
     # one build of each paper form, at the order of its DP twin
@@ -172,61 +180,31 @@ def check_names():
 
 
 @two_processes
-def test_a_child_check_that_raises_fails_as_it_does_in_one_process(monkeypatch, call_log):
-    def broken(top, which, built):
+@pytest.mark.parametrize("error", [ValueError, ResourceLimit])
+@pytest.mark.parametrize("check, module, name", [
+    ("recurrence_audit", tables, "check_recurrences"),  # a child check
+    ("kernel_annihilation", gfs, "kernel_root_annihilates"),  # a parent check
+], ids=["child", "parent"])
+def test_a_check_that_raises_fails_as_it_does_in_one_process(
+    monkeypatch, call_log, error, check, module, name,
+):
+    # a ResourceLimit raised inside a check fails it like any other
+    # exception: the flags refuse every run past a limit before the census
+    def broken(*args):
         call_log.add(os.getpid())
-        raise ValueError(f"no recurrence to {top}")
+        raise error(f"{name} stopped")
 
-    assert "recurrence_audit" in verify.CHILD_CHECKS
-    monkeypatch.setattr(tables, "check_recurrences", broken)
-    split = run_checks()["recurrence_audit"]
+    monkeypatch.setattr(module, name, broken)
+    split = run_checks()
     assert_no_child_left()
-    assert os.getpid() not in call_log.keys()  # the check ran in the child
+    # the check ran in the child or in this process, as CHILD_CHECKS says
+    assert (os.getpid() in call_log.keys()) == (check not in verify.CHILD_CHECKS)
     in_one_process(monkeypatch)
-    alone = run_checks()["recurrence_audit"]
-    assert (split.status, split.detail) == (alone.status, alone.detail) == (
-        "fail", f"exception: ValueError: no recurrence to {MAX_N}",
-    )
-
-
-def cli_runs_on_both_paths(monkeypatch, capsys, *argv):
-    """(exit code, stdout, stderr) of ``catpoly verify``, split then in one process."""
-    out = []
-    for split in (True, False):
-        if not split:
-            in_one_process(monkeypatch)
-        code = cli.main(["verify", *argv])
-        assert_no_child_left()
-        captured = capsys.readouterr()
-        out.append((code, captured.out, captured.err))
-    return out
-
-
-@two_processes
-def test_a_resource_limit_in_a_child_check_stops_the_run(monkeypatch, capsys):
-    message = "bijection census exceeds limit"
-
-    def too_big(n, *args):
-        raise ResourceLimit(message)
-
-    monkeypatch.setattr(bijections, "bijectivity_report", too_big)
-    with pytest.raises(ResourceLimit, match=f"^{message}$"):
-        verify.run_verify(max_n=MAX_N, max_order=MAX_ORDER)
-    assert_no_child_left()
-    split, alone = cli_runs_on_both_paths(monkeypatch, capsys)
-    assert split == alone == (3, "", f"error: {message}\n")
-
-
-@two_processes
-def test_a_resource_limit_in_a_parent_check_exits_3_on_both_paths(monkeypatch, capsys):
-    message = "master series exceeds limit"
-
-    def too_big(order):
-        raise ResourceLimit(message)
-
-    monkeypatch.setattr(gfs, "master_pqv", too_big)
-    split, alone = cli_runs_on_both_paths(monkeypatch, capsys)
-    assert split == alone == (3, "", f"error: {message}\n")
+    alone = run_checks()
+    for checks in (split, alone):
+        assert {n: (c.status, c.detail) for n, c in checks.items() if c.status != "pass"} == {
+            check: ("fail", f"exception: {error.__name__}: {name} stopped"),
+        }
 
 
 @two_processes
@@ -506,7 +484,9 @@ def test_trinomial_forms_catch_a_slip_in_a_printed_row(monkeypatch):
     (lambda: words.stat_record((0, 1, 2, 2)), words.StatRecord(4, 9, 7, 3, 2), "sper"),
     (lambda: bijections.decompose((0, 1, 2, 0)), bijections.FirstReturnDecomp((1, 2), (0,)), "remainder"),
     (lambda: verify.CheckResult("c", "pass", "ok", 0.5), verify.CheckResult("c", "pass", "ok", 0.5), "status"),
-], ids=["StatRecord", "FirstReturnDecomp", "CheckResult"])
+    (lambda: verify.VerifyReport(1, 2, (verify.CheckResult("c", "pass"),)),
+     verify.VerifyReport(1, 2, (verify.CheckResult("c", "pass"),)), "checks"),
+], ids=["StatRecord", "FirstReturnDecomp", "CheckResult", "VerifyReport"])
 def test_records_are_immutable_values(make, other, field):
     rec = make()
     assert rec == other and hash(rec) == hash(other) and rec is not other

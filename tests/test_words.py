@@ -89,6 +89,13 @@ def test_parse_forms(text, letters):
     assert CatalanWord.parse(text).letters == letters
 
 
+@pytest.mark.parametrize("text", ["0²", "01²"])
+def test_parse_refuses_digits_int_does_not_read(text):
+    # "²" is a digit to str.isdigit but not a decimal that int reads
+    with pytest.raises(NotCatalan, match="cannot parse word"):
+        CatalanWord.parse(text)
+
+
 def test_str_roundtrip_large_letters():
     w = CatalanWord(range(12))
     assert str(w) == "0,1,2,3,4,5,6,7,8,9,10,11"
